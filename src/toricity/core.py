@@ -20,11 +20,13 @@ from math import comb
 from .exactalg import (
     CircuitBasis,
     IntegerMatrix,
+    InternalInconsistencyError,
     KernelLattice,
     RationalMatrix,
     _frac,
     clear_denominators,
     hermite_normal_form,
+    int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
     random_kernel_vector,
@@ -44,7 +46,6 @@ from .polyring import (
     DeterminantSizeError,
     SignVerdict,
     SparsePolynomial,
-    _rational_det,
     count_distinct_roots_coeffs,
     det_stacked,
     det_symbolic,
@@ -71,10 +72,6 @@ class Verdict(Enum):
 
 class EmptyLocusError(ValueError):
     """The zero sets are empty for every parameter value in the group."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """s + d > n together with nondegeneracy: impossible, so a bug upstream."""
 
 
 class DegenerateSliceError(ValueError):
@@ -490,7 +487,7 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
         raise ValueError("injectivity needs a full-dimensional invariance lattice")
     if sys.s == 0:
         # no equations: the zero set is the full torus, a single coset
-        det = SparsePolynomial.constant(("al1",), _rational_det(inv.A.to_rational()))
+        det = SparsePolynomial.constant(("al1",), int_det(inv.A.to_lists()))
         sign = sign_classify(det)
         if sign in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
             return InjectivityResult(True, det, sign)

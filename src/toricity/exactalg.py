@@ -19,6 +19,11 @@ class TrivialKernelError(ValueError):
     """Raised when a kernel vector is requested from a matrix with kernel {0}."""
 
 
+class InternalInconsistencyError(RuntimeError):
+    """An exact result contradicts its own defining property: a bug upstream,
+    never a property of the input."""
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -361,6 +366,34 @@ def clear_denominators(vec) -> tuple[int, ...]:
         lcm = lcm // gcd(lcm, d) * d
     ints = [int(x * lcm) for x in fr]
     return tuple(_primitive(ints))
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every intermediate entry is a minor, so division is exact."""
+    k = len(rows)
+    if k == 0:
+        return 1
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[k - 1][k - 1]
 
 
 def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:

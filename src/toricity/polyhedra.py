@@ -13,7 +13,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
 
-from .exactalg import IntegerMatrix, RationalMatrix, _frac, clear_denominators, kernel_circuit_basis
+from .exactalg import (
+    IntegerMatrix,
+    InternalInconsistencyError,
+    RationalMatrix,
+    _frac,
+    clear_denominators,
+    int_det,
+    kernel_circuit_basis,
+)
 
 
 class DimensionMismatchError(ValueError):
@@ -153,8 +161,8 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
         return PositiveKernelResult(None)
     t = x[ncols]
     w = tuple(x[j] + t for j in range(ncols))
-    assert all(wi > 0 for wi in w)
-    assert all(v == 0 for v in m.mul_vector(w))
+    if any(wi <= 0 for wi in w) or any(v != 0 for v in m.mul_vector(w)):
+        raise InternalInconsistencyError("LP optimum is not a strictly positive kernel vector")
     return PositiveKernelResult(w)
 
 
@@ -321,7 +329,7 @@ def _hyperplane(points_subset):
     normal = []
     for i in range(k):
         sub = [[row[j] for j in range(k) if j != i] for row in diffs]
-        normal.append((-1) ** i * _int_det(sub))
+        normal.append((-1) ** i * int_det(sub))
     if all(x == 0 for x in normal):
         return None
     g = 0
@@ -330,33 +338,6 @@ def _hyperplane(points_subset):
     normal = [x // g for x in normal]
     offset = sum(a * b for a, b in zip(normal, p0))
     return tuple(normal), offset
-
-
-def _int_det(rows) -> int:
-    k = len(rows)
-    if k == 0:
-        return 1
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    # fraction-free Gaussian elimination (Bareiss)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), None)
-            if swap is None:
-                return 0
-            a[i], a[swap] = a[swap], a[i]
-            sign = -sign
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[k - 1][k - 1]
 
 
 _FACET_BUDGET = 2_000_000
@@ -431,7 +412,7 @@ def polytope_volume(support) -> Fraction:
     for simplex in _hull_simplices(list(pts)):
         base = simplex[-1]
         rows = [[p[i] - base[i] for i in range(n)] for p in simplex[:-1]]
-        total += Fraction(abs(_int_det(rows)), factorial(n))
+        total += Fraction(abs(int_det(rows)), factorial(n))
     return total
 
 
@@ -482,5 +463,6 @@ def mixed_volume(supports) -> int:
             for i in subset[1:]:
                 acc = minkowski_sum(acc, supports[i])
             total += sign * polytope_volume(acc)
-    assert total.denominator == 1 and total >= 0
+    if total.denominator != 1 or total < 0:
+        raise InternalInconsistencyError(f"mixed volume {total} is not a nonnegative integer")
     return int(total)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 
-from .exactalg import RationalMatrix, _frac
+from .exactalg import RationalMatrix, _frac, int_det
 
 
 class VariableMismatchError(ValueError):
@@ -184,31 +184,10 @@ class SparsePolynomial:
         out.terms = terms
         return out
 
-    def restrict(self, variables) -> "SparsePolynomial":
-        """Drop variables the polynomial does not actually use."""
-        variables = tuple(variables)
-        keep = [self.variables.index(v) for v in variables]
-        dropped = [i for i in range(len(self.variables)) if self.variables[i] not in variables]
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] != 0 for i in dropped):
-                raise VariableMismatchError("cannot drop a variable in use")
-            terms[tuple(e[i] for i in keep)] = c
-        out = SparsePolynomial(variables)
-        out.terms = terms
-        return out
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        return max((e[idx] for e in self.terms), default=0)
 
     def coefficients(self) -> list[Fraction]:
         return [c for _, c in self.sorted_terms()]
@@ -227,20 +206,6 @@ class SparsePolynomial:
                     acc *= base ** k
             total += acc
         return total
-
-    def derivative(self, name: str) -> "SparsePolynomial":
-        idx = self.variables.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            ee = list(e)
-            ee[idx] = k - 1
-            terms[tuple(ee)] = c * k
-        out = SparsePolynomial(self.variables)
-        out.terms = terms
-        return out
 
     def used_variables(self) -> tuple[str, ...]:
         used = set()
@@ -308,6 +273,119 @@ def sign_classify(p: SparsePolynomial) -> SignVerdict:
     return SignVerdict.ALL_POSITIVE if pos else SignVerdict.ALL_NEGATIVE
 
 
+# ---------------------------------------------------------------------------
+# Determinants
+#
+# The expansions run on packed polynomials: dicts from one int, holding the
+# exponent vector with each variable in its own bit field, to an integer
+# coefficient.  Rows are scaled to integers first and the product of the
+# scales is divided out once, when the result is unpacked.
+
+
+def _bit_fields(rows, variables) -> list[tuple[int, int]]:
+    """Bit offset and mask of each variable's field in a packed exponent.
+
+    A field holds the variable's degree bound for a product of one entry per
+    row: the sum over the rows of the row's largest exponent.  Every term of
+    every minor stays within it, so packed exponents add without carries.
+    """
+    bounds = [0] * len(variables)
+    for row in rows:
+        for p in row:
+            if p.variables != variables:
+                raise VariableMismatchError(f"variables {p.variables} vs {variables}")
+        exps = [e for p in row for e in p.terms]
+        if exps:
+            bounds = [b + max(col) for b, col in zip(bounds, zip(*exps))]
+    fields = []
+    shift = 0
+    for b in bounds:
+        width = b.bit_length()
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+    return fields
+
+
+def _pack(exps, fields) -> int:
+    key = 0
+    for k, (shift, _) in zip(exps, fields):
+        key |= k << shift
+    return key
+
+
+def _row_scale(coeffs) -> int:
+    """Least positive integer that makes every coefficient integral."""
+    return lcm(*(c.denominator for c in coeffs))
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rational rows scaled to integers by their least common denominators;
+    returns them with the product of the scales."""
+    scaled = []
+    scale = 1
+    for row in rows:
+        r = _row_scale(row)
+        scale *= r
+        scaled.append([c.numerator * (r // c.denominator) for c in row])
+    return scaled, scale
+
+
+def _pack_rows(rows, fields) -> tuple[list[list[dict[int, int]]], int]:
+    """Rows of polynomials as packed integer polynomials, each row scaled by
+    its least common denominator; returns them with the product of scales."""
+    packed = []
+    scale = 1
+    for row in rows:
+        r = _row_scale(c for p in row for c in p.terms.values())
+        scale *= r
+        packed.append([{_pack(e, fields): c.numerator * (r // c.denominator)
+                        for e, c in p.terms.items()} for p in row])
+    return packed, scale
+
+
+def _unpack(variables, packed: dict[int, int], fields, denominator: int) -> SparsePolynomial:
+    """The packed polynomial divided by ``denominator`` (which may be negative)."""
+    out = SparsePolynomial(variables)
+    out.terms = {tuple((key >> shift) & mask for shift, mask in fields): Fraction(c, denominator)
+                 for key, c in packed.items() if c}
+    return out
+
+
+def _packed_det(rows, columns: int) -> dict[int, int]:
+    """Determinant of packed rows on the columns set in ``columns``, taken in
+    increasing order, by Laplace expansion along the rows with the minors
+    memoized on their set of columns."""
+    s = len(rows)
+    memo = {0: {0: 1}}
+
+    def minor(mask):
+        found = memo.get(mask)
+        if found is not None:
+            return found
+        row = rows[s - mask.bit_count()]
+        acc = {}
+        negate = False
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                sub = minor(mask ^ bit)
+                for k1, c1 in entry.items():
+                    if negate:
+                        c1 = -c1
+                    for k2, c2 in sub.items():
+                        k = k1 + k2
+                        acc[k] = acc.get(k, 0) + c1 * c2
+            negate = not negate
+        result = {k: c for k, c in acc.items() if c}
+        memo[mask] = result
+        return result
+
+    return minor(columns)
+
+
 def det_symbolic(matrix) -> SparsePolynomial:
     """Exact determinant of a square matrix of polynomials.
 
@@ -324,34 +402,12 @@ def det_symbolic(matrix) -> SparsePolynomial:
             f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {n})"
         )
     variables = matrix[0][0].variables
-    order = sorted(range(n), key=lambda i: sum(0 if matrix[i][j].is_zero() else 1 for j in range(n)))
-    perm_sign = _permutation_sign(order)
+    order = sorted(range(n), key=lambda i: sum(0 if p.is_zero() else 1 for p in matrix[i]))
     rows = [matrix[i] for i in order]
-    zero = SparsePolynomial.zero(variables)
-    one = SparsePolynomial.constant(variables, 1)
-    memo = {0: one}
-
-    def minor(i, mask):
-        if mask in memo:
-            return memo[mask]
-        total = zero
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            a = rows[i][j]
-            if not a.is_zero():
-                sub = minor(i + 1, mask & ~bit)
-                term = a * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[mask] = total
-        return total
-
-    full = (1 << n) - 1
-    result = minor(0, full)
-    return result if perm_sign > 0 else -result
+    fields = _bit_fields(rows, variables)
+    packed, scale = _pack_rows(rows, fields)
+    total = _packed_det(packed, (1 << n) - 1)
+    return _unpack(variables, total, fields, _permutation_sign(order) * scale)
 
 
 def _permutation_sign(perm) -> int:
@@ -374,57 +430,140 @@ def _permutation_sign(perm) -> int:
 def det_stacked(top, bottom: RationalMatrix) -> SparsePolynomial:
     """Determinant of [top; bottom] with polynomial top rows and rational bottom.
 
-    Laplace expansion over the top block: for each column subset carrying the
-    top minor, the complementary constant minor is an exact rational number,
-    which keeps the symbolic work down to s x s determinants.
+    Laplace expansion along the top block: the sum over s-column sets S of
+    sign(S) det(top[:, S]) det(bottom[:, ~S]).  Only sets whose complement is
+    a basis of the bottom block contribute; they are enumerated directly, and
+    each constant minor is an integer determinant of the row-scaled bottom.
+    When every top column is one monomial times constants, each top minor is
+    the product of its columns' monomials times an integer determinant, so S
+    also runs only over bases of the top block and no polynomial arithmetic
+    is done.  Otherwise each top minor is a packed expansion, as in
+    ``det_symbolic`` and under its size guard.
     """
     s = len(top)
     n = len(top[0]) if s else bottom.cols
     d = bottom.rows
-    if s + d != n:
+    if s + d != n or (d and bottom.cols != n):
         raise ValueError("stacked matrix is not square")
     if s == 0:
-        variables = ()
         raise ValueError("no symbolic rows to expand")
     variables = top[0][0].variables
-    total = SparsePolynomial.zero(variables)
+    lower, scale = _integer_rows(bottom.row(i) for i in range(d))
+    lower_cols = list(zip(*lower)) if d else [()] * n
+    fields = _bit_fields(top, variables)
     base = s * (s - 1) // 2
-    for cols in combinations(range(n), s):
-        comp = [j for j in range(n) if j not in cols]
-        const = _rational_det(bottom.select_columns(comp)) if d else Fraction(1)
-        if const == 0:
-            continue
-        sub = [[top[i][j] for j in cols] for i in range(s)]
-        minor = det_symbolic(sub)
-        if minor.is_zero():
-            continue
-        sign = -1 if (sum(cols) - base) % 2 else 1
-        total = total + minor.scale(sign * const)
-    return total
+    total: dict[int, int] = {}
+    monomials = _column_monomials(top)
+    if monomials is not None:
+        upper, top_scale = _integer_rows([next(iter(p.terms.values()), Fraction(0)) for p in row]
+                                         for row in top)
+        upper_cols = list(zip(*upper))
+        keys = [_pack(e, fields) if e is not None else 0 for e in monomials]
+        for cols, comp in _splits(upper_cols, lower_cols, s):
+            # columns passed as rows: a transpose has the same determinant
+            value = int_det([upper_cols[k] for k in cols]) * int_det([lower_cols[k] for k in comp])
+            if (sum(cols) - base) % 2:
+                value = -value
+            key = sum(keys[k] for k in cols)
+            total[key] = total.get(key, 0) + value
+        return _unpack(variables, total, fields, scale * top_scale)
+    if s > DET_SIZE_LIMIT:
+        raise DeterminantSizeError(
+            f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})"
+        )
+    order = sorted(range(s), key=lambda i: sum(0 if p.is_zero() else 1 for p in top[i]))
+    packed, top_scale = _pack_rows([top[i] for i in order], fields)
+    for cols, comp in _splits(None, lower_cols, s):
+        value = int_det([lower_cols[k] for k in comp])
+        if (sum(cols) - base) % 2:
+            value = -value
+        for key, c in _packed_det(packed, sum(1 << k for k in cols)).items():
+            total[key] = total.get(key, 0) + value * c
+    return _unpack(variables, total, fields, _permutation_sign(order) * scale * top_scale)
 
 
-def _rational_det(m: RationalMatrix) -> Fraction:
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    a = m.to_lists()
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return det
+def _column_monomials(top):
+    """Per column, the exponent vector shared by all its nonzero entries
+    (None for a zero column); None when some column has no such monomial."""
+    monomials = [None] * len(top[0])
+    for row in top:
+        for k, p in enumerate(row):
+            if not p.terms:
+                continue
+            if len(p.terms) > 1:
+                return None
+            (e,) = p.terms
+            if monomials[k] is None:
+                monomials[k] = e
+            elif monomials[k] != e:
+                return None
+    return monomials
+
+
+def _extend(basis, v) -> bool:
+    """Append ``v`` to the echelon ``basis`` of (pivot, vector) pairs if it is
+    independent of it.  The pivots already in the basis are eliminated from
+    ``v`` fraction-free; what is left is zero exactly on the span."""
+    for p, w in basis:
+        c = v[p]
+        if c:
+            a = w[p]
+            v = [a * x - c * y for x, y in zip(v, w)]
+    for p, x in enumerate(v):
+        if x:
+            g = gcd(*v)
+            basis.append((p, [y // g for y in v] if g > 1 else v))
+            return True
+    return False
+
+
+def _suffix_ranks(cols) -> list[int]:
+    """``ranks[j]`` is the rank of the columns j, j+1, ... (0 past the end)."""
+    ranks = [0] * (len(cols) + 1)
+    basis = []
+    for j in range(len(cols) - 1, -1, -1):
+        _extend(basis, cols[j])
+        ranks[j] = len(basis)
+    return ranks
+
+
+def _splits(upper_cols, lower_cols, s) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of the columns into S (size s) and its complement such
+    that the complement's lower columns are independent and, unless
+    ``upper_cols`` is None, so are S's upper columns.
+
+    Backtracking over the columns in order: a column joins a side only if it
+    is independent of the columns that side holds, and a branch is cut as
+    soon as the columns left have too low a rank to complete either side.
+    """
+    n = len(lower_cols)
+    d = n - s
+    lower_rank = _suffix_ranks(lower_cols)
+    upper_rank = _suffix_ranks(upper_cols) if upper_cols is not None else [n - j for j in range(n + 1)]
+    upper, lower = [], []
+    upper_basis, lower_basis = [], []
+    found = []
+
+    def walk(j):
+        if j == n:
+            found.append((tuple(upper), tuple(lower)))
+            return
+        if s - len(upper) > upper_rank[j] or d - len(lower) > lower_rank[j]:
+            return
+        if len(upper) < s and (upper_cols is None or _extend(upper_basis, upper_cols[j])):
+            upper.append(j)
+            walk(j + 1)
+            upper.pop()
+            if upper_cols is not None:
+                upper_basis.pop()
+        if len(lower) < d and _extend(lower_basis, lower_cols[j]):
+            lower.append(j)
+            walk(j + 1)
+            lower.pop()
+            lower_basis.pop()
+
+    walk(0)
+    return found
 
 
 # ---------------------------------------------------------------------------

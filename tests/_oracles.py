@@ -3,10 +3,12 @@
 These deliberately avoid the package's own code paths so that agreement is
 meaningful: planar hulls by angle sorting, areas by the shoelace formula,
 determinants by Laplace expansion, and real-root counts by Descartes-style
-interval bisection.
+interval bisection.  Stacked determinants use the column-subset Laplace
+sweep that the package's basis-enumerating kernel replaced.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def oracle_hull2(points):
@@ -94,6 +96,36 @@ def oracle_det(rows):
             continue
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         total += (-1) ** j * Fraction(rows[0][j]) * oracle_det(minor)
+    return total
+
+
+def _oracle_poly_det(rows):
+    """Polynomial determinant by cofactor expansion along the first row,
+    using only the ring operations of the entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].scale(0)
+    for j, a in enumerate(rows[0]):
+        if a.is_zero():
+            continue
+        term = a * _oracle_poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def oracle_det_stacked(top, bottom):
+    """Determinant of [top; bottom] (polynomial top rows, rational bottom
+    rows) by the Laplace sweep over every column subset of the top block."""
+    s, n = len(top), len(top[0])
+    total = top[0][0].scale(0)
+    for cols in combinations(range(n), s):
+        comp = [j for j in range(n) if j not in cols]
+        const = oracle_det([[row[j] for j in comp] for row in bottom])
+        if const == 0:
+            continue
+        minor = _oracle_poly_det([[row[j] for j in cols] for row in top])
+        sign = -1 if (sum(cols) - s * (s - 1) // 2) % 2 else 1
+        total = total + minor.scale(sign * const)
     return total
 
 

@@ -206,6 +206,17 @@ def test_batch_bundled_corpus(tmp_path, capsys):
     assert report["summary"]["toric"] == 4
 
 
+def test_batch_corpus_verdicts_under_optimize(tmp_path):
+    # python -O strips assert statements: the checks guarding results must
+    # not be asserts, and the verdicts must not depend on them
+    report_path = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-O", "-m", "toricity.cli", "batch", str(MODELS),
+                           "--report", str(report_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(report_path.read_text())
+    assert {row["model"]: row["verdict"] for row in report["models"]} == GOLDEN_VERDICTS
+
+
 def test_batch_rows_match_single_runs(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     run_cli(capsys, "batch", str(MODELS), "--report", str(report_path))

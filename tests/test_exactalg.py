@@ -11,6 +11,7 @@ from toricity.exactalg import (
     TrivialKernelError,
     clear_denominators,
     hermite_normal_form,
+    int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
     left_kernel_basis,
@@ -19,6 +20,8 @@ from toricity.exactalg import (
     smith_normal_form_diagonal,
     solve,
 )
+
+from _oracles import oracle_det
 
 # Running example: the two-substrate regulation system used throughout the suite.
 IDH_C = RationalMatrix([
@@ -249,3 +252,13 @@ def test_solve_particular():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == (2, 3)
     assert clear_denominators([Fraction(-2), Fraction(4)]) == (-1, 2)
+
+
+def test_int_det_matches_cofactor_expansion():
+    # small entries with many zeros: zero pivots force row swaps, and
+    # singular matrices must give 0
+    rng = random.Random(12)
+    for _ in range(200):
+        k = rng.randint(0, 5)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(k)] for _ in range(k)]
+        assert int_det(rows) == oracle_det(rows)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricity.exactalg import IntegerMatrix, RationalMatrix
+from toricity import polyhedra
+from toricity.exactalg import IntegerMatrix, InternalInconsistencyError, RationalMatrix
 from toricity.polyhedra import (
     DimensionMismatchError,
     SupportSet,
@@ -54,6 +55,15 @@ def test_strictly_positive_kernel_idh():
     assert not res.is_empty
     assert all(x > 0 for x in res.witness)
     assert all(v == 0 for v in IDH_C.mul_vector(res.witness))
+
+
+def test_strictly_positive_kernel_rejects_bad_optimum(monkeypatch):
+    # an LP optimum whose witness is not strictly positive is a bug, reported
+    # as one even when asserts are stripped
+    monkeypatch.setattr(polyhedra, "simplex_maximize",
+                        lambda a, b, c: (polyhedra.LPStatus.OPTIMAL, Fraction(1), [Fraction(0)] * len(c)))
+    with pytest.raises(InternalInconsistencyError):
+        strictly_positive_kernel(RationalMatrix([[1, -1]]))
 
 
 def test_extreme_rays_line():
@@ -207,6 +217,13 @@ def test_mixed_volume_triangle_slice_system():
     poly_support = SupportSet(((3, 2), (0, 4), (6, 0)))
     linear_support = SupportSet(((1, 0), (0, 1), (0, 0)))
     assert mixed_volume([poly_support, linear_support]) == 6
+
+
+def test_mixed_volume_rejects_fractional_total(monkeypatch):
+    monkeypatch.setattr(polyhedra, "polytope_volume", lambda support: Fraction(1, 3))
+    s = SupportSet(((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(InternalInconsistencyError):
+        mixed_volume([s, s])
 
 
 def test_mixed_volume_dimension_mismatch():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricity.exactalg import RationalMatrix
 from toricity.polyring import (
@@ -19,7 +21,7 @@ from toricity.polyring import (
     univariate_coefficients,
 )
 
-from _oracles import oracle_det, oracle_positive_roots
+from _oracles import oracle_det, oracle_det_stacked, oracle_positive_roots
 
 
 def P(variables, terms):
@@ -177,6 +179,15 @@ def test_det_symbolic_size_guard():
         det_symbolic(big)
 
 
+def test_det_symbolic_variable_mismatch():
+    from toricity.polyring import VariableMismatchError
+
+    x = SparsePolynomial.variable(("x",), "x")
+    y = SparsePolynomial.variable(("y",), "y")
+    with pytest.raises(VariableMismatchError):
+        det_symbolic([[x, x], [x, y]])
+
+
 def test_det_symbolic_matches_numeric_evaluation():
     rng = random.Random(21)
     vs = ("x", "y")
@@ -219,6 +230,130 @@ def test_det_stacked_matches_det_symbolic():
         full = top + [[SparsePolynomial.constant(vs, x) for x in bottom.row(i)]
                       for i in range(n - s)]
         assert det_stacked(top, bottom) == det_symbolic(full)
+
+
+def test_det_symbolic_high_degree_matches_numeric_evaluation():
+    # degrees up to 9 per entry and up to 36 in the determinant: every packed
+    # exponent field spans several bits
+    rng = random.Random(8)
+    vs = ("x", "y", "z")
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        rows = [[P(vs, {tuple(rng.randint(0, 9) for _ in vs): Fraction(rng.randint(-5, 5),
+                                                                       rng.randint(1, 4))
+                        for _ in range(rng.randint(0, 3))})
+                 for _ in range(n)] for _ in range(n)]
+        det = det_symbolic(rows)
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in vs}
+            numeric = [[rows[i][j].evaluate(point) for j in range(n)] for i in range(n)]
+            assert det.evaluate(point) == oracle_det(numeric)
+
+
+def test_det_symbolic_power_of_two_degrees():
+    # field widths land exactly on and just past powers of two
+    vs = ("x", "y")
+    x = SparsePolynomial.variable(vs, "x")
+    y = SparsePolynomial.variable(vs, "y")
+    rows = [[x ** 8, y], [y ** 7, x ** 7 * y]]
+    assert det_symbolic(rows) == x ** 15 * y - y ** 8
+
+
+VS = ("x", "y", "z")
+COEFFS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+EXPONENTS = st.tuples(*(st.integers(0, 5) for _ in VS))
+
+
+@st.composite
+def stacked_matrices(draw, monomial_columns: bool, singular: bool = False):
+    """A square [top; bottom] with polynomial top rows and rational bottom
+    rows.  Monomial columns share one monomial down each top column; a
+    singular bottom has a row that is a multiple of another, or zero."""
+    n = draw(st.integers(2 if singular else 1, 5))
+    s = draw(st.integers(1, n - 1 if singular else n))
+    if monomial_columns:
+        monomials = [draw(EXPONENTS) for _ in range(n)]
+        top = [[P(VS, {monomials[k]: draw(COEFFS)}) for k in range(n)] for _ in range(s)]
+    else:
+        top = [[P(VS, draw(st.dictionaries(EXPONENTS, COEFFS, max_size=3))) for _ in range(n)]
+               for _ in range(s)]
+    bottom = [[draw(COEFFS) for _ in range(n)] for _ in range(n - s)]
+    if singular:
+        factor = draw(COEFFS) if len(bottom) > 1 else 0
+        bottom[-1] = [factor * x for x in bottom[0]]
+    return top, bottom
+
+
+def _stacked(top, bottom):
+    matrix = RationalMatrix(bottom)
+    matrix.cols = len(top[0])
+    full = top + [[SparsePolynomial.constant(VS, x) for x in row] for row in bottom]
+    return det_stacked(top, matrix), full
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_matrices(monomial_columns=True))
+def test_det_stacked_monomial_columns(case):
+    top, bottom = case
+    det, full = _stacked(top, bottom)
+    assert det == det_symbolic(full)
+    assert det == oracle_det_stacked(top, bottom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_matrices(monomial_columns=False))
+def test_det_stacked_general_top(case):
+    top, bottom = case
+    det, full = _stacked(top, bottom)
+    assert det == det_symbolic(full)
+    assert det == oracle_det_stacked(top, bottom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(lambda mono: stacked_matrices(mono, singular=True)))
+def test_det_stacked_singular_bottom(case):
+    top, bottom = case
+    det, full = _stacked(top, bottom)
+    assert det.is_zero()
+    assert det_symbolic(full).is_zero()
+
+
+def test_det_stacked_monomial_columns_beyond_size_guard():
+    # 15 monomial top rows over 3 constant rows: the multistationarity shape
+    # of 5-site phosphorylation, which the symbolic size guard would refuse
+    n, s = 18, 15
+    vs = tuple(f"a{k}" for k in range(n))
+    rng = random.Random(4)
+    top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.choice([-1, 0, 1, 2]))
+            for k in range(n)] for _ in range(s)]
+    bottom = [[rng.choice([0, 0, 1, 2]) for _ in range(n)] for _ in range(n - s)]
+    det = det_stacked(top, RationalMatrix(bottom))
+    assert not det.is_zero()
+    for _ in range(2):
+        point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for v in vs}
+        numeric = [[p.evaluate(point) for p in row] for row in top] + bottom
+        assert det.evaluate(point) == _fraction_det(numeric)
+
+
+def _fraction_det(rows):
+    """Rational determinant by Gaussian elimination, for sizes beyond the
+    reach of cofactor expansion."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
 
 
 def test_sign_classify_cases():
