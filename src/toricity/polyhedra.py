@@ -2,16 +2,17 @@
 
 Strict positivity of kernels by exact rational LP, extreme rays of pointed
 cones by the double description method, exact volumes of lattice polytopes,
-and mixed volumes of Newton polytopes by inclusion-exclusion over Minkowski
-sums.
+and mixed volumes of Newton polytopes, all from exact placing triangulations
+in integer arithmetic: a polytope's volume from a triangulation of its
+points, the mixed volume from the mixed cells of one triangulation of the
+Cayley configuration of the supports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from .exactalg import (
     IntegerMatrix,
@@ -29,7 +30,7 @@ class DimensionMismatchError(ValueError):
 
 
 class VolumeBudgetError(RuntimeError):
-    """Facet enumeration would exceed the configured budget."""
+    """A triangulation would exceed the simplex budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def extreme_rays(m: RationalMatrix) -> ConeRays:
 
 
 # ---------------------------------------------------------------------------
-# Polytope volumes
+# Polytope volumes and mixed volumes
 
 
 @dataclass(frozen=True)
@@ -256,68 +257,6 @@ class SupportSet:
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0]) if self.points else 0
-
-
-def _affine_rank(points) -> int:
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    diffs = [[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]]
-    return RationalMatrix(diffs).rank()
-
-
-def _planar_hull(points):
-    """Convex hull in Z^2, counterclockwise (monotone chain, exact)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _shoelace2(hull) -> Fraction:
-    s = 0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        s += x1 * y2 - x2 * y1
-    return Fraction(abs(s), 2)
-
-
-def _is_vertex(p, others) -> bool:
-    # p is a vertex iff it is not a convex combination of the other points
-    if not others:
-        return True
-    n = len(p)
-    a_rows = [[q[i] for q in others] for i in range(n)]
-    a_rows.append([1] * len(others))
-    b = list(p) + [1]
-    status, _, _ = simplex_maximize(a_rows, b, [0] * len(others))
-    return status == LPStatus.INFEASIBLE
-
-
-def _vertices(points):
-    if len(points) <= len(points[0]) + 1:
-        return list(points)
-    pts = list(points)
-    keep = []
-    for i, p in enumerate(pts):
-        if _is_vertex(p, pts[:i] + pts[i + 1 :]):
-            keep.append(p)
-    return keep
 
 
 def _hyperplane(points_subset):
@@ -340,112 +279,124 @@ def _hyperplane(points_subset):
     return tuple(normal), offset
 
 
-_FACET_BUDGET = 2_000_000
+_SIMPLEX_BUDGET = 20_000
 
 
-def _facets(verts):
-    """All facets of a full-dimensional hull, by brute-force hyperplane search."""
-    k = len(verts[0])
-    if comb(len(verts), k) > _FACET_BUDGET:
-        raise VolumeBudgetError(f"too many candidate facets for {len(verts)} points in dim {k}")
-    facets = {}
-    for subset in combinations(range(len(verts)), k):
-        hp = _hyperplane([verts[i] for i in subset])
-        if hp is None:
+def _placing_triangulation(points):
+    """Placing (beneath-beyond) triangulation of a finite point set in Z^k.
+
+    The points are taken in sorted order.  The first k + 1 affinely
+    independent ones span the start simplex.  Every later point is coned over
+    each boundary facet it lies strictly beyond, and skipped when no facet
+    sees it.  Boundary facets carry primitive integer outward normals, so
+    every test is exact: the start simplex's come from cofactors, and each
+    later facet's from the two facets that met at its horizon ridge.
+    Returns the simplices as tuples of k + 1 points, or None when the points
+    span fewer than k dimensions; raises VolumeBudgetError once more than
+    _SIMPLEX_BUDGET simplices are placed.
+    """
+    pts = sorted(set(points))
+    k = len(pts[0])
+    # start simplex: keep a point when its difference to pts[0] survives
+    # fraction-free reduction by the differences kept so far
+    start, echelon = [0], []
+    for idx in range(1, len(pts)):
+        if len(start) == k + 1:
+            break
+        v = [a - b for a, b in zip(pts[idx], pts[0])]
+        for col, row in echelon:
+            if v[col]:
+                v = [row[col] * x - v[col] * y for x, y in zip(v, row)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            echelon.append((col, v))
+            start.append(idx)
+    if len(start) < k + 1:
+        return None
+
+    # facet vertices -> [primitive outward normal, offset, neighbours], where
+    # neighbours[j] is the facet across the ridge that omits vertex j
+    boundary = {}
+    # (k + 1) times the start barycentre lies strictly inside the start simplex
+    centre = [sum(c) for c in zip(*(pts[i] for i in start))]
+    facets = [tuple(i for i in start if i != drop) for drop in start]
+    for verts in facets:
+        normal, offset = _hyperplane([pts[i] for i in verts])
+        if sum(a * b for a, b in zip(normal, centre)) > (k + 1) * offset:
+            normal, offset = tuple(-a for a in normal), -offset
+        boundary[verts] = [normal, offset, [facets[start.index(v)] for v in verts]]
+
+    simplices = [tuple(start)]
+    placed = set(start)
+    for idx, p in enumerate(pts):
+        if idx in placed:
             continue
-        normal, offset = hp
-        lo = hi = False
-        for p in verts:
-            v = sum(a * b for a, b in zip(normal, p))
-            if v < offset:
-                lo = True
-            elif v > offset:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if lo:  # orient outward
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        key = (normal, offset)
-        if key not in facets:
-            on = [p for p in verts if sum(a * b for a, b in zip(normal, p)) == offset]
-            facets[key] = on
-    return [(n, o, pts) for (n, o), pts in facets.items()]
+        heights = {verts: h for verts, (normal, offset, _) in boundary.items()
+                   if (h := sum(a * b for a, b in zip(normal, p)) - offset) > 0}
+        created = {}
+        for verts, h1 in heights.items():
+            a1, b1, neighbours = boundary.pop(verts)
+            for j, other in enumerate(neighbours):
+                if other in heights:
+                    continue
+                # a horizon ridge: of the hyperplanes through it, the one
+                # through p is h1 (a2.x - b2) - h2 (a1.x - b1), outward
+                # because h1 > 0 >= h2
+                a2, b2, across = boundary[other]
+                h2 = sum(a * b for a, b in zip(a2, p)) - b2
+                normal = [h1 * y - h2 * x for x, y in zip(a1, a2)]
+                g = gcd(*normal)
+                new = tuple(sorted(verts[:j] + verts[j + 1:] + (idx,)))
+                across[across.index(verts)] = new
+                created[new] = [tuple(x // g for x in normal), (h1 * b2 - h2 * b1) // g,
+                                [other if v == idx else None for v in new]]
+            simplices.append(verts + (idx,))
+        # new facets meet each other across the ridges through p
+        open_ridges = {}
+        for new, (_, _, neighbours) in created.items():
+            for j, v in enumerate(new):
+                if v != idx:
+                    ridge = new[:j] + new[j + 1:]
+                    if ridge in open_ridges:
+                        mate, i = open_ridges.pop(ridge)
+                        neighbours[j], created[mate][2][i] = mate, new
+                    else:
+                        open_ridges[ridge] = new, j
+        boundary.update(created)
+        if len(simplices) > _SIMPLEX_BUDGET:
+            raise VolumeBudgetError(
+                f"placing triangulation of {len(pts)} points in dim {k} "
+                f"exceeds {_SIMPLEX_BUDGET} simplices")
+    return [tuple(pts[i] for i in s) for s in simplices]
 
 
-def _hull_simplices(points):
-    """Triangulation of a full-dimensional hull into simplices (vertex tuples)."""
-    k = len(points[0])
-    if k == 1:
-        return [(min(points), max(points))]
-    if k == 2:
-        hull = _planar_hull(points)
-        return [(hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
-    verts = _vertices(points)
-    p0 = min(verts)
-    simplices = []
-    for normal, offset, fpts in _facets(verts):
-        if sum(a * b for a, b in zip(normal, p0)) == offset:
-            continue
-        drop = next(i for i in range(k) if normal[i] != 0)
-        proj = {tuple(p[:drop] + p[drop + 1 :]): p for p in fpts}
-        for sub in _hull_simplices(list(proj)):
-            simplices.append(tuple(proj[q] for q in sub) + (p0,))
-    return simplices
+def _abs_det(rows) -> int:
+    """Volume of the lattice parallelotope spanned by the integer rows."""
+    return abs(int_det(rows))
 
 
 def polytope_volume(support) -> Fraction:
     """Exact Euclidean volume of the convex hull; 0 if lower-dimensional."""
     pts = support.points if isinstance(support, SupportSet) else SupportSet(tuple(support)).points
-    if not pts:
+    if not pts or not pts[0]:
         return Fraction(0)
-    n = len(pts[0])
-    if n == 0 or _affine_rank(pts) < n:
-        return Fraction(0)
-    if n == 1:
-        return Fraction(max(p[0] for p in pts) - min(p[0] for p in pts))
-    if n == 2:
-        return _shoelace2(_planar_hull(pts))
-    total = Fraction(0)
-    for simplex in _hull_simplices(list(pts)):
-        base = simplex[-1]
-        rows = [[p[i] - base[i] for i in range(n)] for p in simplex[:-1]]
-        total += Fraction(abs(int_det(rows)), factorial(n))
-    return total
-
-
-def minkowski_sum(a: SupportSet, b: SupportSet) -> SupportSet:
-    if not a.points:
-        return b
-    if not b.points:
-        return a
-    pts = {tuple(x + y for x, y in zip(p, q)) for p in a.points for q in b.points}
-    pts = _reduce_to_vertices(pts)
-    return SupportSet(tuple(pts))
-
-
-def _reduce_to_vertices(pts):
-    pts = sorted(pts)
-    if not pts:
-        return pts
-    n = len(pts[0])
-    if len(pts) <= n + 1:
-        return pts
-    if n == 2:
-        return _planar_hull(pts)
-    if len(pts) > 400:  # keep the LP filter affordable
-        return pts
-    return _vertices(pts)
+    simplices = _placing_triangulation(pts) or ()
+    total = sum(_abs_det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]) for s in simplices)
+    return Fraction(total, factorial(len(pts[0])))
 
 
 def mixed_volume(supports) -> int:
     """Normalized mixed volume of n lattice supports in Z^n.
 
-    Inclusion-exclusion over Minkowski sums of subsets; the normalization is
-    the root-count convention, i.e. n! times the classical mixed volume, an
-    integer for lattice polytopes.
+    Sums the mixed cells of one placing triangulation of the Cayley
+    configuration {(p, e_i) : p in P_i} in Z^(2n-1), with e_0 = 0 and unit
+    vectors e_1..e_(n-1).  Every triangulation of it induces a fine mixed
+    subdivision of P_1 + ... + P_n (Huber, Rambau & Santos 2000), whose mixed
+    cells are its simplices with exactly two points from every support; a
+    cell with edges b_i1 - b_i0 has volume |det(b_i1 - b_i0)|, and the cells
+    add up to the mixed volume (Huber & Sturmfels 1995).  The normalization
+    is the root-count convention, i.e. n! times the classical mixed volume,
+    an integer for lattice polytopes.
     """
     supports = [s if isinstance(s, SupportSet) else SupportSet(tuple(s)) for s in supports]
     if not supports:
@@ -455,14 +406,16 @@ def mixed_volume(supports) -> int:
         raise DimensionMismatchError(
             f"need exactly {n} supports in ambient dimension {n}"
         )
-    total = Fraction(0)
-    for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
-        for subset in combinations(range(n), size):
-            acc = supports[subset[0]]
-            for i in subset[1:]:
-                acc = minkowski_sum(acc, supports[i])
-            total += sign * polytope_volume(acc)
+    lifts = [tuple(int(j == i) for j in range(1, n)) for i in range(n)]
+    cayley = [p + lift for s, lift in zip(supports, lifts) for p in s.points]
+    total = 0
+    for simplex in _placing_triangulation(cayley) or ():
+        # group the vertices by their support, read off the lift coordinates
+        pairs = {}
+        for q in simplex:
+            pairs.setdefault(q[n:], []).append(q[:n])
+        if all(len(pair) == 2 for pair in pairs.values()):
+            total += _abs_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()])
     if total.denominator != 1 or total < 0:
         raise InternalInconsistencyError(f"mixed volume {total} is not a nonnegative integer")
     return int(total)

@@ -4,11 +4,18 @@ These deliberately avoid the package's own code paths so that agreement is
 meaningful: planar hulls by angle sorting, areas by the shoelace formula,
 determinants by Laplace expansion, and real-root counts by Descartes-style
 interval bisection.  Stacked determinants use the column-subset Laplace
-sweep that the package's basis-enumerating kernel replaced.
+sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
+use the inclusion-exclusion over LP-pruned Minkowski sums that the
+package's Cayley triangulation replaced; it shares only the package's exact
+LP and integer determinant.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, gcd
+
+from toricity.exactalg import RationalMatrix, int_det
+from toricity.polyhedra import LPStatus, simplex_maximize
 
 
 def oracle_hull2(points):
@@ -127,6 +134,134 @@ def oracle_det_stacked(top, bottom):
         sign = -1 if (sum(cols) - s * (s - 1) // 2) % 2 else 1
         total = total + minor.scale(sign * const)
     return total
+
+
+# --- Mixed volume by inclusion-exclusion over Minkowski sums -----------------
+# Vertices are found by one exact LP per point, facets by a search over all
+# vertex k-subsets, volumes by a recursive triangulation of the facets.
+
+
+def _affine_rank(points) -> int:
+    if len(points) <= 1:
+        return 0
+    p0 = points[0]
+    diffs = [[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]]
+    return RationalMatrix(diffs).rank()
+
+
+def _is_vertex(p, others) -> bool:
+    # p is a vertex iff it is not a convex combination of the other points
+    if not others:
+        return True
+    n = len(p)
+    a_rows = [[q[i] for q in others] for i in range(n)]
+    a_rows.append([1] * len(others))
+    b = list(p) + [1]
+    status, _, _ = simplex_maximize(a_rows, b, [0] * len(others))
+    return status == LPStatus.INFEASIBLE
+
+
+def _vertices(points):
+    if len(points) <= len(points[0]) + 1:
+        return list(points)
+    pts = list(points)
+    return [p for i, p in enumerate(pts) if _is_vertex(p, pts[:i] + pts[i + 1:])]
+
+
+def _hyperplane(points_subset):
+    """Primitive integer (normal, offset) through k points in R^k, or None."""
+    k = len(points_subset[0])
+    p0 = points_subset[0]
+    diffs = [[p[i] - p0[i] for i in range(k)] for p in points_subset[1:]]
+    normal = [(-1) ** i * int_det([[row[j] for j in range(k) if j != i] for row in diffs])
+              for i in range(k)]
+    if all(x == 0 for x in normal):
+        return None
+    g = 0
+    for x in normal:
+        g = gcd(g, abs(x))
+    normal = [x // g for x in normal]
+    return tuple(normal), sum(a * b for a, b in zip(normal, p0))
+
+
+def _facets(verts):
+    """All facets of a full-dimensional hull, by brute-force hyperplane search."""
+    k = len(verts[0])
+    facets = {}
+    for subset in combinations(range(len(verts)), k):
+        hp = _hyperplane([verts[i] for i in subset])
+        if hp is None:
+            continue
+        normal, offset = hp
+        values = [sum(a * b for a, b in zip(normal, p)) for p in verts]
+        below, above = min(values) < offset, max(values) > offset
+        if below and above:
+            continue
+        if below:  # orient outward
+            normal, offset = tuple(-x for x in normal), -offset
+        if (normal, offset) not in facets:
+            facets[(normal, offset)] = [
+                p for p in verts if sum(a * b for a, b in zip(normal, p)) == offset]
+    return [(n, o, pts) for (n, o), pts in facets.items()]
+
+
+def _hull_simplices(points):
+    """Triangulation of a full-dimensional hull: planar fans of the angle-sorted
+    hull in dimension 2, cones from the lowest vertex over the triangulated
+    facets above that."""
+    k = len(points[0])
+    if k == 1:
+        return [(min(points), max(points))]
+    if k == 2:
+        hull = oracle_hull2(points)
+        return [(hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
+    verts = _vertices(points)
+    p0 = min(verts)
+    simplices = []
+    for normal, offset, fpts in _facets(verts):
+        if sum(a * b for a, b in zip(normal, p0)) == offset:
+            continue
+        drop = next(i for i in range(k) if normal[i] != 0)
+        proj = {tuple(p[:drop] + p[drop + 1:]): p for p in fpts}
+        for sub in _hull_simplices(list(proj)):
+            simplices.append(tuple(proj[q] for q in sub) + (p0,))
+    return simplices
+
+
+def oracle_polytope_volume(points) -> Fraction:
+    """Euclidean volume of the convex hull of lattice points; 0 if lower-dimensional."""
+    pts = sorted(set(map(tuple, points)))
+    n = len(pts[0]) if pts else 0
+    if n == 0 or _affine_rank(pts) < n:
+        return Fraction(0)
+    total = Fraction(0)
+    for simplex in _hull_simplices(pts):
+        base = simplex[-1]
+        rows = [[p[i] - base[i] for i in range(n)] for p in simplex[:-1]]
+        total += Fraction(abs(oracle_det(rows)), factorial(n))
+    return total
+
+
+def oracle_minkowski_hull(a, b):
+    """Vertices of conv(a + b), pruned by one exact LP per point of the sum."""
+    pts = sorted({tuple(x + y for x, y in zip(p, q)) for p in a for q in b})
+    return _vertices(pts)
+
+
+def oracle_mixed_volume(supports) -> int:
+    """n! times the mixed volume of n supports in Z^n, by inclusion-exclusion:
+    the sum over nonempty subsets S of (-1)^(n-|S|) vol(sum of P_i, i in S)."""
+    supports = [sorted(set(map(tuple, s))) for s in supports]
+    n = len(supports)
+    total = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            acc = supports[subset[0]]
+            for i in subset[1:]:
+                acc = oracle_minkowski_hull(acc, supports[i])
+            total += (-1) ** (n - size) * oracle_polytope_volume(acc)
+    assert total.denominator == 1 and total >= 0, total
+    return int(total)
 
 
 # --- Descartes-style interval bisection root counting (exact) ---------------

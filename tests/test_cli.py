@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,17 @@ from toricity.core import GroupMode, VerticalSystem
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
 from toricity.fileio import read_model, write_matrix_json
 
-MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODELS = SRC / "toricity" / "data" / "models"
+
+
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's ``src``, however pytest was
+    given it (``PYTHONPATH`` or the ``pythonpath`` setting)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
 
 IDH_MATRIX_JSON = {
     "C": [["-1", "1", "1", "0", "0", "0"],
@@ -210,8 +221,8 @@ def test_batch_corpus_verdicts_under_optimize(tmp_path):
     # python -O strips assert statements: the checks guarding results must
     # not be asserts, and the verdicts must not depend on them
     report_path = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-O", "-m", "toricity.cli", "batch", str(MODELS),
-                           "--report", str(report_path)], capture_output=True, text=True)
+    proc = run_python("-O", "-m", "toricity.cli", "batch", str(MODELS),
+                      "--report", str(report_path))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(report_path.read_text())
     assert {row["model"]: row["verdict"] for row in report["models"]} == GOLDEN_VERDICTS
@@ -290,8 +301,7 @@ def test_batch_timeout_rows_parallel(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_batch_timeout_rejected(value):
-    proc = subprocess.run([sys.executable, "-m", "toricity.cli", "batch", str(MODELS),
-                           f"--timeout={value}"], capture_output=True, text=True)
+    proc = run_python("-m", "toricity.cli", "batch", str(MODELS), f"--timeout={value}")
     assert proc.returncode == 2
     assert "argument --timeout" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -355,8 +365,7 @@ def test_matrix_json_roundtrip(tmp_path):
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "toricity.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "toricity.cli", "--help")
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "batch" in proc.stdout
 

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from toricity import polyhedra
+from toricity.fileio import read_model
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
 from toricity.core import (
     AnalyzeOptions,
@@ -628,6 +631,17 @@ def test_analyze_square_generic_only():
     assert rep.verdict == Verdict.GENERICALLY_LOCALLY_TORIC
     assert not rep.injectivity.toric
     assert rep.mixed_volume_bound is not None and rep.mixed_volume_bound >= 3
+
+
+def test_analyze_mixed_volume_budget_keeps_verdict(monkeypatch):
+    # a triangulation past the simplex cap skips the bound, not the analysis
+    monkeypatch.setattr(polyhedra, "_SIMPLEX_BUDGET", 3)
+    model = read_model(Path(__file__).resolve().parents[1] / "src" / "toricity" / "data"
+                       / "models" / "sparse_pair.json")
+    rep = analyze(model.system, model.mode, seed=0)
+    assert ("mixed_volume", "skipped (budget)") in [(e.test, e.outcome) for e in rep.evidence]
+    assert rep.mixed_volume_bound is None
+    assert rep.verdict is not None
 
 
 def test_analyze_empty_positive_locus():

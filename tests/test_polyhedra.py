@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricity import polyhedra
+from toricity import GroupMode, analyze_network, parse_network, polyhedra
 from toricity.exactalg import IntegerMatrix, InternalInconsistencyError, RationalMatrix
 from toricity.polyhedra import (
     DimensionMismatchError,
     SupportSet,
     extreme_rays,
-    minkowski_sum,
     mixed_volume,
     polytope_volume,
     positive_row_space,
@@ -17,7 +20,13 @@ from toricity.polyhedra import (
     strictly_positive_kernel,
 )
 
-from _oracles import oracle_minkowski, oracle_shoelace
+from _oracles import (
+    oracle_minkowski,
+    oracle_minkowski_hull,
+    oracle_mixed_volume,
+    oracle_polytope_volume,
+    oracle_shoelace,
+)
 
 IDH_C = RationalMatrix([
     [-1, 1, 1, 0, 0, 0],
@@ -220,10 +229,12 @@ def test_mixed_volume_triangle_slice_system():
 
 
 def test_mixed_volume_rejects_fractional_total(monkeypatch):
-    monkeypatch.setattr(polyhedra, "polytope_volume", lambda support: Fraction(1, 3))
+    # the mixed cells' volumes must add up to a nonnegative integer
     s = SupportSet(((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(InternalInconsistencyError):
-        mixed_volume([s, s])
+    for bad in (Fraction(1, 3), -1):
+        monkeypatch.setattr(polyhedra, "_abs_det", lambda rows, bad=bad: bad)
+        with pytest.raises(InternalInconsistencyError):
+            mixed_volume([s, s])
 
 
 def test_mixed_volume_dimension_mismatch():
@@ -264,6 +275,64 @@ def test_mixed_volume_two_polytope_identity_oracle():
 def test_minkowski_sum_matches_oracle():
     p = SupportSet(((0, 0), (2, 1)))
     q = SupportSet(((0, 0), (1, 0), (0, 1)))
-    s = minkowski_sum(p, q)
+    s = SupportSet(tuple(oracle_minkowski_hull(p.points, q.points)))
     assert set(s.points) <= set(oracle_minkowski(p.points, q.points))
     assert polytope_volume(s) == oracle_shoelace(oracle_minkowski(p.points, q.points))
+
+
+def _points(dim, max_points):
+    return st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=max_points)
+
+
+# a fixed set of examples: the oracle runs one exact LP per point of every
+# Minkowski sum, and one random draw of 60 cases took 20 s
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(_points(n, 5), min_size=n, max_size=n)))
+def test_mixed_volume_matches_inclusion_exclusion(supports):
+    assert mixed_volume(supports) == oracle_mixed_volume(supports)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: _points(k, 9)))
+def test_polytope_volume_matches_facet_triangulation(points):
+    # includes repeated, collinear and coplanar point sets of volume 0
+    assert polytope_volume(points) == oracle_polytope_volume(points)
+
+
+@pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2), (2, 1, 3, 2)])
+def test_mixed_volume_bezout(degrees):
+    n = len(degrees)
+    supports = [[tuple(d * int(j == i) for j in range(n)) for i in range(-1, n)]
+                for d in degrees]
+    assert mixed_volume(supports) == prod(degrees)
+
+
+@pytest.mark.parametrize("lengths", [(4,), (2, 3), (1, 5, 2), (3, 1, 2, 2)])
+def test_mixed_volume_axis_segments(lengths):
+    n = len(lengths)
+    supports = [[(0,) * n, tuple(a * int(j == i) for j in range(n))]
+                for i, a in enumerate(lengths)]
+    assert mixed_volume(supports) == prod(lengths)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mixed_volume_unit_cubes(n):
+    cube = list(product((0, 1), repeat=n))
+    assert mixed_volume([cube] * n) == factorial(n)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("X1 + X2 <=> X3\n0 <=> X1\nX5 + X4 <=> I3a -> X2 + X4\n"
+     "X2 + X3 <=> I3b -> X5 + X3\nX1 + X2 <=> X4", 1),
+    ("X1 + X3 <=> I1a -> X5 + X3\nX5 + X4 <=> I1b -> X1 + X4\nX4 + X1 <=> X5\n"
+     "X4 + X5 <=> I3a -> X2 + X5\nX2 + X1 <=> I3b -> X4 + X1\n"
+     "X4 + X2 <=> I4a -> X1 + X2\nX1 + X3 <=> I4b -> X4 + X3", 2),
+    ("X1 + X2 <=> I1a -> X3 + X2\nX3 + X5 <=> I1b -> X1 + X5\nX5 + X1 <=> X4\n"
+     "X2 + X4 -> 2 X4\nX4 -> X2\nX5 + X4 <=> X3", 3),
+])
+def test_mixed_volume_of_five_species_coset_systems(text, expected):
+    # reduced to n = 5 species, these spent over 40 s each in the
+    # inclusion-exclusion over Minkowski sums
+    analysis = analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
+    assert analysis.reduced_report.n == 5
+    assert analysis.reduced_report.mixed_volume_bound == expected
