@@ -17,8 +17,6 @@ from .exactalg import (
     integer_kernel_basis,
     kernel_circuit_basis,
     random_kernel_vector,
-    rank,
-    rref,
     same_row_lattice,
     smith_normal_form_diagonal,
 )
@@ -110,8 +108,8 @@ __all__ = [
     "network_structure", "nondegeneracy", "nondegeneracy_all_positive",
     "parse_network", "polytope_volume", "positive_locus_nonempty",
     "positive_row_space", "quasihomogeneity_weights", "random_kernel_vector",
-    "rank", "read_model", "reduce_network", "render", "render_exchange",
-    "rref", "same_row_lattice", "sign_classify", "siphon_boundary_check",
+    "read_model", "reduce_network", "render", "render_exchange",
+    "same_row_lattice", "sign_classify", "siphon_boundary_check",
     "smith_normal_form_diagonal", "steady_state_system",
     "strictly_positive_kernel", "sturm_positive_roots", "write_matrix_json",
     "__version__",

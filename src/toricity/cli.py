@@ -320,52 +320,40 @@ def _blank_row(name: str, verdict: str | None = None, error: str | None = None) 
 
 
 def _model_row(path: Path, seed: int) -> dict:
-    row = _blank_row(path.name)
     model = read_model(path)
-    row["kind"] = model.kind
     if model.kind == "network":
-        net = model.network
-        result = analyze_network(net, GroupMode.POSITIVE, seed)
+        result = analyze_network(model.network, GroupMode.POSITIVE, seed)
         rep = result.report
         red = result.reduced_report
-        row.update(n=rep.n, m=rep.m, s=rep.s, d=rep.d,
-                   verdict=result.verdict.value if result.verdict else None,
-                   nondegenerate=rep.nondegenerate if rep.nondegenerate != "unknown"
-                   or red is None else red.nondegenerate)
-        inj = rep.injectivity or (red.injectivity if red else None)
-        row["injectivity"] = None if inj is None else ("toric" if inj.toric else "inconclusive")
         source = red if (result.verdict_source == "reduced" and red) else rep
-        row["mixed_volume"] = source.mixed_volume_bound
-        row["coset_count"] = source.coset_count
-        row["coset_count_kind"] = source.count.kind if source.count else None
-        row["coset_bound"] = source.coset_bound
-        if result.acr:
-            row["acr"] = sorted(k for k, v in result.acr.items() if v == "acr")
-            row["local_acr"] = sorted(k for k, v in result.acr.items()
-                                      if v in ("acr", "local-acr"))
-        if result.multistationarity:
-            row["multistationarity"] = result.multistationarity.status
+        nondegenerate = rep.nondegenerate if rep.nondegenerate != "unknown" or red is None \
+            else red.nondegenerate
+        inj = rep.injectivity or (red.injectivity if red else None)
+        acr, multi = result.acr, result.multistationarity
     else:
-        rep = analyze(model.system, model.mode, seed)
-        row.update(n=rep.n, m=rep.m, s=rep.s, d=rep.d,
-                   verdict=rep.verdict.value if rep.verdict else None,
-                   nondegenerate=rep.nondegenerate,
-                   mixed_volume=rep.mixed_volume_bound,
-                   coset_count=rep.coset_count,
-                   coset_count_kind=rep.count.kind if rep.count else None,
-                   coset_bound=rep.coset_bound)
-        if rep.injectivity is not None:
-            row["injectivity"] = "toric" if rep.injectivity.toric else "inconclusive"
+        rep = source = analyze(model.system, model.mode, seed)
+        nondegenerate = rep.nondegenerate
+        inj = rep.injectivity
+        acr = multi = None
         if rep.invariance is not None:
-            flags = acr_detect(rep.invariance, rep.verdict)
-            row["acr"] = sorted(k for k, v in flags.items() if v == "acr")
-            row["local_acr"] = sorted(k for k, v in flags.items()
-                                      if v in ("acr", "local-acr"))
+            acr = acr_detect(rep.invariance, rep.verdict)
             if model.stoichiometric is not None:
                 laws = conservation_laws(model.stoichiometric)
                 multi = multistationarity_test(model.system, rep.invariance, laws,
                                                toric=rep.verdict == Verdict.TORIC)
-                row["multistationarity"] = multi.status
+    row = _blank_row(path.name)
+    row.update(kind=model.kind, n=rep.n, m=rep.m, s=rep.s, d=rep.d,
+               verdict=rep.verdict.value if rep.verdict else None,
+               nondegenerate=nondegenerate,
+               injectivity=None if inj is None else ("toric" if inj.toric else "inconclusive"),
+               mixed_volume=source.mixed_volume_bound,
+               coset_count=source.coset_count,
+               coset_count_kind=source.count.kind if source.count else None,
+               coset_bound=source.coset_bound,
+               multistationarity=multi.status if multi else None)
+    if acr is not None:
+        row["acr"] = sorted(k for k, v in acr.items() if v == "acr")
+        row["local_acr"] = sorted(k for k, v in acr.items() if v in ("acr", "local-acr"))
     return row
 
 

@@ -29,12 +29,14 @@ from .exactalg import (
     int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
-    random_kernel_vector,
+    random_combination,
     random_rng,
     same_row_lattice,
     solve,
 )
 from .polyhedra import (
+    ConeRays,
+    PositiveKernelResult,
     SupportSet,
     VolumeBudgetError,
     extreme_rays,
@@ -86,10 +88,13 @@ class VerticalSystem:
     """A pair (C, M) with C of full row rank and matching column counts.
 
     A coefficient matrix without full row rank is replaced by the canonical
-    basis of its row space, which leaves the zero sets unchanged.
+    basis of its row space, which leaves the zero sets unchanged.  The
+    objects every test reads from C (its circuit kernel basis, its strictly
+    positive kernel and the extreme rays of its nonnegative kernel) are
+    built on first use and kept.
     """
 
-    __slots__ = ("C", "M", "variables", "parameters")
+    __slots__ = ("C", "M", "variables", "parameters", "_circuits", "_positive_kernel", "_rays")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
@@ -104,6 +109,7 @@ class VerticalSystem:
         self.parameters = tuple(parameters) if parameters else tuple(f"k{j+1}" for j in range(M.cols))
         if len(self.variables) != M.rows or len(self.parameters) != M.cols:
             raise ValueError("name list lengths do not match the matrices")
+        self._circuits = self._positive_kernel = self._rays = None
 
     @property
     def s(self) -> int:
@@ -116,6 +122,27 @@ class VerticalSystem:
     @property
     def n(self) -> int:
         return self.M.rows
+
+    @property
+    def circuits(self) -> CircuitBasis:
+        """Fundamental-circuit basis of ker C."""
+        if self._circuits is None:
+            self._circuits = kernel_circuit_basis(self.C)
+        return self._circuits
+
+    @property
+    def positive_kernel(self) -> PositiveKernelResult:
+        """Witness of ker C in the open positive orthant, or empty."""
+        if self._positive_kernel is None:
+            self._positive_kernel = strictly_positive_kernel(self.C)
+        return self._positive_kernel
+
+    @property
+    def rays(self) -> ConeRays:
+        """Extreme rays of ker C intersected with the nonnegative orthant."""
+        if self._rays is None:
+            self._rays = extreme_rays(self.C)
+        return self._rays
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -250,20 +277,17 @@ def _merge_supports(supports, ground_size: int) -> MatroidPartition:
     return MatroidPartition(blocks, ground_size)
 
 
-def matroid_partition(sys: VerticalSystem, basis: CircuitBasis | None = None) -> MatroidPartition:
+def matroid_partition(sys: VerticalSystem) -> MatroidPartition:
     """Blocks of the column matroid of C: union-find over circuit supports."""
-    if basis is None:
-        basis = kernel_circuit_basis(sys.C)
-    return _merge_supports(basis.supports, sys.m)
+    return _merge_supports(sys.circuits.supports, sys.m)
 
 
 def positive_locus_nonempty(sys: VerticalSystem, mode: GroupMode) -> bool:
     """Whether some parameter value admits a zero over the group."""
-    basis = kernel_circuit_basis(sys.C)
-    if basis.support_union() != frozenset(range(sys.m)):
+    if sys.circuits.support_union() != frozenset(range(sys.m)):
         return False
     if mode is GroupMode.POSITIVE:
-        return not strictly_positive_kernel(sys.C).is_empty
+        return not sys.positive_kernel.is_empty
     return True
 
 
@@ -329,8 +353,10 @@ def quasihomogeneity_weights(sys: VerticalSystem) -> IntegerMatrix:
 
 def scaled_jacobian(sys: VerticalSystem, w) -> RationalMatrix:
     """C diag(w) M^T: the Jacobian shape governing nondegeneracy."""
-    vec = [_frac(x) for x in w]
-    return sys.C @ RationalMatrix.diagonal(vec) @ sys.M.to_rational().transpose()
+    w = [_frac(x) for x in w]
+    cw = [[c * x for c, x in zip(sys.C.row(i), w)] for i in range(sys.s)]
+    return RationalMatrix([[sum(a * e for a, e in zip(row, sys.M.row(k)) if a and e)
+                            for k in range(sys.n)] for row in cw])
 
 
 @dataclass(frozen=True)
@@ -349,18 +375,11 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     function field of kernel coordinates is settled exactly through an
     s x s minor sweep when that is affordable, otherwise 'undetermined'.
     """
-    basis = kernel_circuit_basis(sys.C)
+    basis = sys.circuits
     if len(basis) == 0:
         return NondegeneracyResult("no" if sys.s > 0 else "yes")
-    for attempt in range(6):
-        w = random_kernel_vector(sys.C, seed + 7919 * attempt)
-        vec = tuple(w.entry(i, 0) for i in range(sys.m))
-        if scaled_jacobian(sys, vec).rank() == sys.s:
-            return NondegeneracyResult("yes", vec)
-    # extra independent evaluations before any symbolic work
-    for attempt in range(6, 11):
-        w = random_kernel_vector(sys.C, seed + 7919 * attempt)
-        vec = tuple(w.entry(i, 0) for i in range(sys.m))
+    for attempt in range(11):
+        vec = random_combination(basis, seed + 7919 * attempt)
         if scaled_jacobian(sys, vec).rank() == sys.s:
             return NondegeneracyResult("yes", vec)
     if sys.s > 6 or comb(sys.n, sys.s) > _NONDEG_MINOR_CAP:
@@ -376,21 +395,12 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
 
 
 def _scaled_jacobian_symbolic(sys: VerticalSystem, generators, lam):
-    """Entries of C diag(w) M^T with w a symbolic combination of generators."""
-    entries = []
-    for i in range(sys.s):
-        row = []
-        for k in range(sys.n):
-            terms = {}
-            for idx, g in enumerate(generators):
-                coeff = sum(sys.C.entry(i, j) * g[j] * sys.M.entry(k, j) for j in range(sys.m))
-                if coeff != 0:
-                    e = [0] * len(lam)
-                    e[idx] = 1
-                    terms[tuple(e)] = coeff
-            row.append(SparsePolynomial(lam, terms))
-        entries.append(row)
-    return entries
+    """Entries of C diag(w) M^T with w = sum_k lam_k generators[k]."""
+    units = [tuple(int(t == k) for t in range(len(lam))) for k in range(len(lam))]
+    jacobians = [scaled_jacobian(sys, g) for g in generators]
+    return [[SparsePolynomial(lam, {e: jac.entry(i, k) for e, jac in zip(units, jacobians)
+                                    if jac.entry(i, k) != 0})
+             for k in range(sys.n)] for i in range(sys.s)]
 
 
 def _witness_from_minor(sys, basis, minor, lam, seed):
@@ -426,17 +436,17 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     the rank for every strictly positive combination.  Failure to find one
     is reported as 'unknown', never as a refutation.
     """
-    if strictly_positive_kernel(sys.C).is_empty:
+    if sys.positive_kernel.is_empty:
         raise EmptyLocusError("positive kernel is empty")
     if sys.s == 0:
         return AllPositiveResult("yes")  # the rank condition is vacuous
-    rays = extreme_rays(sys.C)
+    rays = sys.rays
     if not rays.rays:
         raise EmptyLocusError("positive kernel is empty")
     if sys.s > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return AllPositiveResult("unknown", reason="minor sweep too large")
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
-    top = _scaled_jacobian_symbolic(sys, [tuple(map(Fraction, r)) for r in rays.rays], lam)
+    top = _scaled_jacobian_symbolic(sys, rays.rays, lam)
     for cols in combinations(range(sys.n), sys.s):
         minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
         if sign_classify(minor) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
@@ -557,6 +567,12 @@ def coset_counting_system(sys: VerticalSystem, inv: InvarianceResult, kappa,
     return CosetCountingSystem(sys, inv.A, kap, b, p)
 
 
+NEWTON_STARTS = 200
+NEWTON_RESIDUAL = 1e-12
+NEWTON_CLUSTER_RADIUS = 1e-6
+NEWTON_POSITIVITY_MARGIN = 1e-9
+
+
 @dataclass(frozen=True)
 class CountResult:
     kind: str  # "exact" | "heuristic" | "exported"
@@ -564,7 +580,7 @@ class CountResult:
     path: str | None = None
 
 
-def count_positive_cosets(h: CosetCountingSystem, seed: int = 0, starts: int = 200,
+def count_positive_cosets(h: CosetCountingSystem, seed: int = 0, starts: int = NEWTON_STARTS,
                           export_path: str | None = None) -> CountResult:
     """Count positive zeros of the counting system.
 
@@ -652,11 +668,6 @@ def _restrict_to_line(poly: SparsePolynomial, x0, direction, variables):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-NEWTON_RESIDUAL = 1e-12
-NEWTON_CLUSTER_RADIUS = 1e-6
-NEWTON_POSITIVITY_MARGIN = 1e-9
 
 
 def _newton_count(h: CosetCountingSystem, seed: int, starts: int) -> int:
@@ -837,9 +848,9 @@ def constant_coset_conditions(sys: VerticalSystem, inv: InvarianceResult,
 
 
 def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
-    if strictly_positive_kernel(sys.C).is_empty:
+    if sys.positive_kernel.is_empty:
         return "unknown"
-    rays = extreme_rays(sys.C)
+    rays = sys.rays
     if not rays.rays:
         return "unknown"
     if sys.n > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
@@ -847,7 +858,7 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
     hvars = tuple(f"h{k+1}" for k in range(sys.n))
     variables = lam + hvars
-    base = _scaled_jacobian_symbolic(sys, [tuple(map(Fraction, r)) for r in rays.rays], lam)
+    base = _scaled_jacobian_symbolic(sys, rays.rays, lam)
     top = []
     for i in range(sys.s):
         row = []
@@ -891,9 +902,10 @@ def binomial_quickcheck(sys: VerticalSystem) -> bool:
 class AnalyzeOptions:
     kappa: tuple | None = None          # parameter point for coset counting
     boundary: str = "unknown"           # condition-(i) flag: "yes" or "unknown"
-    mixed_volume_max_dim: int = 8
-    newton_starts: int = 200
-    all_positive_enrichment_cap: int = 40   # comb(n, s) limit when not needed for the verdict
+
+
+MIXED_VOLUME_MAX_DIM = 8
+ALL_POSITIVE_ENRICHMENT_CAP = 40        # comb(n, s) limit when not needed for the verdict
 
 
 @dataclass(frozen=True)
@@ -1007,11 +1019,10 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     rep = ToricityReport(mode=mode, seed=seed, n=sys.n, m=sys.m, s=sys.s)
     fp = sys.fingerprint()
 
-    basis = kernel_circuit_basis(sys.C)
     rep.binomial = binomial_quickcheck(sys)
     rep.log("binomial_quickcheck", fp, str(rep.binomial))
 
-    if basis.support_union() != frozenset(range(sys.m)):
+    if sys.circuits.support_union() != frozenset(range(sys.m)):
         rep.verdict = Verdict.EMPTY_POSITIVE_LOCUS
         rep.log("support_union", fp, "incomplete")
         rep.notes.append(f"zero sets are empty over {mode.value} for every parameter value")
@@ -1019,7 +1030,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     rep.log("support_union", fp, "complete")
 
     if mode is GroupMode.POSITIVE:
-        pos = strictly_positive_kernel(sys.C)
+        pos = sys.positive_kernel
         if pos.is_empty:
             rep.verdict = Verdict.EMPTY_POSITIVE_LOCUS
             rep.log("positive_kernel", fp, "empty")
@@ -1028,7 +1039,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
         rep.positive_kernel_witness = pos.witness
         rep.log("positive_kernel", fp, "witness")
 
-    partition = matroid_partition(sys, basis)
+    partition = matroid_partition(sys)
     rep.partition = partition
     rep.log("matroid_partition", fp, f"{len(partition)} blocks")
 
@@ -1056,11 +1067,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
             rep.notes.append("nondegeneracy undecided; only invariance is reported")
         return rep
 
-    if sys.s + inv.d > sys.n:
-        raise InternalInconsistencyError(
-            f"s + d = {sys.s + inv.d} exceeds n = {sys.n} for a nondegenerate system"
-        )
-    if sys.s + inv.d < sys.n:
+    if local_toricity(sys, inv, nd) is Verdict.NOT_LOCALLY_TORIC:
         rep.verdict = Verdict.NOT_LOCALLY_TORIC
         rep.log("dimension_test", fp, f"s+d={sys.s + inv.d}<n={sys.n}")
         rep.notes.append("zero sets have strictly larger dimension than the scaling lattice")
@@ -1081,7 +1088,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
 
     if inj.toric:
         # report enrichment only; the verdict is already settled
-        if comb(sys.n, sys.s) <= opts.all_positive_enrichment_cap:
+        if comb(sys.n, sys.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
             all_pos = nondegeneracy_all_positive(sys)
             rep.log("all_positive_nondegeneracy", fp, all_pos.status)
             if all_pos.status == "yes":
@@ -1095,7 +1102,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
         return rep
 
     mv = None
-    if sys.n <= opts.mixed_volume_max_dim:
+    if sys.n <= MIXED_VOLUME_MAX_DIM:
         try:
             mv = mixed_volume(_coset_supports(sys, inv))
             rep.mixed_volume_bound = mv
@@ -1135,7 +1142,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
                 rng = random_rng(seed ^ 0xC0FFEE)
                 kappa = tuple(Fraction(rng.randint(1, 1 << 10), 1 << 4) for _ in range(sys.m))
             ccs = coset_counting_system(sys, inv, kappa, seed)
-            result = count_positive_cosets(ccs, seed, opts.newton_starts)
+            result = count_positive_cosets(ccs, seed)
             rep.count = result
             rep.log("coset_count", fp, f"{result.kind}:{result.count}")
             if result.kind == "exact":

@@ -9,7 +9,7 @@ linkage-class / deficiency structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,6 +24,7 @@ from .exactalg import (
 from .polyhedra import simplex_maximize
 from .polyring import SignVerdict, SparsePolynomial, det_stacked, sign_classify
 from .core import (
+    ALL_POSITIVE_ENRICHMENT_CAP,
     AnalyzeOptions,
     EmptyLocusError,
     GroupMode,
@@ -622,6 +623,12 @@ class NetworkStructure:
 def network_structure(net: ReactionNetwork) -> NetworkStructure:
     """Linkage classes, deficiency r - s - l, weak reversibility, and the
     zero-deficiency local-toricity certificate."""
+    return _network_structure(net)
+
+
+def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = None):
+    """``network_structure``, reading the matroid partition from ``system``
+    (the network's steady-state system) when the caller has built it."""
     N, _ = mass_action_matrices(net)
     s = N.rank()
     out_edges = _complex_digraph(net)
@@ -658,7 +665,7 @@ def network_structure(net: ReactionNetwork) -> NetworkStructure:
     delta = len(net.complexes) - s - len(classes_t)
     refines = None
     if s > 0:
-        part = matroid_partition(steady_state_system(net))
+        part = matroid_partition(system or steady_state_system(net))
         refines = all(any(b <= rc for rc in reaction_classes) for b in part.blocks)
     return NetworkStructure(len(net.complexes), classes_t, reaction_classes, s, delta,
                             weakly, refines, delta == 0 and weakly)
@@ -784,8 +791,7 @@ class NetworkAnalysis:
 
     @property
     def verdict(self) -> Verdict:
-        return (self.reduced_report or self.report).verdict if self.verdict_source == "reduced" \
-            else self.report.verdict
+        return self.report.verdict
 
 
 _TRANSFERABLE = (Verdict.TORIC, Verdict.GENERICALLY_TORIC, Verdict.LOCALLY_TORIC,
@@ -806,7 +812,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
     sys_ = steady_state_system(net)
     N, _ = mass_action_matrices(net)
     laws = conservation_laws(N)
-    structure = network_structure(net)
+    structure = _network_structure(net, sys_)
     opts = options or AnalyzeOptions()
 
     direct_inv = None
@@ -838,10 +844,8 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
             red_n, _ = mass_action_matrices(reduction.network)
             red_boundary = siphon_boundary_check(reduction.network, None,
                                                  conservation_laws(red_n))
-            red_opts = AnalyzeOptions(kappa=None, boundary=red_boundary,
-                                      mixed_volume_max_dim=opts.mixed_volume_max_dim,
-                                      newton_starts=opts.newton_starts)
-            reduced_report = analyze(red_sys, mode, seed, red_opts)
+            reduced_report = analyze(red_sys, mode, seed,
+                                     replace(opts, kappa=None, boundary=red_boundary))
             if reduced_report.invariance is not None:
                 lifted_xy = lift_invariance(reduced_report.invariance.A, reduction.B)
                 perm = list(reduction.x_indices) + list(reduction.y_indices)
@@ -865,16 +869,13 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
                     report.injectivity = injectivity_test(sys_, direct_inv)
                 except ValueError:
                     report.injectivity = None
-                if comb(sys_.n, sys_.s) <= opts.all_positive_enrichment_cap:
+                if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
                     ap = nondegeneracy_all_positive(sys_)
                     if ap.status == "yes":
                         report.nondegenerate = "yes-for-all-positive"
         report.notes.append("verdict obtained on the reduced network and lifted")
     else:
-        report = analyze(sys_, mode, seed,
-                         AnalyzeOptions(kappa=opts.kappa, boundary=boundary,
-                                        mixed_volume_max_dim=opts.mixed_volume_max_dim,
-                                        newton_starts=opts.newton_starts))
+        report = analyze(sys_, mode, seed, replace(opts, boundary=boundary))
 
     analysis = NetworkAnalysis(net, sys_, laws, structure, boundary,
                                direct_inv.A if direct_inv else IntegerMatrix.with_width([], sys_.n),

@@ -52,15 +52,6 @@ class RationalMatrix:
         self._e = rows
 
     @classmethod
-    def from_shape(cls, rows: int, cols: int, entries) -> "RationalMatrix":
-        m = cls(entries)
-        if (m.rows, m.cols) != (rows, cols) and not (m.rows == 0 and rows == 0):
-            raise ValueError("shape mismatch")
-        if m.rows == 0:
-            m.cols = cols  # allow 0 x n matrices with explicit width
-        return m
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         m = cls([[0] * cols for _ in range(rows)])
         m.cols = cols
@@ -117,18 +108,6 @@ class RationalMatrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         return RationalMatrix([list(a) + list(b) for a, b in zip(self._e, other._e)])
-
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols and self.rows and other.rows:
-            raise ValueError("column count mismatch")
-        m = RationalMatrix(list(self._e) + list(other._e))
-        m.cols = self.cols if self.rows else other.cols
-        return m
-
-    def select_columns(self, indices) -> "RationalMatrix":
-        m = RationalMatrix([[r[j] for j in indices] for r in self._e])
-        m.cols = len(list(indices)) if self.rows == 0 else m.cols
-        return m
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -231,18 +210,6 @@ class IntegerMatrix:
         m.cols = self.cols
         return m
 
-    def select_columns(self, indices) -> "IntegerMatrix":
-        idx = list(indices)
-        m = IntegerMatrix([[r[j] for j in idx] for r in self._e])
-        if m.rows == 0:
-            m.cols = len(idx)
-        return m
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return IntegerMatrix([list(a) + list(b) for a, b in zip(self._e, other._e)])
-
     def mul_vector(self, v):
         vv = list(v)
         if len(vv) != self.cols:
@@ -287,20 +254,6 @@ class CircuitBasis:
         for s in self.supports:
             u = u | s
         return u
-
-    def as_matrix(self) -> RationalMatrix:
-        """Matrix whose columns are the basis vectors."""
-        m = RationalMatrix([[v[i] for v in self.vectors] for i in range(self.ambient_dim)])
-        m.cols = len(self.vectors)
-        return m
-
-
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    return m.rref()
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
 
 
 def kernel_circuit_basis(m: RationalMatrix) -> CircuitBasis:
@@ -526,12 +479,16 @@ RANDOM_NUMERATOR_BOUND = 1 << 16
 
 
 def random_kernel_vector(m: RationalMatrix, seed: int) -> RationalMatrix:
-    """Deterministic random element of ker(m), returned as a column.
+    """Deterministic random element of ker(m), returned as a column."""
+    return RationalMatrix.column(random_combination(kernel_circuit_basis(m), seed))
+
+
+def random_combination(basis: CircuitBasis, seed: int) -> tuple[Fraction, ...]:
+    """Deterministic random nonzero element of the span of a kernel basis.
 
     Integer coefficients uniform in [-2^16, 2^16] are combined through the
-    circuit kernel basis; the residual is exactly zero.
+    circuit vectors, so the residual is exactly zero.
     """
-    basis = kernel_circuit_basis(m)
     if len(basis) == 0:
         raise TrivialKernelError("kernel is trivial")
     rng = random_rng(seed)
@@ -544,7 +501,7 @@ def random_kernel_vector(m: RationalMatrix, seed: int) -> RationalMatrix:
                 for i in range(dim):
                     w[i] += c * v[i]
         if any(x != 0 for x in w):
-            return RationalMatrix.column(w)
+            return tuple(w)
 
 
 def same_row_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from toricity import polyhedra
+from toricity import core, polyhedra
+from toricity.crn import analyze_network
 from toricity.fileio import read_model
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
 from toricity.core import (
@@ -680,6 +682,39 @@ def test_analyze_evidence_ordering():
     names = [e.test for e in toric_rep.evidence]
     assert names[: len(glt_prefix)] == glt_prefix
     assert len(names) > len(glt_prefix)
+
+
+MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
+
+
+def _count_builder_inputs(monkeypatch) -> Counter:
+    """Count, per builder and input matrix, the calls the pipeline makes to
+    the three builders of the objects derived from C."""
+    seen = Counter()
+    for name in ("kernel_circuit_basis", "strictly_positive_kernel", "extreme_rays"):
+        def counting(m, _name=name, _build=getattr(core, name)):
+            seen[_name, m] += 1
+            return _build(m)
+        monkeypatch.setattr(core, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.json")))
+def test_analyze_builds_derived_objects_once(monkeypatch, name):
+    model = read_model(MODELS / name)
+    seen = _count_builder_inputs(monkeypatch)
+    analyze(model.system, model.mode, seed=0)
+    assert seen and max(seen.values()) == 1, seen
+
+
+@pytest.mark.parametrize("name, source", [("idh.crn", "reduced"),
+                                          ("shinar_feinberg.crn", "reduced"),
+                                          ("triangle_cycle.crn", "direct")])
+def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
+    net = read_model(MODELS / name).network
+    seen = _count_builder_inputs(monkeypatch)
+    assert analyze_network(net, seed=0).verdict_source == source
+    assert seen and max(seen.values()) == 1, seen
 
 
 def test_analyze_deterministic():

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
-from toricity.core import Verdict, injectivity_test, invariance_group
+from toricity.core import GroupMode, Verdict, injectivity_test, invariance_group
 from toricity.crn import (
     NetworkParseError,
+    ZeroDynamicsError,
     acr_detect,
     analyze_network,
     conservation_laws,
@@ -479,3 +482,47 @@ def test_analyze_network_shinar_feinberg():
     # the unreduced system does not pass the injectivity test
     direct = injectivity_test(res.system, invariance_group(res.system))
     assert not direct.toric
+
+
+# -- fuzz --------------------------------------------------------------------
+
+
+def _random_network_text(rng) -> str:
+    """1-4 species, at most 5 reactions, coefficients 0-2, '->' and '<=>'."""
+    names = [f"X{i + 1}" for i in range(rng.randint(1, 4))]
+
+    def complex_():
+        coeffs = [rng.randint(0, 2) for _ in names]
+        return " + ".join(name if c == 1 else f"{c}{name}"
+                          for c, name in zip(coeffs, names) if c) or "0"
+
+    statements = []
+    reactions = rng.randint(1, 5)
+    while reactions > 0:
+        left, right = complex_(), complex_()
+        if left == right:
+            continue
+        reversible = reactions >= 2 and rng.random() < 0.5
+        statements.append(f"{left} {'<=>' if reversible else '->'} {right}")
+        reactions -= 2 if reversible else 1
+    return "\n".join(statements)
+
+
+FUZZ_NETWORKS = 200
+
+
+def test_fuzz_small_networks_return_verdicts():
+    # every call either returns a verdict or reports that there are no dynamics
+    rng = random.Random(20240)
+    verdicts = 0
+    for seed in range(FUZZ_NETWORKS):
+        net = parse_network(_random_network_text(rng))
+        for mode in (GroupMode.POSITIVE, GroupMode.REAL_STAR):
+            for reduce in (True, False):
+                try:
+                    result = analyze_network(net, mode, seed, reduce=reduce)
+                except ZeroDynamicsError:
+                    continue
+                assert isinstance(result.verdict, Verdict)
+                verdicts += 1
+    assert verdicts > 3 * FUZZ_NETWORKS

@@ -1,0 +1,68 @@
+"""Byte-for-byte golden outputs of the CLI on the bundled corpus.
+
+The fixtures under ``tests/data/golden/`` hold the ``batch --report`` of the
+bundled corpus, ``analyze --json`` of each matrix model and ``network --json``
+of each network, all at the default seed.  Only the ``model`` path, which
+depends on where the checkout lives, is replaced by the file name.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from toricity.cli import main
+
+MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+MATRIX_MODELS = sorted(p.name for p in MODELS.glob("*.json"))
+NETWORK_MODELS = sorted(p.name for p in MODELS.glob("*.crn"))
+FIXTURES = (["batch_report.json"]
+            + [f"analyze_{Path(n).stem}.json" for n in MATRIX_MODELS]
+            + [f"network_{Path(n).stem}.json" for n in NETWORK_MODELS])
+
+
+def _run(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _json_output(command: str, name: str) -> str:
+    payload = json.loads(_run(command, str(MODELS / name), "--json"))
+    payload["model"] = name
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def golden_outputs(workdir: Path) -> dict[str, str]:
+    """Every golden output, keyed by its fixture file name."""
+    report = workdir / "report.json"
+    _run("batch", str(MODELS), "--report", str(report))
+    outputs = {"batch_report.json": report.read_text(encoding="utf-8")}
+    for name in MATRIX_MODELS:
+        outputs[f"analyze_{Path(name).stem}.json"] = _json_output("analyze", name)
+    for name in NETWORK_MODELS:
+        outputs[f"network_{Path(name).stem}.json"] = _json_output("network", name)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("TORICITY_SEED", raising=False)
+        return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_fixture_set(outputs):
+    assert len(MATRIX_MODELS) == 3 and len(NETWORK_MODELS) == 5
+    assert sorted(outputs) == sorted(FIXTURES)
+    assert sorted(FIXTURES) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_golden_output(outputs, name):
+    assert outputs[name] == (GOLDEN / name).read_text(encoding="utf-8")
