@@ -10,7 +10,6 @@ reduction, and batch screening.
 from .exactalg import (
     CircuitBasis,
     IntegerMatrix,
-    KernelLattice,
     RationalMatrix,
     TrivialKernelError,
     hermite_normal_form,
@@ -92,7 +91,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyzeOptions", "CircuitBasis", "ConeRays", "CosetCountingSystem",
     "DegenerateSliceError", "DimensionMismatchError", "EmptyLocusError",
-    "GroupMode", "IntegerMatrix", "InvarianceResult", "KernelLattice",
+    "GroupMode", "IntegerMatrix", "InvarianceResult",
     "MatroidPartition", "NetworkParseError", "RationalMatrix",
     "ReactionNetwork", "SignVerdict", "SparsePolynomial", "SupportSet",
     "ToricityReport", "TrivialKernelError", "Verdict", "VerticalSystem",

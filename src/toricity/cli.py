@@ -221,7 +221,7 @@ def cmd_network(args) -> int:
     mode = _mode(args.mode) if args.mode else GroupMode.POSITIVE
     seed = args.seed if args.seed is not None else _default_seed()
     try:
-        result = analyze_network(net, mode, seed, reduce=not args.no_reduce)
+        result = analyze_network(net, mode, seed, reduce=args.reduce)
     except ZeroDynamicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -492,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("network", help="analyze a reaction network file")
     p.add_argument("file")
     p.add_argument("--analyze", action="store_true", help="full analysis (default)")
-    p.add_argument("--reduce", action="store_true", help="reduce intermediates (default)")
-    p.add_argument("--no-reduce", action="store_true", help="skip intermediate reduction")
+    p.add_argument("--reduce", action=argparse.BooleanOptionalAction, default=True,
+                   help="reduce intermediates before the analysis (default: on)")
     p.add_argument("--multistationarity", action="store_true")
     p.add_argument("--acr", action="store_true")
     p.add_argument("--structure", action="store_true")

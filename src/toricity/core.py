@@ -21,7 +21,6 @@ from .exactalg import (
     CircuitBasis,
     IntegerMatrix,
     InternalInconsistencyError,
-    KernelLattice,
     RationalMatrix,
     _frac,
     clear_denominators,
@@ -89,12 +88,15 @@ class VerticalSystem:
 
     A coefficient matrix without full row rank is replaced by the canonical
     basis of its row space, which leaves the zero sets unchanged.  The
-    objects every test reads from C (its circuit kernel basis, its strictly
-    positive kernel and the extreme rays of its nonnegative kernel) are
-    built on first use and kept.
+    objects the pipeline reads from (C, M) are built on first use and kept:
+    the circuit kernel basis of C, its strictly positive kernel, the
+    extreme rays of its nonnegative kernel, the matroid partition of its
+    columns, and the scaling lattice of each column partition asked for,
+    so the invariance lattice is built once per system.
     """
 
-    __slots__ = ("C", "M", "variables", "parameters", "_circuits", "_positive_kernel", "_rays")
+    __slots__ = ("C", "M", "variables", "parameters", "_circuits", "_positive_kernel", "_rays",
+                 "_partition", "_lattices")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
@@ -109,7 +111,8 @@ class VerticalSystem:
         self.parameters = tuple(parameters) if parameters else tuple(f"k{j+1}" for j in range(M.cols))
         if len(self.variables) != M.rows or len(self.parameters) != M.cols:
             raise ValueError("name list lengths do not match the matrices")
-        self._circuits = self._positive_kernel = self._rays = None
+        self._circuits = self._positive_kernel = self._rays = self._partition = None
+        self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
 
     @property
     def s(self) -> int:
@@ -143,6 +146,27 @@ class VerticalSystem:
         if self._rays is None:
             self._rays = extreme_rays(self.C)
         return self._rays
+
+    @property
+    def partition(self) -> MatroidPartition:
+        """Blocks of the column matroid of C: union-find over circuit supports."""
+        if self._partition is None:
+            self._partition = _merge_supports(self.circuits.supports, self.m)
+        return self._partition
+
+    def lattice(self, partition: MatroidPartition) -> IntegerMatrix:
+        """Scaling lattice of a column partition, in Hermite normal form.
+
+        M is augmented with one indicator row per block; the first n
+        coordinates of the integer kernel of its transpose span the lattice.
+        """
+        if partition not in self._lattices:
+            rows = self.M.to_lists()
+            rows += [[1 if j in block else 0 for j in range(self.m)] for block in partition.blocks]
+            kernel = integer_kernel_basis(IntegerMatrix.with_width(rows, self.m))
+            head = IntegerMatrix.with_width([r[: self.n] for r in kernel.to_lists()], self.n)
+            self._lattices[partition] = hermite_normal_form(head) if head.rows else head
+        return self._lattices[partition]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -245,15 +269,6 @@ class MatroidPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, j: int) -> frozenset[int]:
-        for b in self.blocks:
-            if j in b:
-                return b
-        raise KeyError(j)
-
-    def refines(self, other: "MatroidPartition") -> bool:
-        return all(any(b <= o for o in other.blocks) for b in self.blocks)
-
 
 def _merge_supports(supports, ground_size: int) -> MatroidPartition:
     parent = list(range(ground_size))
@@ -279,7 +294,7 @@ def _merge_supports(supports, ground_size: int) -> MatroidPartition:
 
 def matroid_partition(sys: VerticalSystem) -> MatroidPartition:
     """Blocks of the column matroid of C: union-find over circuit supports."""
-    return _merge_supports(sys.circuits.supports, sys.m)
+    return sys.partition
 
 
 def positive_locus_nonempty(sys: VerticalSystem, mode: GroupMode) -> bool:
@@ -300,38 +315,15 @@ class InvarianceResult:
     mode: GroupMode
 
 
-def _cayley_matrix(M: IntegerMatrix, partition: MatroidPartition) -> IntegerMatrix:
-    rows = M.to_lists()
-    for block in partition.blocks:
-        rows.append([1 if j in block else 0 for j in range(M.cols)])
-    return IntegerMatrix.with_width(rows, M.cols)
-
-
-def _invariance_from_partition(sys: VerticalSystem, partition: MatroidPartition,
-                               lattice: KernelLattice) -> IntegerMatrix:
-    mhat = _cayley_matrix(sys.M, partition)
-    lattice_rows = integer_kernel_basis(mhat, lattice)
-    head = IntegerMatrix.with_width(
-        [list(lattice_rows.row(i))[: sys.n] for i in range(lattice_rows.rows)], sys.n
-    )
-    return hermite_normal_form(head) if head.rows else head
-
-
-def invariance_group(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE,
-                     partition: MatroidPartition | None = None) -> InvarianceResult:
+def invariance_group(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE) -> InvarianceResult:
     """Maximal-rank A with every zero set invariant under the A-scalings.
 
-    The exponent matrix is augmented with one indicator row per matroid
-    block; the first n coordinates of its transpose-kernel lattice give A.
-    Requires a nonempty locus for the chosen group.
+    A is the scaling lattice of the matroid partition, the same for every
+    group.  Requires a nonempty locus for the chosen group.
     """
     if not positive_locus_nonempty(sys, mode):
         raise EmptyLocusError(f"zero sets empty over {mode.value} for all parameters")
-    if partition is None:
-        partition = matroid_partition(sys)
-    lattice = KernelLattice.INTEGER_LATTICE if mode is GroupMode.REAL_STAR \
-        else KernelLattice.RATIONAL_SATURATED
-    A = _invariance_from_partition(sys, partition, lattice)
+    A = sys.lattice(sys.partition)
     return InvarianceResult(A, A.rows, mode)
 
 
@@ -343,8 +335,7 @@ def quasihomogeneity_weights(sys: VerticalSystem) -> IntegerMatrix:
     is explained by quasihomogeneity alone.
     """
     supports = [sys.row_support(i) for i in range(sys.s)]
-    partition = _merge_supports(supports, sys.m)
-    return _invariance_from_partition(sys, partition, KernelLattice.RATIONAL_SATURATED)
+    return sys.lattice(_merge_supports(supports, sys.m))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +513,7 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
             row.append(SparsePolynomial(variables, terms))
         top.append(row)
     try:
-        det = det_stacked(top, inv.A.to_rational()) if sys.s else None
+        det = det_stacked(top, inv.A.to_rational())
     except DeterminantSizeError as exc:
         return InjectivityResult(False, reason=str(exc))
     sign = sign_classify(det)
@@ -575,20 +566,18 @@ NEWTON_POSITIVITY_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class CountResult:
-    kind: str  # "exact" | "heuristic" | "exported"
-    count: int | None = None
-    path: str | None = None
+    kind: str  # "exact" | "heuristic"
+    count: int
 
 
-def count_positive_cosets(h: CosetCountingSystem, seed: int = 0, starts: int = NEWTON_STARTS,
-                          export_path: str | None = None) -> CountResult:
+def count_positive_cosets(h: CosetCountingSystem, seed: int = 0,
+                          starts: int = NEWTON_STARTS) -> CountResult:
     """Count positive zeros of the counting system.
 
     One polynomial equation: the slice is eliminated exactly onto a line,
     positivity bounds become an interval, and a Sturm sequence counts the
     distinct roots.  More equations: damped multistart Newton gives a
-    clearly labeled heuristic count, or the system is written out for an
-    external solver.
+    clearly labeled heuristic count.
     """
     sys_ = h.base
     d = h.A.rows
@@ -596,10 +585,6 @@ def count_positive_cosets(h: CosetCountingSystem, seed: int = 0, starts: int = N
         raise DegenerateSliceError("slice matrix does not have full row rank")
     if sys_.s == 1:
         return CountResult("exact", _exact_count_on_line(h))
-    if export_path is not None:
-        with open(export_path, "w", encoding="utf-8") as fh:
-            fh.write(render_exchange(h))
-        return CountResult("exported", path=export_path)
     return CountResult("heuristic", _newton_count(h, seed, starts))
 
 
@@ -1043,7 +1028,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     rep.partition = partition
     rep.log("matroid_partition", fp, f"{len(partition)} blocks")
 
-    inv = invariance_group(sys, mode, partition)
+    inv = invariance_group(sys, mode)
     rep.invariance = inv
     rep.d = inv.d
     rep.log("invariance_group", fp, f"d={inv.d}")
@@ -1117,10 +1102,6 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     rep.log("all_positive_nondegeneracy", fp, all_pos.status)
     if all_pos.status == "yes":
         rep.nondegenerate = "yes-for-all-positive"
-
-    m_nonneg = all(sys.M.entry(i, j) >= 0 for i in range(sys.n) for j in range(sys.m))
-    conds = None
-    if all_pos is not None and all_pos.status == "yes":
         if mv == 1:
             rep.verdict = Verdict.TORIC
             rep.coset_count = 1
@@ -1128,7 +1109,8 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
             rep.notes.append("toric: single coset forced by the root-count bound, "
                              "valid for every positive parameter value")
             return rep
-        if m_nonneg:
+        conds = None
+        if all(sys.M.entry(i, j) >= 0 for i in range(sys.n) for j in range(sys.m)):
             conds = constant_coset_conditions(sys, inv, opts.boundary)
             rep.conditions = conds
             rep.log("constant_count_conditions", fp,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -445,19 +444,13 @@ def smith_normal_form_diagonal(m: IntegerMatrix) -> list[int]:
     return divisors
 
 
-class KernelLattice(Enum):
-    RATIONAL_SATURATED = "rational-saturated"
-    INTEGER_LATTICE = "integer-lattice"
-
-
-def integer_kernel_basis(m: IntegerMatrix, lattice: KernelLattice = KernelLattice.RATIONAL_SATURATED) -> IntegerMatrix:
+def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Rows form a basis of {v in Z^rows(m) : v m = 0}, i.e. of ker(m^T).
 
     Computed from the Hermite normal form of [m | I]: the unimodular row
     transform is tracked in the identity block, and rows whose m-part
-    vanished carry a lattice basis of the integer kernel.  The integer
-    kernel of a rational subspace is saturated, so both lattice modes
-    produce the same (canonical, HNF-reduced) basis.
+    vanished carry a lattice basis of the integer kernel, returned in
+    (canonical) Hermite normal form.
     """
     nr, nc = m.rows, m.cols
     aug = IntegerMatrix.with_width(

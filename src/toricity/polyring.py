@@ -189,9 +189,6 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficients(self) -> list[Fraction]:
-        return [c for _, c in self.sorted_terms()]
-
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)

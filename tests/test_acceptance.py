@@ -262,7 +262,7 @@ def test_criterion_8_property_suites():
             if not positive_locus_nonempty(sys_, GroupMode.COMPLEX_STAR):
                 continue
             part = matroid_partition(sys_)
-            inv = invariance_group(sys_, GroupMode.COMPLEX_STAR, part)
+            inv = invariance_group(sys_, GroupMode.COMPLEX_STAR)
             for block in part.blocks:
                 cols = sorted(block)
                 for a, b in zip(cols, cols[1:]):

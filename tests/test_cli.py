@@ -177,6 +177,18 @@ def test_network_shinar_feinberg_reduction(capsys):
     assert payload["reduced"]["injectivity"]["toric"] is True
 
 
+def test_network_reduce_flag(capsys):
+    path = str(MODELS / "idh.crn")
+    _, default, _ = run_cli(capsys, "network", path, "--json")
+    code, reduced, _ = run_cli(capsys, "network", path, "--reduce", "--json")
+    assert code == 0
+    assert reduced == default
+    assert json.loads(default)["verdict_source"] == "reduced"
+    code, direct, _ = run_cli(capsys, "network", path, "--no-reduce", "--json")
+    assert code == 0
+    assert json.loads(direct)["verdict_source"] == "direct"
+
+
 def test_network_structure_flag(capsys):
     code, out, _ = run_cli(capsys, "network", str(MODELS / "idh.crn"), "--structure")
     assert code == 0

@@ -201,7 +201,7 @@ def test_invariance_blocks_orthogonality_random():
         if sys_.s == 0 or not positive_locus_nonempty(sys_, GroupMode.COMPLEX_STAR):
             continue
         part = matroid_partition(sys_)
-        inv = invariance_group(sys_, GroupMode.COMPLEX_STAR, part)
+        inv = invariance_group(sys_, GroupMode.COMPLEX_STAR)
         for block in part.blocks:
             cols = sorted(block)
             for a, b in zip(cols, cols[1:]):
@@ -494,14 +494,11 @@ def test_count_idh_heuristic_exactly_one():
         assert res.count == 1
 
 
-def test_count_export(tmp_path):
+def test_count_export():
     sys_ = idh_system()
     inv = invariance_group(sys_)
     ccs = coset_counting_system(sys_, inv, [1] * 6, seed=0)
-    out = tmp_path / "system.txt"
-    res = count_positive_cosets(ccs, export_path=str(out))
-    assert res.kind == "exported"
-    text = out.read_text()
+    text = render_exchange(ccs)
     assert "# variables" in text and "# polynomials" in text and "# linear" in text
     assert text.count("\n") >= 3 + 2
 
@@ -689,14 +686,38 @@ MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "mo
 
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
-    the three builders of the objects derived from C."""
+    the builders of the objects derived from (C, M)."""
     seen = Counter()
-    for name in ("kernel_circuit_basis", "strictly_positive_kernel", "extreme_rays"):
+    for name in ("kernel_circuit_basis", "strictly_positive_kernel", "extreme_rays",
+                 "integer_kernel_basis"):
         def counting(m, _name=name, _build=getattr(core, name)):
             seen[_name, m] += 1
             return _build(m)
         monkeypatch.setattr(core, name, counting)
     return seen
+
+
+def test_invariance_group_same_for_every_group():
+    """The scaling lattice depends on (C, M) only: on a freshly built system
+    each group gives the identical matrix."""
+    pairs = [(model.system.C, model.system.M)
+             for model in map(read_model, sorted(MODELS.glob("*.json")))]
+    assert len(pairs) == 3
+    rng = random.Random(61)
+    while len(pairs) < 3 + 40:
+        s, m, n = rng.randint(1, 3), rng.randint(2, 6), rng.randint(1, 4)
+        try:
+            sys_ = VerticalSystem(
+                RationalMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(s)]),
+                IntegerMatrix([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)]),
+            )
+        except ValueError:
+            continue
+        if positive_locus_nonempty(sys_, GroupMode.POSITIVE):
+            pairs.append((sys_.C, sys_.M))
+    for C, M in pairs:
+        lattices = [invariance_group(VerticalSystem(C, M), mode).A for mode in GroupMode]
+        assert lattices[0] == lattices[1] == lattices[2], (C, M)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.json")))

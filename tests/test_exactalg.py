@@ -6,7 +6,6 @@ import pytest
 
 from toricity.exactalg import (
     IntegerMatrix,
-    KernelLattice,
     RationalMatrix,
     TrivialKernelError,
     clear_denominators,
@@ -166,7 +165,7 @@ def test_rref_idempotent_and_rank_preserving():
 
 def test_integer_kernel_basis_trivial():
     m = IntegerMatrix([[2, 0], [0, 3]])
-    basis = integer_kernel_basis(m, KernelLattice.RATIONAL_SATURATED)
+    basis = integer_kernel_basis(m)
     assert basis.rows == 0
 
 
@@ -198,7 +197,7 @@ def test_integer_kernel_basis_saturated():
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = IntegerMatrix([[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)])
-        basis = integer_kernel_basis(m, KernelLattice.RATIONAL_SATURATED)
+        basis = integer_kernel_basis(m)
         for i in range(basis.rows):
             v = basis.row(i)
             assert all(sum(v[k] * m.entry(k, j) for k in range(m.rows)) == 0 for j in range(m.cols))
