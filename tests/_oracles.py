@@ -7,7 +7,9 @@ interval bisection.  Stacked determinants use the column-subset Laplace
 sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
 use the inclusion-exclusion over LP-pruned Minkowski sums that the
 package's Cayley triangulation replaced; it shares only the package's exact
-LP and integer determinant.
+LP and integer determinant.  Minimal siphons use the sweep over all species
+subsets that the package's closure branching replaced, and siphon support
+uses one LP over the whole row space in place of the package's rank test.
 """
 
 from fractions import Fraction
@@ -379,3 +381,52 @@ def oracle_positive_roots(coeffs) -> int:
         return count(lo, mid) + extra + count(mid, hi)
 
     return count(Fraction(0), bound)
+
+
+def oracle_minimal_siphons(net):
+    """Minimal siphons by testing every species subset in order of size."""
+    n = net.n
+    masks = []
+    for src, tgt, _ in net.reactions:
+        src_mask = sum(1 << i for i in range(n) if net.complexes[src][i] > 0)
+        tgt_mask = sum(1 << i for i in range(n) if net.complexes[tgt][i] > 0)
+        masks.append((src_mask, tgt_mask))
+    found = []
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            z = sum(1 << i for i in combo)
+            if any((f & z) == f for f in found):
+                continue
+            if all((src & z) or not (tgt & z) for src, tgt in masks):
+                found.append(z)
+    return [frozenset(i for i in range(n) if z >> i & 1) for z in found]
+
+
+def oracle_siphon_supported(mat, siphon) -> bool:
+    """Nonzero v >= 0 in the row space of mat with support inside the siphon,
+    by one LP over all rows: v = y.mat vanishes outside, sums to 1 inside."""
+    d = mat.rows
+    n = mat.cols
+    if d == 0:
+        return False
+    inside = sorted(siphon)
+    outside = [i for i in range(n) if i not in siphon]
+    # variables: y+ (d), y- (d), u (|inside|)
+    nvars = 2 * d + len(inside)
+    rows = []
+    rhs = []
+    for i in outside:
+        row = [mat.entry(k, i) for k in range(d)] + [-mat.entry(k, i) for k in range(d)] \
+            + [0] * len(inside)
+        rows.append(row)
+        rhs.append(0)
+    for pos, i in enumerate(inside):
+        row = [mat.entry(k, i) for k in range(d)] + [-mat.entry(k, i) for k in range(d)] \
+            + [0] * len(inside)
+        row[2 * d + pos] = Fraction(-1)
+        rows.append(row)
+        rhs.append(0)
+    rows.append([0] * (2 * d) + [1] * len(inside))
+    rhs.append(1)
+    status, _, _ = simplex_maximize(rows, rhs, [0] * nvars)
+    return status == "optimal"

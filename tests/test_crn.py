@@ -1,11 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricity import crn
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
+from toricity.polyhedra import simplex_maximize
 from toricity.core import GroupMode, Verdict, injectivity_test, invariance_group
 from toricity.crn import (
     NetworkParseError,
+    ReactionNetwork,
+    SearchBudgetExceededError,
     ZeroDynamicsError,
     acr_detect,
     analyze_network,
@@ -21,6 +28,9 @@ from toricity.crn import (
     siphon_boundary_check,
     steady_state_system,
 )
+
+from _oracles import oracle_minimal_siphons, oracle_siphon_supported
+from test_families import cascade, multisite
 
 IDH_TEXT = "X1 + X2 <=> X3 -> X1 + X4 ; X3 + X4 <=> X5 -> X2 + X3"
 
@@ -422,6 +432,82 @@ def test_siphon_check_unconserved():
     net = parse_network("A -> 2A; 2A -> A")
     N, _ = mass_action_matrices(net)
     assert siphon_boundary_check(net, None, conservation_laws(N)) == "unknown"
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.integers(1, 10))
+    complexes = draw(st.lists(st.tuples(*[st.sampled_from((0, 0, 0, 1, 2))] * n),
+                              min_size=2, max_size=7))
+    pairs = st.tuples(st.integers(0, len(complexes) - 1), st.integers(0, len(complexes) - 1))
+    reactions = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), min_size=1, max_size=10))
+    return ReactionNetwork(tuple(f"X{i}" for i in range(n)), tuple(complexes),
+                           tuple((a, b, f"k{r}") for r, (a, b) in enumerate(reactions)))
+
+
+@st.composite
+def _row_spaces(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=n,
+                                                               max_size=n)),
+                         min_size=1, max_size=3))
+    # a few species outside, so that some row-space vectors vanish there
+    outside = draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    return (RationalMatrix([[Fraction(x, q) for x in row] for q, row in rows]),
+            frozenset(range(n)) - outside)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_networks())
+def test_minimal_siphons_match_subset_sweep(net):
+    assert minimal_siphons(net) == oracle_minimal_siphons(net)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_spaces())
+def test_siphon_support_matches_full_lp(case):
+    mat, siphon = case
+    assert crn._siphon_supported_in_rowspace(mat, siphon) == oracle_siphon_supported(mat, siphon)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # the rows vanishing off {1..4} span two dimensions; only their sum is >= 0
+    ([[0, 1, 0, -1, 1], [0, 0, 1, 1, -1], [1, 1, 1, 1, 1]], True),
+    # (1, -1, 0) and (0, 1, -1) span the vectors summing to 0: none is >= 0
+    ([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [1, 1, 1, 1, 1]], False),
+])
+def test_siphon_support_two_dimensional_uses_lp(monkeypatch, rows, expected):
+    calls = []
+    monkeypatch.setattr(crn, "simplex_maximize",
+                        lambda *args: calls.append(args) or simplex_maximize(*args))
+    mat, siphon = RationalMatrix(rows), frozenset({1, 2, 3, 4})
+    assert crn._siphon_supported_in_rowspace(mat, siphon) is expected
+    assert oracle_siphon_supported(mat, siphon) is expected
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, count", [(multisite(6), 3), (cascade(4), 9)])
+def test_minimal_siphons_past_twenty_species(text, count):
+    net = parse_network(text)
+    assert net.n > 20
+    assert len(minimal_siphons(net)) == count
+
+
+def test_siphon_budget_reported(monkeypatch):
+    net = parse_network(TRIANGLE_TEXT)
+    N, _ = mass_action_matrices(net)
+    note = "boundary zeros not excluded: the siphon search reached its budget"
+    assert note not in analyze_network(net, seed=0).report.notes
+    unsupported = analyze_network(parse_network(multisite(2)), seed=0)
+    assert unsupported.boundary == "unknown" and note not in unsupported.report.notes
+    with pytest.raises(SearchBudgetExceededError):
+        minimal_siphons(net, budget=3)
+    monkeypatch.setattr(crn, "_SIPHON_BUDGET", 3)
+    assert siphon_boundary_check(net, None, conservation_laws(N)) == "unknown"
+    res = analyze_network(net, seed=0)
+    assert res.boundary == "unknown"
+    assert res.verdict is not None
+    assert res.report.notes.count(note) == 1
 
 
 # -- network-level orchestration ----------------------------------------------
