@@ -23,6 +23,7 @@ from .exactalg import (
     InternalInconsistencyError,
     RationalMatrix,
     _frac,
+    _integer_scaling,
     clear_denominators,
     hermite_normal_form,
     int_det,
@@ -101,8 +102,9 @@ class VerticalSystem:
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
             raise ValueError(f"C has {C.cols} columns but M has {M.cols}")
-        if C.rank() < C.rows:
-            C = C.row_basis()
+        red, pivots = C.rref()
+        if len(pivots) < C.rows:
+            C = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
         if C.rows > M.rows:
             raise ValueError("more independent equations than variables")
         self.C = C
@@ -342,12 +344,27 @@ def quasihomogeneity_weights(sys: VerticalSystem) -> IntegerMatrix:
 # Nondegeneracy
 
 
+def _integer_jacobian(sys: VerticalSystem, w) -> tuple[list[list[int]], list[int]]:
+    """C' diag(w') M^T, where C' is C with each row scaled to integers and
+    w' is w with its denominators cleared, and the positive factor by which
+    each of its rows exceeds the same row of C diag(w) M^T."""
+    wi, dw = _integer_scaling(w)
+    m_rows = [sys.M.row(k) for k in range(sys.n)]
+    rows, factors = [], []
+    for i in range(sys.s):
+        ci, dc = _integer_scaling(sys.C.row(i))
+        cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, wi)) if a and x]
+        rows.append([sum(v * mk[j] for j, v in cw) for mk in m_rows])
+        factors.append(dc * dw)
+    return rows, factors
+
+
 def scaled_jacobian(sys: VerticalSystem, w) -> RationalMatrix:
-    """C diag(w) M^T: the Jacobian shape governing nondegeneracy."""
-    w = [_frac(x) for x in w]
-    cw = [[c * x for c, x in zip(sys.C.row(i), w)] for i in range(sys.s)]
-    return RationalMatrix([[sum(a * e for a, e in zip(row, sys.M.row(k)) if a and e)
-                            for k in range(sys.n)] for row in cw])
+    """C diag(w) M^T: the Jacobian shape governing nondegeneracy.  The
+    entries of w are ints or Fractions."""
+    rows, factors = _integer_jacobian(sys, w)
+    return RationalMatrix._of([tuple(Fraction(x, f) for x in row) for row, f in zip(rows, factors)],
+                              sys.n)
 
 
 @dataclass(frozen=True)
@@ -371,7 +388,8 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
         return NondegeneracyResult("no" if sys.s > 0 else "yes")
     for attempt in range(11):
         vec = random_combination(basis, seed + 7919 * attempt)
-        if scaled_jacobian(sys, vec).rank() == sys.s:
+        # positive row scalings leave the rank of C diag(w) M^T unchanged
+        if IntegerMatrix.with_width(_integer_jacobian(sys, vec)[0], sys.n).rank() == sys.s:
             return NondegeneracyResult("yes", vec)
     if sys.s > 6 or comb(sys.n, sys.s) > _NONDEG_MINOR_CAP:
         return NondegeneracyResult("undetermined")

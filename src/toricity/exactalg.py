@@ -4,6 +4,11 @@ Dense matrices with arbitrary-precision entries, reduced row echelon form,
 circuit-vector kernel bases, integer kernel lattices via Hermite normal form,
 and deterministic seeded sampling of kernel vectors.  Everything is exact:
 no floating point, no tolerances.
+
+The arithmetic is fraction-free.  Elimination scales each rational row to
+integers and runs Gauss-Jordan on them, keeping every row primitive;
+determinants use Bareiss elimination.  A ``Fraction`` is formed only where
+a result is handed out, such as the entries of a reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class TrivialKernelError(ValueError):
@@ -49,6 +54,13 @@ class RationalMatrix:
         self.rows = len(rows)
         self.cols = width
         self._e = rows
+
+    @classmethod
+    def _of(cls, rows, cols: int) -> "RationalMatrix":
+        """Wrap rows that already hold Fractions, without converting them."""
+        m = cls.__new__(cls)
+        m._e, m.rows, m.cols = tuple(rows), len(rows), cols
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -125,40 +137,25 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._e]})"
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns; zero rows trail."""
-        m = [list(r) for r in self._e]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r >= nr:
-                break
-            pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        out = RationalMatrix(m)
-        out.cols = nc
-        return out, tuple(pivots)
+        """Reduced row echelon form and pivot columns; zero rows trail.
+
+        The elimination runs on the rows scaled to integers; each row is
+        divided by its pivot once, when the canonical form is built.
+        """
+        rows, pivots = _integer_rref([_integer_scaling(r)[0] for r in self._e], self.cols)
+        zero = Fraction(0)
+        out = [tuple(Fraction(x, row[p]) if x else zero for x in row)
+               for row, p in zip(rows, pivots)]
+        out += [(zero,) * self.cols] * (self.rows - len(pivots))
+        return RationalMatrix._of(out, self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_integer_rref([_integer_scaling(r)[0] for r in self._e], self.cols)[1])
 
     def row_basis(self) -> "RationalMatrix":
         """Nonzero rows of the RREF: a canonical basis of the row space."""
         red, pivots = self.rref()
-        m = RationalMatrix([red.row(i) for i in range(len(pivots))])
-        m.cols = self.cols
-        return m
+        return RationalMatrix._of(red._e[: len(pivots)], self.cols)
 
 
 class IntegerMatrix:
@@ -220,7 +217,7 @@ class IntegerMatrix:
         return (self.rows, self.cols)
 
     def rank(self) -> int:
-        return self.to_rational().rank()
+        return len(_integer_rref(self._e, self.cols)[1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerMatrix) and self._e == other._e and self.cols == other.cols
@@ -301,23 +298,51 @@ def solve(a: RationalMatrix, b) -> tuple[Fraction, ...] | None:
 
 
 def _primitive(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
+    g = gcd(*row)
     if g > 1:
         row = [x // g for x in row]
     return row
 
 
+def _integer_scaling(vec) -> tuple[list[int], int]:
+    """Integers a and the least d > 0 with vec = a / d, for ints and Fractions."""
+    ratios = [x.as_integer_ratio() for x in vec]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _integer_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns the nonzero rows of the echelon form and their pivot columns.
+    Row i is a nonzero multiple of row i of the RREF, kept primitive: a
+    row is combined with the pivot row as pv * row - f * pivot_row and
+    then divided by the gcd of its entries.
+    """
+    m = [_primitive(list(r)) for r in rows]
+    nr = len(m)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i in range(nr):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
 def clear_denominators(vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    fr = [_frac(x) for x in vec]
-    lcm = 1
-    for x in fr:
-        d = x.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) for x in fr]
-    return tuple(_primitive(ints))
+    return tuple(_primitive(_integer_scaling([_frac(x) for x in vec])[0]))
 
 
 def int_det(rows) -> int:
@@ -480,21 +505,19 @@ def random_combination(basis: CircuitBasis, seed: int) -> tuple[Fraction, ...]:
     """Deterministic random nonzero element of the span of a kernel basis.
 
     Integer coefficients uniform in [-2^16, 2^16] are combined through the
-    circuit vectors, so the residual is exactly zero.
+    circuit vectors, so the residual is exactly zero.  The sum runs over
+    the vectors scaled by their common denominator.
     """
     if len(basis) == 0:
         raise TrivialKernelError("kernel is trivial")
     rng = random_rng(seed)
-    dim = basis.ambient_dim
+    den = lcm(*(x.denominator for v in basis.vectors for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in basis.vectors]
     while True:
-        coeffs = [rng.randint(-RANDOM_NUMERATOR_BOUND, RANDOM_NUMERATOR_BOUND) for _ in basis.vectors]
-        w = [Fraction(0)] * dim
-        for c, v in zip(coeffs, basis.vectors):
-            if c:
-                for i in range(dim):
-                    w[i] += c * v[i]
-        if any(x != 0 for x in w):
-            return tuple(w)
+        coeffs = [rng.randint(-RANDOM_NUMERATOR_BOUND, RANDOM_NUMERATOR_BOUND) for _ in scaled]
+        w = [sum(c * v[i] for c, v in zip(coeffs, scaled) if c) for i in range(basis.ambient_dim)]
+        if any(w):
+            return tuple(Fraction(x, den) for x in w)
 
 
 def same_row_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:

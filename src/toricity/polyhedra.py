@@ -1,25 +1,27 @@
-"""Exact polyhedral computations.
+"""Exact polyhedral computations, all in integer arithmetic.
 
-Strict positivity of kernels by exact rational LP, extreme rays of pointed
-cones by the double description method, exact volumes of lattice polytopes,
-and mixed volumes of Newton polytopes, all from exact placing triangulations
-in integer arithmetic: a polytope's volume from a triangulation of its
-points, the mixed volume from the mixed cells of one triangulation of the
-Cayley configuration of the supports.
+Strict positivity of kernels by an exact LP whose simplex tableau keeps
+integer rows, extreme rays of pointed cones by the double description
+method on primitive integer rays, exact volumes of lattice polytopes, and
+mixed volumes of Newton polytopes, both from exact placing triangulations:
+a polytope's volume from a triangulation of its points, the mixed volume
+from the mixed cells of one triangulation of the Cayley configuration of
+the supports.  Rational input is scaled to integers row by row, and
+Fractions appear only in the results handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .exactalg import (
     IntegerMatrix,
     InternalInconsistencyError,
     RationalMatrix,
-    _frac,
-    clear_denominators,
+    _integer_scaling,
+    _primitive,
     int_det,
     kernel_circuit_basis,
 )
@@ -34,7 +36,7 @@ class VolumeBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Exact rational LP (dense simplex, Bland's rule, two phases)
+# Exact LP on integer tableau rows (dense simplex, Bland's rule, two phases)
 
 
 class LPStatus:
@@ -46,63 +48,76 @@ class LPStatus:
 def simplex_maximize(a_rows, b, c):
     """Maximize c.x subject to a_rows x = b, x >= 0, exactly over Q.
 
-    Returns (status, value, x).  Bland's rule guarantees termination.
+    The entries are ints or Fractions.  Returns (status, value, x); Bland's
+    rule guarantees termination.  Each tableau row is a primitive integer
+    vector, a positive multiple of the rational row whose factor is the
+    row's entry in its basic column (where the rational row holds 1).
+    Pivoting on entry p > 0 of row r (a row is negated first to make p
+    positive) replaces every other row T by p T - T[pc] T_r, divided by its
+    gcd.  Reduced costs are read by sign and ratios compared by
+    cross-multiplication, so the pivots are those of the rational tableau;
+    Fractions are formed only for the returned vertex and value.
     """
     m = len(a_rows)
     n = len(c)
-    rows = [[_frac(x) for x in row] for row in a_rows]
-    rhs = [_frac(x) for x in b]
-    cost = [_frac(x) for x in c]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # tableau over columns [original | artificial], one artificial per row
     total = n + m
-    tab = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)] + [rhs[i]]
-           for i in range(m)]
+    # tableau over columns [original | artificial | rhs], one artificial per row
+    tab = []
+    for i in range(m):
+        row, scale = _integer_scaling(list(a_rows[i]) + [b[i]])
+        if row[-1] < 0:
+            row = [-x for x in row]
+        tab.append(_primitive(row[:-1] + [scale if k == i else 0 for k in range(m)] + row[-1:]))
     basis = [n + i for i in range(m)]
 
     def pivot(pr, pc):
-        pv = tab[pr][pc]
-        tab[pr] = [x / pv for x in tab[pr]]
-        for i in range(m):
-            if i != pr and tab[i][pc] != 0:
-                f = tab[i][pc]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
+        prow = tab[pr]
+        if prow[pc] < 0:
+            prow = tab[pr] = [-x for x in prow]
+        p = prow[pc]
+        for i, row in enumerate(tab):
+            f = row[pc]
+            if f and i != pr:
+                tab[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
         basis[pr] = pc
 
     def run_phase(obj, allowed):
-        # obj: cost per column (maximization); allowed: columns eligible to enter
-        while True:
-            # reduced costs: obj_j - obj_B . column_j
-            y = [obj[basis[i]] for i in range(m)]
-            entering = None
-            for j in allowed:
-                if j in basis:
-                    continue
-                red = obj[j] - sum(y[i] * tab[i][j] for i in range(m))
-                if red > 0:
-                    entering = j
-                    break  # Bland: smallest index
-            if entering is None:
-                return True
-            leaving = None
-            best = None
-            for i in range(m):
-                if tab[i][entering] > 0:
-                    ratio = tab[i][-1] / tab[i][entering]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return False  # unbounded
-            pivot(leaving, entering)
+        # obj: integer cost per column (maximization); allowed: columns eligible
+        # to enter.  The reduced costs obj_j - obj_B . B^-1 column_j ride along
+        # as a last tableau row, scaled by a positive factor.
+        den = lcm(*(tab[i][basis[i]] for i in range(m) if obj[basis[i]]))
+        z = [den * x for x in obj] + [0]
+        for i in range(m):
+            if obj[basis[i]]:
+                f = obj[basis[i]] * (den // tab[i][basis[i]])
+                z = [a - f * x for a, x in zip(z, tab[i])]
+        tab.append(_primitive(z))
+        try:
+            while True:
+                z = tab[m]
+                entering = next((j for j in allowed if z[j] > 0), None)  # Bland: smallest index
+                if entering is None:
+                    return True
+                leaving = None
+                for i in range(m):
+                    a = tab[i][entering]
+                    if a > 0:
+                        if leaving is None:
+                            leaving = i
+                            continue
+                        # rhs_i / a against rhs_l / a_l, both denominators positive
+                        lrow = tab[leaving]
+                        d = tab[i][-1] * lrow[entering] - lrow[-1] * a
+                        if d < 0 or (d == 0 and basis[i] < basis[leaving]):
+                            leaving = i
+                if leaving is None:
+                    return False  # unbounded
+                pivot(leaving, entering)
+        finally:
+            tab.pop()
 
     # phase 1: maximize -(sum of artificials)
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run_phase(obj1, range(total))
+    run_phase([0] * n + [-1] * m, range(total))
     if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
         return LPStatus.INFEASIBLE, None, None
     # drive remaining artificials out of the basis
@@ -112,15 +127,15 @@ def simplex_maximize(a_rows, b, c):
             if pc is not None:
                 pivot(i, pc)
     # rows still basic in an artificial are redundant; freeze them at zero
-    obj2 = list(cost) + [Fraction(-1)] * m  # artificials must stay zero
-    bounded = run_phase(obj2, range(n))
+    cost, scale = _integer_scaling(c)
+    bounded = run_phase(cost + [-scale] * m, range(n))
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     if not bounded:
         return LPStatus.UNBOUNDED, None, x
-    value = sum(ci * xi for ci, xi in zip(cost, x))
+    value = sum(ci * xi for ci, xi in zip(c, x))
     return LPStatus.OPTIMAL, value, x
 
 
@@ -197,43 +212,40 @@ class ConeRays:
 
 
 def extreme_rays(m: RationalMatrix) -> ConeRays:
-    """Double description: start from the orthant, impose kernel equations."""
+    """Double description: start from the orthant, impose kernel equations.
+
+    Each equation is a row of m scaled to integers, and the rays are
+    primitive integer tuples.  A ray on the positive side of an equation
+    and one on the negative side combine into a new ray when they are
+    adjacent: no third ray vanishes wherever both do (Fukuda & Prodon
+    1996).  Every returned ray is checked to be nonzero, nonnegative,
+    primitive and in ker(m).
+    """
     n = m.cols
-    rays = [tuple(Fraction(1) if k == i else Fraction(0) for k in range(n)) for i in range(n)]
-
-    def zeroset(r):
-        return frozenset(i for i in range(n) if r[i] == 0)
-
-    for ri in range(m.rows):
-        c = m.row(ri)
-        vals = [sum(a * b for a, b in zip(c, r)) for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v == 0]
-        pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        zsets = {r: zeroset(r) for r in rays}
-        new = list(keep)
-        for rp, vp in pos:
-            for rn, vn in neg:
-                meet = zsets[rp] & zsets[rn]
-                adjacent = True
-                for other in rays:
-                    if other is rp or other is rn:
-                        continue
-                    if meet <= zsets[other]:
-                        adjacent = False
-                        break
-                if not adjacent:
+    equations = [_integer_scaling(m.row(i))[0] for i in range(m.rows)]
+    rays = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for c in equations:
+        vals = [sum(a * x for a, x in zip(c, r) if a) for r in rays]
+        # bit k of a ray's zero mask is set when its coordinate k is zero
+        masks = [sum(1 << k for k, x in enumerate(r) if not x) for r in rays]
+        new = [r for r, v in zip(rays, vals) if v == 0]
+        for rp, vp, zp in zip(rays, vals, masks):
+            if vp <= 0:
+                continue
+            for rn, vn, zn in zip(rays, vals, masks):
+                if vn >= 0:
                     continue
-                combo = tuple(vp * bn - vn * bp for bp, bn in zip(rp, rn))
-                prim = clear_denominators(combo)
-                new.append(tuple(Fraction(x) for x in prim))
-        # dedupe proportional rays (all primitive and nonnegative after clearing)
-        seen = {}
-        for r in new:
-            seen[clear_denominators(r)] = r
-        rays = [tuple(Fraction(x) for x in key) for key in seen]
-    out = tuple(sorted(clear_denominators(r) for r in rays))
-    return ConeRays(out, n)
+                meet = zp & zn
+                # rp and rn themselves vanish on meet; a third ray must not
+                if sum(1 for z in masks if meet & z == meet) == 2:
+                    new.append(tuple(_primitive([vp * y - vn * x for x, y in zip(rp, rn)])))
+        rays = list(dict.fromkeys(new))
+    for r in rays:
+        if (not any(r) or min(r) < 0 or gcd(*r) != 1
+                or any(sum(a * x for a, x in zip(c, r)) for c in equations)):
+            raise InternalInconsistencyError(f"double description returned {r}, not a primitive "
+                                             "nonnegative kernel ray")
+    return ConeRays(tuple(sorted(rays)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,161 @@ determinants by Laplace expansion, and real-root counts by Descartes-style
 interval bisection.  Stacked determinants use the column-subset Laplace
 sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
 use the inclusion-exclusion over LP-pruned Minkowski sums that the
-package's Cayley triangulation replaced; it shares only the package's exact
-LP and integer determinant.  Minimal siphons use the sweep over all species
+package's Cayley triangulation replaced; it shares only the package's
+integer determinant.  Minimal siphons use the sweep over all species
 subsets that the package's closure branching replaced, and siphon support
 uses one LP over the whole row space in place of the package's rank test.
+
+The exact kernels that the package runs in integer arithmetic keep their
+``Fraction`` versions here: the reduced row echelon form, the two-phase
+simplex with Bland's rule and the double description of a nonnegative
+kernel.  The other oracles use these, never the package's own kernels.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
 
-from toricity.exactalg import RationalMatrix, int_det
-from toricity.polyhedra import LPStatus, simplex_maximize
+from toricity.exactalg import int_det
+
+
+# --- Exact kernels over Fractions --------------------------------------------
+
+
+def _fractions(vec):
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+
+
+def oracle_rref(rows, nc: int):
+    """Reduced row echelon form of the rows of an nc-column matrix by
+    Gauss-Jordan elimination over Fractions: (rows, pivot columns), zero
+    rows trailing."""
+    rows = [_fractions(r) for r in rows]
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def oracle_simplex_maximize(a_rows, b, c):
+    """Maximize c.x subject to a_rows x = b, x >= 0 over Fractions: a dense
+    two-phase tableau simplex with Bland's rule.  Returns (status, value, x)
+    with the statuses "optimal", "infeasible" and "unbounded"."""
+    m = len(a_rows)
+    n = len(c)
+    rows = [_fractions(row) for row in a_rows]
+    rhs = _fractions(b)
+    cost = _fractions(c)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    total = n + m
+    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+
+    def pivot(pr, pc):
+        pv = tab[pr][pc]
+        tab[pr] = [x / pv for x in tab[pr]]
+        for i in range(m):
+            if i != pr and tab[i][pc] != 0:
+                f = tab[i][pc]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
+        basis[pr] = pc
+
+    def run_phase(obj, allowed):
+        while True:
+            y = [obj[basis[i]] for i in range(m)]
+            entering = None
+            for j in allowed:
+                if j in basis:
+                    continue
+                if obj[j] - sum(y[i] * tab[i][j] for i in range(m)) > 0:
+                    entering = j
+                    break
+            if entering is None:
+                return True
+            leaving = None
+            best = None
+            for i in range(m):
+                if tab[i][entering] > 0:
+                    ratio = tab[i][-1] / tab[i][entering]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                return False
+            pivot(leaving, entering)
+
+    run_phase([Fraction(0)] * n + [Fraction(-1)] * m, range(total))
+    if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:
+            pc = next((j for j in range(n) if tab[i][j] != 0), None)
+            if pc is not None:
+                pivot(i, pc)
+    bounded = run_phase(cost + [Fraction(-1)] * m, range(n))
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    if not bounded:
+        return "unbounded", None, x
+    return "optimal", sum(ci * xi for ci, xi in zip(cost, x)), x
+
+
+def _oracle_primitive(vec) -> tuple[int, ...]:
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def oracle_extreme_rays(m):
+    """Extreme rays of ker(m) in the nonnegative orthant, as the sorted tuple
+    of primitive integer rays: the double description over Fractions with
+    the combinatorial adjacency test."""
+    n = m.cols
+    rays = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
+    for c in m.to_lists():
+        c = _fractions(c)
+        vals = [sum(a * b for a, b in zip(c, r)) for r in rays]
+        zsets = {r: frozenset(i for i in range(n) if r[i] == 0) for r in rays}
+        new = [r for r, v in zip(rays, vals) if v == 0]
+        for rp, vp in zip(rays, vals):
+            if vp <= 0:
+                continue
+            for rn, vn in zip(rays, vals):
+                if vn >= 0:
+                    continue
+                meet = zsets[rp] & zsets[rn]
+                if any(meet <= zsets[o] for o in rays if o is not rp and o is not rn):
+                    continue
+                combo = [vp * bn - vn * bp for bp, bn in zip(rp, rn)]
+                new.append(tuple(Fraction(x) for x in _oracle_primitive(combo)))
+        rays = list({_oracle_primitive(r): None for r in new})
+        rays = [tuple(Fraction(x) for x in r) for r in rays]
+    return tuple(sorted(_oracle_primitive(r) for r in rays))
 
 
 def oracle_hull2(points):
@@ -147,8 +290,7 @@ def _affine_rank(points) -> int:
     if len(points) <= 1:
         return 0
     p0 = points[0]
-    diffs = [[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]]
-    return RationalMatrix(diffs).rank()
+    return len(oracle_rref([[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]], len(p0))[1])
 
 
 def _is_vertex(p, others) -> bool:
@@ -159,8 +301,8 @@ def _is_vertex(p, others) -> bool:
     a_rows = [[q[i] for q in others] for i in range(n)]
     a_rows.append([1] * len(others))
     b = list(p) + [1]
-    status, _, _ = simplex_maximize(a_rows, b, [0] * len(others))
-    return status == LPStatus.INFEASIBLE
+    status, _, _ = oracle_simplex_maximize(a_rows, b, [0] * len(others))
+    return status == "infeasible"
 
 
 def _vertices(points):
@@ -428,5 +570,5 @@ def oracle_siphon_supported(mat, siphon) -> bool:
         rhs.append(0)
     rows.append([0] * (2 * d) + [1] * len(inside))
     rhs.append(1)
-    status, _, _ = simplex_maximize(rows, rhs, [0] * nvars)
+    status, _, _ = oracle_simplex_maximize(rows, rhs, [0] * nvars)
     return status == "optimal"

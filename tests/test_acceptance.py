@@ -38,7 +38,13 @@ from toricity.fileio import read_model
 from toricity.polyhedra import SupportSet, mixed_volume
 from toricity.polyring import SparsePolynomial, det_symbolic, sturm_positive_roots
 
-from _oracles import oracle_det, oracle_minkowski, oracle_positive_roots, oracle_shoelace
+from _oracles import (
+    oracle_det,
+    oracle_minkowski,
+    oracle_positive_roots,
+    oracle_rref,
+    oracle_shoelace,
+)
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
@@ -193,9 +199,8 @@ def _brute_force_partition(c: RationalMatrix):
     cols = [c.col(j) for j in range(c.cols)]
 
     def dependent(idx):
-        sub = RationalMatrix([[cols[j][i] for j in idx] for i in range(c.rows)])
-        sub.cols = len(idx)
-        return sub.rank() < len(idx)
+        sub = [[cols[j][i] for j in idx] for i in range(c.rows)]
+        return len(oracle_rref(sub, len(idx))[1]) < len(idx)
 
     circuits = []
     for size in range(1, c.cols + 1):

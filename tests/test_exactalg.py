@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricity.exactalg import (
     IntegerMatrix,
@@ -20,7 +22,7 @@ from toricity.exactalg import (
     solve,
 )
 
-from _oracles import oracle_det
+from _oracles import oracle_det, oracle_rref
 
 # Running example: the two-substrate regulation system used throughout the suite.
 IDH_C = RationalMatrix([
@@ -119,9 +121,8 @@ def _brute_force_circuit_supports(m: RationalMatrix) -> set[frozenset[int]]:
     cols = [m.col(j) for j in range(m.cols)]
 
     def dependent(idx):
-        sub = RationalMatrix([[cols[j][i] for j in idx] for i in range(m.rows)])
-        sub.cols = len(idx)
-        return sub.rank() < len(idx)
+        sub = [[cols[j][i] for j in idx] for i in range(m.rows)]
+        return len(oracle_rref(sub, len(idx))[1]) < len(idx)
 
     circuits: set[frozenset[int]] = set()
     for size in range(1, m.cols + 1):
@@ -261,3 +262,49 @@ def test_int_det_matches_cofactor_expansion():
         k = rng.randint(0, 5)
         rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(k)] for _ in range(k)]
         assert int_det(rows) == oracle_det(rows)
+
+
+# -- fraction-free elimination against the Fraction oracle ---------------------
+
+
+@st.composite
+def _matrices(draw):
+    """Small rational matrices with zero rows, zero columns, rows that are
+    combinations of others, and non-integer entries."""
+    nc = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(entry), draw(entry)
+            rows.insert(draw(st.integers(0, len(rows))), [f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    if nc and draw(st.booleans()):
+        zero = draw(st.integers(0, nc - 1))
+        rows = [[0 if j == zero else x for j, x in enumerate(r)] for r in rows]
+    m = RationalMatrix(rows)
+    m.cols = nc
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices())
+def test_rref_and_rank_match_fraction_elimination(m):
+    red, pivots = m.rref()
+    rows, expected_pivots = oracle_rref(m.to_lists(), m.cols)
+    assert pivots == expected_pivots
+    assert red.shape == m.shape
+    assert tuple(red.row(i) for i in range(red.rows)) == rows
+    assert all(isinstance(x, Fraction) for i in range(red.rows) for x in red.row(i))
+    assert m.rank() == len(expected_pivots)
+    assert m.row_basis().to_lists() == [list(r) for r in rows[: len(pivots)]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 5).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc), max_size=5)
+    .map(lambda rows: IntegerMatrix.with_width(rows + [[0] * nc], nc))))
+def test_integer_rank_matches_fraction_elimination(m):
+    assert m.rank() == len(oracle_rref(m.to_lists(), m.cols)[1])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 from itertools import product
 from math import factorial, prod
 
@@ -21,11 +22,13 @@ from toricity.polyhedra import (
 )
 
 from _oracles import (
+    oracle_extreme_rays,
     oracle_minkowski,
     oracle_minkowski_hull,
     oracle_mixed_volume,
     oracle_polytope_volume,
     oracle_shoelace,
+    oracle_simplex_maximize,
 )
 
 IDH_C = RationalMatrix([
@@ -75,6 +78,13 @@ def test_strictly_positive_kernel_rejects_bad_optimum(monkeypatch):
         strictly_positive_kernel(RationalMatrix([[1, -1]]))
 
 
+def test_extreme_rays_check_their_output(monkeypatch):
+    # a ray that is not primitive is a bug, reported as one
+    monkeypatch.setattr(polyhedra, "_primitive", lambda row: [2 * x for x in row])
+    with pytest.raises(InternalInconsistencyError):
+        extreme_rays(TRIANGLE_C)
+
+
 def test_extreme_rays_line():
     rays = extreme_rays(RationalMatrix([[1, -1]]))
     assert rays.rays == ((1, 1),)
@@ -83,7 +93,7 @@ def test_extreme_rays_line():
 def _in_nonneg_span(vector, rays):
     # vector = sum lambda_i rays_i with lambda >= 0  (LP feasibility)
     a_rows = [[r[i] for r in rays] for i in range(len(vector))]
-    status, _, _ = simplex_maximize(a_rows, list(vector), [0] * len(rays))
+    status, _, _ = oracle_simplex_maximize(a_rows, list(vector), [0] * len(rays))
     return status == "optimal"
 
 
@@ -336,3 +346,117 @@ def test_mixed_volume_of_five_species_coset_systems(text, expected):
     analysis = analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
     assert analysis.reduced_report.n == 5
     assert analysis.reduced_report.mixed_volume_bound == expected
+
+
+# -- integer kernels against their Fraction oracles ---------------------------
+
+
+@pytest.mark.parametrize("a, b, c", [
+    # rows tie in a ratio test; Bland breaks the tie by basis index, which
+    # here decides the point returned with "unbounded"
+    ([[2, -1], [0, -1], [0, -1]], [1, -2, -2], [1, 0]),
+    ([[0, 0, 2, 1], [-2, 0, -2, 0]], [1, -1], [1, 1, 1, 1]),
+    # the last two rows are redundant: an artificial stays basic at zero
+    ([[1, 1, 0], [1, 1, 0], [2, 2, 0]], [3, 3, 6], [1, 2, 0]),
+    # after phase 1 an artificial is driven out on a negative pivot
+    ([[-1, -1], [2, -1]], [0, 0], [1, 1]),
+    ([[-1, -2], [-1, 0]], [-1, -1], [1, 1]),
+    # no constraints at all, and infeasible ones
+    ([], [], [0, -1]),
+    ([[1, 1]], [-1], [0, 0]),
+    ([[1, 0], [1, 0]], [1, 2], [0, 0]),
+    # unbounded, also without constraints
+    ([[1, -1]], [0], [1, 0]),
+    ([], [], [0, 1]),
+    ([[1, -1, 0], [0, 0, 1]], [Fraction(1, 2), 3], [0, 1, -1]),
+    # rational entries and negative right-hand sides
+    ([[Fraction(1, 2), -1, 0], [1, 1, 1]], [Fraction(-1, 3), 2], [Fraction(-2, 3), 1, 0]),
+    ([[Fraction(3, 4), Fraction(-5, 6)], [Fraction(1, 7), 1]], [Fraction(-2, 9), Fraction(5, 3)],
+     [Fraction(1, 2), Fraction(1, 3)]),
+])
+def test_simplex_matches_fraction_tableau(a, b, c):
+    assert simplex_maximize(a, b, c) == oracle_simplex_maximize(a, b, c)
+
+
+_RATIONALS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _linear_programs(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=1, max_size=3))
+    if draw(st.booleans()):  # a redundant row
+        rows.append([2 * x for x in draw(st.sampled_from(rows))])
+    b = draw(st.lists(_RATIONALS, min_size=len(rows), max_size=len(rows)))
+    return rows, b, draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_linear_programs())
+def test_simplex_matches_fraction_tableau_random(lp):
+    assert simplex_maximize(*lp) == oracle_simplex_maximize(*lp)
+
+
+@st.composite
+def _cone_equations(draw):
+    """ker(m) in the nonnegative orthant is pointed; duplicated and scaled
+    rows, and small entries, make the double description meet the same
+    candidate ray several times over and proportional candidates."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]))
+        rows.insert(draw(st.integers(0, len(rows))), [f * x for x in draw(st.sampled_from(rows))])
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cone_equations())
+def test_extreme_rays_match_fraction_double_description(m):
+    assert extreme_rays(m).rays == oracle_extreme_rays(m)
+
+
+def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
+    # every LP, double description and RREF the corpus analyses make
+    from toricity import cli, core, crn
+    from _oracles import oracle_rref
+
+    calls = {"simplex": 0, "rays": 0, "rref": 0}
+    mismatches = []
+    lp, rays, rref = polyhedra.simplex_maximize, polyhedra.extreme_rays, RationalMatrix.rref
+
+    def checked_lp(a, b, c):
+        calls["simplex"] += 1
+        result = lp(a, b, c)
+        if result != oracle_simplex_maximize(a, b, c):
+            mismatches.append(("simplex", a, b, c))
+        return result
+
+    def checked_rays(m):
+        calls["rays"] += 1
+        result = rays(m)
+        if result.rays != oracle_extreme_rays(m):
+            mismatches.append(("rays", m))
+        return result
+
+    def checked_rref(m):
+        calls["rref"] += 1
+        red, pivots = rref(m)
+        rows = tuple(red.row(i) for i in range(red.rows))
+        if (rows, pivots) != oracle_rref(m.to_lists(), m.cols):
+            mismatches.append(("rref", m))
+        return red, pivots
+
+    for module in (polyhedra, crn):
+        monkeypatch.setattr(module, "simplex_maximize", checked_lp)
+    for module in (polyhedra, core):
+        monkeypatch.setattr(module, "extreme_rays", checked_rays)
+    monkeypatch.setattr(RationalMatrix, "rref", checked_rref)
+    models = sorted((Path(cli.__file__).parent / "data" / "models").iterdir())
+    assert len(models) == 8
+    for path in models:
+        row = cli.run_batch_model(str(path), 0, 60)
+        assert row["verdict"] not in ("error", "timeout"), row
+    assert all(calls.values()), calls
+    assert not mismatches, mismatches[:3]
