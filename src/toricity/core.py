@@ -24,6 +24,7 @@ from .exactalg import (
     RationalMatrix,
     _frac,
     _integer_scaling,
+    circuits_of_rref,
     clear_denominators,
     hermite_normal_form,
     int_det,
@@ -93,18 +94,22 @@ class VerticalSystem:
     the circuit kernel basis of C, its strictly positive kernel, the
     extreme rays of its nonnegative kernel, the matroid partition of its
     columns, and the scaling lattice of each column partition asked for,
-    so the invariance lattice is built once per system.
+    so the invariance lattice is built once per system.  The RREF of C is
+    taken once, here: ``echelon`` holds its nonzero rows, ``pivots`` their
+    pivot columns.
     """
 
-    __slots__ = ("C", "M", "variables", "parameters", "_circuits", "_positive_kernel", "_rays",
-                 "_partition", "_lattices")
+    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_circuits",
+                 "_positive_kernel", "_rays", "_partition", "_lattices")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
             raise ValueError(f"C has {C.cols} columns but M has {M.cols}")
         red, pivots = C.rref()
+        self.echelon = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
+        self.pivots = pivots
         if len(pivots) < C.rows:
-            C = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
+            C = self.echelon
         if C.rows > M.rows:
             raise ValueError("more independent equations than variables")
         self.C = C
@@ -132,7 +137,7 @@ class VerticalSystem:
     def circuits(self) -> CircuitBasis:
         """Fundamental-circuit basis of ker C."""
         if self._circuits is None:
-            self._circuits = kernel_circuit_basis(self.C)
+            self._circuits = circuits_of_rref(self.echelon, self.pivots)
         return self._circuits
 
     @property
@@ -396,7 +401,10 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     lam = tuple(f"l{k+1}" for k in range(len(basis)))
     top = _scaled_jacobian_symbolic(sys, basis.vectors, lam)
     for cols in combinations(range(sys.n), sys.s):
-        minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
+        try:
+            minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
+        except DeterminantSizeError:
+            return NondegeneracyResult("undetermined")
         if not minor.is_zero():
             vec = _witness_from_minor(sys, basis, minor, lam, seed)
             return NondegeneracyResult("yes", vec)
@@ -457,7 +465,10 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
     top = _scaled_jacobian_symbolic(sys, rays.rays, lam)
     for cols in combinations(range(sys.n), sys.s):
-        minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
+        try:
+            minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
+        except DeterminantSizeError as exc:
+            return AllPositiveResult("unknown", reason=str(exc))
         if sign_classify(minor) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
             return AllPositiveResult("yes", cols, minor)
     return AllPositiveResult("unknown", reason="no sign-definite minor")
@@ -516,19 +527,21 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
     mu = tuple(f"mu{j+1}" for j in range(sys.m))
     al = tuple(f"al{k+1}" for k in range(sys.n))
     variables = mu + al
+    # entry (i, k) is the sum over j of C_ij M_kj mu_j al_k, over nonzero products only
+    exponents = [[k for k in range(sys.n) if sys.M.entry(k, j)] for j in range(sys.m)]
+    zero = [0] * len(variables)
     top = []
     for i in range(sys.s):
-        row = []
-        for k in range(sys.n):
-            terms = {}
-            for j in range(sys.m):
-                coeff = sys.C.entry(i, j) * sys.M.entry(k, j)
-                if coeff != 0:
-                    e = [0] * len(variables)
-                    e[j] = 1
-                    e[sys.m + k] = 1
-                    terms[tuple(e)] = coeff
-            row.append(SparsePolynomial(variables, terms))
+        terms = [{} for _ in range(sys.n)]
+        for j, c in enumerate(sys.C.row(i)):
+            if c:
+                for k in exponents[j]:
+                    e = zero.copy()
+                    e[j] = e[sys.m + k] = 1
+                    terms[k][tuple(e)] = c * sys.M.entry(k, j)
+        row = [SparsePolynomial(variables) for _ in terms]
+        for p, t in zip(row, terms):
+            p.terms = t  # nonzero Fractions on distinct exponents: nothing to clean
         top.append(row)
     try:
         det = det_stacked(top, inv.A.to_rational())
@@ -886,8 +899,8 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
 def binomial_quickcheck(sys: VerticalSystem) -> bool:
     """Echelon rows that are all two-term with opposite signs: an immediate
     positive-toricity certificate (binomial system)."""
-    red, pivots = sys.C.rref()
-    for i in range(len(pivots)):
+    red = sys.echelon
+    for i in range(red.rows):
         support = [j for j in range(sys.m) if red.entry(i, j) != 0]
         if len(support) != 2:
             return False

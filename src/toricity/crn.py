@@ -20,7 +20,13 @@ from .exactalg import (
     same_row_lattice,
 )
 from .polyhedra import simplex_maximize
-from .polyring import SignVerdict, SparsePolynomial, det_stacked, sign_classify
+from .polyring import (
+    DeterminantSizeError,
+    SignVerdict,
+    SparsePolynomial,
+    det_stacked,
+    sign_classify,
+)
 from .core import (
     ALL_POSITIVE_ENRICHMENT_CAP,
     AnalyzeOptions,
@@ -566,7 +572,10 @@ def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
             else:
                 row.append(SparsePolynomial.zero(al))
         top.append(row)
-    det = det_stacked(top, laws)
+    try:
+        det = det_stacked(top, laws)
+    except DeterminantSizeError as exc:
+        return MultistationarityResult("inconclusive", reason=str(exc))
     sign = sign_classify(det)
     if sign in (SignVerdict.MIXED_SIGNS, SignVerdict.ZERO_POLYNOMIAL):
         return MultistationarityResult("multistationary", sign)

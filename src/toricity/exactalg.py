@@ -259,18 +259,22 @@ def kernel_circuit_basis(m: RationalMatrix) -> CircuitBasis:
     negated RREF column entries in the pivot positions; its support is a
     circuit of the column matroid.
     """
-    red, pivots = m.rref()
-    free = [j for j in range(m.cols) if j not in pivots]
+    return circuits_of_rref(*m.rref())
+
+
+def circuits_of_rref(red: RationalMatrix, pivots) -> CircuitBasis:
+    """``kernel_circuit_basis`` of any matrix with this RREF and pivots."""
+    free = [j for j in range(red.cols) if j not in pivots]
     vectors = []
     supports = []
     for j in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * red.cols
         v[j] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -red.entry(i, j)
         vectors.append(tuple(v))
-        supports.append(frozenset(k for k in range(m.cols) if v[k] != 0))
-    return CircuitBasis(tuple(vectors), tuple(supports), m.cols)
+        supports.append(frozenset(k for k in range(red.cols) if v[k] != 0))
+    return CircuitBasis(tuple(vectors), tuple(supports), red.cols)
 
 
 def left_kernel_basis(m: RationalMatrix) -> RationalMatrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .exactalg import (
     IntegerMatrix,
@@ -157,27 +158,25 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
 
     Decided by the exact LP: maximize t subject to m(u + t 1) = 0, u >= 0,
     t + s = 1; the witness w = u + t 1 is strictly positive iff the optimum
-    is > 0.
+    is > 0.  Each row's sum and the check of the witness are taken on the
+    row scaled to integers.
     """
     ncols = m.cols
     if ncols == 0:
         return PositiveKernelResult(())
+    scaled = [_integer_scaling(m.row(i)) for i in range(m.rows)]
     # variables: u_1..u_n, t, s
-    a_rows = []
-    b = []
-    for i in range(m.rows):
-        row = list(m.row(i)) + [sum(m.row(i)), Fraction(0)]
-        a_rows.append(row)
-        b.append(Fraction(0))
-    a_rows.append([Fraction(0)] * ncols + [Fraction(1), Fraction(1)])
-    b.append(Fraction(1))
-    c = [Fraction(0)] * ncols + [Fraction(1), Fraction(0)]
+    a_rows = [list(m.row(i)) + [Fraction(sum(row), den), 0] for i, (row, den) in enumerate(scaled)]
+    a_rows.append([0] * ncols + [1, 1])
+    b = [0] * m.rows + [1]
+    c = [0] * ncols + [1, 0]
     status, value, x = simplex_maximize(a_rows, b, c)
     if status != LPStatus.OPTIMAL or value is None or value <= 0:
         return PositiveKernelResult(None)
     t = x[ncols]
     w = tuple(x[j] + t for j in range(ncols))
-    if any(wi <= 0 for wi in w) or any(v != 0 for v in m.mul_vector(w)):
+    point = _integer_scaling(w)[0]
+    if any(v <= 0 for v in point) or any(sum(map(mul, row, point)) for row, _ in scaled):
         raise InternalInconsistencyError("LP optimum is not a strictly positive kernel vector")
     return PositiveKernelResult(w)
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 
-from .exactalg import RationalMatrix, _frac, int_det
+from .exactalg import RationalMatrix, _frac, _integer_scaling, int_det
 
 
 class VariableMismatchError(ValueError):
@@ -29,6 +29,7 @@ class ZeroPolynomialError(ValueError):
 
 
 DET_SIZE_LIMIT = 12
+_DET_TERM_BUDGET = 4_000_000      # terms held by the minors of one expansion
 
 
 class SparsePolynomial:
@@ -273,10 +274,15 @@ def sign_classify(p: SparsePolynomial) -> SignVerdict:
 # ---------------------------------------------------------------------------
 # Determinants
 #
-# The expansions run on packed polynomials: dicts from one int, holding the
+# Both determinants come down to one Laplace expansion of a square polynomial
+# matrix; ``det_stacked`` first eliminates its constant rows exactly.  The
+# expansion runs on packed polynomials: dicts from one int, holding the
 # exponent vector with each variable in its own bit field, to an integer
 # coefficient.  Rows are scaled to integers first and the product of the
-# scales is divided out once, when the result is unpacked.
+# scales is divided out once, when the result is unpacked.  The memoized
+# minors of one expansion may hold at most ``_DET_TERM_BUDGET`` terms in
+# all: 4 million take about 400 MB, and the multistationarity matrix of the
+# 7-layer cascade needs 1.4 million.
 
 
 def _bit_fields(rows, variables) -> list[tuple[int, int]]:
@@ -315,18 +321,6 @@ def _row_scale(coeffs) -> int:
     return lcm(*(c.denominator for c in coeffs))
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rational rows scaled to integers by their least common denominators;
-    returns them with the product of the scales."""
-    scaled = []
-    scale = 1
-    for row in rows:
-        r = _row_scale(row)
-        scale *= r
-        scaled.append([c.numerator * (r // c.denominator) for c in row])
-    return scaled, scale
-
-
 def _pack_rows(rows, fields) -> tuple[list[list[dict[int, int]]], int]:
     """Rows of polynomials as packed integer polynomials, each row scaled by
     its least common denominator; returns them with the product of scales."""
@@ -340,22 +334,46 @@ def _pack_rows(rows, fields) -> tuple[list[list[dict[int, int]]], int]:
     return packed, scale
 
 
-def _unpack(variables, packed: dict[int, int], fields, denominator: int) -> SparsePolynomial:
-    """The packed polynomial divided by ``denominator`` (which may be negative)."""
+def _unpack(variables, packed: dict[int, int], fields, factor: Fraction) -> SparsePolynomial:
+    """The packed polynomial times the rational ``factor``.
+
+    Keys are decoded eight fields at a time, and each distinct group of
+    eight is decoded once: the terms of a determinant share most of them.
+    """
+    num, den = factor.numerator, factor.denominator
+    groups = []
+    for g in range(0, len(fields), 8):
+        chunk = fields[g:g + 8]
+        base = chunk[0][0]
+        width = chunk[-1][0] + chunk[-1][1].bit_length() - base
+        groups.append((base, (1 << width) - 1, [(shift - base, mask) for shift, mask in chunk], {}))
+    terms = {}
+    for key, c in packed.items():
+        if c:
+            e = ()
+            for base, mask, chunk, seen in groups:
+                part = (key >> base) & mask
+                exps = seen.get(part)
+                if exps is None:
+                    exps = seen[part] = tuple((part >> shift) & m for shift, m in chunk)
+                e += exps
+            terms[e] = Fraction(c * num, den)
     out = SparsePolynomial(variables)
-    out.terms = {tuple((key >> shift) & mask for shift, mask in fields): Fraction(c, denominator)
-                 for key, c in packed.items() if c}
+    out.terms = terms
     return out
 
 
 def _packed_det(rows, columns: int) -> dict[int, int]:
     """Determinant of packed rows on the columns set in ``columns``, taken in
     increasing order, by Laplace expansion along the rows with the minors
-    memoized on their set of columns."""
+    memoized on their set of columns.  Raises ``DeterminantSizeError`` once
+    the memoized minors hold more than ``_DET_TERM_BUDGET`` terms."""
     s = len(rows)
     memo = {0: {0: 1}}
+    held = 0
 
     def minor(mask):
+        nonlocal held
         found = memo.get(mask)
         if found is not None:
             return found
@@ -377,6 +395,10 @@ def _packed_det(rows, columns: int) -> dict[int, int]:
                         acc[k] = acc.get(k, 0) + c1 * c2
             negate = not negate
         result = {k: c for k, c in acc.items() if c}
+        held += len(result)
+        if held > _DET_TERM_BUDGET:
+            raise DeterminantSizeError(
+                f"symbolic determinant exceeds its budget of {_DET_TERM_BUDGET} terms")
         memo[mask] = result
         return result
 
@@ -387,7 +409,8 @@ def det_symbolic(matrix) -> SparsePolynomial:
     """Exact determinant of a square matrix of polynomials.
 
     Expansion proceeds row by row, sparsest rows first, with minors memoized
-    on the set of unused columns; matrices above the size guard are refused.
+    on the set of unused columns; matrices above the size guard are refused,
+    and so is an expansion past the term budget of ``_packed_det``.
     """
     n = len(matrix)
     if n == 0:
@@ -404,7 +427,7 @@ def det_symbolic(matrix) -> SparsePolynomial:
     fields = _bit_fields(rows, variables)
     packed, scale = _pack_rows(rows, fields)
     total = _packed_det(packed, (1 << n) - 1)
-    return _unpack(variables, total, fields, _permutation_sign(order) * scale)
+    return _unpack(variables, total, fields, Fraction(_permutation_sign(order), scale))
 
 
 def _permutation_sign(perm) -> int:
@@ -427,15 +450,17 @@ def _permutation_sign(perm) -> int:
 def det_stacked(top, bottom: RationalMatrix) -> SparsePolynomial:
     """Determinant of [top; bottom] with polynomial top rows and rational bottom.
 
-    Laplace expansion along the top block: the sum over s-column sets S of
-    sign(S) det(top[:, S]) det(bottom[:, ~S]).  Only sets whose complement is
-    a basis of the bottom block contribute; they are enumerated directly, and
-    each constant minor is an integer determinant of the row-scaled bottom.
-    When every top column is one monomial times constants, each top minor is
-    the product of its columns' monomials times an integer determinant, so S
-    also runs only over bases of the top block and no polynomial arithmetic
-    is done.  Otherwise each top minor is a packed expansion, as in
-    ``det_symbolic`` and under its size guard.
+    One exact elimination of the constant block leaves one s x s polynomial
+    minor.  The RREF of the bottom block A gives its pivot columns P and
+    X = A_P^-1 A_R on the other columns R.  Subtracting from each top column
+    r in R the combination of the top's P columns with the weights X[:, r]
+    is a column operation, so the determinant is unchanged, and it zeroes
+    the bottom block on R.  Laplace expansion along the bottom rows then
+    keeps one term, sign(R) det(top'[:, R]) det(A_P), and the s x s minor is
+    one packed expansion, as in ``det_symbolic``.  A rank-deficient bottom
+    block gives the zero polynomial.  There is no size guard: the expansion
+    raises ``DeterminantSizeError`` once the minors it holds exceed
+    ``_DET_TERM_BUDGET`` terms.
     """
     s = len(top)
     n = len(top[0]) if s else bottom.cols
@@ -445,122 +470,37 @@ def det_stacked(top, bottom: RationalMatrix) -> SparsePolynomial:
     if s == 0:
         raise ValueError("no symbolic rows to expand")
     variables = top[0][0].variables
-    lower, scale = _integer_rows(bottom.row(i) for i in range(d))
-    lower_cols = list(zip(*lower)) if d else [()] * n
+    red, pivots = bottom.rref()
+    if len(pivots) < d:
+        return SparsePolynomial(variables)
+    rest = [k for k in range(n) if k not in pivots]
+    lower = [_integer_scaling(bottom.row(i)) for i in range(d)]
+    det_p = int_det([[row[p] for p in pivots] for row, _ in lower])
+    scale = prod(den for _, den in lower)
+    # column r of top' is (den * top[:, r] - sum_i c_i top[:, pivots[i]]) / den
+    combos = []
+    for r in rest:
+        coeffs, den = _integer_scaling([red.entry(i, r) for i in range(d)])
+        scale *= den
+        combos.append((r, den, [(c, p) for c, p in zip(coeffs, pivots) if c]))
     fields = _bit_fields(top, variables)
-    base = s * (s - 1) // 2
-    total: dict[int, int] = {}
-    monomials = _column_monomials(top)
-    if monomials is not None:
-        upper, top_scale = _integer_rows([next(iter(p.terms.values()), Fraction(0)) for p in row]
-                                         for row in top)
-        upper_cols = list(zip(*upper))
-        keys = [_pack(e, fields) if e is not None else 0 for e in monomials]
-        for cols, comp in _splits(upper_cols, lower_cols, s):
-            # columns passed as rows: a transpose has the same determinant
-            value = int_det([upper_cols[k] for k in cols]) * int_det([lower_cols[k] for k in comp])
-            if (sum(cols) - base) % 2:
-                value = -value
-            key = sum(keys[k] for k in cols)
-            total[key] = total.get(key, 0) + value
-        return _unpack(variables, total, fields, scale * top_scale)
-    if s > DET_SIZE_LIMIT:
-        raise DeterminantSizeError(
-            f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})"
-        )
-    order = sorted(range(s), key=lambda i: sum(0 if p.is_zero() else 1 for p in top[i]))
-    packed, top_scale = _pack_rows([top[i] for i in order], fields)
-    for cols, comp in _splits(None, lower_cols, s):
-        value = int_det([lower_cols[k] for k in comp])
-        if (sum(cols) - base) % 2:
-            value = -value
-        for key, c in _packed_det(packed, sum(1 << k for k in cols)).items():
-            total[key] = total.get(key, 0) + value * c
-    return _unpack(variables, total, fields, _permutation_sign(order) * scale * top_scale)
-
-
-def _column_monomials(top):
-    """Per column, the exponent vector shared by all its nonzero entries
-    (None for a zero column); None when some column has no such monomial."""
-    monomials = [None] * len(top[0])
-    for row in top:
-        for k, p in enumerate(row):
-            if not p.terms:
-                continue
-            if len(p.terms) > 1:
-                return None
-            (e,) = p.terms
-            if monomials[k] is None:
-                monomials[k] = e
-            elif monomials[k] != e:
-                return None
-    return monomials
-
-
-def _extend(basis, v) -> bool:
-    """Append ``v`` to the echelon ``basis`` of (pivot, vector) pairs if it is
-    independent of it.  The pivots already in the basis are eliminated from
-    ``v`` fraction-free; what is left is zero exactly on the span."""
-    for p, w in basis:
-        c = v[p]
-        if c:
-            a = w[p]
-            v = [a * x - c * y for x, y in zip(v, w)]
-    for p, x in enumerate(v):
-        if x:
-            g = gcd(*v)
-            basis.append((p, [y // g for y in v] if g > 1 else v))
-            return True
-    return False
-
-
-def _suffix_ranks(cols) -> list[int]:
-    """``ranks[j]`` is the rank of the columns j, j+1, ... (0 past the end)."""
-    ranks = [0] * (len(cols) + 1)
-    basis = []
-    for j in range(len(cols) - 1, -1, -1):
-        _extend(basis, cols[j])
-        ranks[j] = len(basis)
-    return ranks
-
-
-def _splits(upper_cols, lower_cols, s) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every split of the columns into S (size s) and its complement such
-    that the complement's lower columns are independent and, unless
-    ``upper_cols`` is None, so are S's upper columns.
-
-    Backtracking over the columns in order: a column joins a side only if it
-    is independent of the columns that side holds, and a branch is cut as
-    soon as the columns left have too low a rank to complete either side.
-    """
-    n = len(lower_cols)
-    d = n - s
-    lower_rank = _suffix_ranks(lower_cols)
-    upper_rank = _suffix_ranks(upper_cols) if upper_cols is not None else [n - j for j in range(n + 1)]
-    upper, lower = [], []
-    upper_basis, lower_basis = [], []
-    found = []
-
-    def walk(j):
-        if j == n:
-            found.append((tuple(upper), tuple(lower)))
-            return
-        if s - len(upper) > upper_rank[j] or d - len(lower) > lower_rank[j]:
-            return
-        if len(upper) < s and (upper_cols is None or _extend(upper_basis, upper_cols[j])):
-            upper.append(j)
-            walk(j + 1)
-            upper.pop()
-            if upper_cols is not None:
-                upper_basis.pop()
-        if len(lower) < d and _extend(lower_basis, lower_cols[j]):
-            lower.append(j)
-            walk(j + 1)
-            lower.pop()
-            lower_basis.pop()
-
-    walk(0)
-    return found
+    packed, top_scale = _pack_rows(top, fields)
+    rows = []
+    for row in packed:
+        reduced = []
+        for r, den, combo in combos:
+            acc = {k: den * c for k, c in row[r].items()}
+            for c, p in combo:
+                for k, v in row[p].items():
+                    acc[k] = acc.get(k, 0) - c * v
+            reduced.append({k: v for k, v in acc.items() if v})
+        rows.append(reduced)
+    order = sorted(range(s), key=lambda i: sum(1 for p in rows[i] if p))
+    total = _packed_det([rows[i] for i in order], (1 << s) - 1)
+    if (sum(rest) - s * (s - 1) // 2) % 2:
+        det_p = -det_p
+    return _unpack(variables, total, fields,
+                   Fraction(_permutation_sign(order) * det_p, scale * top_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -686,15 +686,30 @@ MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "mo
 
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
-    the builders of the objects derived from (C, M)."""
+    the builders of the objects derived from (C, M), and every RREF taken."""
     seen = Counter()
-    for name in ("kernel_circuit_basis", "strictly_positive_kernel", "extreme_rays",
-                 "integer_kernel_basis"):
-        def counting(m, _name=name, _build=getattr(core, name)):
+    for name in ("kernel_circuit_basis", "circuits_of_rref", "strictly_positive_kernel",
+                 "extreme_rays", "integer_kernel_basis"):
+        def counting(m, *rest, _name=name, _build=getattr(core, name)):
             seen[_name, m] += 1
-            return _build(m)
+            return _build(m, *rest)
         monkeypatch.setattr(core, name, counting)
+    rref = RationalMatrix.rref
+
+    def counting_rref(m):
+        seen["rref", m] += 1
+        return rref(m)
+    monkeypatch.setattr(RationalMatrix, "rref", counting_rref)
     return seen
+
+
+def _assert_built_once(seen: Counter, coefficient_matrices):
+    """Each derived object is built once, and each system's C is reduced at
+    most once: when the system is made, and never again downstream."""
+    builds = {key: count for key, count in seen.items() if key[0] != "rref"}
+    assert builds and max(builds.values()) == 1, builds
+    for C in coefficient_matrices:
+        assert seen["rref", C] <= 1, C
 
 
 def test_invariance_group_same_for_every_group():
@@ -725,7 +740,8 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
     model = read_model(MODELS / name)
     seen = _count_builder_inputs(monkeypatch)
     analyze(model.system, model.mode, seed=0)
-    assert seen and max(seen.values()) == 1, seen
+    _assert_built_once(seen, [model.system.C])
+    assert seen["rref", model.system.C] == 0
 
 
 @pytest.mark.parametrize("name, source", [("idh.crn", "reduced"),
@@ -734,8 +750,16 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
 def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     net = read_model(MODELS / name).network
     seen = _count_builder_inputs(monkeypatch)
+    systems = []
+    make = VerticalSystem.__init__
+
+    def recording(self, *args, **kwargs):
+        make(self, *args, **kwargs)
+        systems.append(self.C)
+    monkeypatch.setattr(VerticalSystem, "__init__", recording)
     assert analyze_network(net, seed=0).verdict_source == source
-    assert seen and max(seen.values()) == 1, seen
+    assert len(systems) == (2 if source == "reduced" else 1)
+    _assert_built_once(seen, systems)
 
 
 def test_analyze_deterministic():

@@ -9,7 +9,8 @@ monostationary (Feliu & Wiuf 2012).
 
 import pytest
 
-from toricity import GroupMode, Verdict, analyze_network, parse_network
+from toricity import GroupMode, Verdict, analyze_network, core, crn, parse_network, polyring
+from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic
 
 
 def multisite(k: int) -> str:
@@ -41,8 +42,47 @@ def test_multisite_phosphorylation(k):
     assert analysis.multistationarity.status == expected
 
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_cascade(k):
     analysis = analyze_network(parse_network(cascade(k)), GroupMode.POSITIVE, 0)
     assert analysis.verdict == Verdict.TORIC
     assert analysis.multistationarity.status == "monostationary"
+
+
+@pytest.mark.parametrize("text", [multisite(1), multisite(2), multisite(3), cascade(1), cascade(2)],
+                         ids=["multisite_1", "multisite_2", "multisite_3", "cascade_1", "cascade_2"])
+def test_det_stacked_replays_as_det_symbolic(monkeypatch, text):
+    """Every stacked determinant the analysis takes, injectivity's and the
+    multistationarity test's, equals the plain symbolic determinant of the
+    whole stacked matrix."""
+    calls = []
+    for module in (core, crn):
+        def recording(top, bottom, _caller=module.__name__):
+            calls.append((_caller, top, bottom))
+            return det_stacked(top, bottom)
+        monkeypatch.setattr(module, "det_stacked", recording)
+    analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
+    assert {caller for caller, _, _ in calls} == {"toricity.core", "toricity.crn"}
+    for _, top, bottom in calls:
+        variables = top[0][0].variables
+        full = top + [[SparsePolynomial.constant(variables, x) for x in bottom.row(i)]
+                      for i in range(bottom.rows)]
+        assert len(full) <= 12
+        assert det_stacked(top, bottom) == det_symbolic(full)
+
+
+def test_det_term_budget_gives_named_inconclusive(monkeypatch):
+    """A stacked determinant past its term budget costs only the results
+    that need it: multistationarity is inconclusive with the budget named,
+    condition (ii) is unknown, and the network still gets a verdict."""
+    net = parse_network(multisite(3))
+    full = analyze_network(net, GroupMode.POSITIVE, 0)
+    assert core._augmented_all_positive(full.system, full.report.invariance) == "yes"
+    monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 10)
+    analysis = analyze_network(net, GroupMode.POSITIVE, 0)
+    assert analysis.multistationarity.status == "inconclusive"
+    assert analysis.multistationarity.reason == (
+        "symbolic determinant exceeds its budget of 10 terms")
+    assert core._augmented_all_positive(analysis.system, analysis.report.invariance) == "unknown"
+    # toric needs the injectivity determinant; local toricity does not
+    assert analysis.verdict == Verdict.LOCALLY_TORIC

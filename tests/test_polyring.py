@@ -335,6 +335,22 @@ def test_det_stacked_monomial_columns_beyond_size_guard():
         assert det.evaluate(point) == _fraction_det(numeric)
 
 
+def test_det_stacked_term_budget(monkeypatch):
+    # the budget is read when the expansion runs and fires inside it
+    from toricity import polyring
+
+    n, s = 8, 6
+    vs = tuple(f"a{k}" for k in range(n))
+    rng = random.Random(12)
+    top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.randint(-3, 3)) for k in range(n)]
+           for _ in range(s)]
+    bottom = RationalMatrix([[1] * n, list(range(n))])
+    assert len(det_stacked(top, bottom).terms) > 20
+    monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 20)
+    with pytest.raises(DeterminantSizeError, match="budget of 20 terms"):
+        det_stacked(top, bottom)
+
+
 def _fraction_det(rows):
     """Rational determinant by Gaussian elimination, for sizes beyond the
     reach of cofactor expansion."""
