@@ -38,7 +38,7 @@ from .crn import (
 )
 from .exactalg import IntegerMatrix
 from .fileio import ModelDimensionError, ModelFormatError, read_model, parse_rational
-from .polyring import render
+from .polyring import render, term_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,7 +118,7 @@ def render_report(report, label: str | None = None) -> str:
         inj = report.injectivity
         status = "toric" if inj.toric else f"inconclusive ({inj.reason})"
         lines.append(f"injectivity: {status}")
-        if inj.determinant is not None and len(inj.determinant.terms) <= 24:
+        if inj.determinant is not None and term_count(inj.determinant) <= 24:
             lines.append(f"  determinant = {render(inj.determinant)}")
     if report.mixed_volume_bound is not None:
         lines.append(f"mixed volume bound: {report.mixed_volume_bound}")

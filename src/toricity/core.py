@@ -24,6 +24,7 @@ from .exactalg import (
     RationalMatrix,
     _frac,
     _integer_scaling,
+    _rref_pivots,
     circuits_of_rref,
     clear_denominators,
     hermite_normal_form,
@@ -95,18 +96,23 @@ class VerticalSystem:
     extreme rays of its nonnegative kernel, the matroid partition of its
     columns, and the scaling lattice of each column partition asked for,
     so the invariance lattice is built once per system.  The RREF of C is
-    taken once, here: ``echelon`` holds its nonzero rows, ``pivots`` their
-    pivot columns.
+    taken once, here, and not at all when C is already in RREF, as the
+    row basis of a network's N is: ``echelon`` holds its nonzero rows,
+    ``pivots`` their pivot columns.
     """
 
     __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_circuits",
-                 "_positive_kernel", "_rays", "_partition", "_lattices")
+                 "_positive_kernel", "_rays", "_partition", "_lattices", "_lattice_kernels")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
             raise ValueError(f"C has {C.cols} columns but M has {M.cols}")
-        red, pivots = C.rref()
-        self.echelon = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
+        pivots = _rref_pivots(C)
+        if pivots is not None:
+            self.echelon = C
+        else:
+            red, pivots = C.rref()
+            self.echelon = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
         self.pivots = pivots
         if len(pivots) < C.rows:
             C = self.echelon
@@ -120,6 +126,7 @@ class VerticalSystem:
             raise ValueError("name list lengths do not match the matrices")
         self._circuits = self._positive_kernel = self._rays = self._partition = None
         self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
+        self._lattice_kernels: dict[IntegerMatrix, CircuitBasis] = {}
 
     @property
     def s(self) -> int:
@@ -174,6 +181,13 @@ class VerticalSystem:
             head = IntegerMatrix.with_width([r[: self.n] for r in kernel.to_lists()], self.n)
             self._lattices[partition] = hermite_normal_form(head) if head.rows else head
         return self._lattices[partition]
+
+    def lattice_kernel(self, A: IntegerMatrix) -> CircuitBasis:
+        """Circuit basis of ker A for a scaling lattice A of this system: the
+        constant-count conditions and the exact coset count both read it."""
+        if A not in self._lattice_kernels:
+            self._lattice_kernels[A] = kernel_circuit_basis(A.to_rational())
+        return self._lattice_kernels[A]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -626,7 +640,7 @@ def _exact_count_on_line(h: CosetCountingSystem) -> int:
         x0 = solve(h.A.to_rational(), h.b)
         if x0 is None:
             raise DegenerateSliceError("inconsistent slice")
-        ker = kernel_circuit_basis(h.A.to_rational())
+        ker = sys_.lattice_kernel(h.A)
         if len(ker) != 1:
             raise DegenerateSliceError("slice does not cut down to a line")
         direction = clear_denominators(ker.vectors[0])
@@ -858,7 +872,7 @@ def constant_coset_conditions(sys: VerticalSystem, inv: InvarianceResult,
     if any(sys.M.entry(i, j) < 0 for i in range(sys.n) for j in range(sys.m)):
         raise ValueError("conditions require a nonnegative exponent matrix")
     boundary = "yes" if boundary == "yes" else "unknown"
-    cond_iii = positive_row_space(inv.A)
+    cond_iii = positive_row_space(inv.A, kernel=sys.lattice_kernel(inv.A))
     cond_ii = _augmented_all_positive(sys, inv)
     return ConstantCosetConditions(boundary, cond_ii, cond_iii)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb
 
 from .exactalg import (
@@ -89,6 +90,11 @@ class ReactionNetwork:
     def reaction_text(self, k: int) -> str:
         src, tgt, label = self.reactions[k]
         return f"{self.complex_text(src)} -> {self.complex_text(tgt)}  [{label}]"
+
+    @cached_property
+    def _mass_action(self) -> tuple[IntegerMatrix, IntegerMatrix]:
+        """N and M, built on the first ``mass_action_matrices`` call and kept."""
+        return _mass_action_matrices(self)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -232,7 +238,15 @@ def parse_network(text: str) -> ReactionNetwork:
 
 
 def mass_action_matrices(net: ReactionNetwork) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Stoichiometric matrix N (target - source) and reactant matrix M."""
+    """Stoichiometric matrix N (target - source) and reactant matrix M.
+
+    Both are built once per network and kept on it; the network and the
+    matrices are immutable.
+    """
+    return net._mass_action
+
+
+def _mass_action_matrices(net: ReactionNetwork) -> tuple[IntegerMatrix, IntegerMatrix]:
     n = net.n
     ncols = net.num_reactions
     ncols_n = [[0] * ncols for _ in range(n)]

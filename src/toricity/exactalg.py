@@ -158,6 +158,21 @@ class RationalMatrix:
         return RationalMatrix._of(red._e[: len(pivots)], self.cols)
 
 
+def _rref_pivots(m: RationalMatrix) -> tuple[int, ...] | None:
+    """Pivot columns of m if m is in reduced row echelon form without zero
+    rows, and so is its own RREF; otherwise None.  Reads m once, with no
+    elimination."""
+    pivots = []
+    for row in m._e:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or row[p] != 1 or (pivots and p <= pivots[-1]):
+            return None
+        pivots.append(p)
+    if any(sum(1 for row in m._e if row[p]) != 1 for p in pivots):
+        return None
+    return tuple(pivots)
+
+
 class IntegerMatrix:
     """Immutable dense matrix over Z."""
 

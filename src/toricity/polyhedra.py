@@ -18,6 +18,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .exactalg import (
+    CircuitBasis,
     IntegerMatrix,
     InternalInconsistencyError,
     RationalMatrix,
@@ -181,13 +182,14 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
     return PositiveKernelResult(w)
 
 
-def positive_row_space(a: IntegerMatrix) -> bool:
+def positive_row_space(a: IntegerMatrix, kernel: CircuitBasis | None = None) -> bool:
     """Whether the row space of a meets the open positive orthant.
 
     A vector is in row(a) iff it is orthogonal to ker(a), so the question
-    reduces to a strictly positive kernel of a kernel basis of a.
+    reduces to a strictly positive kernel of a kernel basis of a.  A caller
+    that holds the circuit basis of ker(a) passes it as ``kernel``.
     """
-    ker = kernel_circuit_basis(a.to_rational())
+    ker = kernel if kernel is not None else kernel_circuit_basis(a.to_rational())
     if len(ker) == 0:
         return a.cols > 0
     constraints = RationalMatrix([list(v) for v in ker.vectors])

@@ -264,11 +264,25 @@ class SignVerdict(Enum):
 def sign_classify(p: SparsePolynomial) -> SignVerdict:
     if p.is_zero():
         return SignVerdict.ZERO_POLYNOMIAL
-    pos = any(c > 0 for c in p.terms.values())
-    neg = any(c < 0 for c in p.terms.values())
+    if isinstance(p, _PackedDeterminant) and p._terms is None:
+        # a term's sign is its packed coefficient's times the factor's
+        coeffs, flip = p._packed.values(), p._factor < 0
+    else:
+        coeffs, flip = p.terms.values(), False
+    pos = any(c > 0 for c in coeffs)
+    neg = any(c < 0 for c in coeffs)
+    if flip:
+        pos, neg = neg, pos
     if pos and neg:
         return SignVerdict.MIXED_SIGNS
     return SignVerdict.ALL_POSITIVE if pos else SignVerdict.ALL_NEGATIVE
+
+
+def term_count(p: SparsePolynomial) -> int:
+    """Number of terms, read without decoding a packed determinant."""
+    if isinstance(p, _PackedDeterminant) and p._terms is None:
+        return len(p._packed)
+    return len(p.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +292,15 @@ def sign_classify(p: SparsePolynomial) -> SignVerdict:
 # matrix; ``det_stacked`` first eliminates its constant rows exactly.  The
 # expansion runs on packed polynomials: dicts from one int, holding the
 # exponent vector with each variable in its own bit field, to an integer
-# coefficient.  Rows are scaled to integers first and the product of the
-# scales is divided out once, when the result is unpacked.  The memoized
-# minors of one expansion may hold at most ``_DET_TERM_BUDGET`` terms in
-# all: 4 million take about 400 MB, and the multistationarity matrix of the
-# 7-layer cascade needs 1.4 million.
+# coefficient.  Rows are scaled to integers first, and the product of the
+# scales, the row-order sign and det(A_P) make up one rational factor.  The
+# result stays packed, as a ``_PackedDeterminant``: its sign pattern and
+# whether it is zero are read from the packed coefficients and the sign of
+# the factor, and its exponent tuples and ``Fraction`` coefficients are
+# decoded only when something reads ``terms`` (rendering, evaluation,
+# equality, arithmetic).  The memoized minors of one expansion may hold at
+# most ``_DET_TERM_BUDGET`` terms in all: 4 million take about 400 MB, and
+# the multistationarity matrix of the 7-layer cascade needs 1.4 million.
 
 
 def _bit_fields(rows, variables) -> list[tuple[int, int]]:
@@ -334,8 +352,8 @@ def _pack_rows(rows, fields) -> tuple[list[list[dict[int, int]]], int]:
     return packed, scale
 
 
-def _unpack(variables, packed: dict[int, int], fields, factor: Fraction) -> SparsePolynomial:
-    """The packed polynomial times the rational ``factor``.
+def _unpack(packed: dict[int, int], fields, factor: Fraction) -> dict:
+    """Terms of the packed polynomial times the rational ``factor``.
 
     Keys are decoded eight fields at a time, and each distinct group of
     eight is decoded once: the terms of a determinant share most of them.
@@ -358,9 +376,38 @@ def _unpack(variables, packed: dict[int, int], fields, factor: Fraction) -> Spar
                     exps = seen[part] = tuple((part >> shift) & m for shift, m in chunk)
                 e += exps
             terms[e] = Fraction(c * num, den)
-    out = SparsePolynomial(variables)
-    out.terms = terms
-    return out
+    return terms
+
+
+class _PackedDeterminant(SparsePolynomial):
+    """A determinant as ``_packed_det`` left it: packed integer terms, the
+    bit fields of their keys and the rational factor they are multiplied by.
+
+    ``is_zero``, ``sign_classify`` and ``term_count`` read the packed form.
+    The first read of ``terms`` decodes it with ``_unpack``, and from then
+    on the object is the ordinary polynomial; pickling and copying give
+    that polynomial as a plain ``SparsePolynomial``.
+    """
+
+    __slots__ = ("_packed", "_fields", "_factor", "_terms")
+
+    def __init__(self, variables, packed: dict[int, int], fields, factor: Fraction):
+        self.variables = tuple(variables)
+        self._packed, self._fields, self._factor = packed, fields, factor
+        self._terms = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = _unpack(self._packed, self._fields, self._factor)
+            self._packed = self._fields = None
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not (self._packed if self._terms is None else self._terms)
+
+    def __reduce__(self):
+        return SparsePolynomial, (self.variables, self.terms)
 
 
 def _packed_det(rows, columns: int) -> dict[int, int]:
@@ -427,7 +474,7 @@ def det_symbolic(matrix) -> SparsePolynomial:
     fields = _bit_fields(rows, variables)
     packed, scale = _pack_rows(rows, fields)
     total = _packed_det(packed, (1 << n) - 1)
-    return _unpack(variables, total, fields, Fraction(_permutation_sign(order), scale))
+    return _PackedDeterminant(variables, total, fields, Fraction(_permutation_sign(order), scale))
 
 
 def _permutation_sign(perm) -> int:
@@ -499,8 +546,8 @@ def det_stacked(top, bottom: RationalMatrix) -> SparsePolynomial:
     total = _packed_det([rows[i] for i in order], (1 << s) - 1)
     if (sum(rest) - s * (s - 1) // 2) % 2:
         det_p = -det_p
-    return _unpack(variables, total, fields,
-                   Fraction(_permutation_sign(order) * det_p, scale * top_scale))
+    return _PackedDeterminant(variables, total, fields,
+                              Fraction(_permutation_sign(order) * det_p, scale * top_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
-"""The library names the benchmark harness depends on still resolve.
+"""The library names the benchmark harness depends on still resolve, and
+the harness still works on the library.
 
 ``bench/tracing.py`` wraps every function in its ``LAYERS`` table through
 ``getattr``, and the harness modules import a few names directly.  Removing
 or renaming one of them breaks ``bench/run.py`` (a traced run first of all)
-without failing any other test.
+without failing any other test.  So does a change to what the tracer's
+counters read from the results, and ``bench/selftest.py`` checks the
+harness's generators, oracles and span summary.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+from toricity.exactalg import RationalMatrix
+from toricity.polyring import SparsePolynomial, det_stacked, term_count
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -51,3 +59,23 @@ def test_harness_imports_resolve():
             "cli", "read_model"} <= names
     missing = [entry for entry in imported if not _resolves(entry[1], entry[2])]
     assert not missing, missing
+
+
+def test_selftest_passes():
+    done = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: ok" in done.stdout
+
+
+def test_determinant_term_counter():
+    """The traced ``det_stacked.terms`` counter reads a packed determinant."""
+    name, count = _load_tracing().COUNTERS["polyring.det_stacked"]
+    assert name == "polyring.det_stacked.terms"
+    variables = ("x", "y", "z")
+    x, y, z = (SparsePolynomial.variable(variables, v) for v in variables)
+    top = [[x, y, z], [y, z * z, x]]
+    bottom = RationalMatrix([[1, -2, 3]])
+    det = det_stacked(top, bottom)
+    assert term_count(det) == 6
+    assert count((top, bottom), det) == 6

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from toricity import core, polyhedra
+from toricity import core, crn, polyhedra
 from toricity.crn import analyze_network
 from toricity.fileio import read_model
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
@@ -686,14 +686,17 @@ MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "mo
 
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
-    the builders of the objects derived from (C, M), and every RREF taken."""
+    the builders of the objects derived from (C, M), through the bindings
+    of ``core`` and ``polyhedra``, and every RREF taken."""
     seen = Counter()
     for name in ("kernel_circuit_basis", "circuits_of_rref", "strictly_positive_kernel",
                  "extreme_rays", "integer_kernel_basis"):
         def counting(m, *rest, _name=name, _build=getattr(core, name)):
             seen[_name, m] += 1
             return _build(m, *rest)
-        monkeypatch.setattr(core, name, counting)
+        for module in (core, polyhedra):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     rref = RationalMatrix.rref
 
     def counting_rref(m):
@@ -748,6 +751,9 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
                                           ("shinar_feinberg.crn", "reduced"),
                                           ("triangle_cycle.crn", "direct")])
 def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
+    """Besides the derived objects: N and M are built once per network (the
+    reduced one included), N is reduced once, and the RREF of N that
+    becomes C is not reduced again."""
     net = read_model(MODELS / name).network
     seen = _count_builder_inputs(monkeypatch)
     systems = []
@@ -757,9 +763,22 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
         make(self, *args, **kwargs)
         systems.append(self.C)
     monkeypatch.setattr(VerticalSystem, "__init__", recording)
+    networks = Counter()
+    build = crn._mass_action_matrices
+
+    def counting_build(network):
+        networks[network] += 1
+        return build(network)
+    monkeypatch.setattr(crn, "_mass_action_matrices", counting_build)
     assert analyze_network(net, seed=0).verdict_source == source
     assert len(systems) == (2 if source == "reduced" else 1)
     _assert_built_once(seen, systems)
+    assert net in networks and len(networks) == len(systems), networks
+    assert set(networks.values()) == {1}, networks
+    for network in networks:
+        assert seen["rref", build(network)[0].to_rational()] == 1, network
+    for C in systems:
+        assert seen["rref", C] == 0, C
 
 
 def test_analyze_deterministic():

@@ -10,6 +10,7 @@ from toricity.exactalg import (
     IntegerMatrix,
     RationalMatrix,
     TrivialKernelError,
+    _rref_pivots,
     clear_denominators,
     hermite_normal_form,
     int_det,
@@ -300,6 +301,26 @@ def test_rref_and_rank_match_fraction_elimination(m):
     assert all(isinstance(x, Fraction) for i in range(red.rows) for x in red.row(i))
     assert m.rank() == len(expected_pivots)
     assert m.row_basis().to_lists() == [list(r) for r in rows[: len(pivots)]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices())
+def test_rref_pivots_recognise_exactly_the_rref(m):
+    """A matrix is recognised as its own RREF exactly when it equals the
+    nonzero rows of its RREF, and then with the RREF's pivots."""
+    red, pivots = m.rref()
+    basis = m.row_basis()
+    assert _rref_pivots(basis) == pivots
+    if _rref_pivots(m) is None:
+        assert m != basis
+    else:
+        assert m == basis and _rref_pivots(m) == pivots
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [0, 1]], [[2, 0]], [[0, 1], [1, 0]],
+                                  [[1, 0], [0, 0]], [[1, 0], [1, 1]]])
+def test_rref_pivots_reject_non_rref(rows):
+    assert _rref_pivots(RationalMatrix(rows)) is None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

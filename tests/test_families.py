@@ -9,8 +9,8 @@ monostationary (Feliu & Wiuf 2012).
 
 import pytest
 
-from toricity import GroupMode, Verdict, analyze_network, core, crn, parse_network, polyring
-from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic
+from toricity import GroupMode, Verdict, analyze_network, cli, core, crn, parse_network, polyring
+from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic, term_count
 
 
 def multisite(k: int) -> str:
@@ -86,3 +86,33 @@ def test_det_term_budget_gives_named_inconclusive(monkeypatch):
     assert core._augmented_all_positive(analysis.system, analysis.report.invariance) == "unknown"
     # toric needs the injectivity determinant; local toricity does not
     assert analysis.verdict == Verdict.LOCALLY_TORIC
+
+
+def test_analysis_decodes_no_determinant(monkeypatch):
+    """The verdicts read each determinant's signs in packed form: analysing
+    multisite 1-4 and cascade 1-3 decodes no determinant, and the reports
+    are those of an analysis that decodes every determinant as it is taken."""
+    nets = [parse_network(multisite(k)) for k in range(1, 5)]
+    nets += [parse_network(cascade(k)) for k in range(1, 4)]
+    decoded = []
+    unpack = polyring._unpack
+    monkeypatch.setattr(polyring, "_unpack", lambda *args: decoded.append(args) or unpack(*args))
+    packed = [analyze_network(net, GroupMode.POSITIVE, 0) for net in nets]
+    assert decoded == []
+    # text output prints a determinant of at most 24 terms and counts the rest packed
+    large = [a.report for a in packed if term_count(a.report.injectivity.determinant) > 24]
+    assert len(large) >= 2
+    for report in large:
+        assert "determinant =" not in cli.render_report(report)
+    assert decoded == []
+    for module, name in ((core, "det_stacked"), (core, "det_symbolic"), (crn, "det_stacked")):
+        def decoding(*args, _det=getattr(module, name)):
+            det = _det(*args)
+            return SparsePolynomial(det.variables, det.terms)
+        monkeypatch.setattr(module, name, decoding)
+    eager = [analyze_network(net, GroupMode.POSITIVE, 0) for net in nets]
+    assert decoded
+    for a, b in zip(packed, eager):
+        assert a.report.to_dict() == b.report.to_dict()
+        assert a.reduced_report.to_dict() == b.reduced_report.to_dict()
+        assert a.multistationarity == b.multistationarity

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from toricity import cli, core, polyring
 from toricity.cli import main
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
@@ -66,3 +67,30 @@ def test_golden_fixture_set(outputs):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_golden_output(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_determinants_decoded_only_when_rendered(monkeypatch, tmp_path):
+    """Batch rows read no determinant's terms; the JSON reports decode each
+    one when rendering it, and still give the fixtures."""
+    decoded = []  # for each decode, whether it happened inside ``render``
+    rendering = False
+    unpack = polyring._unpack
+    monkeypatch.setattr(polyring, "_unpack", lambda *args: decoded.append(rendering) or unpack(*args))
+    for name in MATRIX_MODELS + NETWORK_MODELS:
+        row = cli.run_batch_model(str(MODELS / name), cli._model_seed(0, name), 0)
+        assert row["verdict"] not in ("error", "timeout"), row
+    assert decoded == []
+
+    def flagged(p, _render=core.render):
+        nonlocal rendering
+        rendering = True
+        try:
+            return _render(p)
+        finally:
+            rendering = False
+    monkeypatch.setattr(core, "render", flagged)
+    monkeypatch.delenv("TORICITY_SEED", raising=False)
+    outputs = golden_outputs(tmp_path)
+    assert decoded and all(decoded)
+    for name in FIXTURES:
+        assert outputs[name] == (GOLDEN / name).read_text(encoding="utf-8"), name

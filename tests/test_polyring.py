@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -18,10 +20,11 @@ from toricity.polyring import (
     render,
     sign_classify,
     sturm_positive_roots,
+    term_count,
     univariate_coefficients,
 )
 
-from _oracles import oracle_det, oracle_det_stacked, oracle_positive_roots
+from _oracles import _oracle_poly_det, oracle_det, oracle_det_stacked, oracle_positive_roots
 
 
 def P(variables, terms):
@@ -349,6 +352,65 @@ def test_det_stacked_term_budget(monkeypatch):
     monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 20)
     with pytest.raises(DeterminantSizeError, match="budget of 20 terms"):
         det_stacked(top, bottom)
+
+
+def _packed_reads(p):
+    """What the analysis reads from a determinant, without its terms."""
+    return sign_classify(p), p.is_zero(), term_count(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(st.booleans(), st.booleans())
+       .flatmap(lambda flags: stacked_matrices(*flags)))
+def test_packed_reads_match_decoded(case):
+    """Sign, zero test and term count read from the packed form agree with
+    the decoded polynomial's, for the stacked and the plain determinant:
+    negative factors (odd row orders, negative det(A_P)), singular bottoms
+    and zero results included."""
+    stacked, full = _stacked(*case)
+    for det in stacked, det_symbolic(full):
+        before = _packed_reads(det)
+        plain = SparsePolynomial(det.variables, det.terms)
+        assert _packed_reads(det) == before
+        assert _packed_reads(plain) == before
+        assert det == plain and hash(det) == hash(plain)
+
+
+def test_packed_sign_follows_a_negative_factor():
+    vs = ("x", "y", "z")
+    x, y, z = (SparsePolynomial.variable(vs, v) for v in vs)
+    zero = SparsePolynomial.zero(vs)
+    # rows expanded sparsest first: an odd row order
+    swapped = det_symbolic([[x, y], [z, zero]])
+    # det(A_P) = -1
+    negative_pivot = det_stacked([[x + y, y]], RationalMatrix([[0, -1]]))
+    for det, expected in ((swapped, -(y * z)), (negative_pivot, -(x + y))):
+        assert det._factor < 0
+        assert sign_classify(det) == SignVerdict.ALL_NEGATIVE
+        assert term_count(det) == len(expected.terms)
+        assert det == expected  # decodes
+        assert sign_classify(det) == SignVerdict.ALL_NEGATIVE
+    mixed = det_stacked([[x - y, z]], RationalMatrix([[0, -1]]))
+    assert mixed._factor < 0 and sign_classify(mixed) == SignVerdict.MIXED_SIGNS
+    assert mixed == y - x
+    cancelled = det_symbolic([[x, y], [x, y]])
+    assert cancelled.is_zero() and sign_classify(cancelled) == SignVerdict.ZERO_POLYNOMIAL
+    assert term_count(cancelled) == 0 and cancelled == zero
+
+
+def test_packed_determinant_pickles_and_copies_as_its_polynomial():
+    vs = ("x", "y", "z")
+    x, y, z = (SparsePolynomial.variable(vs, v) for v in vs)
+    rows = [[x, y, z], [y * z, x, SparsePolynomial.constant(vs, 2)], [z, x * x, y.scale(-3)]]
+    expected = _oracle_poly_det(rows)
+    for decoded in (False, True):
+        det = det_symbolic(rows)
+        if decoded:
+            det.terms
+        for twin in pickle.loads(pickle.dumps(det)), copy.deepcopy(det), copy.copy(det):
+            assert type(twin) is SparsePolynomial
+            assert twin == det == expected
+            assert hash(twin) == hash(expected) and render(twin) == render(expected)
 
 
 def _fraction_det(rows):
