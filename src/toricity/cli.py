@@ -57,13 +57,6 @@ def _default_seed() -> int:
     return 0
 
 
-def _mode(value: str) -> GroupMode:
-    for mode in GroupMode:
-        if mode.value == value:
-            return mode
-    raise argparse.ArgumentTypeError(f"unknown mode {value!r}")
-
-
 # CPython's setitimer converts the limit to 64-bit nanoseconds, which overflow
 # past ~9.2e9 s.
 _TIMEOUT_MAX = 9e9
@@ -157,7 +150,7 @@ def cmd_analyze(args) -> int:
         print("error: 'analyze' expects a matrix model; use 'network' for reaction files",
               file=sys.stderr)
         return EXIT_PARSE
-    mode = _mode(args.mode) if args.mode else model.mode
+    mode = GroupMode(args.mode) if args.mode else model.mode
     seed = args.seed if args.seed is not None else _default_seed()
     options = AnalyzeOptions(boundary="yes" if args.assume_no_boundary_zeros else "unknown")
     if args.kappa:
@@ -218,7 +211,7 @@ def cmd_network(args) -> int:
         print("error: 'network' expects a reaction network file", file=sys.stderr)
         return EXIT_PARSE
     net = model.network
-    mode = _mode(args.mode) if args.mode else GroupMode.POSITIVE
+    mode = GroupMode(args.mode) if args.mode else GroupMode.POSITIVE
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         result = analyze_network(net, mode, seed, reduce=args.reduce)

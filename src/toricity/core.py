@@ -186,7 +186,7 @@ class VerticalSystem:
         """Circuit basis of ker A for a scaling lattice A of this system: the
         constant-count conditions and the exact coset count both read it."""
         if A not in self._lattice_kernels:
-            self._lattice_kernels[A] = kernel_circuit_basis(A.to_rational())
+            self._lattice_kernels[A] = kernel_circuit_basis(A)
         return self._lattice_kernels[A]
 
     def fingerprint(self) -> str:
@@ -558,7 +558,7 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
             p.terms = t  # nonzero Fractions on distinct exponents: nothing to clean
         top.append(row)
     try:
-        det = det_stacked(top, inv.A.to_rational())
+        det = det_stacked(top, inv.A)
     except DeterminantSizeError as exc:
         return InjectivityResult(False, reason=str(exc))
     sign = sign_classify(det)
@@ -637,7 +637,7 @@ def _exact_count_on_line(h: CosetCountingSystem) -> int:
     sys_ = h.base
     n = sys_.n
     if h.A.rows:
-        x0 = solve(h.A.to_rational(), h.b)
+        x0 = solve(h.A, h.b)
         if x0 is None:
             raise DegenerateSliceError("inconsistent slice")
         ker = sys_.lattice_kernel(h.A)
@@ -898,7 +898,7 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
             row.append(p * hk)
         top.append(row)
     try:
-        det = det_stacked(top, inv.A.to_rational())
+        det = det_stacked(top, inv.A)
     except DeterminantSizeError:
         return "unknown"
     if sign_classify(det) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):

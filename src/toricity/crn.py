@@ -263,7 +263,7 @@ def steady_state_system(net: ReactionNetwork) -> VerticalSystem:
     """Vertical system of the steady states: a row basis of N against the
     reactant exponents."""
     N, M = mass_action_matrices(net)
-    C = N.to_rational().row_basis()
+    C = N.row_basis()
     if C.rows == 0:
         raise ZeroDynamicsError("stoichiometric matrix is zero")
     labels = tuple(lbl for _, _, lbl in net.reactions)
@@ -272,7 +272,7 @@ def steady_state_system(net: ReactionNetwork) -> VerticalSystem:
 
 def conservation_laws(N: IntegerMatrix) -> RationalMatrix:
     """Echelon basis of the left kernel of N (one row per conserved quantity)."""
-    return left_kernel_basis(N.to_rational())
+    return left_kernel_basis(N)
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +648,10 @@ def network_structure(net: ReactionNetwork) -> NetworkStructure:
 
 
 def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = None):
-    """``network_structure``, reading the matroid partition from ``system``
-    (the network's steady-state system) when the caller has built it."""
-    N, _ = mass_action_matrices(net)
-    s = N.rank()
+    """``network_structure``, reading the rank of N and the matroid
+    partition from ``system`` (the network's steady-state system, whose C is
+    a row basis of N) when the caller has built it."""
+    s = system.s if system is not None else mass_action_matrices(net)[0].rank()
     out_edges = _complex_digraph(net)
     undirected: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
     for a, bs in out_edges.items():
@@ -780,7 +780,8 @@ def minimal_siphons(net: ReactionNetwork, budget: int = _SIPHON_BUDGET) -> list[
     return [frozenset(i for i in range(n) if z >> i & 1) for z in minimal]
 
 
-def _siphon_supported_in_rowspace(mat: RationalMatrix, siphon: frozenset[int]) -> bool:
+def _siphon_supported_in_rowspace(mat: RationalMatrix | IntegerMatrix,
+                                  siphon: frozenset[int]) -> bool:
     """Is there a nonzero v >= 0 in the row space with support inside the siphon?
 
     With the columns ordered [outside | siphon], the RREF rows whose pivot
@@ -792,7 +793,7 @@ def _siphon_supported_in_rowspace(mat: RationalMatrix, siphon: frozenset[int]) -
     inside = sorted(siphon)
     first = mat.cols - len(inside)
     order = [i for i in range(mat.cols) if i not in siphon] + inside
-    red, pivots = RationalMatrix([[row[i] for i in order] for row in mat.to_lists()]).rref()
+    red, pivots = type(mat)([[row[i] for i in order] for row in mat.to_lists()]).rref()
     span = [red.row(r)[first:] for r, p in enumerate(pivots) if p >= first]
     if len(span) <= 1:
         return bool(span) and min(span[0]) >= 0
@@ -823,7 +824,7 @@ def siphon_boundary_check(net: ReactionNetwork, A: IntegerMatrix | None = None,
     budget the 'unknown' is a ``_BudgetUnknown``, which ``analyze_network``
     reports in a note.
     """
-    mat = A.to_rational() if A is not None and A.rows else laws
+    mat = A if A is not None and A.rows else laws
     if mat is None or mat.rows == 0:
         return "unknown"
     try:

@@ -5,10 +5,15 @@ circuit-vector kernel bases, integer kernel lattices via Hermite normal form,
 and deterministic seeded sampling of kernel vectors.  Everything is exact:
 no floating point, no tolerances.
 
-The arithmetic is fraction-free.  Elimination scales each rational row to
-integers and runs Gauss-Jordan on them, keeping every row primitive;
-determinants use Bareiss elimination.  A ``Fraction`` is formed only where
-a result is handed out, such as the entries of a reduced row echelon form.
+``RationalMatrix`` and ``IntegerMatrix`` share one body: storage, access,
+transpose and elimination.  They differ only in how an entry is converted
+and how a row becomes integers.  The arithmetic is fraction-free: an
+integer matrix goes to elimination as it is, a rational row is scaled to
+integers first, and Gauss-Jordan keeps every row primitive; determinants
+use Bareiss elimination.  The kernels accept either class, so an integer
+matrix never passes through ``Fraction``s on its way in.  A ``Fraction``
+is formed only where a result is handed out, such as the entries of a
+reduced row echelon form, which is always a ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 class TrivialKernelError(ValueError):
@@ -38,35 +44,100 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class RationalMatrix:
-    """Immutable dense matrix over Q, stored row-major as Fractions."""
+class _Matrix:
+    """Immutable dense matrix, stored row-major; the body both matrix
+    classes share.  A subclass names its entry conversion ``_convert`` and
+    how its rows become integer rows, ``_integer_rows``."""
 
     __slots__ = ("rows", "cols", "_e")
 
-    def __init__(self, entries):
-        rows = tuple(tuple(_frac(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows in matrix")
-        else:
-            width = 0
+    def __init__(self, entries, cols: int | None = None):
+        """``cols`` gives the width of a matrix with no rows, and is checked
+        against the rows otherwise."""
+        rows = tuple(tuple(map(self._convert, row)) for row in entries)
+        width = len(rows[0]) if rows else cols or 0
+        if any(len(r) != width for r in rows) or cols not in (None, width):
+            raise ValueError("ragged rows in matrix")
         self.rows = len(rows)
         self.cols = width
         self._e = rows
 
     @classmethod
-    def _of(cls, rows, cols: int) -> "RationalMatrix":
-        """Wrap rows that already hold Fractions, without converting them."""
+    def with_width(cls, entries, cols: int):
+        return cls(entries, cols)
+
+    @classmethod
+    def _of(cls, rows, cols: int):
+        """Wrap tuples of converted entries, without converting them again."""
         m = cls.__new__(cls)
         m._e, m.rows, m.cols = tuple(rows), len(rows), cols
         return m
 
+    def entry(self, i: int, j: int):
+        return self._e[i][j]
+
+    def row(self, i: int) -> tuple:
+        return self._e[i]
+
+    def col(self, j: int) -> tuple:
+        return tuple(r[j] for r in self._e)
+
+    def to_lists(self) -> list[list]:
+        return [list(r) for r in self._e]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def transpose(self):
+        return self._of([self.col(j) for j in range(self.cols)], self.rows)
+
+    def mul_vector(self, v) -> tuple:
+        vv = list(v)
+        if len(vv) != self.cols:
+            raise ValueError("vector length mismatch")
+        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._e)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._e == other._e and self.cols == other.cols
+
+    def __hash__(self) -> int:
+        return hash((self._e, self.cols))
+
+    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
+        """Reduced row echelon form and pivot columns; zero rows trail.
+
+        The elimination runs on the rows as integers; each row is divided
+        by its pivot once, when the canonical form is built.
+        """
+        rows, pivots = _integer_rref(self._integer_rows(), self.cols)
+        zero = Fraction(0)
+        out = [tuple(Fraction(x, row[p]) if x else zero for x in row)
+               for row, p in zip(rows, pivots)]
+        out += [(zero,) * self.cols] * (self.rows - len(pivots))
+        return RationalMatrix._of(out, self.cols), tuple(pivots)
+
+    def rank(self) -> int:
+        return len(_integer_rref(self._integer_rows(), self.cols)[1])
+
+    def row_basis(self) -> "RationalMatrix":
+        """Nonzero rows of the RREF: a canonical basis of the row space."""
+        red, pivots = self.rref()
+        return RationalMatrix._of(red._e[: len(pivots)], self.cols)
+
+
+class RationalMatrix(_Matrix):
+    """Immutable dense matrix over Q, stored as Fractions."""
+
+    __slots__ = ()
+    _convert = staticmethod(_frac)
+
+    def _integer_rows(self) -> list[list[int]]:
+        return [_integer_scaling(r)[0] for r in self._e]
+
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        m = cls([[0] * cols for _ in range(rows)])
-        m.cols = cols
-        return m
+        return cls([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -82,80 +153,36 @@ class RationalMatrix:
     def column(cls, values) -> "RationalMatrix":
         return cls([[v] for v in values])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._e[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._e[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._e)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._e]
-
-    def transpose(self) -> "RationalMatrix":
-        t = RationalMatrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
-        t.cols = self.rows
-        return t
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ot = other.transpose()
-        prod = RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot._e] for row in self._e]
-        )
-        prod.cols = other.cols
-        return prod
-
-    def mul_vector(self, v) -> tuple[Fraction, ...]:
-        vv = [_frac(x) for x in v]
-        if len(vv) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._e)
-
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return RationalMatrix([list(a) + list(b) for a, b in zip(self._e, other._e)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return RationalMatrix(
+            [[sum(a * b for a, b in zip(row, col)) for col in ot._e] for row in self._e],
+            other.cols)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._e for x in r)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._e == other._e and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash((self._e, self.cols))
-
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._e]})"
 
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns; zero rows trail.
 
-        The elimination runs on the rows scaled to integers; each row is
-        divided by its pivot once, when the canonical form is built.
-        """
-        rows, pivots = _integer_rref([_integer_scaling(r)[0] for r in self._e], self.cols)
-        zero = Fraction(0)
-        out = [tuple(Fraction(x, row[p]) if x else zero for x in row)
-               for row, p in zip(rows, pivots)]
-        out += [(zero,) * self.cols] * (self.rows - len(pivots))
-        return RationalMatrix._of(out, self.cols), tuple(pivots)
+class IntegerMatrix(_Matrix):
+    """Immutable dense matrix over Z.  Entries must be integers: a
+    ``Fraction``, float or string is refused, not truncated."""
 
-    def rank(self) -> int:
-        return len(_integer_rref([_integer_scaling(r)[0] for r in self._e], self.cols)[1])
+    __slots__ = ()
+    _convert = staticmethod(index)
 
-    def row_basis(self) -> "RationalMatrix":
-        """Nonzero rows of the RREF: a canonical basis of the row space."""
-        red, pivots = self.rref()
-        return RationalMatrix._of(red._e[: len(pivots)], self.cols)
+    def _integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._e
+
+    def to_rational(self) -> RationalMatrix:
+        return RationalMatrix(self._e, self.cols)
+
+    def __repr__(self) -> str:
+        return f"IntegerMatrix({self.to_lists()})"
 
 
 def _rref_pivots(m: RationalMatrix) -> tuple[int, ...] | None:
@@ -171,77 +198,6 @@ def _rref_pivots(m: RationalMatrix) -> tuple[int, ...] | None:
     if any(sum(1 for row in m._e if row[p]) != 1 for p in pivots):
         return None
     return tuple(pivots)
-
-
-class IntegerMatrix:
-    """Immutable dense matrix over Z."""
-
-    __slots__ = ("rows", "cols", "_e")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows in matrix")
-        else:
-            width = 0
-        self.rows = len(rows)
-        self.cols = width
-        self._e = rows
-
-    @classmethod
-    def with_width(cls, entries, cols: int) -> "IntegerMatrix":
-        m = cls(entries)
-        if m.rows == 0:
-            m.cols = cols
-        elif m.cols != cols:
-            raise ValueError("shape mismatch")
-        return m
-
-    def entry(self, i: int, j: int) -> int:
-        return self._e[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._e[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._e)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._e]
-
-    def transpose(self) -> "IntegerMatrix":
-        t = IntegerMatrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
-        t.cols = self.rows
-        return t
-
-    def to_rational(self) -> RationalMatrix:
-        m = RationalMatrix(self._e)
-        m.cols = self.cols
-        return m
-
-    def mul_vector(self, v):
-        vv = list(v)
-        if len(vv) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._e)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def rank(self) -> int:
-        return len(_integer_rref(self._e, self.cols)[1])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegerMatrix) and self._e == other._e and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash((self._e, self.cols))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.to_lists()})"
 
 
 @dataclass(frozen=True)
@@ -267,7 +223,7 @@ class CircuitBasis:
         return u
 
 
-def kernel_circuit_basis(m: RationalMatrix) -> CircuitBasis:
+def kernel_circuit_basis(m: RationalMatrix | IntegerMatrix) -> CircuitBasis:
     """Fundamental-circuit basis of ker(m) from the RREF pivot structure.
 
     Each non-pivot column j yields the vector with 1 in position j and the
@@ -292,22 +248,17 @@ def circuits_of_rref(red: RationalMatrix, pivots) -> CircuitBasis:
     return CircuitBasis(tuple(vectors), tuple(supports), red.cols)
 
 
-def left_kernel_basis(m: RationalMatrix) -> RationalMatrix:
+def left_kernel_basis(m: RationalMatrix | IntegerMatrix) -> RationalMatrix:
     """RREF-normalized basis (as rows) of {v : v m = 0}."""
-    ker = kernel_circuit_basis(m.transpose())
-    rows = [list(v) for v in ker.vectors]
-    basis = RationalMatrix(rows)
-    basis.cols = m.rows
-    return basis.row_basis() if rows else RationalMatrix.zeros(0, m.rows)
+    return RationalMatrix._of(kernel_circuit_basis(m.transpose()).vectors, m.rows).row_basis()
 
 
-def solve(a: RationalMatrix, b) -> tuple[Fraction, ...] | None:
+def solve(a: RationalMatrix | IntegerMatrix, b) -> tuple[Fraction, ...] | None:
     """One particular solution of a x = b, or None if inconsistent."""
-    bb = [_frac(x) for x in b]
+    bb = list(b)
     if len(bb) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = a.hstack(RationalMatrix.column(bb))
-    red, pivots = aug.rref()
+    red, pivots = RationalMatrix([(*row, x) for row, x in zip(a._e, bb)], a.cols + 1).rref()
     if a.cols in pivots:
         return None
     x = [Fraction(0)] * a.cols

@@ -53,29 +53,37 @@ def rational_to_string(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _mode_from_string(text: str | None) -> GroupMode:
-    if text is None:
-        return GroupMode.POSITIVE
-    for mode in GroupMode:
-        if mode.value == text:
-            return mode
-    raise ModelFormatError(f"unknown mode {text!r}")
+def _matrix(data: dict, key: str, make):
+    """The matrix under ``key``, built by ``make``; a malformed one (not a
+    list of rows, ragged, or with an entry of the wrong kind, a bool
+    included) is a ModelFormatError."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ModelFormatError(f"matrix {key!r} must be a list of rows")
+    if any(isinstance(x, bool) for row in rows for x in row):
+        raise ModelFormatError(f"matrix {key!r} holds a boolean entry")
+    try:
+        return make(rows)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"bad matrix {key!r}: {exc}") from exc
 
 
 def load_matrix_model(data: dict) -> ModelInput:
     if "M" not in data:
         raise ModelFormatError("matrix model needs an exponent matrix 'M'")
+    M = _matrix(data, "M", IntegerMatrix)
+    text = data.get("mode")
     try:
-        M = IntegerMatrix(data["M"])
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"bad exponent matrix: {exc}") from exc
-    mode = _mode_from_string(data.get("mode"))
+        mode = GroupMode.POSITIVE if text is None else GroupMode(text)
+    except ValueError:
+        raise ModelFormatError(f"unknown mode {text!r}") from None
     N = None
     if "C" in data:
-        C = RationalMatrix([[parse_rational(x) for x in row] for row in data["C"]])
+        C = _matrix(data, "C", lambda rows: RationalMatrix(
+            [[parse_rational(x) for x in row] for row in rows]))
     elif "N" in data:
-        N = IntegerMatrix(data["N"])
-        C = N.to_rational().row_basis()
+        N = _matrix(data, "N", IntegerMatrix)
+        C = N.row_basis()
         if C.rows == 0:
             raise ModelFormatError("stoichiometric matrix is zero")
     else:

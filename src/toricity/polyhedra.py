@@ -189,12 +189,10 @@ def positive_row_space(a: IntegerMatrix, kernel: CircuitBasis | None = None) -> 
     reduces to a strictly positive kernel of a kernel basis of a.  A caller
     that holds the circuit basis of ker(a) passes it as ``kernel``.
     """
-    ker = kernel if kernel is not None else kernel_circuit_basis(a.to_rational())
+    ker = kernel if kernel is not None else kernel_circuit_basis(a)
     if len(ker) == 0:
         return a.cols > 0
-    constraints = RationalMatrix([list(v) for v in ker.vectors])
-    constraints.cols = a.cols
-    return not strictly_positive_kernel(constraints).is_empty
+    return not strictly_positive_kernel(RationalMatrix._of(ker.vectors, a.cols)).is_empty
 
 
 # ---------------------------------------------------------------------------

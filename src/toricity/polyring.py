@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm, prod
 
-from .exactalg import RationalMatrix, _frac, _integer_scaling, int_det
+from .exactalg import IntegerMatrix, RationalMatrix, _frac, _integer_scaling, int_det
 
 
 class VariableMismatchError(ValueError):
@@ -494,8 +494,8 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def det_stacked(top, bottom: RationalMatrix) -> SparsePolynomial:
-    """Determinant of [top; bottom] with polynomial top rows and rational bottom.
+def det_stacked(top, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial:
+    """Determinant of [top; bottom] with polynomial top rows and a constant bottom.
 
     One exact elimination of the constant block leaves one s x s polynomial
     minor.  The RREF of the bottom block A gives its pivot columns P and
@@ -577,19 +577,8 @@ def _trim(c):
     return c
 
 
-def _poly_rem(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[i + shift] -= f * bc
-        a = _trim(a)
-    return a
-
-
-def _poly_quo(a, b):
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b, as ascending coefficient lists."""
     a = _trim(a)
     b = _trim(b)
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
@@ -600,13 +589,13 @@ def _poly_quo(a, b):
         for i, bc in enumerate(b):
             a[i + shift] -= f * bc
         a = _trim(a)
-    return q
+    return q, a
 
 
 def _poly_gcd(a, b):
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _poly_rem(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
@@ -621,7 +610,7 @@ def squarefree_part(coeffs):
     g = _poly_gcd(c, _derivative(c))
     if len(g) <= 1:
         return c
-    return _trim(_poly_quo(c, g))
+    return _trim(_poly_divmod(c, g)[0])
 
 
 def sturm_chain(coeffs):
@@ -631,7 +620,7 @@ def sturm_chain(coeffs):
     if p1:
         chain.append(p1)
     while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append([-x for x in rem])
@@ -646,16 +635,11 @@ def _eval(coeffs, x: Fraction) -> Fraction:
 
 
 def _sign_at(coeffs, point) -> int:
-    """Sign at a rational point, or at +inf / -inf / 0+ ('pos0')."""
+    """Sign at a rational point, or at +inf / -inf."""
     if point == "+inf":
         return _sgn(coeffs[-1])
     if point == "-inf":
         return _sgn(coeffs[-1]) * (-1 if (len(coeffs) - 1) % 2 else 1)
-    if point == "pos0":
-        for c in coeffs:
-            if c != 0:
-                return _sgn(c)
-        return 0
     return _sgn(_eval(coeffs, point))
 
 
@@ -689,7 +673,7 @@ def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
             continue
         e = _frac(endpoint)
         while len(c) > 1 and _eval(c, e) == 0:
-            c = _poly_quo(c, [-e, Fraction(1)])
+            c = _poly_divmod(c, [-e, Fraction(1)])[0]
     if len(c) <= 1:
         return 0
     chain = sturm_chain(c)
@@ -700,14 +684,4 @@ def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
 
 def sturm_positive_roots(p: SparsePolynomial) -> int:
     """Number of distinct roots in (0, inf); the squarefree part is counted."""
-    coeffs, _ = univariate_coefficients(p)
-    # strip the monomial factor so 0 is not a root
-    k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
-        k += 1
-    coeffs = coeffs[k:]
-    c = squarefree_part(coeffs)
-    if len(c) <= 1:
-        return 0
-    chain = sturm_chain(c)
-    return _variations(chain, "pos0") - _variations(chain, "+inf")
+    return count_distinct_roots(p, 0)

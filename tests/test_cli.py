@@ -74,9 +74,24 @@ def test_analyze_free_pair(capsys):
     assert payload["verdict"] == "not_locally_toric"
 
 
-def test_analyze_malformed(tmp_path, capsys):
+UNIT_M = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param("{ this is not json", id="not-json"),
+    pytest.param({"C": [["1", "-1"]], "M": [[1.5, 0], [0, 1]]}, id="fractional-M"),
+    pytest.param({"C": [["1", "-1"]], "M": [[True, 0], [0, 1]]}, id="boolean-M"),
+    pytest.param({"C": [["1", "-1"], ["1"]], "M": UNIT_M}, id="ragged-C"),
+    pytest.param({"N": [[1, -1], [1]], "M": UNIT_M}, id="ragged-N"),
+    pytest.param({"C": 5, "M": UNIT_M}, id="scalar-C"),
+    pytest.param({"C": [["1", "-1"]], "M": UNIT_M, "mode": "complex"}, id="unknown-mode"),
+])
+def test_analyze_malformed(tmp_path, capsys, payload):
+    """A model that is not JSON, or whose matrices are not lists of rows of
+    one width with entries of the right kind, exits 2."""
     path = tmp_path / "bad.json"
-    path.write_text("{ this is not json", encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
     assert "error" in err

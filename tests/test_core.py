@@ -8,7 +8,7 @@ import pytest
 from toricity import core, crn, polyhedra
 from toricity.crn import analyze_network
 from toricity.fileio import read_model
-from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
+from toricity.exactalg import IntegerMatrix, RationalMatrix, _Matrix, same_row_lattice
 from toricity.core import (
     AnalyzeOptions,
     DegenerateSliceError,
@@ -687,7 +687,8 @@ MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "mo
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
     the builders of the objects derived from (C, M), through the bindings
-    of ``core`` and ``polyhedra``, and every RREF taken."""
+    of ``core`` and ``polyhedra``, and every RREF and rank taken, of either
+    matrix class."""
     seen = Counter()
     for name in ("kernel_circuit_basis", "circuits_of_rref", "strictly_positive_kernel",
                  "extreme_rays", "integer_kernel_basis"):
@@ -697,19 +698,18 @@ def _count_builder_inputs(monkeypatch) -> Counter:
         for module in (core, polyhedra):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
-    rref = RationalMatrix.rref
-
-    def counting_rref(m):
-        seen["rref", m] += 1
-        return rref(m)
-    monkeypatch.setattr(RationalMatrix, "rref", counting_rref)
+    for name in ("rref", "rank"):
+        def counting_method(m, _name=name, _method=getattr(_Matrix, name)):
+            seen[_name, m] += 1
+            return _method(m)
+        monkeypatch.setattr(_Matrix, name, counting_method)
     return seen
 
 
 def _assert_built_once(seen: Counter, coefficient_matrices):
     """Each derived object is built once, and each system's C is reduced at
     most once: when the system is made, and never again downstream."""
-    builds = {key: count for key, count in seen.items() if key[0] != "rref"}
+    builds = {key: count for key, count in seen.items() if key[0] not in ("rref", "rank")}
     assert builds and max(builds.values()) == 1, builds
     for C in coefficient_matrices:
         assert seen["rref", C] <= 1, C
@@ -752,8 +752,8 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
                                           ("triangle_cycle.crn", "direct")])
 def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     """Besides the derived objects: N and M are built once per network (the
-    reduced one included), N is reduced once, and the RREF of N that
-    becomes C is not reduced again."""
+    reduced one included), N is reduced once and never ranked, and the RREF
+    of N that becomes C is not reduced again."""
     net = read_model(MODELS / name).network
     seen = _count_builder_inputs(monkeypatch)
     systems = []
@@ -776,7 +776,8 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     assert net in networks and len(networks) == len(systems), networks
     assert set(networks.values()) == {1}, networks
     for network in networks:
-        assert seen["rref", build(network)[0].to_rational()] == 1, network
+        N = build(network)[0]
+        assert seen["rref", N] == 1 and seen["rank", N] == 0, network
     for C in systems:
         assert seen["rref", C] == 0, C
 

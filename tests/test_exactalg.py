@@ -22,6 +22,8 @@ from toricity.exactalg import (
     smith_normal_form_diagonal,
     solve,
 )
+from toricity.polyhedra import positive_row_space
+from toricity.polyring import SparsePolynomial, det_stacked
 
 from _oracles import oracle_det, oracle_rref
 
@@ -329,3 +331,48 @@ def test_rref_pivots_reject_non_rref(rows):
     .map(lambda rows: IntegerMatrix.with_width(rows + [[0] * nc], nc))))
 def test_integer_rank_matches_fraction_elimination(m):
     assert m.rank() == len(oracle_rref(m.to_lists(), m.cols)[1])
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Small integer matrices with zero rows and rows that are integer
+    combinations of others."""
+    nc = draw(st.integers(0, 5))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(entry), draw(entry)
+            rows.insert(draw(st.integers(0, len(rows))), [f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    return IntegerMatrix(rows, nc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_matrices(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_integer_matrix_agrees_with_its_rational_copy(a, b):
+    """Every kernel gives an integer matrix, read as it is, the result it
+    gives the same matrix converted to Fractions."""
+    q = a.to_rational()
+    assert a != q
+    assert a.rref() == q.rref()
+    assert a.rank() == q.rank()
+    assert a.row_basis() == q.row_basis()
+    assert kernel_circuit_basis(a) == kernel_circuit_basis(q)
+    assert left_kernel_basis(a) == left_kernel_basis(q)
+    for rhs in (b[: a.rows], a.mul_vector(b[: a.cols])):
+        assert solve(a, rhs) == solve(q, rhs)
+    assert positive_row_space(a) == positive_row_space(q)
+    if a.cols > a.rows:
+        vs = ("x", "y")
+        top = [[SparsePolynomial(vs, {(i, j % 2): b[(i + j) % 6] or 1}) for j in range(a.cols)]
+               for i in range(a.cols - a.rows)]
+        assert det_stacked(top, a) == det_stacked(top, q)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), "3", 1.0])
+def test_integer_matrix_refuses_non_integers(entry):
+    with pytest.raises(TypeError):
+        IntegerMatrix([[entry]])
