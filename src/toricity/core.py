@@ -410,7 +410,7 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
         # positive row scalings leave the rank of C diag(w) M^T unchanged
         if IntegerMatrix.with_width(_integer_jacobian(sys, vec)[0], sys.n).rank() == sys.s:
             return NondegeneracyResult("yes", vec)
-    if sys.s > 6 or comb(sys.n, sys.s) > _NONDEG_MINOR_CAP:
+    if comb(sys.n, sys.s) > _NONDEG_MINOR_CAP:
         return NondegeneracyResult("undetermined")
     lam = tuple(f"l{k+1}" for k in range(len(basis)))
     top = _scaled_jacobian_symbolic(sys, basis.vectors, lam)
@@ -517,9 +517,6 @@ class InjectivityResult:
     reason: str | None = None
 
 
-_INJECTIVITY_SUBSET_CAP = 20000
-
-
 def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityResult:
     """Sign-definite symbolic determinant certifying at most one coset.
 
@@ -536,8 +533,6 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
         if sign in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
             return InjectivityResult(True, det, sign)
         return InjectivityResult(False, det, sign, reason="degenerate lattice")
-    if sys.s > 12 or comb(sys.n, sys.s) > _INJECTIVITY_SUBSET_CAP:
-        return InjectivityResult(False, reason="determinant too large")
     mu = tuple(f"mu{j+1}" for j in range(sys.m))
     al = tuple(f"al{k+1}" for k in range(sys.n))
     variables = mu + al
@@ -973,8 +968,28 @@ class ToricityReport:
     evidence: list[EvidenceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    # A step that fills ``injectivity`` and ``nondegenerate`` the first time
+    # either is read (see ``defer``).  It is not a field: equality,
+    # ``replace``, ``asdict``, copies and pickles see the filled values.
+    _pending = None
+
     def log(self, test: str, inputs: str, outcome: str):
         self.evidence.append(EvidenceRecord(test, inputs, outcome))
+
+    def defer(self, step):
+        """Fill ``injectivity`` and ``nondegenerate`` from ``step()`` when
+        either is first read, not now.  An exception from ``step`` reaches
+        that reader and leaves the step pending."""
+        self._pending = step
+
+    def _resolve(self):
+        if self._pending is not None:
+            self.injectivity, self.nondegenerate = self._pending()
+            del self._pending
+
+    def __getstate__(self):
+        self._resolve()
+        return self.__dict__
 
     def to_dict(self) -> dict:
         inv = None
@@ -1020,6 +1035,24 @@ class ToricityReport:
                          for e in self.evidence],
             "notes": list(self.notes),
         }
+
+
+def _filled_by_pending(name: str) -> property:
+    key = "_" + name
+
+    def read(self):
+        self._resolve()
+        return self.__dict__[key]
+
+    def write(self, value):
+        self.__dict__[key] = value
+
+    return property(read, write)
+
+
+# installed after @dataclass has taken the fields' defaults from the class body
+ToricityReport.injectivity = _filled_by_pending("injectivity")
+ToricityReport.nondegenerate = _filled_by_pending("nondegenerate")
 
 
 def _coset_supports(sys: VerticalSystem, inv: InvarianceResult) -> list[SupportSet]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from .exactalg import (
@@ -33,6 +33,7 @@ from .core import (
     AnalyzeOptions,
     EmptyLocusError,
     GroupMode,
+    InjectivityResult,
     InvarianceResult,
     ToricityReport,
     Verdict,
@@ -862,6 +863,28 @@ class NetworkAnalysis:
         return self.report.verdict
 
 
+# comb(n, s) limit on the direct system's injectivity determinant when the
+# reduced network has settled the verdict and the report alone reads it
+_INJECTIVITY_ENRICHMENT_CAP = 20000
+
+
+def _direct_facts(sys_: VerticalSystem, inv: InvarianceResult):
+    """Injectivity and all-positive nondegeneracy of the full system, which
+    the reduced path records in its report but needs for no verdict."""
+    if sys_.s > 12 or comb(sys_.n, sys_.s) > _INJECTIVITY_ENRICHMENT_CAP:
+        injectivity = InjectivityResult(False, reason="determinant too large")
+    else:
+        try:
+            injectivity = injectivity_test(sys_, inv)
+        except ValueError:
+            injectivity = None
+    nondegenerate = "unknown"
+    if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
+        if nondegeneracy_all_positive(sys_).status == "yes":
+            nondegenerate = "yes-for-all-positive"
+    return injectivity, nondegenerate
+
+
 _TRANSFERABLE = (Verdict.TORIC, Verdict.GENERICALLY_TORIC, Verdict.LOCALLY_TORIC,
                  Verdict.GENERICALLY_LOCALLY_TORIC)
 
@@ -873,9 +896,11 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
 
     The reduced network (single-input intermediates removed) is analyzed
     first when reduction is enabled; a positive verdict transfers to the
-    full network with the lifted invariance matrix.  Otherwise the full
-    system is analyzed directly.  Robustness and multistationarity are
-    evaluated against the final verdict.
+    full network with the lifted invariance matrix; the full system's
+    injectivity and all-positive nondegeneracy, which that verdict does not
+    need, are then computed when the report's fields are first read.
+    Otherwise the full system is analyzed directly.  Robustness and
+    multistationarity are evaluated against the final verdict.
     """
     sys_ = steady_state_system(net)
     N, _ = mass_action_matrices(net)
@@ -934,14 +959,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
             report.invariance = direct_inv
             report.d = direct_inv.d
             if direct_inv.d == sys_.n - sys_.s:
-                try:
-                    report.injectivity = injectivity_test(sys_, direct_inv)
-                except ValueError:
-                    report.injectivity = None
-                if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
-                    ap = nondegeneracy_all_positive(sys_)
-                    if ap.status == "yes":
-                        report.nondegenerate = "yes-for-all-positive"
+                report.defer(partial(_direct_facts, sys_, direct_inv))
         report.notes.append("verdict obtained on the reduced network and lifted")
     else:
         report = analyze(sys_, mode, seed, replace(opts, boundary=boundary))

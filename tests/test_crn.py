@@ -1,14 +1,29 @@
+import copy
+import dataclasses
+import pickle
 import random
+import time
+from collections import Counter
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricity import crn
+from toricity import cli, crn
 from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
 from toricity.polyhedra import simplex_maximize
-from toricity.core import GroupMode, Verdict, injectivity_test, invariance_group
+from toricity.core import (
+    ALL_POSITIVE_ENRICHMENT_CAP,
+    GroupMode,
+    ToricityReport,
+    Verdict,
+    injectivity_test,
+    invariance_group,
+    nondegeneracy_all_positive,
+)
 from toricity.crn import (
     NetworkParseError,
     ReactionNetwork,
@@ -568,6 +583,119 @@ def test_analyze_network_shinar_feinberg():
     # the unreduced system does not pass the injectivity test
     direct = injectivity_test(res.system, invariance_group(res.system))
     assert not direct.toric
+
+
+# the 72nd network of the benchmark's screen population: n = 10, s = 8
+SCREEN_72_TEXT = """
+X5 + X6 <=> I1a -> X3 + X6
+X3 + X4 <=> I1b -> X5 + X4
+0 <=> X2
+X4 + X3 <=> I3a -> X1 + X3
+X1 + X2 <=> I3b -> X4 + X2
+X2 + X5 -> 2 X5
+X5 -> X2
+"""
+
+
+def test_nondegeneracy_minor_sweep_past_six_equations():
+    """The minor sweep is bounded by its C(n, s) cap alone, so a system
+    with s = 8 is certified degenerate rather than left undetermined."""
+    res = analyze_network(parse_network(SCREEN_72_TEXT), seed=0)
+    assert (res.report.n, res.report.s) == (10, 8)
+    assert res.report.nondegenerate == "no"
+    assert res.verdict == Verdict.INVARIANT_ONLY
+
+
+# -- the direct system's report-only facts on the reduced path ---------------
+
+MODELS = Path(crn.__file__).parent / "data" / "models"
+
+
+def _count_direct_facts(monkeypatch):
+    """Count the calls of the two report-only stages that ``crn`` makes."""
+    calls = Counter()
+    for name in ("injectivity_test", "nondegeneracy_all_positive"):
+        def counting(*args, _name=name, _stage=getattr(crn, name)):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(crn, name, counting)
+    return calls
+
+
+def _eager_direct_facts(system):
+    """The direct system's injectivity and all-positive fields as the
+    reduced path computed them before it deferred them."""
+    inj = injectivity_test(system, invariance_group(system))
+    nondegenerate = "unknown"
+    if comb(system.n, system.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
+        if nondegeneracy_all_positive(system).status == "yes":
+            nondegenerate = "yes-for-all-positive"
+    return inj, nondegenerate
+
+
+@pytest.mark.parametrize("text, all_positive_calls",
+                         [((MODELS / "idh.crn").read_text(), 1), (multisite(2), 0)],
+                         ids=["idh", "multisite_2"])
+def test_direct_facts_computed_when_read(monkeypatch, text, all_positive_calls):
+    calls = _count_direct_facts(monkeypatch)
+    res = analyze_network(parse_network(text), seed=0)
+    assert res.verdict_source == "reduced"
+    assert calls == Counter()
+    expected = Counter(injectivity_test=1, nondegeneracy_all_positive=all_positive_calls)
+    for read in (lambda r: r.nondegenerate, lambda r: r.injectivity, ToricityReport.to_dict,
+                 lambda r: r.nondegenerate, ToricityReport.to_dict):
+        read(res.report)
+        assert +calls == +expected
+
+
+@pytest.mark.parametrize("text", [multisite(k) for k in range(1, 5)]
+                         + [cascade(k) for k in range(1, 4)],
+                         ids=[f"multisite_{k}" for k in range(1, 5)]
+                         + [f"cascade_{k}" for k in range(1, 4)])
+def test_direct_facts_match_eager_call(text):
+    res = analyze_network(parse_network(text), seed=0)
+    assert res.verdict_source == "reduced"
+    assert (res.report.injectivity, res.report.nondegenerate) == _eager_direct_facts(res.system)
+
+
+@pytest.mark.parametrize("roundtrip", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_direct_facts_copy_resolved(roundtrip):
+    res = analyze_network(parse_network(IDH_TEXT), seed=0)
+    copied = roundtrip(res.report)
+    assert type(copied) is ToricityReport and "_pending" not in vars(copied)
+    assert (copied.injectivity, copied.nondegenerate) == _eager_direct_facts(res.system)
+    assert copied == res.report
+    assert copied == dataclasses.replace(res.report)
+
+
+def test_direct_facts_stay_pending_after_error(monkeypatch):
+    stage = crn.injectivity_test
+    failures = []
+
+    def failing_once(*args):
+        if not failures:
+            failures.append(args)
+            raise RuntimeError("interrupted")
+        return stage(*args)
+    monkeypatch.setattr(crn, "injectivity_test", failing_once)
+    res = analyze_network(parse_network(IDH_TEXT), seed=0)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        res.report.nondegenerate
+    assert res.report.injectivity.toric
+    assert res.report.nondegenerate == "yes-for-all-positive"
+    assert len(failures) == 1
+
+
+def test_batch_timeout_inside_direct_facts(monkeypatch):
+    entered = []
+
+    def slow(*args):
+        entered.append(args)
+        time.sleep(30)
+    monkeypatch.setattr(crn, "injectivity_test", slow)
+    row = cli.run_batch_model(str(MODELS / "idh.crn"), 0, 0.5)
+    assert entered and row["verdict"] == "timeout"
 
 
 # -- fuzz --------------------------------------------------------------------

@@ -49,6 +49,18 @@ def test_cascade(k):
     assert analysis.multistationarity.status == "monostationary"
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_cascade_past_the_injectivity_enrichment_cap(k):
+    """The reduced cascade's injectivity determinant decides the verdict and
+    is bounded by the term budget alone; the direct system's determinant is
+    report-only and stays behind its enrichment cap."""
+    analysis = analyze_network(parse_network(cascade(k)), GroupMode.POSITIVE, 0)
+    assert analysis.verdict == Verdict.TORIC
+    assert analysis.multistationarity.status == "monostationary"
+    assert analysis.reduced_report.injectivity.toric
+    assert analysis.report.injectivity.reason == "determinant too large"
+
+
 @pytest.mark.parametrize("text", [multisite(1), multisite(2), multisite(3), cascade(1), cascade(2)],
                          ids=["multisite_1", "multisite_2", "multisite_3", "cascade_1", "cascade_2"])
 def test_det_stacked_replays_as_det_symbolic(monkeypatch, text):
