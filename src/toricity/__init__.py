@@ -17,7 +17,6 @@ from .exactalg import (
     kernel_circuit_basis,
     random_kernel_vector,
     same_row_lattice,
-    smith_normal_form_diagonal,
 )
 from .polyhedra import (
     ConeRays,
@@ -109,7 +108,6 @@ __all__ = [
     "positive_row_space", "quasihomogeneity_weights", "random_kernel_vector",
     "read_model", "reduce_network", "render", "render_exchange",
     "same_row_lattice", "sign_classify", "siphon_boundary_check",
-    "smith_normal_form_diagonal", "steady_state_system",
-    "strictly_positive_kernel", "sturm_positive_roots", "write_matrix_json",
-    "__version__",
+    "steady_state_system", "strictly_positive_kernel", "sturm_positive_roots",
+    "write_matrix_json", "__version__",
 ]

@@ -124,8 +124,6 @@ def render_report(report, label: str | None = None) -> str:
     if report.coset_count is not None:
         kind = report.count.kind if report.count else "derived"
         lines.append(f"coset count: {report.coset_count} ({kind})")
-    elif report.count is not None:
-        lines.append(f"coset count: {report.count.count} ({report.count.kind})")
     if report.parameter_region_full:
         lines.append("every strictly positive parameter value admits positive zeros")
     for note in report.notes:

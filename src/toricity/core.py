@@ -598,34 +598,26 @@ def coset_counting_system(sys: VerticalSystem, inv: InvarianceResult, kappa,
     return CosetCountingSystem(sys, inv.A, kap, b, p)
 
 
-NEWTON_STARTS = 200
-NEWTON_RESIDUAL = 1e-12
-NEWTON_CLUSTER_RADIUS = 1e-6
-NEWTON_POSITIVITY_MARGIN = 1e-9
-
-
 @dataclass(frozen=True)
 class CountResult:
-    kind: str  # "exact" | "heuristic"
+    kind: str  # always "exact"
     count: int
 
 
-def count_positive_cosets(h: CosetCountingSystem, seed: int = 0,
-                          starts: int = NEWTON_STARTS) -> CountResult:
-    """Count positive zeros of the counting system.
+def count_positive_cosets(h: CosetCountingSystem) -> CountResult:
+    """Count the positive zeros of a one-equation counting system exactly.
 
-    One polynomial equation: the slice is eliminated exactly onto a line,
-    positivity bounds become an interval, and a Sturm sequence counts the
-    distinct roots.  More equations: damped multistart Newton gives a
-    clearly labeled heuristic count.
+    The slice is eliminated exactly onto a line, positivity bounds become
+    an interval, and a Sturm sequence counts the distinct roots.  Systems
+    with more equations have no exact counter here; ``export`` writes their
+    counting system for an external solver.
     """
-    sys_ = h.base
-    d = h.A.rows
-    if h.A.rank() < d:
+    if h.base.s != 1:
+        raise ValueError(f"exact coset counting needs one equation, not s={h.base.s}; "
+                         "use 'export' to count with an external solver")
+    if h.A.rank() < h.A.rows:
         raise DegenerateSliceError("slice matrix does not have full row rank")
-    if sys_.s == 1:
-        return CountResult("exact", _exact_count_on_line(h))
-    return CountResult("heuristic", _newton_count(h, seed, starts))
+    return CountResult("exact", _exact_count_on_line(h))
 
 
 def _exact_count_on_line(h: CosetCountingSystem) -> int:
@@ -693,125 +685,6 @@ def _restrict_to_line(poly: SparsePolynomial, x0, direction, variables):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _newton_count(h: CosetCountingSystem, seed: int, starts: int) -> int:
-    """Damped Newton in log coordinates: x = exp(y) keeps iterates positive."""
-    import numpy as np
-
-    sys_ = h.base
-    n = sys_.n
-    polys = sys_.polynomials(h.kappa)
-    rows = []
-    for p in polys:
-        scale = max((abs(float(c)) for c in p.terms.values()), default=1.0) or 1.0
-        rows.append([(float(c) / scale, e) for e, c in p.terms.items()])
-    lin_scale = max((abs(float(h.A.entry(i, j)))
-                     for i in range(h.A.rows) for j in range(n)), default=1.0) or 1.0
-    lin = [([float(a) / lin_scale for a in h.A.row(i)], float(h.b[i]) / lin_scale)
-           for i in range(h.A.rows)]
-
-    def fun(x):
-        """Row values and per-row magnitudes (sum of |term|) for scaling.
-
-        The residual test is relative to the term magnitudes: an absolute
-        test is unreachable in floating point once the root coordinates are
-        large, because the row value is a cancellation of huge terms.
-        """
-        vals = []
-        mags = []
-        for terms in rows:
-            acc = 0.0
-            mag = 1.0
-            for c, e in terms:
-                prod = c
-                for xi, k in zip(x, e):
-                    if k:
-                        prod *= xi ** k
-                acc += prod
-                mag += abs(prod)
-            vals.append(acc)
-            mags.append(mag)
-        for coefs, rhs in lin:
-            acc = -rhs
-            mag = 1.0 + abs(rhs)
-            for a, xi in zip(coefs, x):
-                acc += a * xi
-                mag += abs(a * xi)
-            vals.append(acc)
-            mags.append(mag)
-        return np.array(vals), np.array(mags)
-
-    def jac(x):
-        out = np.zeros((n, n))
-        for r, terms in enumerate(rows):
-            for c, e in terms:
-                for v in range(n):
-                    if e[v]:
-                        prod = c * e[v]
-                        for u, k in enumerate(e):
-                            kk = k - 1 if u == v else k
-                            if kk:
-                                prod *= x[u] ** kk
-                        out[r, v] += prod
-        for idx, (coefs, _) in enumerate(lin):
-            out[len(rows) + idx, :] = coefs
-        return out
-
-    # scale guess from the slice offsets: roots sit at or below b / |A|
-    offset_mags = [abs(float(b)) for b in h.b]
-    center = np.log10(max(sum(offset_mags) / len(offset_mags), 1e-2)) if offset_mags else 0.0
-    anchor = np.log10(np.array([float(p) for p in h.point]))
-
-    rng = random_rng(seed ^ 0xAB1E)
-    found = []
-    for trial in range(starts):
-        if trial % 2 == 0:
-            logx = np.array([rng.random() * 7.5 - 5 + center for _ in range(n)])
-        else:  # jitter around the known positive point on the slice
-            logx = anchor + np.array([rng.random() * 4 - 2 for _ in range(n)])
-        x = 10.0 ** logx
-        ok = False
-        for _ in range(120):
-            f, mags = fun(x)
-            res = float(np.max(np.abs(f) / mags))
-            if res < NEWTON_RESIDUAL:
-                ok = True
-                break
-            try:
-                # step in y = log x on magnitude-scaled rows
-                scaled_jac = jac(x) * x[None, :] / mags[:, None]
-                dy = np.linalg.solve(scaled_jac, -f / mags)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(dy)):
-                break
-            norm = float(np.max(np.abs(dy)))
-            if norm > 20.0:  # cap the log-step to stay in float range
-                dy = dy * (20.0 / norm)
-            alpha = 1.0
-            improved = False
-            while alpha > 1e-10:
-                xn = x * np.exp(alpha * dy)
-                fn, mn = fun(xn)
-                if np.all(np.isfinite(xn)) and float(np.max(np.abs(fn) / mn)) < res:
-                    x = xn
-                    improved = True
-                    break
-                alpha *= 0.5
-            if not improved:
-                break
-        if ok and float(np.min(x)) > NEWTON_POSITIVITY_MARGIN:
-            found.append(x)
-    clusters: list = []
-    for x in found:
-        for c in clusters:
-            rel = float(np.max(np.abs(c - x) / np.maximum(1.0, np.abs(c))))
-            if rel < NEWTON_CLUSTER_RADIUS:
-                break
-        else:
-            clusters.append(x)
-    return len(clusters)
 
 
 def render_exchange(h: CosetCountingSystem) -> str:
@@ -1074,9 +947,12 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
 
     Invariance lattice, nondegeneracy, dimension test, injectivity, mixed
     volume, all-positive nondegeneracy, constant-count conditions, and an
-    exact or heuristic coset count, in that order; every branch outcome is
-    appended to the evidence trail.  Counting and the positivity-specific
-    certificates run only for the positive-reals mode.
+    exact coset count, in that order; every branch outcome is appended to
+    the evidence trail.  Counting and the positivity-specific certificates
+    run only for the positive-reals mode.  The count is exact for one
+    equation (s = 1); a larger system that reaches it is reported locally
+    toric with a constant number of cosets bounded by the mixed volume, and
+    ``export`` writes its counting system for an external solver.
     """
     opts = options or AnalyzeOptions()
     rep = ToricityReport(mode=mode, seed=seed, n=sys.n, m=sys.m, s=sys.s)
@@ -1196,34 +1072,28 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
                     f"rowspace={conds.row_space_positive}")
         else:
             rep.log("constant_count_conditions", fp, "skipped (negative exponents)")
-        if conds is not None and conds.row_space_positive and conds.boundary_empty == "yes":
+        countable = (conds is not None and conds.row_space_positive
+                     and conds.boundary_empty == "yes")
+        if countable and sys.s != 1:
+            rep.log("coset_count", fp, f"skipped (s={sys.s}; exact count needs one equation)")
+        elif countable:
             kappa = opts.kappa
             if kappa is None:
                 rng = random_rng(seed ^ 0xC0FFEE)
                 kappa = tuple(Fraction(rng.randint(1, 1 << 10), 1 << 4) for _ in range(sys.m))
-            ccs = coset_counting_system(sys, inv, kappa, seed)
-            result = count_positive_cosets(ccs, seed)
+            result = count_positive_cosets(coset_counting_system(sys, inv, kappa, seed))
             rep.count = result
             rep.log("coset_count", fp, f"{result.kind}:{result.count}")
-            if result.kind == "exact":
-                rep.coset_count = result.count
-                rep.constant_count = True
-                rep.parameter_region_full = conds.all_hold
-                if result.count == 1:
-                    rep.verdict = Verdict.TORIC
-                    rep.notes.append("toric: the counting system has exactly one positive zero, "
-                                     "and the count is parameter-independent")
-                else:
-                    rep.verdict = Verdict.LOCALLY_TORIC
-                    rep.notes.append(f"locally toric with a constant count of {result.count} cosets")
-                return rep
-            # heuristic counts never upgrade the verdict
-            rep.verdict = Verdict.LOCALLY_TORIC
+            rep.coset_count = result.count
             rep.constant_count = True
-            rep.notes.append(
-                f"locally toric with a constant number of cosets (at most {mv}); "
-                f"heuristic count {result.count} is advisory only"
-            )
+            rep.parameter_region_full = conds.all_hold
+            if result.count == 1:
+                rep.verdict = Verdict.TORIC
+                rep.notes.append("toric: the counting system has exactly one positive zero, "
+                                 "and the count is parameter-independent")
+            else:
+                rep.verdict = Verdict.LOCALLY_TORIC
+                rep.notes.append(f"locally toric with a constant count of {result.count} cosets")
             return rep
         rep.verdict = Verdict.LOCALLY_TORIC
         rep.constant_count = True

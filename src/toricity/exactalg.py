@@ -383,62 +383,6 @@ def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.with_width(out, nc)
 
 
-def smith_normal_form_diagonal(m: IntegerMatrix) -> list[int]:
-    """Nonzero elementary divisors d1 | d2 | ... of m."""
-    a = [list(r) for r in m._e]
-    nr, nc = m.rows, m.cols
-    divisors = []
-    top = 0
-    left = 0
-    while top < nr and left < nc:
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, nr):
-            for j in range(left, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[left], row[bj] = row[bj], row[left]
-        # clear row and column; restart if a remainder pops up
-        dirty = False
-        for i in range(top + 1, nr):
-            q = a[i][left] // a[top][left]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-            if a[i][left] != 0:
-                dirty = True
-        for j in range(left + 1, nc):
-            q = a[top][j] // a[top][left]
-            if q:
-                for i in range(top, nr):
-                    a[i][j] -= q * a[i][left]
-            if a[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        pivot = abs(a[top][left])
-        # enforce divisibility of the remaining block
-        fixed = True
-        for i in range(top + 1, nr):
-            for j in range(left + 1, nc):
-                if a[i][j] % pivot != 0:
-                    a[top] = [x + y for x, y in zip(a[top], a[i])]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        divisors.append(pivot)
-        top += 1
-        left += 1
-    return divisors
-
-
 def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Rows form a basis of {v in Z^rows(m) : v m = 0}, i.e. of ker(m^T).
 

@@ -255,6 +255,19 @@ def test_batch_corpus_verdicts_under_optimize(tmp_path):
     assert {row["model"]: row["verdict"] for row in report["models"]} == GOLDEN_VERDICTS
 
 
+def test_batch_runs_without_numpy(tmp_path):
+    # numpy is not a runtime dependency: with its import blocked, batch still
+    # writes the golden corpus report byte for byte
+    report_path = tmp_path / "report.json"
+    proc = run_python("-c", "import os, sys; sys.modules['numpy'] = None; "
+                            "os.environ.pop('TORICITY_SEED', None); "
+                            "from toricity.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "batch", str(MODELS), "--report", str(report_path))
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "batch_report.json"
+    assert report_path.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+
 def test_batch_rows_match_single_runs(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     run_cli(capsys, "batch", str(MODELS), "--report", str(report_path))

@@ -36,6 +36,8 @@ from toricity.core import (
 )
 from toricity.polyring import SignVerdict, SparsePolynomial
 
+MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
+
 
 def idh_system() -> VerticalSystem:
     return VerticalSystem(
@@ -479,19 +481,13 @@ def test_count_exact_on_unbounded_segment():
         assert (res.kind, res.count) == ("exact", 1)
 
 
-def test_count_idh_heuristic_exactly_one():
-    # a system passing the injectivity test has at most one positive zero on
-    # every slice; here the positive zero set is never empty, so the
-    # heuristic should find exactly one for every parameter choice
+def test_count_needs_one_equation():
     sys_ = idh_system()
-    inv = invariance_group(sys_)
-    rng = random.Random(2024)
-    for trial in range(10):
-        kappa = [Fraction(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(6)]
-        ccs = coset_counting_system(sys_, inv, kappa, seed=trial)
-        res = count_positive_cosets(ccs, seed=trial, starts=60)
-        assert res.kind == "heuristic"
-        assert res.count == 1
+    ccs = coset_counting_system(sys_, invariance_group(sys_), [1] * 6, seed=0)
+    assert sys_.s == 3
+    with pytest.raises(ValueError, match="export") as info:
+        count_positive_cosets(ccs)
+    assert not isinstance(info.value, DegenerateSliceError)
 
 
 def test_count_export():
@@ -625,6 +621,31 @@ def test_analyze_triangle_with_boundary():
     assert rep.parameter_region_full
 
 
+def _block_diagonal(a: list[list], b: list[list]) -> list[list]:
+    return ([row + [0] * len(b[0]) for row in a]
+            + [[0] * len(a[0]) + row for row in b])
+
+
+def test_analyze_two_equations_reports_the_bound_not_a_count():
+    """The triangle cycle's steady state taken twice, on disjoint variables
+    and parameters, passes every constant-count condition with s = 2: the
+    verdict rests on the conditions, and no count is reported."""
+    one = crn.steady_state_system(read_model(MODELS / "triangle_cycle.crn").network)
+    sys_ = VerticalSystem(RationalMatrix(_block_diagonal(one.C.to_lists(), one.C.to_lists())),
+                          IntegerMatrix(_block_diagonal(one.M.to_lists(), one.M.to_lists())))
+    assert (sys_.s, sys_.n) == (2, 4)
+    rep = analyze(sys_, seed=0, options=AnalyzeOptions(boundary="yes"))
+    assert rep.verdict == Verdict.LOCALLY_TORIC
+    assert rep.constant_count
+    assert rep.conditions.row_space_positive and rep.conditions.boundary_empty == "yes"
+    assert rep.count is None and rep.coset_count is None
+    assert rep.to_dict()["coset_count_kind"] is None
+    assert ("coset_count", "skipped (s=2; exact count needs one equation)") in [
+        (e.test, e.outcome) for e in rep.evidence]
+    assert rep.notes == [f"locally toric with a constant number of cosets, at most "
+                         f"{rep.mixed_volume_bound}"]
+
+
 def test_analyze_square_generic_only():
     rep = analyze(square_system(), seed=0)
     assert rep.verdict == Verdict.GENERICALLY_LOCALLY_TORIC
@@ -679,9 +700,6 @@ def test_analyze_evidence_ordering():
     names = [e.test for e in toric_rep.evidence]
     assert names[: len(glt_prefix)] == glt_prefix
     assert len(names) > len(glt_prefix)
-
-
-MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
 
 def _count_builder_inputs(monkeypatch) -> Counter:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from toricity.exactalg import (
     left_kernel_basis,
     random_kernel_vector,
     same_row_lattice,
-    smith_normal_form_diagonal,
     solve,
 )
 from toricity.polyhedra import positive_row_space
@@ -207,7 +207,11 @@ def test_integer_kernel_basis_saturated():
             assert all(sum(v[k] * m.entry(k, j) for k in range(m.rows)) == 0 for j in range(m.cols))
         assert basis.rows == m.rows - m.rank()
         if basis.rows:
-            assert all(d == 1 for d in smith_normal_form_diagonal(basis))
+            # saturated: the maximal minors, whose gcd is the product of the
+            # Smith diagonal, are coprime
+            minors = [int_det([[basis.entry(i, j) for j in cols] for i in range(basis.rows)])
+                      for cols in combinations(range(basis.cols), basis.rows)]
+            assert gcd(*minors) == 1
 
 
 def test_hermite_normal_form_known():
