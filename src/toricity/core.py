@@ -14,8 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .exactalg import (
     CircuitBasis,
@@ -52,7 +51,7 @@ from .polyring import (
     SparsePolynomial,
     count_distinct_roots_coeffs,
     det_stacked,
-    det_symbolic,
+    minor_sweep,
     render,
     sign_classify,
 )
@@ -98,11 +97,12 @@ class VerticalSystem:
     so the invariance lattice is built once per system.  The RREF of C is
     taken once, here, and not at all when C is already in RREF, as the
     row basis of a network's N is: ``echelon`` holds its nonzero rows,
-    ``pivots`` their pivot columns.
+    ``pivots`` their pivot columns, ``integer_rows`` C's rows in integers.
     """
 
-    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_circuits",
-                 "_positive_kernel", "_rays", "_partition", "_lattices", "_lattice_kernels")
+    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_integer_rows",
+                 "_circuits", "_positive_kernel", "_rays", "_partition", "_lattices",
+                 "_lattice_kernels")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
@@ -124,7 +124,8 @@ class VerticalSystem:
         self.parameters = tuple(parameters) if parameters else tuple(f"k{j+1}" for j in range(M.cols))
         if len(self.variables) != M.rows or len(self.parameters) != M.cols:
             raise ValueError("name list lengths do not match the matrices")
-        self._circuits = self._positive_kernel = self._rays = self._partition = None
+        self._integer_rows = self._circuits = self._positive_kernel = None
+        self._rays = self._partition = None
         self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
         self._lattice_kernels: dict[IntegerMatrix, CircuitBasis] = {}
 
@@ -139,6 +140,13 @@ class VerticalSystem:
     @property
     def n(self) -> int:
         return self.M.rows
+
+    @property
+    def integer_rows(self) -> list[tuple[list[int], int]]:
+        """Each row of C as integers and the least denominator they share."""
+        if self._integer_rows is None:
+            self._integer_rows = [_integer_scaling(self.C.row(i)) for i in range(self.s)]
+        return self._integer_rows
 
     @property
     def circuits(self) -> CircuitBasis:
@@ -370,20 +378,23 @@ def _integer_jacobian(sys: VerticalSystem, w) -> tuple[list[list[int]], list[int
     wi, dw = _integer_scaling(w)
     m_rows = [sys.M.row(k) for k in range(sys.n)]
     rows, factors = [], []
-    for i in range(sys.s):
-        ci, dc = _integer_scaling(sys.C.row(i))
+    for ci, dc in sys.integer_rows:
         cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, wi)) if a and x]
         rows.append([sum(v * mk[j] for j, v in cw) for mk in m_rows])
         factors.append(dc * dw)
     return rows, factors
 
 
-def scaled_jacobian(sys: VerticalSystem, w) -> RationalMatrix:
-    """C diag(w) M^T: the Jacobian shape governing nondegeneracy.  The
-    entries of w are ints or Fractions."""
-    rows, factors = _integer_jacobian(sys, w)
-    return RationalMatrix._of([tuple(Fraction(x, f) for x in row) for row, f in zip(rows, factors)],
-                              sys.n)
+def _jacobian_pencil(sys: VerticalSystem, generators) -> tuple[list, list[int]]:
+    """C diag(w) M^T with w = sum_t lam_t generators[t], in integers: entry
+    (i, k) lists the coefficient of each lam_t, and row i of the matrix is
+    that integer row divided by its scale, the lcm of the generators'
+    row factors."""
+    jacobians = [_integer_jacobian(sys, g) for g in generators]
+    scales = [lcm(*(factors[i] for _, factors in jacobians)) for i in range(sys.s)]
+    rows = [[tuple(jac[i][k] * (scale // factors[i]) for jac, factors in jacobians)
+             for k in range(sys.n)] for i, scale in enumerate(scales)]
+    return rows, scales
 
 
 @dataclass(frozen=True)
@@ -398,40 +409,33 @@ _NONDEG_MINOR_CAP = 5000
 def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     """Whether C diag(w) M^T reaches rank s for some kernel vector w.
 
-    Random kernel vectors are tried first; on failure the rank over the
-    function field of kernel coordinates is settled exactly through an
-    s x s minor sweep when that is affordable, otherwise 'undetermined'.
+    Up to eleven random kernel vectors are tried.  When the first falls
+    short, one sweep of the s x s minors, if affordable, runs up to the
+    first nonzero one: none means the rank over the function field of
+    kernel coordinates is below s.  If the other ten fall short too, a
+    witness is drawn from that minor, or without one it is 'undetermined'.
     """
     basis = sys.circuits
     if len(basis) == 0:
         return NondegeneracyResult("no" if sys.s > 0 else "yes")
+    lam = tuple(f"l{k+1}" for k in range(len(basis)))
+    minor = None
     for attempt in range(11):
         vec = random_combination(basis, seed + 7919 * attempt)
         # positive row scalings leave the rank of C diag(w) M^T unchanged
         if IntegerMatrix.with_width(_integer_jacobian(sys, vec)[0], sys.n).rank() == sys.s:
             return NondegeneracyResult("yes", vec)
-    if comb(sys.n, sys.s) > _NONDEG_MINOR_CAP:
+        if attempt == 0 and comb(sys.n, sys.s) <= _NONDEG_MINOR_CAP:
+            minors = minor_sweep(*_jacobian_pencil(sys, basis.vectors), lam)
+            try:
+                minor = next((det for _, det in minors if not det.is_zero()), None)
+            except DeterminantSizeError:
+                continue
+            if minor is None:
+                return NondegeneracyResult("no")
+    if minor is None:
         return NondegeneracyResult("undetermined")
-    lam = tuple(f"l{k+1}" for k in range(len(basis)))
-    top = _scaled_jacobian_symbolic(sys, basis.vectors, lam)
-    for cols in combinations(range(sys.n), sys.s):
-        try:
-            minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
-        except DeterminantSizeError:
-            return NondegeneracyResult("undetermined")
-        if not minor.is_zero():
-            vec = _witness_from_minor(sys, basis, minor, lam, seed)
-            return NondegeneracyResult("yes", vec)
-    return NondegeneracyResult("no")
-
-
-def _scaled_jacobian_symbolic(sys: VerticalSystem, generators, lam):
-    """Entries of C diag(w) M^T with w = sum_k lam_k generators[k]."""
-    units = [tuple(int(t == k) for t in range(len(lam))) for k in range(len(lam))]
-    jacobians = [scaled_jacobian(sys, g) for g in generators]
-    return [[SparsePolynomial(lam, {e: jac.entry(i, k) for e, jac in zip(units, jacobians)
-                                    if jac.entry(i, k) != 0})
-             for k in range(sys.n)] for i in range(sys.s)]
+    return NondegeneracyResult("yes", _witness_from_minor(sys, basis, minor, lam, seed))
 
 
 def _witness_from_minor(sys, basis, minor, lam, seed):
@@ -464,8 +468,10 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
 
     The positive kernel is parametrized by the extreme rays; a single s x s
     minor that is a nonzero polynomial with one coefficient sign certifies
-    the rank for every strictly positive combination.  Failure to find one
-    is reported as 'unknown', never as a refutation.
+    the rank for every strictly positive combination.  One sweep of the
+    minors, sharing one memo and one term budget, looks for the first such
+    minor.  Failure to find one is reported as 'unknown', never as a
+    refutation.
     """
     if sys.positive_kernel.is_empty:
         raise EmptyLocusError("positive kernel is empty")
@@ -477,14 +483,12 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     if sys.s > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return AllPositiveResult("unknown", reason="minor sweep too large")
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
-    top = _scaled_jacobian_symbolic(sys, rays.rays, lam)
-    for cols in combinations(range(sys.n), sys.s):
-        try:
-            minor = det_symbolic([[top[i][j] for j in cols] for i in range(sys.s)])
-        except DeterminantSizeError as exc:
-            return AllPositiveResult("unknown", reason=str(exc))
-        if sign_classify(minor) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
-            return AllPositiveResult("yes", cols, minor)
+    try:
+        for cols, minor in minor_sweep(*_jacobian_pencil(sys, rays.rays), lam):
+            if sign_classify(minor) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
+                return AllPositiveResult("yes", cols, minor)
+    except DeterminantSizeError as exc:
+        return AllPositiveResult("unknown", reason=str(exc))
     return AllPositiveResult("unknown", reason="no sign-definite minor")
 
 
@@ -753,18 +757,18 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
         return "unknown"
     if sys.n > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return "unknown"
-    lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
-    hvars = tuple(f"h{k+1}" for k in range(sys.n))
-    variables = lam + hvars
-    base = _scaled_jacobian_symbolic(sys, rays.rays, lam)
-    top = []
-    for i in range(sys.s):
-        row = []
-        for k in range(sys.n):
-            p = base[i][k].extend(variables)
-            hk = SparsePolynomial.variable(variables, hvars[k])
-            row.append(p * hk)
-        top.append(row)
+    t = len(rays.rays)
+    variables = tuple(f"l{k+1}" for k in range(t)) + tuple(f"h{k+1}" for k in range(sys.n))
+    zero = [0] * len(variables)
+    top = [[SparsePolynomial(variables) for _ in range(sys.n)] for _ in range(sys.s)]
+    # entry (i, k) is h_k times the pencil's, set over its nonzero coefficients only
+    for row, entries, scale in zip(top, *_jacobian_pencil(sys, rays.rays)):
+        for k, (p, coeffs) in enumerate(zip(row, entries)):
+            for u, c in enumerate(coeffs):
+                if c:
+                    e = zero.copy()
+                    e[u] = e[t + k] = 1
+                    p.terms[tuple(e)] = Fraction(c, scale)
     try:
         det = det_stacked(top, inv.A)
     except DeterminantSizeError:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 from .exactalg import IntegerMatrix, RationalMatrix, _frac, _integer_scaling, int_det
@@ -29,7 +30,7 @@ class ZeroPolynomialError(ValueError):
 
 
 DET_SIZE_LIMIT = 12
-_DET_TERM_BUDGET = 4_000_000      # terms held by the minors of one expansion
+_DET_TERM_BUDGET = 4_000_000      # terms held by the minors of one expansion or sweep
 
 
 class SparsePolynomial:
@@ -171,20 +172,6 @@ class SparsePolynomial:
             out = out + mono * power(k)
         return out
 
-    def extend(self, variables) -> "SparsePolynomial":
-        """View the polynomial in a larger ring containing its variables."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        terms = {}
-        for e, c in self.terms.items():
-            ee = [0] * len(variables)
-            for p, x in zip(pos, e):
-                ee[p] = x
-            terms[tuple(ee)] = c
-        out = SparsePolynomial(variables)
-        out.terms = terms
-        return out
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -289,7 +276,8 @@ def term_count(p: SparsePolynomial) -> int:
 # Determinants
 #
 # Both determinants come down to one Laplace expansion of a square polynomial
-# matrix; ``det_stacked`` first eliminates its constant rows exactly.  The
+# matrix; ``det_stacked`` first eliminates its constant rows exactly, and
+# ``minor_sweep`` runs one expansion over every maximal minor.  The
 # expansion runs on packed polynomials: dicts from one int, holding the
 # exponent vector with each variable in its own bit field, to an integer
 # coefficient.  Rows are scaled to integers first, and the product of the
@@ -298,8 +286,8 @@ def term_count(p: SparsePolynomial) -> int:
 # whether it is zero are read from the packed coefficients and the sign of
 # the factor, and its exponent tuples and ``Fraction`` coefficients are
 # decoded only when something reads ``terms`` (rendering, evaluation,
-# equality, arithmetic).  The memoized minors of one expansion may hold at
-# most ``_DET_TERM_BUDGET`` terms in all: 4 million take about 400 MB, and
+# equality, arithmetic).  The memoized minors of one expansion or sweep
+# hold at most ``_DET_TERM_BUDGET`` terms: 4 million take about 400 MB, and
 # the multistationarity matrix of the 7-layer cascade needs 1.4 million.
 
 
@@ -410,11 +398,13 @@ class _PackedDeterminant(SparsePolynomial):
         return SparsePolynomial, (self.variables, self.terms)
 
 
-def _packed_det(rows, columns: int) -> dict[int, int]:
-    """Determinant of packed rows on the columns set in ``columns``, taken in
-    increasing order, by Laplace expansion along the rows with the minors
-    memoized on their set of columns.  Raises ``DeterminantSizeError`` once
-    the memoized minors hold more than ``_DET_TERM_BUDGET`` terms."""
+def _packed_det(rows, masks):
+    """Determinants of packed rows on each column set in ``masks``, lazily:
+    a column set is a bit mask whose columns are taken in increasing order.
+    Each is a Laplace expansion along the rows, and one memo of minors, keyed
+    by their set of columns, serves every column set of the call.  Raises
+    ``DeterminantSizeError`` once the memo and the determinant being
+    yielded hold more than ``_DET_TERM_BUDGET`` terms."""
     s = len(rows)
     memo = {0: {0: 1}}
     held = 0
@@ -449,7 +439,12 @@ def _packed_det(rows, columns: int) -> dict[int, int]:
         memo[mask] = result
         return result
 
-    return minor(columns)
+    for mask in masks:
+        det = minor(mask)
+        # no other expansion reads a full-size minor: it leaves the memo
+        del memo[mask]
+        held -= len(det)
+        yield det
 
 
 def det_symbolic(matrix) -> SparsePolynomial:
@@ -473,8 +468,33 @@ def det_symbolic(matrix) -> SparsePolynomial:
     rows = [matrix[i] for i in order]
     fields = _bit_fields(rows, variables)
     packed, scale = _pack_rows(rows, fields)
-    total = _packed_det(packed, (1 << n) - 1)
+    total = next(_packed_det(packed, [(1 << n) - 1]))
     return _PackedDeterminant(variables, total, fields, Fraction(_permutation_sign(order), scale))
+
+
+def minor_sweep(rows, scales, variables):
+    """Every s x s minor of an s x n matrix linear in the variables, lazily,
+    as ``(columns, determinant)`` in ``itertools.combinations`` order.
+
+    ``rows[i][k]`` holds the integer coefficient of each variable in entry
+    (i, k); row i of the matrix is that row over ``scales[i]``.  It is packed
+    once, sparsest rows first, and one ``_packed_det`` expansion shares its
+    memo and term budget across all minors.  Above the size guard the first
+    minor raises."""
+    s = len(rows)
+    if s > DET_SIZE_LIMIT:
+        raise DeterminantSizeError(
+            f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})")
+    width = s.bit_length()   # no variable exceeds degree s in a minor
+    fields = [(t * width, (1 << width) - 1) for t in range(len(variables))]
+    order = sorted(range(s), key=lambda i: sum(1 for entry in rows[i] if any(entry)))
+    packed = [[{1 << shift: c for (shift, _), c in zip(fields, entry) if c} for entry in rows[i]]
+              for i in order]
+    factor = Fraction(_permutation_sign(order), prod(scales))
+    columns = range(len(rows[0]))
+    masks = (sum(1 << k for k in cols) for cols in combinations(columns, s))
+    for cols, det in zip(combinations(columns, s), _packed_det(packed, masks)):
+        yield cols, _PackedDeterminant(variables, det, fields, factor)
 
 
 def _permutation_sign(perm) -> int:
@@ -543,7 +563,7 @@ def det_stacked(top, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial
             reduced.append({k: v for k, v in acc.items() if v})
         rows.append(reduced)
     order = sorted(range(s), key=lambda i: sum(1 for p in rows[i] if p))
-    total = _packed_det([rows[i] for i in order], (1 << s) - 1)
+    total = next(_packed_det([rows[i] for i in order], [(1 << s) - 1]))
     if (sum(rest) - s * (s - 1) // 2) % 2:
         det_p = -det_p
     return _PackedDeterminant(variables, total, fields,

@@ -10,6 +10,9 @@ package's Cayley triangulation replaced; it shares only the package's
 integer determinant.  Minimal siphons use the sweep over all species
 subsets that the package's closure branching replaced, and siphon support
 uses one LP over the whole row space in place of the package's rank test.
+The two nondegeneracy tests take one ``det_symbolic`` per column subset of
+a Jacobian summed over Fractions, where the package runs one shared sweep
+over an integer pencil.
 
 The exact kernels that the package runs in integer arithmetic keep their
 ``Fraction`` versions here: the reduced row echelon form, the two-phase
@@ -19,9 +22,23 @@ kernel.  The other oracles use these, never the package's own kernels.
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from toricity.exactalg import int_det
+from toricity.core import (
+    _ALLPOS_MINOR_CAP,
+    _NONDEG_MINOR_CAP,
+    AllPositiveResult,
+    EmptyLocusError,
+    NondegeneracyResult,
+)
+from toricity.exactalg import int_det, random_combination, random_rng
+from toricity.polyring import (
+    DeterminantSizeError,
+    SignVerdict,
+    SparsePolynomial,
+    det_symbolic,
+    sign_classify,
+)
 
 
 # --- Exact kernels over Fractions --------------------------------------------
@@ -279,6 +296,87 @@ def oracle_det_stacked(top, bottom):
         sign = -1 if (sum(cols) - s * (s - 1) // 2) % 2 else 1
         total = total + minor.scale(sign * const)
     return total
+
+
+# --- Nondegeneracy by one determinant per minor -------------------------------
+
+
+def oracle_scaled_jacobian(sys_, generators, lam):
+    """Entries of C diag(w) M^T with w = sum_k lam_k generators[k], each
+    coefficient summed over Fractions."""
+    entries = []
+    for i in range(sys_.s):
+        row = []
+        for k in range(sys_.n):
+            terms = {}
+            for idx, g in enumerate(generators):
+                coeff = sum(sys_.C.entry(i, j) * g[j] * sys_.M.entry(k, j) for j in range(sys_.m))
+                if coeff:
+                    e = [0] * len(lam)
+                    e[idx] = 1
+                    terms[tuple(e)] = coeff
+            row.append(SparsePolynomial(lam, terms))
+        entries.append(row)
+    return entries
+
+
+def oracle_nondegeneracy(sys_, seed: int) -> NondegeneracyResult:
+    """Eleven random kernel vectors, each Jacobian ranked by Gauss-Jordan
+    over Fractions; then one ``det_symbolic`` per s x s minor, and a witness
+    drawn from the first nonzero one."""
+    basis = sys_.circuits
+    if len(basis) == 0:
+        return NondegeneracyResult("no" if sys_.s > 0 else "yes")
+    for attempt in range(11):
+        vec = random_combination(basis, seed + 7919 * attempt)
+        jac = [[sum(sys_.C.entry(i, j) * vec[j] * sys_.M.entry(k, j) for j in range(sys_.m))
+                for k in range(sys_.n)] for i in range(sys_.s)]
+        if len(oracle_rref(jac, sys_.n)[1]) == sys_.s:
+            return NondegeneracyResult("yes", vec)
+    if comb(sys_.n, sys_.s) > _NONDEG_MINOR_CAP:
+        return NondegeneracyResult("undetermined")
+    lam = tuple(f"l{k+1}" for k in range(len(basis)))
+    top = oracle_scaled_jacobian(sys_, basis.vectors, lam)
+    for cols in combinations(range(sys_.n), sys_.s):
+        try:
+            minor = det_symbolic([[row[j] for j in cols] for row in top])
+        except DeterminantSizeError:
+            return NondegeneracyResult("undetermined")
+        if minor.is_zero():
+            continue
+        rng = random_rng(seed ^ 0x5EED)
+        for _ in range(64):
+            point = {name: Fraction(rng.randint(-(1 << 16), 1 << 16)) for name in lam}
+            if minor.evaluate(point) != 0:
+                w = [sum(point[name] * g[j] for name, g in zip(lam, basis.vectors))
+                     for j in range(sys_.m)]
+                return NondegeneracyResult("yes", tuple(w))
+        return NondegeneracyResult("yes")
+    return NondegeneracyResult("no")
+
+
+def oracle_all_positive(sys_) -> AllPositiveResult:
+    """The first sign-definite s x s minor of the Jacobian over the extreme
+    rays, by one ``det_symbolic`` per column subset."""
+    if sys_.positive_kernel.is_empty:
+        raise EmptyLocusError("positive kernel is empty")
+    if sys_.s == 0:
+        return AllPositiveResult("yes")
+    rays = sys_.rays.rays
+    if not rays:
+        raise EmptyLocusError("positive kernel is empty")
+    if sys_.s > 12 or comb(sys_.n, sys_.s) > _ALLPOS_MINOR_CAP:
+        return AllPositiveResult("unknown", reason="minor sweep too large")
+    lam = tuple(f"l{k+1}" for k in range(len(rays)))
+    top = oracle_scaled_jacobian(sys_, rays, lam)
+    for cols in combinations(range(sys_.n), sys_.s):
+        try:
+            minor = det_symbolic([[row[j] for j in cols] for row in top])
+        except DeterminantSizeError as exc:
+            return AllPositiveResult("unknown", reason=str(exc))
+        if sign_classify(minor) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
+            return AllPositiveResult("yes", cols, minor)
+    return AllPositiveResult("unknown", reason="no sign-definite minor")
 
 
 # --- Mixed volume by inclusion-exclusion over Minkowski sums -----------------

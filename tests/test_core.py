@@ -36,6 +36,8 @@ from toricity.core import (
 )
 from toricity.polyring import SignVerdict, SparsePolynomial
 
+from _oracles import oracle_scaled_jacobian
+
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
 
@@ -271,25 +273,6 @@ def test_all_positive_idh():
     assert res.status == "yes"
 
 
-def _symbolic_scaled_jacobian(sys_, rays, lam):
-    # entries of C diag(w) M^T with w = sum of lam_k * ray_k, built directly
-    entries = []
-    for i in range(sys_.s):
-        row = []
-        for k in range(sys_.n):
-            terms = {}
-            for idx, ray in enumerate(rays):
-                coeff = sum(sys_.C.entry(i, j) * ray[j] * sys_.M.entry(k, j)
-                            for j in range(sys_.m))
-                if coeff:
-                    e = [0] * len(lam)
-                    e[idx] = 1
-                    terms[tuple(e)] = coeff
-            row.append(SparsePolynomial(lam, terms))
-        entries.append(row)
-    return entries
-
-
 def test_all_positive_idh_certificate_matches_reference():
     # the certificate minor on variable columns 1, 3, 4 factors as
     # (u_a + u_c) * u_a * (u_a + u_b), with u_a the coefficient of the ray
@@ -305,7 +288,7 @@ def test_all_positive_idh_certificate_matches_reference():
     ub = var_of[(0, 0, 0, 1, 1, 0)]
     uc = var_of[(1, 1, 0, 0, 0, 0)]
     expected = (ua + uc) * ua * (ua + ub)
-    top = _symbolic_scaled_jacobian(sys_, rays, lam)
+    top = oracle_scaled_jacobian(sys_, rays, lam)
     minor = det_symbolic([[top[i][j] for j in (0, 2, 3)] for i in range(3)])
     assert minor == expected
     res = nondegeneracy_all_positive(sys_)
@@ -318,10 +301,11 @@ def test_all_positive_triangle():
     assert nondegeneracy_all_positive(triangle_system()).status == "yes"
 
 
-def test_triangle_augmented_determinant_matches_reference():
+def test_triangle_augmented_determinant_matches_reference(monkeypatch):
     # determinant of [C diag(w) M^T diag(h); A] with w on the positive kernel
     # rays: equals -(9 h1 + 4 h2)(2 u_a + 4 u_b + u_c) with u_a the
-    # coefficient of ray (2,0,0,1), u_b of (0,0,2,1), u_c of (0,1,1,0)
+    # coefficient of ray (2,0,0,1), u_b of (0,0,2,1), u_c of (0,1,1,0);
+    # condition (ii) takes the same determinant
     from toricity.polyhedra import extreme_rays
     from toricity.polyring import det_stacked
 
@@ -331,9 +315,8 @@ def test_triangle_augmented_determinant_matches_reference():
     lam = tuple(f"l{k+1}" for k in range(len(rays)))
     hv = ("h1", "h2")
     vs = lam + hv
-    base = _symbolic_scaled_jacobian(sys_, rays, lam)
-    top = [[base[0][k].extend(vs) * SparsePolynomial.variable(vs, hv[k])
-            for k in range(2)]]
+    base = oracle_scaled_jacobian(sys_, rays, vs)  # in the ring of the l and h variables
+    top = [[base[0][k] * SparsePolynomial.variable(vs, hv[k]) for k in range(2)]]
     det = det_stacked(top, inv.A.to_rational())
     var_of = {ray: SparsePolynomial.variable(vs, lam[i]) for i, ray in enumerate(rays)}
     h1 = SparsePolynomial.variable(vs, "h1")
@@ -343,6 +326,11 @@ def test_triangle_augmented_determinant_matches_reference():
         + var_of[(0, 1, 1, 0)]
     )
     assert det == expected
+    taken = []
+    monkeypatch.setattr(core, "det_stacked",
+                        lambda *args: taken.append(det_stacked(*args)) or taken[-1])
+    assert core._augmented_all_positive(sys_, inv) == "yes"
+    assert taken == [expected]
 
 
 def test_all_positive_one_row():

@@ -102,8 +102,9 @@ def test_det_term_budget_gives_named_inconclusive(monkeypatch):
 
 def test_analysis_decodes_no_determinant(monkeypatch):
     """The verdicts read each determinant's signs in packed form: analysing
-    multisite 1-4 and cascade 1-3 decodes no determinant, and the reports
-    are those of an analysis that decodes every determinant as it is taken."""
+    multisite 1-4 and cascade 1-3 decodes no determinant, not even the
+    minors of the nondegeneracy sweeps, and the reports are those of an
+    analysis that decodes every determinant as it is taken."""
     nets = [parse_network(multisite(k)) for k in range(1, 5)]
     nets += [parse_network(cascade(k)) for k in range(1, 4)]
     decoded = []
@@ -117,13 +118,20 @@ def test_analysis_decodes_no_determinant(monkeypatch):
     for report in large:
         assert "determinant =" not in cli.render_report(report)
     assert decoded == []
-    for module, name in ((core, "det_stacked"), (core, "det_symbolic"), (crn, "det_stacked")):
-        def decoding(*args, _det=getattr(module, name)):
+    for module in (core, crn):
+        def decoding(*args, _det=module.det_stacked):
             det = _det(*args)
             return SparsePolynomial(det.variables, det.terms)
-        monkeypatch.setattr(module, name, decoding)
+        monkeypatch.setattr(module, "det_stacked", decoding)
+    swept = []
+
+    def decoding_sweep(*args):
+        for cols, det in polyring.minor_sweep(*args):
+            swept.append(cols)
+            yield cols, SparsePolynomial(det.variables, det.terms)
+    monkeypatch.setattr(core, "minor_sweep", decoding_sweep)
     eager = [analyze_network(net, GroupMode.POSITIVE, 0) for net in nets]
-    assert decoded
+    assert decoded and swept
     for a, b in zip(packed, eager):
         assert a.report.to_dict() == b.report.to_dict()
         assert a.reduced_report.to_dict() == b.reduced_report.to_dict()
