@@ -539,25 +539,11 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
         return InjectivityResult(False, det, sign, reason="degenerate lattice")
     mu = tuple(f"mu{j+1}" for j in range(sys.m))
     al = tuple(f"al{k+1}" for k in range(sys.n))
-    variables = mu + al
     # entry (i, k) is the sum over j of C_ij M_kj mu_j al_k, over nonzero products only
-    exponents = [[k for k in range(sys.n) if sys.M.entry(k, j)] for j in range(sys.m)]
-    zero = [0] * len(variables)
-    top = []
-    for i in range(sys.s):
-        terms = [{} for _ in range(sys.n)]
-        for j, c in enumerate(sys.C.row(i)):
-            if c:
-                for k in exponents[j]:
-                    e = zero.copy()
-                    e[j] = e[sys.m + k] = 1
-                    terms[k][tuple(e)] = c * sys.M.entry(k, j)
-        row = [SparsePolynomial(variables) for _ in terms]
-        for p, t in zip(row, terms):
-            p.terms = t  # nonzero Fractions on distinct exponents: nothing to clean
-        top.append(row)
+    top = [[{(j, sys.m + k): c * e for j, (c, e) in enumerate(zip(ci, sys.M.row(k))) if c and e}
+            for k in range(sys.n)] for ci, _ in sys.integer_rows]
     try:
-        det = det_stacked(top, inv.A)
+        det = det_stacked(top, [dc for _, dc in sys.integer_rows], mu + al, inv.A)
     except DeterminantSizeError as exc:
         return InjectivityResult(False, reason=str(exc))
     sign = sign_classify(det)
@@ -759,18 +745,12 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
         return "unknown"
     t = len(rays.rays)
     variables = tuple(f"l{k+1}" for k in range(t)) + tuple(f"h{k+1}" for k in range(sys.n))
-    zero = [0] * len(variables)
-    top = [[SparsePolynomial(variables) for _ in range(sys.n)] for _ in range(sys.s)]
-    # entry (i, k) is h_k times the pencil's, set over its nonzero coefficients only
-    for row, entries, scale in zip(top, *_jacobian_pencil(sys, rays.rays)):
-        for k, (p, coeffs) in enumerate(zip(row, entries)):
-            for u, c in enumerate(coeffs):
-                if c:
-                    e = zero.copy()
-                    e[u] = e[t + k] = 1
-                    p.terms[tuple(e)] = Fraction(c, scale)
+    rows, scales = _jacobian_pencil(sys, rays.rays)
+    # entry (i, k) is h_k times the pencil's, over its nonzero coefficients only
+    top = [[{(u, t + k): c for u, c in enumerate(coeffs) if c} for k, coeffs in enumerate(row)]
+           for row in rows]
     try:
-        det = det_stacked(top, inv.A)
+        det = det_stacked(top, scales, variables, inv.A)
     except DeterminantSizeError:
         return "unknown"
     if sign_classify(det) in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):

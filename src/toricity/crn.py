@@ -24,7 +24,6 @@ from .polyhedra import simplex_maximize
 from .polyring import (
     DeterminantSizeError,
     SignVerdict,
-    SparsePolynomial,
     det_stacked,
     sign_classify,
 )
@@ -575,20 +574,9 @@ def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
             "inconclusive",
             reason="matrix is not square (only the determinant criterion is implemented)")
     al = tuple(f"al{k+1}" for k in range(n))
-    top = []
-    for i in range(kernel_rows.rows):
-        row = []
-        for k in range(n):
-            v = kernel_rows.entry(i, k)
-            if v:
-                e = [0] * n
-                e[k] = 1
-                row.append(SparsePolynomial(al, {tuple(e): v}))
-            else:
-                row.append(SparsePolynomial.zero(al))
-        top.append(row)
+    top = [[{(k,): v} if v else {} for k, v in enumerate(row)] for row in kernel_rows.to_lists()]
     try:
-        det = det_stacked(top, laws)
+        det = det_stacked(top, [1] * len(top), al, laws)
     except DeterminantSizeError as exc:
         return MultistationarityResult("inconclusive", reason=str(exc))
     sign = sign_classify(det)

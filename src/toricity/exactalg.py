@@ -49,7 +49,7 @@ class _Matrix:
     classes share.  A subclass names its entry conversion ``_convert`` and
     how its rows become integer rows, ``_integer_rows``."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_split")
 
     def __init__(self, entries, cols: int | None = None):
         """``cols`` gives the width of a matrix with no rows, and is checked
@@ -61,6 +61,7 @@ class _Matrix:
         self.rows = len(rows)
         self.cols = width
         self._e = rows
+        self._split = None
 
     @classmethod
     def with_width(cls, entries, cols: int):
@@ -70,7 +71,7 @@ class _Matrix:
     def _of(cls, rows, cols: int):
         """Wrap tuples of converted entries, without converting them again."""
         m = cls.__new__(cls)
-        m._e, m.rows, m.cols = tuple(rows), len(rows), cols
+        m._e, m.rows, m.cols, m._split = tuple(rows), len(rows), cols, None
         return m
 
     def entry(self, i: int, j: int):
@@ -111,19 +112,35 @@ class _Matrix:
         by its pivot once, when the canonical form is built.
         """
         rows, pivots = _integer_rref(self._integer_rows(), self.cols)
-        zero = Fraction(0)
-        out = [tuple(Fraction(x, row[p]) if x else zero for x in row)
-               for row, p in zip(rows, pivots)]
-        out += [(zero,) * self.cols] * (self.rows - len(pivots))
+        out = _divide_by_pivots(rows, pivots, slice(None))
+        out += [(_ZERO,) * self.cols] * (self.rows - len(pivots))
         return RationalMatrix._of(out, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(_integer_rref(self._integer_rows(), self.cols)[1])
 
     def row_basis(self) -> "RationalMatrix":
-        """Nonzero rows of the RREF: a canonical basis of the row space."""
-        red, pivots = self.rref()
-        return RationalMatrix._of(red._e[: len(pivots)], self.cols)
+        """Nonzero rows of the RREF: a canonical basis of the row space, from
+        the elimination ``left_kernel_basis`` reads too."""
+        return self._row_and_left_kernel()[0]
+
+    def _row_and_left_kernel(self) -> tuple["RationalMatrix", "RationalMatrix"]:
+        """The nonzero rows of RREF(self) and the RREF basis of its left
+        kernel, from one fraction-free Gauss-Jordan pass over [self | I] (row
+        i scaled by its least denominator), kept on the matrix.  The rows
+        that pivot in the left block are the nonzero rows of RREF(self); the
+        rest have a zero left block, so their right blocks v satisfy
+        v self = 0, are rows - rank many, and are in RREF themselves."""
+        if self._split is None:
+            m, n = self.cols, self.rows
+            aug = [ints + [d if k == i else 0 for k in range(n)]
+                   for i, (ints, d) in enumerate(map(_integer_scaling, self._e))]
+            rows, pivots = _integer_rref(aug, m + n)
+            r = sum(1 for p in pivots if p < m)
+            self._split = (
+                RationalMatrix._of(_divide_by_pivots(rows[:r], pivots, slice(m)), m),
+                RationalMatrix._of(_divide_by_pivots(rows[r:], pivots[r:], slice(m, None)), n))
+        return self._split
 
 
 class RationalMatrix(_Matrix):
@@ -249,8 +266,10 @@ def circuits_of_rref(red: RationalMatrix, pivots) -> CircuitBasis:
 
 
 def left_kernel_basis(m: RationalMatrix | IntegerMatrix) -> RationalMatrix:
-    """RREF-normalized basis (as rows) of {v : v m = 0}."""
-    return RationalMatrix._of(kernel_circuit_basis(m.transpose()).vectors, m.rows).row_basis()
+    """RREF-normalized basis (as rows) of {v : v m = 0}.  It comes from the
+    one elimination of [m | I] that also gives ``m.row_basis()``, kept on m,
+    so a stoichiometric matrix is eliminated once for both."""
+    return m._row_and_left_kernel()[1]
 
 
 def solve(a: RationalMatrix | IntegerMatrix, b) -> tuple[Fraction, ...] | None:
@@ -279,6 +298,15 @@ def _integer_scaling(vec) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in vec]
     d = lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
+
+
+_ZERO = Fraction(0)
+
+
+def _divide_by_pivots(rows, pivots, part: slice) -> list[tuple[Fraction, ...]]:
+    """The columns ``part`` of RREF rows, from the rows of ``_integer_rref``."""
+    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in row[part])
+            for row, p in zip(rows, pivots)]
 
 
 def _integer_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -348,6 +376,9 @@ def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     the row lattice is preserved.  Pivot columns are chosen lowest-first.
+    An entry b below a pivot a is cleared in one step: a multiple of the
+    pivot row when a divides b, else the unimodular 2 x 2 step
+    (x, y; -b/g, a/g) with x a + y b = g = gcd(a, b), leaving g as pivot.
     """
     h = [list(r) for r in m._e]
     nr, nc = m.rows, m.cols
@@ -355,32 +386,34 @@ def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
     for c in range(nc):
         if r >= nr:
             break
-        while True:
-            nz = [i for i in range(r, nr) if h[i][c] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                i0 = nz[0]
-                h[r], h[i0] = h[i0], h[r]
-                break
-            i0 = min(nz, key=lambda i: abs(h[i][c]))
-            for i in nz:
-                if i == i0:
-                    continue
-                q = h[i][c] // h[i0][c]
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[i0])]
-        if h[r][c] == 0:
+        i0 = next((i for i in range(r, nr) if h[i][c]), None)
+        if i0 is None:
             continue
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
+        h[r], h[i0] = h[i0], h[r]
+        prow = h[r]
+        for i in range(r + 1, nr):
+            row, a, b = h[i], prow[c], h[i][c]
+            if not b:
+                continue
+            if b % a == 0:
+                q = b // a
+                h[i] = [u - q * v for u, v in zip(row, prow)]
+            else:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                x = pow(a, -1, abs(b))  # Bezout: x a + y b = 1
+                y = (1 - x * a) // b
+                prow, h[i] = ([x * v + y * u for u, v in zip(row, prow)],
+                              [a * u - b * v for u, v in zip(row, prow)])
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        h[r] = prow
         for i in range(r):
-            q = h[i][c] // h[r][c]
+            q = h[i][c] // prow[c]
             if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                h[i] = [u - q * v for u, v in zip(h[i], prow)]
         r += 1
-    out = [row for row in h[:r]]
-    return IntegerMatrix.with_width(out, nc)
+    return IntegerMatrix.with_width(h[:r], nc)
 
 
 def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:

@@ -275,14 +275,15 @@ def term_count(p: SparsePolynomial) -> int:
 # ---------------------------------------------------------------------------
 # Determinants
 #
-# Both determinants come down to one Laplace expansion of a square polynomial
-# matrix; ``det_stacked`` first eliminates its constant rows exactly, and
-# ``minor_sweep`` runs one expansion over every maximal minor.  The
-# expansion runs on packed polynomials: dicts from one int, holding the
-# exponent vector with each variable in its own bit field, to an integer
-# coefficient.  Rows are scaled to integers first, and the product of the
-# scales, the row-order sign and det(A_P) make up one rational factor.  The
-# result stays packed, as a ``_PackedDeterminant``: its sign pattern and
+# Each determinant is one Laplace expansion of a square matrix of integer
+# polynomials; ``det_stacked`` first eliminates its constant rows exactly,
+# and ``minor_sweep`` runs one expansion over every maximal minor.  Callers
+# build the rows in integers, each over a scale, with monomials as tuples of
+# variable indices; ``det_symbolic`` converts its ``SparsePolynomial``s so.
+# ``_pack`` turns a monomial into one int, holding the exponent vector with
+# each variable in its own bit field.  The product of the scales, the
+# row-order sign and det(A_P) make up one rational factor.  The result
+# stays packed, as a ``_PackedDeterminant``: its sign pattern and
 # whether it is zero are read from the packed coefficients and the sign of
 # the factor, and its exponent tuples and ``Fraction`` coefficients are
 # decoded only when something reads ``terms`` (rendering, evaluation,
@@ -291,53 +292,38 @@ def term_count(p: SparsePolynomial) -> int:
 # the multistationarity matrix of the 7-layer cascade needs 1.4 million.
 
 
-def _bit_fields(rows, variables) -> list[tuple[int, int]]:
-    """Bit offset and mask of each variable's field in a packed exponent.
+def _pack(rows, nvars: int) -> tuple[list[list[dict[int, int]]], list[tuple[int, int]]]:
+    """Rows of integer polynomials keyed by monomials, keyed by packed
+    exponents instead, and the bit offset and mask of each variable's field.
 
-    A field holds the variable's degree bound for a product of one entry per
-    row: the sum over the rows of the row's largest exponent.  Every term of
-    every minor stays within it, so packed exponents add without carries.
+    A field holds the sum over the rows of the variable's largest degree in
+    a monomial of the row.  Each term of a minor, before or after column
+    operations within the rows, multiplies one monomial of each row, so it
+    stays within every field and packed exponents add without carries.
     """
-    bounds = [0] * len(variables)
+    bounds = [0] * nvars
     for row in rows:
-        for p in row:
-            if p.variables != variables:
-                raise VariableMismatchError(f"variables {p.variables} vs {variables}")
-        exps = [e for p in row for e in p.terms]
-        if exps:
-            bounds = [b + max(col) for b, col in zip(bounds, zip(*exps))]
-    fields = []
-    shift = 0
+        degree = {}
+        for mono in {mono for entry in row for mono in entry}:
+            for v in mono:
+                degree[v] = max(degree.get(v, 0), mono.count(v))
+        if degree and (min(degree) < 0 or max(degree) >= nvars):
+            raise ValueError(f"a monomial names a variable outside 0..{nvars - 1}")
+        for v, k in degree.items():
+            bounds[v] += k
+    fields, bits, shift = [], [], 0
     for b in bounds:
-        width = b.bit_length()
-        fields.append((shift, (1 << width) - 1))
-        shift += width
-    return fields
+        fields.append((shift, (1 << b.bit_length()) - 1))
+        bits.append(1 << shift)
+        shift += b.bit_length()
 
-
-def _pack(exps, fields) -> int:
-    key = 0
-    for k, (shift, _) in zip(exps, fields):
-        key |= k << shift
-    return key
-
-
-def _row_scale(coeffs) -> int:
-    """Least positive integer that makes every coefficient integral."""
-    return lcm(*(c.denominator for c in coeffs))
-
-
-def _pack_rows(rows, fields) -> tuple[list[list[dict[int, int]]], int]:
-    """Rows of polynomials as packed integer polynomials, each row scaled by
-    its least common denominator; returns them with the product of scales."""
-    packed = []
-    scale = 1
-    for row in rows:
-        r = _row_scale(c for p in row for c in p.terms.values())
-        scale *= r
-        packed.append([{_pack(e, fields): c.numerator * (r // c.denominator)
-                        for e, c in p.terms.items()} for p in row])
-    return packed, scale
+    def pack(entry):
+        acc = {}
+        for mono, c in entry.items():
+            key = sum(bits[v] for v in mono)
+            acc[key] = acc.get(key, 0) + c
+        return {k: c for k, c in acc.items() if c}
+    return [[pack(entry) for entry in row] for row in rows], fields
 
 
 def _unpack(packed: dict[int, int], fields, factor: Fraction) -> dict:
@@ -450,9 +436,10 @@ def _packed_det(rows, masks):
 def det_symbolic(matrix) -> SparsePolynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Expansion proceeds row by row, sparsest rows first, with minors memoized
-    on the set of unused columns; matrices above the size guard are refused,
-    and so is an expansion past the term budget of ``_packed_det``.
+    Each row, scaled by the least common denominator of its coefficients,
+    is packed as ``det_stacked``'s rows are and expanded sparsest first;
+    matrices above the size guard are refused, and so is an expansion past
+    the term budget of ``_packed_det``.
     """
     n = len(matrix)
     if n == 0:
@@ -465,11 +452,20 @@ def det_symbolic(matrix) -> SparsePolynomial:
         )
     variables = matrix[0][0].variables
     order = sorted(range(n), key=lambda i: sum(0 if p.is_zero() else 1 for p in matrix[i]))
-    rows = [matrix[i] for i in order]
-    fields = _bit_fields(rows, variables)
-    packed, scale = _pack_rows(rows, fields)
+    rows, scales = [], []
+    for i in order:
+        for p in matrix[i]:
+            if p.variables != variables:
+                raise VariableMismatchError(f"variables {p.variables} vs {variables}")
+        scale = lcm(*(c.denominator for p in matrix[i] for c in p.terms.values()))
+        rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)):
+                      c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+                     for p in matrix[i]])
+        scales.append(scale)
+    packed, fields = _pack(rows, len(variables))
     total = next(_packed_det(packed, [(1 << n) - 1]))
-    return _PackedDeterminant(variables, total, fields, Fraction(_permutation_sign(order), scale))
+    return _PackedDeterminant(variables, total, fields,
+                              Fraction(_permutation_sign(order), prod(scales)))
 
 
 def minor_sweep(rows, scales, variables):
@@ -478,18 +474,16 @@ def minor_sweep(rows, scales, variables):
 
     ``rows[i][k]`` holds the integer coefficient of each variable in entry
     (i, k); row i of the matrix is that row over ``scales[i]``.  It is packed
-    once, sparsest rows first, and one ``_packed_det`` expansion shares its
-    memo and term budget across all minors.  Above the size guard the first
-    minor raises."""
+    once, as ``det_stacked``'s rows are, sparsest rows first, and one
+    ``_packed_det`` expansion shares its memo and term budget across all
+    minors.  Above the size guard the first minor raises."""
     s = len(rows)
     if s > DET_SIZE_LIMIT:
         raise DeterminantSizeError(
             f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})")
-    width = s.bit_length()   # no variable exceeds degree s in a minor
-    fields = [(t * width, (1 << width) - 1) for t in range(len(variables))]
     order = sorted(range(s), key=lambda i: sum(1 for entry in rows[i] if any(entry)))
-    packed = [[{1 << shift: c for (shift, _), c in zip(fields, entry) if c} for entry in rows[i]]
-              for i in order]
+    packed, fields = _pack([[{(t,): c for t, c in enumerate(entry) if c} for entry in rows[i]]
+                            for i in order], len(variables))
     factor = Fraction(_permutation_sign(order), prod(scales))
     columns = range(len(rows[0]))
     masks = (sum(1 << k for k in cols) for cols in combinations(columns, s))
@@ -514,45 +508,45 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def det_stacked(top, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial:
+def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial:
     """Determinant of [top; bottom] with polynomial top rows and a constant bottom.
 
-    One exact elimination of the constant block leaves one s x s polynomial
-    minor.  The RREF of the bottom block A gives its pivot columns P and
-    X = A_P^-1 A_R on the other columns R.  Subtracting from each top column
-    r in R the combination of the top's P columns with the weights X[:, r]
-    is a column operation, so the determinant is unchanged, and it zeroes
-    the bottom block on R.  Laplace expansion along the bottom rows then
-    keeps one term, sign(R) det(top'[:, R]) det(A_P), and the s x s minor is
-    one packed expansion, as in ``det_symbolic``.  A rank-deficient bottom
-    block gives the zero polynomial.  There is no size guard: the expansion
-    raises ``DeterminantSizeError`` once the minors it holds exceed
-    ``_DET_TERM_BUDGET`` terms.
+    The top is given in integers: ``rows[i][k]`` maps each monomial of
+    entry (i, k), a tuple of indices into ``variables`` with an index
+    repeated for a power, to an integer coefficient, and row i of the top
+    is that row over ``scales[i]``.  The RREF of the bottom block A gives
+    its pivot columns P and X = A_P^-1 A_R on the other columns R.
+    Subtracting from each top column r in R the top's P columns weighted by
+    X[:, r] is a column operation that zeroes the bottom block on R, so
+    Laplace expansion along the bottom rows keeps one term,
+    sign(R) det(top'[:, R]) det(A_P): one packed s x s expansion.  A
+    rank-deficient bottom block gives the zero polynomial.  There is no
+    size guard: the expansion raises ``DeterminantSizeError`` once the
+    minors it holds exceed ``_DET_TERM_BUDGET`` terms.
     """
-    s = len(top)
-    n = len(top[0]) if s else bottom.cols
+    s = len(rows)
+    n = len(rows[0]) if s else bottom.cols
     d = bottom.rows
     if s + d != n or (d and bottom.cols != n):
         raise ValueError("stacked matrix is not square")
     if s == 0:
         raise ValueError("no symbolic rows to expand")
-    variables = top[0][0].variables
+    variables = tuple(variables)
     red, pivots = bottom.rref()
     if len(pivots) < d:
         return SparsePolynomial(variables)
     rest = [k for k in range(n) if k not in pivots]
     lower = [_integer_scaling(bottom.row(i)) for i in range(d)]
     det_p = int_det([[row[p] for p in pivots] for row, _ in lower])
-    scale = prod(den for _, den in lower)
+    scale = prod(den for _, den in lower) * prod(scales)
     # column r of top' is (den * top[:, r] - sum_i c_i top[:, pivots[i]]) / den
     combos = []
     for r in rest:
         coeffs, den = _integer_scaling([red.entry(i, r) for i in range(d)])
         scale *= den
         combos.append((r, den, [(c, p) for c, p in zip(coeffs, pivots) if c]))
-    fields = _bit_fields(top, variables)
-    packed, top_scale = _pack_rows(top, fields)
-    rows = []
+    packed, fields = _pack(rows, len(variables))
+    reduced_rows = []
     for row in packed:
         reduced = []
         for r, den, combo in combos:
@@ -561,13 +555,13 @@ def det_stacked(top, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial
                 for k, v in row[p].items():
                     acc[k] = acc.get(k, 0) - c * v
             reduced.append({k: v for k, v in acc.items() if v})
-        rows.append(reduced)
-    order = sorted(range(s), key=lambda i: sum(1 for p in rows[i] if p))
-    total = next(_packed_det([rows[i] for i in order], [(1 << s) - 1]))
+        reduced_rows.append(reduced)
+    order = sorted(range(s), key=lambda i: sum(1 for p in reduced_rows[i] if p))
+    total = next(_packed_det([reduced_rows[i] for i in order], [(1 << s) - 1]))
     if (sum(rest) - s * (s - 1) // 2) % 2:
         det_p = -det_p
     return _PackedDeterminant(variables, total, fields,
-                              Fraction(_permutation_sign(order) * det_p, scale * top_scale))
+                              Fraction(_permutation_sign(order) * det_p, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,19 @@ The exact kernels that the package runs in integer arithmetic keep their
 ``Fraction`` versions here: the reduced row echelon form, the two-phase
 simplex with Bland's rule and the double description of a nonnegative
 kernel.  The other oracles use these, never the package's own kernels.
+The row basis and the left kernel come from separate reductions of the
+matrix and of its transpose, where the package takes both from one
+elimination of [N | I], and the Hermite normal form from the repeated
+smallest-entry Euclid loop that the package's extended-gcd steps replaced.
+
+``stacked_det`` and ``polynomial_rows`` are not oracles: they convert a
+top block of ``SparsePolynomial``s to the integer rows ``det_stacked``
+takes and back, so the tests can state their matrices as polynomials.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from toricity.core import (
     _ALLPOS_MINOR_CAP,
@@ -36,6 +44,7 @@ from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
     SparsePolynomial,
+    det_stacked,
     det_symbolic,
     sign_classify,
 )
@@ -72,6 +81,73 @@ def oracle_rref(rows, nc: int):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def oracle_row_basis(rows, nc: int):
+    """Nonzero rows of ``oracle_rref``."""
+    red, pivots = oracle_rref(rows, nc)
+    return red[: len(pivots)]
+
+
+def oracle_left_kernel_basis(rows, nc: int):
+    """RREF basis of {v : v m = 0}: the circuit vectors of the transpose,
+    read off ``oracle_rref`` of the transpose, then reduced by it again."""
+    nr = len(rows)
+    red, pivots = oracle_rref([[row[j] for row in rows] for j in range(nc)], nr)
+    circuits = []
+    for f in (j for j in range(nr) if j not in pivots):
+        v = [Fraction(0)] * nr
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        circuits.append(v)
+    return oracle_row_basis(circuits, nr)
+
+
+def oracle_hermite_normal_form(rows, nc: int):
+    """Row-style Hermite normal form, zero rows dropped, by the repeated
+    smallest-entry Euclid loop: each column is cleared by reducing every
+    other entry modulo the smallest until one remains."""
+    h = [list(r) for r in rows]
+    nr = len(h)
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        while True:
+            nz = [i for i in range(r, nr) if h[i][c] != 0]
+            if not nz:
+                break
+            if len(nz) == 1:
+                i0 = nz[0]
+                h[r], h[i0] = h[i0], h[r]
+                break
+            i0 = min(nz, key=lambda i: abs(h[i][c]))
+            for i in nz:
+                if i == i0:
+                    continue
+                q = h[i][c] // h[i0][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[i0])]
+        if h[r][c] == 0:
+            continue
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+        r += 1
+    return h[:r]
+
+
+def oracle_integer_kernel_basis(rows, nc: int):
+    """Basis of {v in Z^rows : v m = 0} in Hermite normal form, from
+    ``oracle_hermite_normal_form`` of [m | I]."""
+    nr = len(rows)
+    aug = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(rows)]
+    kernel = [row[nc:] for row in oracle_hermite_normal_form(aug, nc + nr) if not any(row[:nc])]
+    return oracle_hermite_normal_form(kernel, nr)
 
 
 def oracle_simplex_maximize(a_rows, b, c):
@@ -280,6 +356,36 @@ def _oracle_poly_det(rows):
         term = a * _oracle_poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
         total = total - term if j % 2 else total + term
     return total
+
+
+def stacked_det(top, bottom):
+    """``det_stacked`` of a top block of ``SparsePolynomial``s, as the
+    package's callers hand it over: each row in integers over the least
+    common denominator of its coefficients, each exponent vector as the
+    tuple of its variable indices, an index repeated for a power."""
+    rows, scales = [], []
+    for row in top:
+        scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
+        rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)): int(c * scale)
+                      for e, c in p.terms.items()} for p in row])
+        scales.append(scale)
+    return det_stacked(rows, scales, top[0][0].variables, bottom)
+
+
+def polynomial_rows(rows, scales, variables):
+    """The top block ``det_stacked`` takes in integers, as rows of
+    ``SparsePolynomial``s: the inverse of ``stacked_det``'s conversion."""
+    out = []
+    for row, scale in zip(rows, scales):
+        polys = []
+        for entry in row:
+            terms = {}
+            for mono, c in entry.items():
+                e = tuple(mono.count(v) for v in range(len(variables)))
+                terms[e] = terms.get(e, 0) + Fraction(c, scale)
+            polys.append(SparsePolynomial(variables, terms))
+        out.append(polys)
+    return out
 
 
 def oracle_det_stacked(top, bottom):

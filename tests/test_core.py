@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from toricity import core, crn, polyhedra
+from toricity import core, crn, exactalg, polyhedra
 from toricity.crn import analyze_network
 from toricity.fileio import read_model
 from toricity.exactalg import IntegerMatrix, RationalMatrix, _Matrix, same_row_lattice
@@ -36,7 +36,7 @@ from toricity.core import (
 )
 from toricity.polyring import SignVerdict, SparsePolynomial
 
-from _oracles import oracle_scaled_jacobian
+from _oracles import oracle_scaled_jacobian, polynomial_rows, stacked_det
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
@@ -317,7 +317,7 @@ def test_triangle_augmented_determinant_matches_reference(monkeypatch):
     vs = lam + hv
     base = oracle_scaled_jacobian(sys_, rays, vs)  # in the ring of the l and h variables
     top = [[base[0][k] * SparsePolynomial.variable(vs, hv[k]) for k in range(2)]]
-    det = det_stacked(top, inv.A.to_rational())
+    det = stacked_det(top, inv.A.to_rational())
     var_of = {ray: SparsePolynomial.variable(vs, lam[i]) for i, ray in enumerate(rays)}
     h1 = SparsePolynomial.variable(vs, "h1")
     h2 = SparsePolynomial.variable(vs, "h2")
@@ -327,8 +327,13 @@ def test_triangle_augmented_determinant_matches_reference(monkeypatch):
     )
     assert det == expected
     taken = []
-    monkeypatch.setattr(core, "det_stacked",
-                        lambda *args: taken.append(det_stacked(*args)) or taken[-1])
+
+    def recording(rows, scales, variables, bottom):
+        assert variables == vs and bottom == inv.A
+        assert polynomial_rows(rows, scales, variables) == top
+        taken.append(det_stacked(rows, scales, variables, bottom))
+        return taken[-1]
+    monkeypatch.setattr(core, "det_stacked", recording)
     assert core._augmented_all_positive(sys_, inv) == "yes"
     assert taken == [expected]
 
@@ -758,10 +763,19 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
                                           ("triangle_cycle.crn", "direct")])
 def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     """Besides the derived objects: N and M are built once per network (the
-    reduced one included), N is reduced once and never ranked, and the RREF
-    of N that becomes C is not reduced again."""
+    reduced one included); N is eliminated once, as [N | I], for both its
+    row basis and its conservation laws, and never transposed, reduced or
+    ranked on its own; and the RREF of N that becomes C is not reduced
+    again."""
     net = read_model(MODELS / name).network
     seen = _count_builder_inputs(monkeypatch)
+    eliminated = Counter()
+    integer_rref = exactalg._integer_rref
+
+    def counting_rref(rows, ncols):
+        eliminated[tuple(map(tuple, rows)), ncols] += 1
+        return integer_rref(rows, ncols)
+    monkeypatch.setattr(exactalg, "_integer_rref", counting_rref)
     systems = []
     make = VerticalSystem.__init__
 
@@ -783,7 +797,11 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     assert set(networks.values()) == {1}, networks
     for network in networks:
         N = build(network)[0]
-        assert seen["rref", N] == 1 and seen["rank", N] == 0, network
+        augmented = tuple(N.row(i) + tuple(int(k == i) for k in range(N.rows))
+                          for i in range(N.rows))
+        assert eliminated[augmented, N.cols + N.rows] == 1, network
+        assert eliminated[tuple(N.col(j) for j in range(N.cols)), N.rows] == 0, network
+        assert seen["rref", N] == 0 and seen["rank", N] == 0, network
     for C in systems:
         assert seen["rref", C] == 0, C
 

@@ -23,9 +23,17 @@ from toricity.exactalg import (
     solve,
 )
 from toricity.polyhedra import positive_row_space
-from toricity.polyring import SparsePolynomial, det_stacked
+from toricity.polyring import SparsePolynomial
 
-from _oracles import oracle_det, oracle_rref
+from _oracles import (
+    oracle_det,
+    oracle_hermite_normal_form,
+    oracle_integer_kernel_basis,
+    oracle_left_kernel_basis,
+    oracle_row_basis,
+    oracle_rref,
+    stacked_det,
+)
 
 # Running example: the two-substrate regulation system used throughout the suite.
 IDH_C = RationalMatrix([
@@ -221,6 +229,76 @@ def test_hermite_normal_form_known():
     assert h == hermite_normal_form(h)
 
 
+@st.composite
+def _lattice_matrices(draw):
+    """Integer rows and a width: negative entries, zero rows, zero columns
+    and rows that are integer combinations of others."""
+    nc = draw(st.integers(0, 6))
+    entry = st.integers(-9, 9) | st.integers(-300, 300)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), max_size=5))
+    zero_columns = draw(st.sets(st.integers(0, 5), max_size=2))
+    rows = [[0 if j in zero_columns else x for j, x in enumerate(row)] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+            rows.insert(draw(st.integers(0, len(rows))), [f * x + g * y for x, y in zip(a, b)])
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    return rows, nc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_lattice_matrices())
+def test_hermite_normal_form_matches_the_euclid_loop(case):
+    """One extended-gcd step per entry below a pivot gives the Hermite
+    form the repeated smallest-entry Euclid loop gives, and so the same
+    integer kernel basis."""
+    rows, nc = case
+    m = IntegerMatrix(rows, nc)
+    h = hermite_normal_form(m)
+    assert h.cols == nc and h.to_lists() == oracle_hermite_normal_form(rows, nc)
+    assert integer_kernel_basis(m).to_lists() == oracle_integer_kernel_basis(rows, nc)
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """Integer or rational matrices: full rank, rank 0, zero rows, zero
+    columns, and more rows than columns."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        cls, entry = IntegerMatrix, st.integers(-4, 4)
+    else:
+        cls, entry = RationalMatrix, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    shape = draw(st.sampled_from(("dense", "zero", "identity")))
+    if shape == "zero":
+        rows = [[0] * nc for _ in range(nr)]
+    elif shape == "identity":
+        rows = [[int(i == j) for j in range(nc)] for i in range(nr)]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    zero_columns = draw(st.sets(st.integers(0, 5), max_size=2))
+    rows = [[0 if j in zero_columns else x for j, x in enumerate(row)] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * nc)
+    return cls(rows, nc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_elimination_inputs())
+def test_row_basis_and_left_kernel_share_one_elimination(m):
+    """The rows of one elimination of [m | I] that pivot in m's columns are
+    RREF(m), and the others are the RREF basis of the left kernel, exactly
+    as a separate RREF of m and of its transpose's circuits give them."""
+    rows = m.to_lists()
+    basis, kernel = m.row_basis(), left_kernel_basis(m)
+    assert basis.to_lists() == [list(r) for r in oracle_row_basis(rows, m.cols)]
+    assert kernel.to_lists() == [list(r) for r in oracle_left_kernel_basis(rows, m.cols)]
+    assert (basis.cols, kernel.cols, basis.rows + kernel.rows) == (m.cols, m.rows, m.rows)
+    assert all(type(x) is Fraction for part in (basis, kernel) for r in part.to_lists() for x in r)
+    assert m.row_basis() is basis and left_kernel_basis(m) is kernel
+
+
 def test_random_kernel_vector_line():
     w = random_kernel_vector(RationalMatrix([[1, 1]]), seed=0)
     assert w.entry(0, 0) == -w.entry(1, 0) != 0
@@ -373,7 +451,7 @@ def test_integer_matrix_agrees_with_its_rational_copy(a, b):
         vs = ("x", "y")
         top = [[SparsePolynomial(vs, {(i, j % 2): b[(i + j) % 6] or 1}) for j in range(a.cols)]
                for i in range(a.cols - a.rows)]
-        assert det_stacked(top, a) == det_stacked(top, q)
+        assert stacked_det(top, a) == stacked_det(top, q)
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), "3", 1.0])

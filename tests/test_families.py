@@ -12,6 +12,8 @@ import pytest
 from toricity import GroupMode, Verdict, analyze_network, cli, core, crn, parse_network, polyring
 from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic, term_count
 
+from _oracles import polynomial_rows
+
 
 def multisite(k: int) -> str:
     """Kinase E and phosphatase F on S0..Sk: 3k + 3 species, 6k reactions."""
@@ -64,23 +66,24 @@ def test_cascade_past_the_injectivity_enrichment_cap(k):
 @pytest.mark.parametrize("text", [multisite(1), multisite(2), multisite(3), cascade(1), cascade(2)],
                          ids=["multisite_1", "multisite_2", "multisite_3", "cascade_1", "cascade_2"])
 def test_det_stacked_replays_as_det_symbolic(monkeypatch, text):
-    """Every stacked determinant the analysis takes, injectivity's and the
-    multistationarity test's, equals the plain symbolic determinant of the
-    whole stacked matrix."""
+    """Every stacked determinant the analysis takes, injectivity's, condition
+    (ii)'s and the multistationarity test's, equals the plain symbolic
+    determinant of the whole stacked matrix rebuilt from its integer rows."""
     calls = []
     for module in (core, crn):
-        def recording(top, bottom, _caller=module.__name__):
-            calls.append((_caller, top, bottom))
-            return det_stacked(top, bottom)
+        def recording(rows, scales, variables, bottom, _caller=module.__name__):
+            calls.append((_caller, rows, scales, variables, bottom))
+            return det_stacked(rows, scales, variables, bottom)
         monkeypatch.setattr(module, "det_stacked", recording)
-    analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
-    assert {caller for caller, _, _ in calls} == {"toricity.core", "toricity.crn"}
-    for _, top, bottom in calls:
-        variables = top[0][0].variables
-        full = top + [[SparsePolynomial.constant(variables, x) for x in bottom.row(i)]
-                      for i in range(bottom.rows)]
+    analysis = analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
+    core._augmented_all_positive(analysis.system, analysis.report.invariance)
+    assert {caller for caller, *_ in calls} == {"toricity.core", "toricity.crn"}
+    for _, rows, scales, variables, bottom in calls:
+        full = polynomial_rows(rows, scales, variables)
+        full += [[SparsePolynomial.constant(variables, x) for x in bottom.row(i)]
+                 for i in range(bottom.rows)]
         assert len(full) <= 12
-        assert det_stacked(top, bottom) == det_symbolic(full)
+        assert det_stacked(rows, scales, variables, bottom) == det_symbolic(full)
 
 
 def test_det_term_budget_gives_named_inconclusive(monkeypatch):

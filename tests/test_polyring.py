@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricity.exactalg import RationalMatrix
+from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
@@ -24,7 +24,13 @@ from toricity.polyring import (
     univariate_coefficients,
 )
 
-from _oracles import _oracle_poly_det, oracle_det, oracle_det_stacked, oracle_positive_roots
+from _oracles import (
+    _oracle_poly_det,
+    oracle_det,
+    oracle_det_stacked,
+    oracle_positive_roots,
+    stacked_det,
+)
 
 
 def P(variables, terms):
@@ -232,7 +238,7 @@ def test_det_stacked_matches_det_symbolic():
         bottom.cols = n
         full = top + [[SparsePolynomial.constant(vs, x) for x in bottom.row(i)]
                       for i in range(n - s)]
-        assert det_stacked(top, bottom) == det_symbolic(full)
+        assert stacked_det(top, bottom) == det_symbolic(full)
 
 
 def test_det_symbolic_high_degree_matches_numeric_evaluation():
@@ -291,7 +297,7 @@ def _stacked(top, bottom):
     matrix = RationalMatrix(bottom)
     matrix.cols = len(top[0])
     full = top + [[SparsePolynomial.constant(VS, x) for x in row] for row in bottom]
-    return det_stacked(top, matrix), full
+    return stacked_det(top, matrix), full
 
 
 @settings(max_examples=150, deadline=None)
@@ -330,7 +336,7 @@ def test_det_stacked_monomial_columns_beyond_size_guard():
     top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.choice([-1, 0, 1, 2]))
             for k in range(n)] for _ in range(s)]
     bottom = [[rng.choice([0, 0, 1, 2]) for _ in range(n)] for _ in range(n - s)]
-    det = det_stacked(top, RationalMatrix(bottom))
+    det = stacked_det(top, RationalMatrix(bottom))
     assert not det.is_zero()
     for _ in range(2):
         point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for v in vs}
@@ -348,10 +354,31 @@ def test_det_stacked_term_budget(monkeypatch):
     top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.randint(-3, 3)) for k in range(n)]
            for _ in range(s)]
     bottom = RationalMatrix([[1] * n, list(range(n))])
-    assert len(det_stacked(top, bottom).terms) > 20
+    assert len(stacked_det(top, bottom).terms) > 20
     monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 20)
     with pytest.raises(DeterminantSizeError, match="budget of 20 terms"):
-        det_stacked(top, bottom)
+        stacked_det(top, bottom)
+
+
+def test_det_stacked_degree_fills_its_bit_field():
+    """x reaches degree 7 in the determinant, the most its 3-bit field
+    holds, and y reaches 8 = 4 + 4, one more than a field sized by a single
+    row's degree would hold; the fields are adjacent, so a carry out of
+    one would turn its power into another variable's."""
+    vs = ("x", "y", "z")
+    x, y = (SparsePolynomial.variable(vs, v) for v in "xy")
+    # [[x^4, y^4, z], [y^4, x^3, 1]; [0, 0, 1]]
+    rows = [[{(0, 0, 0, 0): 1}, {(1, 1, 1, 1): 1}, {(2,): 1}],
+            [{(1, 1, 1, 1): 1}, {(0, 0, 0): 1}, {(): 1}]]
+    det = det_stacked(rows, [1, 1], vs, IntegerMatrix([[0, 0, 1]]))
+    assert det._fields == [(0, 7), (3, 15), (7, 1)]
+    assert det == x ** 7 - y ** 8
+    # a monomial is a multiset of indices: (0, 1) and (1, 0) are one term
+    det = det_stacked([[{(0, 1): 2, (1, 0): 3}, {}]], [2], vs, IntegerMatrix([[0, 1]]))
+    assert det == (x * y).scale(Fraction(5, 2))
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            det_stacked([[{(0, index): 1}]], [1], vs, IntegerMatrix.with_width([], 1))
 
 
 def _packed_reads(p):
@@ -383,14 +410,14 @@ def test_packed_sign_follows_a_negative_factor():
     # rows expanded sparsest first: an odd row order
     swapped = det_symbolic([[x, y], [z, zero]])
     # det(A_P) = -1
-    negative_pivot = det_stacked([[x + y, y]], RationalMatrix([[0, -1]]))
+    negative_pivot = stacked_det([[x + y, y]], RationalMatrix([[0, -1]]))
     for det, expected in ((swapped, -(y * z)), (negative_pivot, -(x + y))):
         assert det._factor < 0
         assert sign_classify(det) == SignVerdict.ALL_NEGATIVE
         assert term_count(det) == len(expected.terms)
         assert det == expected  # decodes
         assert sign_classify(det) == SignVerdict.ALL_NEGATIVE
-    mixed = det_stacked([[x - y, z]], RationalMatrix([[0, -1]]))
+    mixed = stacked_det([[x - y, z]], RationalMatrix([[0, -1]]))
     assert mixed._factor < 0 and sign_classify(mixed) == SignVerdict.MIXED_SIGNS
     assert mixed == y - x
     cancelled = det_symbolic([[x, y], [x, y]])
