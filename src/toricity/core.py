@@ -26,13 +26,11 @@ from .exactalg import (
     _rref_pivots,
     circuits_of_rref,
     clear_denominators,
-    hermite_normal_form,
     int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
     random_combination,
     random_rng,
-    same_row_lattice,
     solve,
 )
 from .polyhedra import (
@@ -97,12 +95,11 @@ class VerticalSystem:
     so the invariance lattice is built once per system.  The RREF of C is
     taken once, here, and not at all when C is already in RREF, as the
     row basis of a network's N is: ``echelon`` holds its nonzero rows,
-    ``pivots`` their pivot columns, ``integer_rows`` C's rows in integers.
+    ``pivots`` their pivot columns, and C keeps its rows in integers.
     """
 
-    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_integer_rows",
-                 "_circuits", "_positive_kernel", "_rays", "_partition", "_lattices",
-                 "_lattice_kernels")
+    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_circuits",
+                 "_positive_kernel", "_rays", "_partition", "_lattices", "_lattice_kernels")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
@@ -124,7 +121,7 @@ class VerticalSystem:
         self.parameters = tuple(parameters) if parameters else tuple(f"k{j+1}" for j in range(M.cols))
         if len(self.variables) != M.rows or len(self.parameters) != M.cols:
             raise ValueError("name list lengths do not match the matrices")
-        self._integer_rows = self._circuits = self._positive_kernel = None
+        self._circuits = self._positive_kernel = None
         self._rays = self._partition = None
         self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
         self._lattice_kernels: dict[IntegerMatrix, CircuitBasis] = {}
@@ -140,13 +137,6 @@ class VerticalSystem:
     @property
     def n(self) -> int:
         return self.M.rows
-
-    @property
-    def integer_rows(self) -> list[tuple[list[int], int]]:
-        """Each row of C as integers and the least denominator they share."""
-        if self._integer_rows is None:
-            self._integer_rows = [_integer_scaling(self.C.row(i)) for i in range(self.s)]
-        return self._integer_rows
 
     @property
     def circuits(self) -> CircuitBasis:
@@ -179,15 +169,17 @@ class VerticalSystem:
     def lattice(self, partition: MatroidPartition) -> IntegerMatrix:
         """Scaling lattice of a column partition, in Hermite normal form.
 
-        M is augmented with one indicator row per block; the first n
-        coordinates of the integer kernel of its transpose span the lattice.
+        The lattice is {a in Z^n : a.M_j = a.M_k whenever columns j and k
+        share a block}: the integer kernel of the difference matrix D, whose
+        columns are M_j - M_first for every column j of a block but its
+        first.  ``integer_kernel_basis`` hands it out in Hermite form.
         """
         if partition not in self._lattices:
-            rows = self.M.to_lists()
-            rows += [[1 if j in block else 0 for j in range(self.m)] for block in partition.blocks]
-            kernel = integer_kernel_basis(IntegerMatrix.with_width(rows, self.m))
-            head = IntegerMatrix.with_width([r[: self.n] for r in kernel.to_lists()], self.n)
-            self._lattices[partition] = hermite_normal_form(head) if head.rows else head
+            pairs = [(j, min(block)) for block in partition.blocks for j in sorted(block)
+                     if j != min(block)]
+            D = IntegerMatrix.with_width([[row[j] - row[f] for j, f in pairs]
+                                          for row in map(self.M.row, range(self.n))], len(pairs))
+            self._lattices[partition] = integer_kernel_basis(D)
         return self._lattices[partition]
 
     def lattice_kernel(self, A: IntegerMatrix) -> CircuitBasis:
@@ -378,7 +370,7 @@ def _integer_jacobian(sys: VerticalSystem, w) -> tuple[list[list[int]], list[int
     wi, dw = _integer_scaling(w)
     m_rows = [sys.M.row(k) for k in range(sys.n)]
     rows, factors = [], []
-    for ci, dc in sys.integer_rows:
+    for ci, dc in sys.C.integer_rows():
         cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, wi)) if a and x]
         rows.append([sum(v * mk[j] for j, v in cw) for mk in m_rows])
         factors.append(dc * dw)
@@ -541,9 +533,9 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
     al = tuple(f"al{k+1}" for k in range(sys.n))
     # entry (i, k) is the sum over j of C_ij M_kj mu_j al_k, over nonzero products only
     top = [[{(j, sys.m + k): c * e for j, (c, e) in enumerate(zip(ci, sys.M.row(k))) if c and e}
-            for k in range(sys.n)] for ci, _ in sys.integer_rows]
+            for k in range(sys.n)] for ci, _ in sys.C.integer_rows()]
     try:
-        det = det_stacked(top, [dc for _, dc in sys.integer_rows], mu + al, inv.A)
+        det = det_stacked(top, [dc for _, dc in sys.C.integer_rows()], mu + al, inv.A)
     except DeterminantSizeError as exc:
         return InjectivityResult(False, reason=str(exc))
     sign = sign_classify(det)
@@ -973,9 +965,8 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
 
     quasi = quasihomogeneity_weights(sys)
     rep.quasihomogeneity_rank = quasi.rows
-    rep.quasihomogeneity_agrees = quasi.rows == inv.d and (
-        inv.d == 0 or same_row_lattice(quasi, inv.A)
-    )
+    # both lattices are in Hermite normal form, so equal lattices are equal matrices
+    rep.quasihomogeneity_agrees = quasi == inv.A
     rep.log("quasihomogeneity", fp, f"rank={quasi.rows}")
 
     nd = nondegeneracy(sys, seed)

@@ -16,9 +16,10 @@ from math import comb
 from .exactalg import (
     IntegerMatrix,
     RationalMatrix,
+    _integer_rref,
+    hermite_normal_form,
     integer_kernel_basis,
     left_kernel_basis,
-    same_row_lattice,
 )
 from .polyhedra import simplex_maximize
 from .polyring import (
@@ -773,17 +774,17 @@ def _siphon_supported_in_rowspace(mat: RationalMatrix | IntegerMatrix,
                                   siphon: frozenset[int]) -> bool:
     """Is there a nonzero v >= 0 in the row space with support inside the siphon?
 
-    With the columns ordered [outside | siphon], the RREF rows whose pivot
-    lies in the siphon block span the row-space vectors that vanish outside
-    the siphon.  With no such row there is no v; with one, v is a multiple
-    of it, whose pivot entry is 1, so its entries must all be nonnegative.
-    Only two or more need an LP.
+    With the columns ordered [outside | siphon], the integer echelon rows
+    pivoting in the siphon block, each times its pivot (a positive multiple
+    of its RREF row), span the row-space vectors vanishing outside it.  With
+    no such row there is no v; with one, v is a positive multiple of it.
+    Only two or more need an LP, whose free y absorb the rows' scales.
     """
     inside = sorted(siphon)
     first = mat.cols - len(inside)
     order = [i for i in range(mat.cols) if i not in siphon] + inside
-    red, pivots = type(mat)([[row[i] for i in order] for row in mat.to_lists()]).rref()
-    span = [red.row(r)[first:] for r, p in enumerate(pivots) if p >= first]
+    rows, pivots = _integer_rref([[r[i] for i in order] for r, _ in mat.integer_rows()], mat.cols)
+    span = [[x * row[p] for x in row[first:]] for row, p in zip(rows, pivots) if p >= first]
     if len(span) <= 1:
         return bool(span) and min(span[0]) >= 0
     # variables: y+ (k), y- (k), u (|inside|); y.span = u >= 0 with sum(u) = 1
@@ -967,6 +968,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
         analysis.multistationarity = multistationarity_test(
             sys_, acr_basis, laws, toric=final_verdict == Verdict.TORIC)
     if lifted is not None and direct_inv is not None:
-        if not same_row_lattice(lifted, direct_inv.A):
+        # direct_inv.A is in Hermite normal form already
+        if hermite_normal_form(lifted) != direct_inv.A:
             report.notes.append("lifted invariance lattice disagrees with the direct one")
     return analysis

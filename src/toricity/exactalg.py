@@ -7,10 +7,10 @@ no floating point, no tolerances.
 
 ``RationalMatrix`` and ``IntegerMatrix`` share one body: storage, access,
 transpose and elimination.  They differ only in how an entry is converted
-and how a row becomes integers.  The arithmetic is fraction-free: an
-integer matrix goes to elimination as it is, a rational row is scaled to
-integers first, and Gauss-Jordan keeps every row primitive; determinants
-use Bareiss elimination.  The kernels accept either class, so an integer
+and how a row becomes integers.  The arithmetic is fraction-free: a
+matrix scales its rows to integers once and keeps them with their echelon
+form, Gauss-Jordan keeps every row primitive, and determinants use
+Bareiss elimination.  The kernels accept either class, so an integer
 matrix never passes through ``Fraction``s on its way in.  A ``Fraction``
 is formed only where a result is handed out, such as the entries of a
 reduced row echelon form, which is always a ``RationalMatrix``.
@@ -47,9 +47,9 @@ def _frac(x) -> Fraction:
 class _Matrix:
     """Immutable dense matrix, stored row-major; the body both matrix
     classes share.  A subclass names its entry conversion ``_convert`` and
-    how its rows become integer rows, ``_integer_rows``."""
+    how its rows become integer rows, ``_scaled_rows``."""
 
-    __slots__ = ("rows", "cols", "_e", "_split")
+    __slots__ = ("rows", "cols", "_e", "_ints", "_echelon", "_split")
 
     def __init__(self, entries, cols: int | None = None):
         """``cols`` gives the width of a matrix with no rows, and is checked
@@ -61,7 +61,7 @@ class _Matrix:
         self.rows = len(rows)
         self.cols = width
         self._e = rows
-        self._split = None
+        self._ints = self._echelon = self._split = None
 
     @classmethod
     def with_width(cls, entries, cols: int):
@@ -71,7 +71,8 @@ class _Matrix:
     def _of(cls, rows, cols: int):
         """Wrap tuples of converted entries, without converting them again."""
         m = cls.__new__(cls)
-        m._e, m.rows, m.cols, m._split = tuple(rows), len(rows), cols, None
+        m._e, m.rows, m.cols = tuple(rows), len(rows), cols
+        m._ints = m._echelon = m._split = None
         return m
 
     def entry(self, i: int, j: int):
@@ -105,19 +106,29 @@ class _Matrix:
     def __hash__(self) -> int:
         return hash((self._e, self.cols))
 
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns; zero rows trail.
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row as integers a and the least d > 0 with row = a / d, kept."""
+        if self._ints is None:
+            self._ints = self._scaled_rows()
+        return self._ints
 
-        The elimination runs on the rows as integers; each row is divided
-        by its pivot once, when the canonical form is built.
-        """
-        rows, pivots = _integer_rref(self._integer_rows(), self.cols)
-        out = _divide_by_pivots(rows, pivots, slice(None))
+    def integer_echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``_integer_rref`` of the integer rows, kept: nonzero rows and pivots."""
+        if self._echelon is None:
+            rows, pivots = _integer_rref([a for a, _ in self.integer_rows()], self.cols)
+            self._echelon = tuple(map(tuple, rows)), tuple(pivots)
+        return self._echelon
+
+    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
+        """Reduced row echelon form and pivot columns, read off the integer
+        echelon form; zero rows trail."""
+        rows, pivots = self.integer_echelon()
+        out = _divide_by_pivots(rows, pivots)
         out += [(_ZERO,) * self.cols] * (self.rows - len(pivots))
-        return RationalMatrix._of(out, self.cols), tuple(pivots)
+        return RationalMatrix._of(out, self.cols), pivots
 
     def rank(self) -> int:
-        return len(_integer_rref(self._integer_rows(), self.cols)[1])
+        return len(self.integer_echelon()[1])
 
     def row_basis(self) -> "RationalMatrix":
         """Nonzero rows of the RREF: a canonical basis of the row space, from
@@ -126,21 +137,33 @@ class _Matrix:
 
     def _row_and_left_kernel(self) -> tuple["RationalMatrix", "RationalMatrix"]:
         """The nonzero rows of RREF(self) and the RREF basis of its left
-        kernel, from one fraction-free Gauss-Jordan pass over [self | I] (row
-        i scaled by its least denominator), kept on the matrix.  The rows
-        that pivot in the left block are the nonzero rows of RREF(self); the
-        rest have a zero left block, so their right blocks v satisfy
-        v self = 0, are rows - rank many, and are in RREF themselves."""
+        kernel, kept with their integer rows and echelon forms, from one
+        fraction-free pass over [self | I] (row i scaled by its least
+        denominator).  The rows pivoting in the left block are the nonzero
+        rows of RREF(self); the rest have a zero left block, so their right
+        blocks v satisfy v self = 0, are rows - rank many, and are in RREF."""
         if self._split is None:
             m, n = self.cols, self.rows
-            aug = [ints + [d if k == i else 0 for k in range(n)]
-                   for i, (ints, d) in enumerate(map(_integer_scaling, self._e))]
+            aug = [list(ints) + [d if k == i else 0 for k in range(n)]
+                   for i, (ints, d) in enumerate(self.integer_rows())]
             rows, pivots = _integer_rref(aug, m + n)
             r = sum(1 for p in pivots if p < m)
-            self._split = (
-                RationalMatrix._of(_divide_by_pivots(rows[:r], pivots, slice(m)), m),
-                RationalMatrix._of(_divide_by_pivots(rows[r:], pivots[r:], slice(m, None)), n))
+            self._split = (_reduced_matrix([row[:m] for row in rows[:r]], pivots[:r], m),
+                           _reduced_matrix([row[m:] for row in rows[r:]],
+                                           [p - m for p in pivots[r:]], n))
         return self._split
+
+
+def _reduced_matrix(rows, pivots, cols: int) -> "RationalMatrix":
+    """The RREF matrix of echelon rows with the integer rows and echelon form
+    it would build: each row primitive with a positive pivot p, which is its
+    least denominator and which ``_integer_rref`` leaves as it is."""
+    ints = [_primitive(row) for row in rows]
+    ints = tuple(tuple(x if row[p] > 0 else -x for x in row) for row, p in zip(ints, pivots))
+    red = RationalMatrix._of(_divide_by_pivots(ints, pivots), cols)
+    red._ints = tuple((row, row[p]) for row, p in zip(ints, pivots))
+    red._echelon = ints, tuple(pivots)
+    return red
 
 
 class RationalMatrix(_Matrix):
@@ -149,8 +172,8 @@ class RationalMatrix(_Matrix):
     __slots__ = ()
     _convert = staticmethod(_frac)
 
-    def _integer_rows(self) -> list[list[int]]:
-        return [_integer_scaling(r)[0] for r in self._e]
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple((tuple(a), d) for a, d in map(_integer_scaling, self._e))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -192,8 +215,8 @@ class IntegerMatrix(_Matrix):
     __slots__ = ()
     _convert = staticmethod(index)
 
-    def _integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._e
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple((row, 1) for row in self._e)
 
     def to_rational(self) -> RationalMatrix:
         return RationalMatrix(self._e, self.cols)
@@ -303,9 +326,9 @@ def _integer_scaling(vec) -> tuple[list[int], int]:
 _ZERO = Fraction(0)
 
 
-def _divide_by_pivots(rows, pivots, part: slice) -> list[tuple[Fraction, ...]]:
-    """The columns ``part`` of RREF rows, from the rows of ``_integer_rref``."""
-    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in row[part])
+def _divide_by_pivots(rows, pivots) -> list[tuple[Fraction, ...]]:
+    """RREF rows, from echelon rows such as those of ``_integer_rref``."""
+    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
             for row, p in zip(rows, pivots)]
 
 
@@ -420,9 +443,9 @@ def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     """Rows form a basis of {v in Z^rows(m) : v m = 0}, i.e. of ker(m^T).
 
     Computed from the Hermite normal form of [m | I]: the unimodular row
-    transform is tracked in the identity block, and rows whose m-part
-    vanished carry a lattice basis of the integer kernel, returned in
-    (canonical) Hermite normal form.
+    transform is tracked in the identity block, and the trailing rows,
+    whose m-part vanished, carry a lattice basis of the integer kernel
+    already in (canonical) Hermite normal form.
     """
     nr, nc = m.rows, m.cols
     aug = IntegerMatrix.with_width(
@@ -430,9 +453,7 @@ def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
         nc + nr,
     )
     h = hermite_normal_form(aug)
-    kernel_rows = [list(h.row(i))[nc:] for i in range(h.rows) if all(x == 0 for x in list(h.row(i))[:nc])]
-    basis = IntegerMatrix.with_width(kernel_rows, nr)
-    return hermite_normal_form(basis) if basis.rows else basis
+    return IntegerMatrix.with_width([row[nc:] for row in h._e if not any(row[:nc])], nr)
 
 
 def random_rng(seed: int) -> random.Random:

@@ -6,7 +6,8 @@ method on primitive integer rays, exact volumes of lattice polytopes, and
 mixed volumes of Newton polytopes, both from exact placing triangulations:
 a polytope's volume from a triangulation of its points, the mixed volume
 from the mixed cells of one triangulation of the Cayley configuration of
-the supports.  Rational input is scaled to integers row by row, and
+the supports.  A matrix's rows are read as the integers it keeps for
+them, other rational input is scaled to integers row by row, and
 Fractions appear only in the results handed out.
 """
 
@@ -159,15 +160,14 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
 
     Decided by the exact LP: maximize t subject to m(u + t 1) = 0, u >= 0,
     t + s = 1; the witness w = u + t 1 is strictly positive iff the optimum
-    is > 0.  Each row's sum and the check of the witness are taken on the
-    row scaled to integers.
+    is > 0.  The LP and the check of the witness read m's integer rows.
     """
     ncols = m.cols
     if ncols == 0:
         return PositiveKernelResult(())
-    scaled = [_integer_scaling(m.row(i)) for i in range(m.rows)]
+    rows = [row for row, _ in m.integer_rows()]
     # variables: u_1..u_n, t, s
-    a_rows = [list(m.row(i)) + [Fraction(sum(row), den), 0] for i, (row, den) in enumerate(scaled)]
+    a_rows = [[*row, sum(row), 0] for row in rows]
     a_rows.append([0] * ncols + [1, 1])
     b = [0] * m.rows + [1]
     c = [0] * ncols + [1, 0]
@@ -177,7 +177,7 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
     t = x[ncols]
     w = tuple(x[j] + t for j in range(ncols))
     point = _integer_scaling(w)[0]
-    if any(v <= 0 for v in point) or any(sum(map(mul, row, point)) for row, _ in scaled):
+    if any(v <= 0 for v in point) or any(sum(map(mul, row, point)) for row in rows):
         raise InternalInconsistencyError("LP optimum is not a strictly positive kernel vector")
     return PositiveKernelResult(w)
 
@@ -213,7 +213,7 @@ class ConeRays:
 def extreme_rays(m: RationalMatrix) -> ConeRays:
     """Double description: start from the orthant, impose kernel equations.
 
-    Each equation is a row of m scaled to integers, and the rays are
+    Each equation is one of m's integer rows, and the rays are
     primitive integer tuples.  A ray on the positive side of an equation
     and one on the negative side combine into a new ray when they are
     adjacent: no third ray vanishes wherever both do (Fukuda & Prodon
@@ -221,7 +221,7 @@ def extreme_rays(m: RationalMatrix) -> ConeRays:
     primitive and in ker(m).
     """
     n = m.cols
-    equations = [_integer_scaling(m.row(i))[0] for i in range(m.rows)]
+    equations = [row for row, _ in m.integer_rows()]
     rays = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     for c in equations:
         vals = [sum(a * x for a, x in zip(c, r) if a) for r in rays]

@@ -12,9 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from .exactalg import IntegerMatrix, RationalMatrix, _frac, _integer_scaling, int_det
+from .exactalg import IntegerMatrix, RationalMatrix, _frac, int_det
 
 
 class VariableMismatchError(ValueError):
@@ -514,8 +514,8 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     The top is given in integers: ``rows[i][k]`` maps each monomial of
     entry (i, k), a tuple of indices into ``variables`` with an index
     repeated for a power, to an integer coefficient, and row i of the top
-    is that row over ``scales[i]``.  The RREF of the bottom block A gives
-    its pivot columns P and X = A_P^-1 A_R on the other columns R.
+    is that row over ``scales[i]``.  The echelon form the bottom block A
+    keeps gives its pivot columns P and X = A_P^-1 A_R on the other columns R.
     Subtracting from each top column r in R the top's P columns weighted by
     X[:, r] is a column operation that zeroes the bottom block on R, so
     Laplace expansion along the bottom rows keeps one term,
@@ -532,17 +532,18 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     if s == 0:
         raise ValueError("no symbolic rows to expand")
     variables = tuple(variables)
-    red, pivots = bottom.rref()
+    echelon, pivots = bottom.integer_echelon()
     if len(pivots) < d:
         return SparsePolynomial(variables)
     rest = [k for k in range(n) if k not in pivots]
-    lower = [_integer_scaling(bottom.row(i)) for i in range(d)]
+    lower = bottom.integer_rows()
     det_p = int_det([[row[p] for p in pivots] for row, _ in lower])
     scale = prod(den for _, den in lower) * prod(scales)
-    # column r of top' is (den * top[:, r] - sum_i c_i top[:, pivots[i]]) / den
+    # column r of top' is (den * top[:, r] - sum_i c_i top[:, pivots[i]]) / den, c / den = X[:, r]
     combos = []
     for r in rest:
-        coeffs, den = _integer_scaling([red.entry(i, r) for i in range(d)])
+        den = lcm(*(abs(e[p]) // gcd(e[r], e[p]) for e, p in zip(echelon, pivots)))
+        coeffs = [e[r] * den // e[p] for e, p in zip(echelon, pivots)]
         scale *= den
         combos.append((r, den, [(c, p) for c, p in zip(coeffs, pivots) if c]))
     packed, fields = _pack(rows, len(variables))

@@ -8,8 +8,13 @@ sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
 use the inclusion-exclusion over LP-pruned Minkowski sums that the
 package's Cayley triangulation replaced; it shares only the package's
 integer determinant.  Minimal siphons use the sweep over all species
-subsets that the package's closure branching replaced, and siphon support
-uses one LP over the whole row space in place of the package's rank test.
+subsets that the package's closure branching replaced.  Siphon support is
+decided two ways: by one LP over the whole row space in place of the
+package's rank test, and by the ``Fraction`` RREF of the permuted matrix
+that the package's fraction-free echelon form replaced.  The scaling
+lattice of a column partition comes from the integer kernel of M with one
+indicator row per block, projected to its first n coordinates and put in
+Hermite form, where the package takes the kernel of a difference matrix.
 The two nondegeneracy tests take one ``det_symbolic`` per column subset of
 a Jacobian summed over Fractions, where the package runs one shared sweep
 over an integer pencil.
@@ -748,7 +753,43 @@ def oracle_minimal_siphons(net):
     return [frozenset(i for i in range(n) if z >> i & 1) for z in found]
 
 
+def oracle_lattice(m_rows, n: int, blocks):
+    """Scaling lattice of a column partition of the n x m exponent matrix:
+    the integer kernel of M stacked on one indicator row per block (a.M_j
+    plus the block's coordinate vanishes), its first n coordinates, in
+    Hermite normal form."""
+    m = len(m_rows[0]) if m_rows else 0
+    rows = [list(r) for r in m_rows] + [[int(j in block) for j in range(m)] for block in blocks]
+    kernel = oracle_integer_kernel_basis(rows, m)
+    return oracle_hermite_normal_form([r[:n] for r in kernel], n)
+
+
 def oracle_siphon_supported(mat, siphon) -> bool:
+    """Nonzero v >= 0 in the row space of mat with support inside the siphon,
+    from the ``Fraction`` RREF of mat with its columns ordered [outside |
+    siphon]: the rows pivoting in the siphon block span the vectors that
+    vanish outside it.  None: no v; one, with pivot entry 1: v is a
+    positive multiple of it; more: an LP over their span."""
+    inside = sorted(siphon)
+    first = mat.cols - len(inside)
+    order = [i for i in range(mat.cols) if i not in siphon] + inside
+    red, pivots = oracle_rref([[row[i] for i in order] for row in mat.to_lists()], mat.cols)
+    span = [red[r][first:] for r, p in enumerate(pivots) if p >= first]
+    if len(span) <= 1:
+        return bool(span) and min(span[0]) >= 0
+    # variables: y+ (k), y- (k), u (|inside|); y.span = u >= 0 with sum(u) = 1
+    k = len(span)
+    rows = []
+    for pos in range(len(inside)):
+        row = [r[pos] for r in span] + [-r[pos] for r in span] + [0] * len(inside)
+        row[2 * k + pos] = -1
+        rows.append(row)
+    rows.append([0] * (2 * k) + [1] * len(inside))
+    status, _, _ = oracle_simplex_maximize(rows, [0] * len(inside) + [1], [0] * len(rows[0]))
+    return status == "optimal"
+
+
+def oracle_siphon_supported_lp(mat, siphon) -> bool:
     """Nonzero v >= 0 in the row space of mat with support inside the siphon,
     by one LP over all rows: v = y.mat vanishes outside, sums to 1 inside."""
     d = mat.rows

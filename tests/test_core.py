@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricity import core, crn, exactalg, polyhedra
 from toricity.crn import analyze_network
@@ -16,6 +18,7 @@ from toricity.core import (
     GroupMode,
     InternalInconsistencyError,
     InvarianceResult,
+    MatroidPartition,
     Verdict,
     VerticalSystem,
     analyze,
@@ -36,7 +39,8 @@ from toricity.core import (
 )
 from toricity.polyring import SignVerdict, SparsePolynomial
 
-from _oracles import oracle_scaled_jacobian, polynomial_rows, stacked_det
+from _oracles import oracle_lattice, oracle_scaled_jacobian, polynomial_rows, stacked_det
+from test_families import multisite
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
@@ -699,7 +703,11 @@ def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
     the builders of the objects derived from (C, M), through the bindings
     of ``core`` and ``polyhedra``, and every RREF and rank taken, of either
-    matrix class."""
+    matrix class.  Also count the integer eliminations and the scalings of
+    rational rows to integers that ``exactalg`` makes, by their input, and
+    the eliminations each matrix's echelon form takes, by matrix.  The
+    siphon test eliminates permuted rows through its own binding, so it is
+    not counted."""
     seen = Counter()
     for name in ("kernel_circuit_basis", "circuits_of_rref", "strictly_positive_kernel",
                  "extreme_rays", "integer_kernel_basis"):
@@ -714,16 +722,82 @@ def _count_builder_inputs(monkeypatch) -> Counter:
             seen[_name, m] += 1
             return _method(m)
         monkeypatch.setattr(_Matrix, name, counting_method)
+    integer_rref, integer_scaling = exactalg._integer_rref, exactalg._integer_scaling
+    echelon = _Matrix.integer_echelon
+
+    def counting_rref(rows, ncols):
+        seen["eliminated", tuple(map(tuple, rows)), ncols] += 1
+        seen["eliminations"] += 1
+        return integer_rref(rows, ncols)
+
+    def counting_echelon(m):
+        before = seen["eliminations"]
+        result = echelon(m)
+        seen["echelon", m] += seen["eliminations"] - before
+        return result
+
+    def counting_scaling(vec):
+        seen["scaling", tuple(vec)] += 1
+        return integer_scaling(vec)
+    monkeypatch.setattr(exactalg, "_integer_rref", counting_rref)
+    monkeypatch.setattr(_Matrix, "integer_echelon", counting_echelon)
+    monkeypatch.setattr(exactalg, "_integer_scaling", counting_scaling)
     return seen
 
 
-def _assert_built_once(seen: Counter, coefficient_matrices):
-    """Each derived object is built once, and each system's C is reduced at
-    most once: when the system is made, and never again downstream."""
-    builds = {key: count for key, count in seen.items() if key[0] not in ("rref", "rank")}
+def _assert_built_once(seen: Counter, systems):
+    """Each derived object is built once.  Each system's C is reduced at
+    most once, when the system is made, and never again downstream, and
+    its rows are scaled to integers at most once.  Each scaling lattice
+    reaches the integer elimination at most once, however many stages read
+    its echelon form."""
+    builds = {key: count for key, count in seen.items()
+              if key[0] not in ("rref", "rank", "eliminated", "echelon", "scaling")
+              and key != "eliminations"}
     assert builds and max(builds.values()) == 1, builds
-    for C in coefficient_matrices:
-        assert seen["rref", C] <= 1, C
+    for sys_ in systems:
+        assert seen["rref", sys_.C] <= 1, sys_.C
+        assert max((seen["scaling", sys_.C.row(i)] for i in range(sys_.s)), default=0) <= 1
+        for A in sys_._lattices.values():
+            assert seen["echelon", A] <= 1, A
+
+
+@st.composite
+def _partitioned_exponents(draw):
+    """An exponent matrix, some of whose columns repeat others, and a
+    partition of its columns: all singletons, one block, or random blocks."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(1, 7))
+    cols = draw(st.lists(st.lists(st.integers(-2, 4), min_size=n, max_size=n),
+                         min_size=1, max_size=m))
+    while len(cols) < m:
+        cols.append(draw(st.sampled_from(cols)))
+    cols = draw(st.permutations(cols))
+    shape = draw(st.sampled_from(("singletons", "one block", "random")))
+    if shape == "singletons":
+        labels = list(range(m))
+    elif shape == "one block":
+        labels = [0] * m
+    else:
+        labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    blocks = {}
+    for j, label in enumerate(labels):
+        blocks.setdefault(label, set()).add(j)
+    partition = MatroidPartition(tuple(sorted(map(frozenset, blocks.values()), key=min)), m)
+    return [[c[k] for c in cols] for k in range(n)], partition
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_partitioned_exponents())
+def test_lattice_matches_augmented_kernel(case):
+    """The kernel of the difference matrix is the lattice the integer kernel
+    of M with one indicator row per block gives, projected and put in
+    Hermite form: the same matrix, entry for entry."""
+    rows, partition = case
+    m = partition.ground_size
+    sys_ = VerticalSystem(RationalMatrix.zeros(0, m), IntegerMatrix(rows, m))
+    lattice = sys_.lattice(partition)
+    assert lattice.cols == sys_.n
+    assert lattice.to_lists() == oracle_lattice(rows, sys_.n, partition.blocks)
 
 
 def test_invariance_group_same_for_every_group():
@@ -754,7 +828,7 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
     model = read_model(MODELS / name)
     seen = _count_builder_inputs(monkeypatch)
     analyze(model.system, model.mode, seed=0)
-    _assert_built_once(seen, [model.system.C])
+    _assert_built_once(seen, [model.system])
     assert seen["rref", model.system.C] == 0
 
 
@@ -765,24 +839,26 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
     """Besides the derived objects: N and M are built once per network (the
     reduced one included); N is eliminated once, as [N | I], for both its
     row basis and its conservation laws, and never transposed, reduced or
-    ranked on its own; and the RREF of N that becomes C is not reduced
-    again."""
+    ranked on its own; the RREF of N that becomes C and the conservation
+    laws take their integer rows and echelon form from that elimination,
+    so neither is reduced or scaled to integers again; and each
+    invariance matrix A is reduced at most once."""
     net = read_model(MODELS / name).network
     seen = _count_builder_inputs(monkeypatch)
-    eliminated = Counter()
-    integer_rref = exactalg._integer_rref
-
-    def counting_rref(rows, ncols):
-        eliminated[tuple(map(tuple, rows)), ncols] += 1
-        return integer_rref(rows, ncols)
-    monkeypatch.setattr(exactalg, "_integer_rref", counting_rref)
     systems = []
     make = VerticalSystem.__init__
 
     def recording(self, *args, **kwargs):
         make(self, *args, **kwargs)
-        systems.append(self.C)
+        systems.append(self)
     monkeypatch.setattr(VerticalSystem, "__init__", recording)
+    laws = []
+    conservation_laws = crn.conservation_laws
+
+    def recording_laws(N):
+        laws.append(conservation_laws(N))
+        return laws[-1]
+    monkeypatch.setattr(crn, "conservation_laws", recording_laws)
     networks = Counter()
     build = crn._mass_action_matrices
 
@@ -790,8 +866,11 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
         networks[network] += 1
         return build(network)
     monkeypatch.setattr(crn, "_mass_action_matrices", counting_build)
-    assert analyze_network(net, seed=0).verdict_source == source
+    analysis = analyze_network(net, seed=0)
+    assert analysis.verdict_source == source
+    analysis.report.injectivity  # the reduced path's deferred direct facts
     assert len(systems) == (2 if source == "reduced" else 1)
+    assert len(laws) == len(systems)
     _assert_built_once(seen, systems)
     assert net in networks and len(networks) == len(systems), networks
     assert set(networks.values()) == {1}, networks
@@ -799,11 +878,33 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
         N = build(network)[0]
         augmented = tuple(N.row(i) + tuple(int(k == i) for k in range(N.rows))
                           for i in range(N.rows))
-        assert eliminated[augmented, N.cols + N.rows] == 1, network
-        assert eliminated[tuple(N.col(j) for j in range(N.cols)), N.rows] == 0, network
+        assert seen["eliminated", augmented, N.cols + N.rows] == 1, network
+        assert seen["eliminated", tuple(N.col(j) for j in range(N.cols)), N.rows] == 0, network
         assert seen["rref", N] == 0 and seen["rank", N] == 0, network
-    for C in systems:
-        assert seen["rref", C] == 0, C
+    for sys_ in systems:
+        assert seen["rref", sys_.C] == 0, sys_.C
+    for mat in [sys_.C for sys_ in systems] + laws:
+        assert seen["echelon", mat] == 0, mat
+        assert not any(seen["scaling", mat.row(i)] for i in range(mat.rows)), mat
+
+
+def test_multisite_2_takes_one_hermite_form_per_lattice(monkeypatch):
+    """Four Hermite normal forms in all: the integer kernels of the direct
+    and the reduced system's difference matrices and of A^T for the
+    multistationarity test, and the lifted lattice's, which is compared
+    with the direct one as it stands, since that is in Hermite form."""
+    shapes = []
+    hermite_normal_form = exactalg.hermite_normal_form
+
+    def counting(m):
+        shapes.append(m.shape)
+        return hermite_normal_form(m)
+    for module in (exactalg, crn):
+        monkeypatch.setattr(module, "hermite_normal_form", counting)
+    analysis = analyze_network(crn.parse_network(multisite(2)), seed=0)
+    analysis.report.injectivity
+    assert analysis.verdict_source == "reduced"
+    assert shapes == [(9, 19), (5, 7), (9, 12), (3, 9)]
 
 
 def test_analyze_deterministic():

@@ -9,7 +9,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricity import cli, crn
@@ -44,7 +44,11 @@ from toricity.crn import (
     steady_state_system,
 )
 
-from _oracles import oracle_minimal_siphons, oracle_siphon_supported
+from _oracles import (
+    oracle_minimal_siphons,
+    oracle_siphon_supported,
+    oracle_siphon_supported_lp,
+)
 from test_families import cascade, multisite
 
 IDH_TEXT = "X1 + X2 <=> X3 -> X1 + X4 ; X3 + X4 <=> X5 -> X2 + X3"
@@ -482,6 +486,45 @@ def test_minimal_siphons_match_subset_sweep(net):
 @given(_row_spaces())
 def test_siphon_support_matches_full_lp(case):
     mat, siphon = case
+    assert crn._siphon_supported_in_rowspace(mat, siphon) == oracle_siphon_supported_lp(mat, siphon)
+
+
+@st.composite
+def _siphon_cases(draw):
+    """Integer or rational matrices and a random siphon.  Up to three rows
+    vanish outside the siphon and up to two need not, so the span of the
+    row-space vectors vanishing outside it ranges from none to several."""
+    n = draw(st.integers(1, 7))
+    siphon = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    if draw(st.booleans()):
+        cls, entry = IntegerMatrix, st.integers(-3, 3)
+    else:
+        cls, entry = RationalMatrix, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    inside = draw(st.integers(0, 3))
+    rows = [[draw(entry) if j in siphon else 0 for j in range(n)] for _ in range(inside)]
+    rows += [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(int(not inside), 2)))]
+    return cls(draw(st.permutations(rows)), n), siphon
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_siphon_cases())
+# no row vanishes off the siphon
+@example((RationalMatrix([[1, 1, 0]]), frozenset({2})))
+# one row, nonnegative once oriented by its pivot: positive, negative, rational
+@example((IntegerMatrix([[0, 2, 3], [1, 0, 1]]), frozenset({1, 2})))
+@example((IntegerMatrix([[0, -2, -3], [1, 0, 1]]), frozenset({1, 2})))
+@example((RationalMatrix([[0, Fraction(-1, 2), Fraction(-1, 3)]]), frozenset({1, 2})))
+# one row of mixed signs
+@example((IntegerMatrix([[0, 1, -1]]), frozenset({1, 2})))
+# two rows, with and without a nonnegative combination
+@example((IntegerMatrix([[0, 1, 0, -1, 1], [0, 0, 1, 1, -1], [1, 1, 1, 1, 1]]),
+          frozenset({1, 2, 3, 4})))
+@example((IntegerMatrix([[0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [1, 1, 1, 1, 1]]),
+          frozenset({1, 2, 3, 4})))
+def test_siphon_support_matches_fraction_rref(case):
+    """The fraction-free test, with its span rows oriented by their pivots,
+    decides as the Fraction RREF of the permuted matrix does."""
+    mat, siphon = case
     assert crn._siphon_supported_in_rowspace(mat, siphon) == oracle_siphon_supported(mat, siphon)
 
 
@@ -497,7 +540,7 @@ def test_siphon_support_two_dimensional_uses_lp(monkeypatch, rows, expected):
                         lambda *args: calls.append(args) or simplex_maximize(*args))
     mat, siphon = RationalMatrix(rows), frozenset({1, 2, 3, 4})
     assert crn._siphon_supported_in_rowspace(mat, siphon) is expected
-    assert oracle_siphon_supported(mat, siphon) is expected
+    assert oracle_siphon_supported_lp(mat, siphon) is expected
     assert len(calls) == 1
 
 

@@ -253,12 +253,14 @@ def _lattice_matrices(draw):
 def test_hermite_normal_form_matches_the_euclid_loop(case):
     """One extended-gcd step per entry below a pivot gives the Hermite
     form the repeated smallest-entry Euclid loop gives, and so the same
-    integer kernel basis."""
+    integer kernel basis, which is its own Hermite form."""
     rows, nc = case
     m = IntegerMatrix(rows, nc)
     h = hermite_normal_form(m)
     assert h.cols == nc and h.to_lists() == oracle_hermite_normal_form(rows, nc)
-    assert integer_kernel_basis(m).to_lists() == oracle_integer_kernel_basis(rows, nc)
+    kernel = integer_kernel_basis(m)
+    assert kernel.to_lists() == oracle_integer_kernel_basis(rows, nc)
+    assert hermite_normal_form(kernel) == kernel
 
 
 @st.composite
@@ -289,7 +291,9 @@ def _elimination_inputs(draw):
 def test_row_basis_and_left_kernel_share_one_elimination(m):
     """The rows of one elimination of [m | I] that pivot in m's columns are
     RREF(m), and the others are the RREF basis of the left kernel, exactly
-    as a separate RREF of m and of its transpose's circuits give them."""
+    as a separate RREF of m and of its transpose's circuits give them.  The
+    integer rows and echelon form that elimination hands both of them are
+    the ones they would build themselves."""
     rows = m.to_lists()
     basis, kernel = m.row_basis(), left_kernel_basis(m)
     assert basis.to_lists() == [list(r) for r in oracle_row_basis(rows, m.cols)]
@@ -297,6 +301,10 @@ def test_row_basis_and_left_kernel_share_one_elimination(m):
     assert (basis.cols, kernel.cols, basis.rows + kernel.rows) == (m.cols, m.rows, m.rows)
     assert all(type(x) is Fraction for part in (basis, kernel) for r in part.to_lists() for x in r)
     assert m.row_basis() is basis and left_kernel_basis(m) is kernel
+    for part in (basis, kernel):
+        fresh = RationalMatrix(part.to_lists(), part.cols)
+        assert part.integer_rows() == fresh.integer_rows()
+        assert part.integer_echelon() == fresh.integer_echelon()
 
 
 def test_random_kernel_vector_line():
@@ -385,6 +393,7 @@ def test_rref_and_rank_match_fraction_elimination(m):
     assert all(isinstance(x, Fraction) for i in range(red.rows) for x in red.row(i))
     assert m.rank() == len(expected_pivots)
     assert m.row_basis().to_lists() == [list(r) for r in rows[: len(pivots)]]
+    assert m.rref() == (red, pivots)  # read again from the kept echelon form
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
