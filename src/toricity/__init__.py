@@ -16,7 +16,6 @@ from .exactalg import (
     integer_kernel_basis,
     kernel_circuit_basis,
     random_kernel_vector,
-    same_row_lattice,
 )
 from .polyhedra import (
     ConeRays,
@@ -33,10 +32,8 @@ from .polyring import (
     SparsePolynomial,
     count_distinct_roots,
     det_stacked,
-    det_symbolic,
     render,
     sign_classify,
-    sturm_positive_roots,
 )
 from .core import (
     AnalyzeOptions,
@@ -90,24 +87,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyzeOptions", "CircuitBasis", "ConeRays", "CosetCountingSystem",
     "DegenerateSliceError", "DimensionMismatchError", "EmptyLocusError",
-    "GroupMode", "IntegerMatrix", "InvarianceResult",
-    "MatroidPartition", "NetworkParseError", "RationalMatrix",
-    "ReactionNetwork", "SignVerdict", "SparsePolynomial", "SupportSet",
-    "ToricityReport", "TrivialKernelError", "Verdict", "VerticalSystem",
-    "ZeroDynamicsError", "acr_detect", "analyze", "analyze_network",
-    "binomial_quickcheck", "build_free_system", "conservation_laws",
-    "constant_coset_conditions", "coset_counting_system",
+    "GroupMode", "IntegerMatrix", "InvarianceResult", "MatroidPartition",
+    "NetworkParseError", "RationalMatrix", "ReactionNetwork", "SignVerdict",
+    "SparsePolynomial", "SupportSet", "ToricityReport", "TrivialKernelError",
+    "Verdict", "VerticalSystem", "ZeroDynamicsError", "acr_detect", "analyze",
+    "analyze_network", "binomial_quickcheck", "build_free_system",
+    "conservation_laws", "constant_coset_conditions", "coset_counting_system",
     "count_distinct_roots", "count_positive_cosets", "det_stacked",
-    "det_symbolic", "extreme_rays", "find_intermediates",
-    "hermite_normal_form", "injectivity_test", "integer_kernel_basis",
-    "invariance_group", "kernel_circuit_basis", "lift_invariance",
-    "local_toricity", "mass_action_matrices", "matroid_partition",
-    "minimal_siphons", "mixed_volume", "multistationarity_test",
-    "network_structure", "nondegeneracy", "nondegeneracy_all_positive",
-    "parse_network", "polytope_volume", "positive_locus_nonempty",
-    "positive_row_space", "quasihomogeneity_weights", "random_kernel_vector",
-    "read_model", "reduce_network", "render", "render_exchange",
-    "same_row_lattice", "sign_classify", "siphon_boundary_check",
-    "steady_state_system", "strictly_positive_kernel", "sturm_positive_roots",
-    "write_matrix_json", "__version__",
+    "extreme_rays", "find_intermediates", "hermite_normal_form",
+    "injectivity_test", "integer_kernel_basis", "invariance_group",
+    "kernel_circuit_basis", "lift_invariance", "local_toricity",
+    "mass_action_matrices", "matroid_partition", "minimal_siphons",
+    "mixed_volume", "multistationarity_test", "network_structure",
+    "nondegeneracy", "nondegeneracy_all_positive", "parse_network",
+    "polytope_volume", "positive_locus_nonempty", "positive_row_space",
+    "quasihomogeneity_weights", "random_kernel_vector", "read_model",
+    "reduce_network", "render", "render_exchange", "sign_classify",
+    "siphon_boundary_check", "steady_state_system",
+    "strictly_positive_kernel", "write_matrix_json", "__version__",
 ]

@@ -395,7 +395,7 @@ def cmd_batch(args) -> int:
     if args.jobs > 1 and len(files) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
             futures = {p.name: pool.submit(run_batch_model, str(p),
                                            _model_seed(base_seed, p.name), args.timeout)
                        for p in files}

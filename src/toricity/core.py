@@ -524,7 +524,7 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
         raise ValueError("injectivity needs a full-dimensional invariance lattice")
     if sys.s == 0:
         # no equations: the zero set is the full torus, a single coset
-        det = SparsePolynomial.constant(("al1",), int_det(inv.A.to_lists()))
+        det = SparsePolynomial(("al1",), {(0,): int_det(inv.A.to_lists())})
         sign = sign_classify(det)
         if sign in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
             return InjectivityResult(True, det, sign)

@@ -193,14 +193,6 @@ class RationalMatrix(_Matrix):
     def column(cls, values) -> "RationalMatrix":
         return cls([[v] for v in values])
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ot = other.transpose()
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot._e] for row in self._e],
-            other.cols)
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._e for x in r)
 
@@ -487,9 +479,3 @@ def random_combination(basis: CircuitBasis, seed: int) -> tuple[Fraction, ...]:
         if any(w):
             return tuple(Fraction(x, den) for x in w)
 
-
-def same_row_lattice(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    """Whether two integer matrices generate the same row lattice over Z."""
-    if a.cols != b.cols:
-        return False
-    return hermite_normal_form(a) == hermite_normal_form(b)

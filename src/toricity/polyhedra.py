@@ -381,18 +381,14 @@ def _placing_triangulation(points):
     return [tuple(pts[i] for i in s) for s in simplices]
 
 
-def _abs_det(rows) -> int:
-    """Volume of the lattice parallelotope spanned by the integer rows."""
-    return abs(int_det(rows))
-
-
 def polytope_volume(support) -> Fraction:
     """Exact Euclidean volume of the convex hull; 0 if lower-dimensional."""
     pts = support.points if isinstance(support, SupportSet) else SupportSet(tuple(support)).points
     if not pts or not pts[0]:
         return Fraction(0)
     simplices = _placing_triangulation(pts) or ()
-    total = sum(_abs_det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]) for s in simplices)
+    total = sum(abs(int_det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+                for s in simplices)
     return Fraction(total, factorial(len(pts[0])))
 
 
@@ -426,7 +422,7 @@ def mixed_volume(supports) -> int:
         for q in simplex:
             pairs.setdefault(q[n:], []).append(q[:n])
         if all(len(pair) == 2 for pair in pairs.values()):
-            total += _abs_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()])
+            total += abs(int_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()]))
     if total.denominator != 1 or total < 0:
         raise InternalInconsistencyError(f"mixed volume {total} is not a nonnegative integer")
     return int(total)

@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms map exponent vectors to nonzero coefficients; printing and hashing use
-the graded lexicographic order.  On top of the ring arithmetic the module
-provides symbolic determinants (plain and stacked against a constant block),
-coefficient-sign classification, and Sturm-sequence root counting for the
-univariate case.
+A ``SparsePolynomial`` is a read-only value: terms map exponent vectors to
+nonzero coefficients, and printing and hashing use the graded lexicographic
+order.  The module has no ring arithmetic; it builds polynomials as
+symbolic determinants (plain and stacked against a constant block), and
+reads them back by coefficient-sign classification and, in the univariate
+case, by Sturm-sequence root counting.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .exactalg import IntegerMatrix, RationalMatrix, _frac, int_det
 
 
 class VariableMismatchError(ValueError):
-    """Operands live in rings with different variable lists."""
+    """Entries of one matrix have different variable lists."""
 
 
 class DeterminantSizeError(ValueError):
@@ -34,6 +35,8 @@ _DET_TERM_BUDGET = 4_000_000      # terms held by the minors of one expansion or
 
 
 class SparsePolynomial:
+    """A read-only polynomial: its variable names and its terms."""
+
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
@@ -54,125 +57,6 @@ class SparsePolynomial:
                 if clean[e] == 0:
                     del clean[e]
         self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables) -> "SparsePolynomial":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, variables, value) -> "SparsePolynomial":
-        variables = tuple(variables)
-        c = _frac(value)
-        if c == 0:
-            return cls(variables)
-        return cls(variables, {tuple([0] * len(variables)): c})
-
-    @classmethod
-    def variable(cls, variables, name) -> "SparsePolynomial":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, variables, exps, coeff=1) -> "SparsePolynomial":
-        return cls(variables, {tuple(exps): _frac(coeff)})
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "SparsePolynomial"):
-        if self.variables != other.variables:
-            raise VariableMismatchError(
-                f"variables {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            other = SparsePolynomial.constant(self.variables, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        out = SparsePolynomial(self.variables)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = SparsePolynomial(self.variables)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            other = SparsePolynomial.constant(self.variables, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            return self.scale(other)
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        out = SparsePolynomial(self.variables)
-        out.terms = terms
-        return out
-
-    __rmul__ = __mul__
-
-    def scale(self, scalar) -> "SparsePolynomial":
-        c = _frac(scalar)
-        out = SparsePolynomial(self.variables)
-        if c != 0:
-            out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
-
-    def __pow__(self, n: int) -> "SparsePolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        acc = SparsePolynomial.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
-
-    def substitute(self, name: str, replacement: "SparsePolynomial") -> "SparsePolynomial":
-        """Replace a variable by a polynomial of the same ring."""
-        self._check(replacement)
-        idx = self.variables.index(name)
-        out = SparsePolynomial.zero(self.variables)
-        powers = {0: SparsePolynomial.constant(self.variables, 1)}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
-            return powers[k]
-
-        for e, c in self.terms.items():
-            rest = list(e)
-            k = rest[idx]
-            rest[idx] = 0
-            mono = SparsePolynomial.monomial(self.variables, rest, c)
-            out = out + mono * power(k)
-        return out
-
-    # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -279,15 +163,16 @@ def term_count(p: SparsePolynomial) -> int:
 # polynomials; ``det_stacked`` first eliminates its constant rows exactly,
 # and ``minor_sweep`` runs one expansion over every maximal minor.  Callers
 # build the rows in integers, each over a scale, with monomials as tuples of
-# variable indices; ``det_symbolic`` converts its ``SparsePolynomial``s so.
+# variable indices; ``det_symbolic`` converts its ``SparsePolynomial``s so
+# and stacks them on no constant rows.
 # ``_pack`` turns a monomial into one int, holding the exponent vector with
 # each variable in its own bit field.  The product of the scales, the
 # row-order sign and det(A_P) make up one rational factor.  The result
 # stays packed, as a ``_PackedDeterminant``: its sign pattern and
 # whether it is zero are read from the packed coefficients and the sign of
 # the factor, and its exponent tuples and ``Fraction`` coefficients are
-# decoded only when something reads ``terms`` (rendering, evaluation,
-# equality, arithmetic).  The memoized minors of one expansion or sweep
+# decoded only when something reads ``terms``: rendering, evaluation and
+# equality.  The memoized minors of one expansion or sweep
 # hold at most ``_DET_TERM_BUDGET`` terms: 4 million take about 400 MB, and
 # the multistationarity matrix of the 7-layer cascade needs 1.4 million.
 
@@ -434,13 +319,10 @@ def _packed_det(rows, masks):
 
 
 def det_symbolic(matrix) -> SparsePolynomial:
-    """Exact determinant of a square matrix of polynomials.
-
-    Each row, scaled by the least common denominator of its coefficients,
-    is packed as ``det_stacked``'s rows are and expanded sparsest first;
-    matrices above the size guard are refused, and so is an expansion past
-    the term budget of ``_packed_det``.
-    """
+    """Exact determinant of a square matrix of polynomials: ``det_stacked``
+    of its rows, each scaled by the least common denominator of its
+    coefficients, over an empty bottom block.  Matrices above the size guard
+    are refused, and so is an expansion past the term budget."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
@@ -451,21 +333,17 @@ def det_symbolic(matrix) -> SparsePolynomial:
             f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {n})"
         )
     variables = matrix[0][0].variables
-    order = sorted(range(n), key=lambda i: sum(0 if p.is_zero() else 1 for p in matrix[i]))
     rows, scales = [], []
-    for i in order:
-        for p in matrix[i]:
+    for row in matrix:
+        for p in row:
             if p.variables != variables:
                 raise VariableMismatchError(f"variables {p.variables} vs {variables}")
-        scale = lcm(*(c.denominator for p in matrix[i] for c in p.terms.values()))
+        scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
         rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)):
                       c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-                     for p in matrix[i]])
+                     for p in row])
         scales.append(scale)
-    packed, fields = _pack(rows, len(variables))
-    total = next(_packed_det(packed, [(1 << n) - 1]))
-    return _PackedDeterminant(variables, total, fields,
-                              Fraction(_permutation_sign(order), prod(scales)))
+    return det_stacked(rows, scales, variables, IntegerMatrix.with_width([], n))
 
 
 def minor_sweep(rows, scales, variables):
@@ -671,7 +549,8 @@ def count_distinct_roots(p: SparsePolynomial, lower=None, upper=None) -> int:
     """Distinct real roots of a univariate polynomial in the open interval.
 
     ``lower``/``upper`` are rationals or None for -inf/+inf; roots exactly at
-    finite endpoints are divided out first, so the interval is open.
+    finite endpoints are divided out first, so the interval is open, and
+    empty when ``lower >= upper``.
     """
     coeffs, _ = univariate_coefficients(p)
     return count_distinct_roots_coeffs(coeffs, lower, upper)
@@ -679,9 +558,10 @@ def count_distinct_roots(p: SparsePolynomial, lower=None, upper=None) -> int:
 
 def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
     c = squarefree_part(coeffs)
-    if len(c) <= 1:
-        if not c:
-            raise ZeroPolynomialError("zero polynomial")
+    if not c:
+        raise ZeroPolynomialError("zero polynomial")
+    if len(c) == 1 or (lower is not None and upper is not None
+                       and _frac(lower) >= _frac(upper)):
         return 0
     for endpoint in (lower, upper):
         if endpoint is None:
@@ -696,7 +576,3 @@ def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
     hi = "+inf" if upper is None else _frac(upper)
     return _variations(chain, lo) - _variations(chain, hi)
 
-
-def sturm_positive_roots(p: SparsePolynomial) -> int:
-    """Number of distinct roots in (0, inf); the squarefree part is counted."""
-    return count_distinct_roots(p, 0)

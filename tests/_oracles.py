@@ -28,6 +28,9 @@ matrix and of its transpose, where the package takes both from one
 elimination of [N | I], and the Hermite normal form from the repeated
 smallest-entry Euclid loop that the package's extended-gcd steps replaced.
 
+The package keeps polynomials as read-only values.  Their ring arithmetic
+lives here, in ``RingPolynomial``: the polynomial determinant oracles expand
+by cofactors with it, and the tests spell their polynomials with it.
 ``stacked_det`` and ``polynomial_rows`` are not oracles: they convert a
 top block of ``SparsePolynomial``s to the integer rows ``det_stacked``
 takes and back, so the tests can state their matrices as polynomials.
@@ -44,11 +47,12 @@ from toricity.core import (
     EmptyLocusError,
     NondegeneracyResult,
 )
-from toricity.exactalg import int_det, random_combination, random_rng
+from toricity.exactalg import RationalMatrix, int_det, random_combination, random_rng
 from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
     SparsePolynomial,
+    VariableMismatchError,
     det_stacked,
     det_symbolic,
     sign_classify,
@@ -153,6 +157,21 @@ def oracle_integer_kernel_basis(rows, nc: int):
     aug = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(rows)]
     kernel = [row[nc:] for row in oracle_hermite_normal_form(aug, nc + nr) if not any(row[:nc])]
     return oracle_hermite_normal_form(kernel, nr)
+
+
+def same_row_lattice(a, b) -> bool:
+    """Whether two integer matrices generate the same row lattice over Z:
+    equal ``oracle_hermite_normal_form``s."""
+    return a.cols == b.cols and (oracle_hermite_normal_form(a.to_lists(), a.cols)
+                                 == oracle_hermite_normal_form(b.to_lists(), b.cols))
+
+
+def matmul(a, b) -> RationalMatrix:
+    """The product of two matrices, entry by entry over Fractions."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    return RationalMatrix([[sum(x * y for x, y in zip(row, b.col(j))) for j in range(b.cols)]
+                           for row in a.to_lists()], b.cols)
 
 
 def oracle_simplex_maximize(a_rows, b, c):
@@ -349,16 +368,91 @@ def oracle_det(rows):
     return total
 
 
+# --- The polynomial ring ------------------------------------------------------
+
+
+class RingPolynomial(SparsePolynomial):
+    """A ``SparsePolynomial`` with ring arithmetic.  The right operand is a
+    rational or any ``SparsePolynomial`` over the same variables, and every
+    result is a ``RingPolynomial``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p) -> "RingPolynomial":
+        return p if isinstance(p, cls) else cls(p.variables, p.terms)
+
+    @classmethod
+    def constant(cls, variables, value) -> "RingPolynomial":
+        return cls(variables, {(0,) * len(tuple(variables)): value})
+
+    @classmethod
+    def variable(cls, variables, name) -> "RingPolynomial":
+        variables = tuple(variables)
+        exps = [0] * len(variables)
+        exps[variables.index(name)] = 1
+        return cls(variables, {tuple(exps): 1})
+
+    def _operand(self, other) -> "RingPolynomial":
+        if not isinstance(other, SparsePolynomial):
+            return RingPolynomial.constant(self.variables, other)
+        if other.variables != self.variables:
+            raise VariableMismatchError(f"variables {self.variables} vs {other.variables}")
+        return RingPolynomial.of(other)
+
+    def __add__(self, other) -> "RingPolynomial":
+        terms = dict(self.terms)
+        for e, c in self._operand(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return RingPolynomial(self.variables, terms)
+
+    def __neg__(self) -> "RingPolynomial":
+        return self.scale(-1)
+
+    def __sub__(self, other) -> "RingPolynomial":
+        return self + -self._operand(other)
+
+    def __mul__(self, other) -> "RingPolynomial":
+        other, terms = self._operand(other), {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return RingPolynomial(self.variables, terms)
+
+    def scale(self, scalar) -> "RingPolynomial":
+        factor = Fraction(scalar)
+        return RingPolynomial(self.variables, {e: c * factor for e, c in self.terms.items()})
+
+    def __pow__(self, n: int) -> "RingPolynomial":
+        if n < 0:
+            raise ValueError("negative power")
+        acc = RingPolynomial.constant(self.variables, 1)
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def substitute(self, name: str, replacement) -> "RingPolynomial":
+        """Replace a variable by a polynomial over the same variables."""
+        replacement = self._operand(replacement)
+        idx = self.variables.index(name)
+        out = RingPolynomial(self.variables)
+        for e, c in self.terms.items():
+            rest = RingPolynomial(self.variables, {e[:idx] + (0,) + e[idx + 1:]: c})
+            out = out + rest * replacement ** e[idx]
+        return out
+
+
 def _oracle_poly_det(rows):
     """Polynomial determinant by cofactor expansion along the first row,
-    using only the ring operations of the entries."""
+    using only the ring operations of ``RingPolynomial``."""
     if len(rows) == 1:
-        return rows[0][0]
-    total = rows[0][0].scale(0)
+        return RingPolynomial.of(rows[0][0])
+    total = RingPolynomial(rows[0][0].variables)
     for j, a in enumerate(rows[0]):
         if a.is_zero():
             continue
-        term = a * _oracle_poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        term = RingPolynomial.of(a) * _oracle_poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
         total = total - term if j % 2 else total + term
     return total
 
@@ -388,7 +482,7 @@ def polynomial_rows(rows, scales, variables):
             for mono, c in entry.items():
                 e = tuple(mono.count(v) for v in range(len(variables)))
                 terms[e] = terms.get(e, 0) + Fraction(c, scale)
-            polys.append(SparsePolynomial(variables, terms))
+            polys.append(RingPolynomial(variables, terms))
         out.append(polys)
     return out
 
@@ -397,7 +491,7 @@ def oracle_det_stacked(top, bottom):
     """Determinant of [top; bottom] (polynomial top rows, rational bottom
     rows) by the Laplace sweep over every column subset of the top block."""
     s, n = len(top), len(top[0])
-    total = top[0][0].scale(0)
+    total = RingPolynomial(top[0][0].variables)
     for cols in combinations(range(n), s):
         comp = [j for j in range(n) if j not in cols]
         const = oracle_det([[row[j] for j in comp] for row in bottom])
@@ -426,7 +520,7 @@ def oracle_scaled_jacobian(sys_, generators, lam):
                     e = [0] * len(lam)
                     e[idx] = 1
                     terms[tuple(e)] = coeff
-            row.append(SparsePolynomial(lam, terms))
+            row.append(RingPolynomial(lam, terms))
         entries.append(row)
     return entries
 

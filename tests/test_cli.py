@@ -8,8 +8,10 @@ import pytest
 
 from toricity.cli import main
 from toricity.core import GroupMode, VerticalSystem
-from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
+from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.fileio import read_model, write_matrix_json
+
+from _oracles import same_row_lattice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODELS = SRC / "toricity" / "data" / "models"
@@ -354,6 +356,43 @@ def test_batch_jobs_identical(tmp_path, capsys):
     run_cli(capsys, "batch", str(MODELS), "--report", str(r1), "--jobs", "1")
     run_cli(capsys, "batch", str(MODELS), "--report", str(r2), "--jobs", "2")
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_batch_workers_capped_at_model_count(tmp_path, capsys, monkeypatch):
+    """``--jobs`` above the number of models asks the pool for one worker
+    per model: a forking pool starts every worker at the first submit.  An
+    inline stand-in records the request and starts no process."""
+    import concurrent.futures
+    import shutil
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("idh.crn", "square_cycle.crn", "triangle_cycle.crn"):
+        shutil.copy(MODELS / name, models / name)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    r1, r64 = tmp_path / "r1.json", tmp_path / "r64.json"
+    run_cli(capsys, "batch", str(models), "--report", str(r64), "--jobs", "64")
+    assert asked == [3]
+    run_cli(capsys, "batch", str(models), "--report", str(r1), "--jobs", "1")
+    assert asked == [3]
+    assert r1.read_bytes() == r64.read_bytes()
 
 
 def test_export_triangle(tmp_path, capsys):

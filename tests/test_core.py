@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from toricity import core, crn, exactalg, polyhedra
 from toricity.crn import analyze_network
 from toricity.fileio import read_model
-from toricity.exactalg import IntegerMatrix, RationalMatrix, _Matrix, same_row_lattice
+from toricity.exactalg import IntegerMatrix, RationalMatrix, _Matrix
 from toricity.core import (
     AnalyzeOptions,
     DegenerateSliceError,
@@ -37,9 +37,16 @@ from toricity.core import (
     quasihomogeneity_weights,
     render_exchange,
 )
-from toricity.polyring import SignVerdict, SparsePolynomial
+from toricity.polyring import SignVerdict
 
-from _oracles import oracle_lattice, oracle_scaled_jacobian, polynomial_rows, stacked_det
+from _oracles import (
+    RingPolynomial,
+    oracle_lattice,
+    oracle_scaled_jacobian,
+    polynomial_rows,
+    same_row_lattice,
+    stacked_det,
+)
 from test_families import multisite
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
@@ -287,7 +294,7 @@ def test_all_positive_idh_certificate_matches_reference():
     sys_ = idh_system()
     rays = extreme_rays(sys_.C).rays
     lam = tuple(f"l{k+1}" for k in range(len(rays)))
-    var_of = {ray: SparsePolynomial.variable(lam, lam[i]) for i, ray in enumerate(rays)}
+    var_of = {ray: RingPolynomial.variable(lam, lam[i]) for i, ray in enumerate(rays)}
     ua = var_of[(1, 0, 1, 1, 0, 1)]
     ub = var_of[(0, 0, 0, 1, 1, 0)]
     uc = var_of[(1, 1, 0, 0, 0, 0)]
@@ -320,11 +327,11 @@ def test_triangle_augmented_determinant_matches_reference(monkeypatch):
     hv = ("h1", "h2")
     vs = lam + hv
     base = oracle_scaled_jacobian(sys_, rays, vs)  # in the ring of the l and h variables
-    top = [[base[0][k] * SparsePolynomial.variable(vs, hv[k]) for k in range(2)]]
+    top = [[base[0][k] * RingPolynomial.variable(vs, hv[k]) for k in range(2)]]
     det = stacked_det(top, inv.A.to_rational())
-    var_of = {ray: SparsePolynomial.variable(vs, lam[i]) for i, ray in enumerate(rays)}
-    h1 = SparsePolynomial.variable(vs, "h1")
-    h2 = SparsePolynomial.variable(vs, "h2")
+    var_of = {ray: RingPolynomial.variable(vs, lam[i]) for i, ray in enumerate(rays)}
+    h1 = RingPolynomial.variable(vs, "h1")
+    h2 = RingPolynomial.variable(vs, "h2")
     expected = -(h1.scale(9) + h2.scale(4)) * (
         var_of[(2, 0, 0, 1)].scale(2) + var_of[(0, 0, 2, 1)].scale(4)
         + var_of[(0, 1, 1, 0)]
@@ -950,3 +957,14 @@ def test_render_exchange_shape():
     assert lines[2] == "# polynomials"
     assert lines[4] == "# linear"
     assert lines[5] == "2*x1 + 3*x2 - 5"
+
+
+def test_package_exports_resolve():
+    """``from toricity import *`` gives every name ``__all__`` lists, once."""
+    import toricity
+
+    assert [name for name in toricity.__all__ if not hasattr(toricity, name)] == []
+    assert len(set(toricity.__all__)) == len(toricity.__all__)
+    namespace = {}
+    exec("from toricity import *", namespace)
+    assert set(toricity.__all__) <= set(namespace)

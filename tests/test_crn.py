@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricity import cli, crn
-from toricity.exactalg import IntegerMatrix, RationalMatrix, same_row_lattice
+from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyhedra import simplex_maximize
 from toricity.core import (
     ALL_POSITIVE_ENRICHMENT_CAP,
@@ -48,6 +48,7 @@ from _oracles import (
     oracle_minimal_siphons,
     oracle_siphon_supported,
     oracle_siphon_supported_lp,
+    same_row_lattice,
 )
 from test_families import cascade, multisite
 

@@ -12,7 +12,7 @@ import pytest
 from toricity import GroupMode, Verdict, analyze_network, cli, core, crn, parse_network, polyring
 from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic, term_count
 
-from _oracles import polynomial_rows
+from _oracles import RingPolynomial, polynomial_rows
 
 
 def multisite(k: int) -> str:
@@ -80,7 +80,7 @@ def test_det_stacked_replays_as_det_symbolic(monkeypatch, text):
     assert {caller for caller, *_ in calls} == {"toricity.core", "toricity.crn"}
     for _, rows, scales, variables, bottom in calls:
         full = polynomial_rows(rows, scales, variables)
-        full += [[SparsePolynomial.constant(variables, x) for x in bottom.row(i)]
+        full += [[RingPolynomial.constant(variables, x) for x in bottom.row(i)]
                  for i in range(bottom.rows)]
         assert len(full) <= 12
         assert det_stacked(rows, scales, variables, bottom) == det_symbolic(full)

@@ -211,7 +211,8 @@ def test_minor_sweep_matches_det_symbolic(case):
     of the same columns; zero minors and odd row orders included."""
     rows, scales = case
     variables = ("a", "b")
-    polys = [[SparsePolynomial(variables, {(1, 0): c[0], (0, 1): c[1]}).scale(Fraction(1, scale))
+    polys = [[SparsePolynomial(variables, {(1, 0): Fraction(c[0], scale),
+                                           (0, 1): Fraction(c[1], scale)})
               for c in row] for row, scale in zip(rows, scales)]
     swept = list(minor_sweep(rows, scales, variables))
     n, s = len(rows[0]), len(rows)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 from itertools import product
@@ -238,12 +239,22 @@ def test_mixed_volume_triangle_slice_system():
     assert mixed_volume([poly_support, linear_support]) == 6
 
 
+class _NegativeVolume(int):
+    def __abs__(self):
+        return -1
+
+
 def test_mixed_volume_rejects_fractional_total(monkeypatch):
-    # the mixed cells' volumes must add up to a nonnegative integer
+    # the mixed cells' volumes must add up to a nonnegative integer: the
+    # determinants mixed_volume reads come out wrong, and those of the
+    # triangulation stay right
     s = SupportSet(((0, 0), (1, 0), (0, 1)))
-    for bad in (Fraction(1, 3), -1):
-        monkeypatch.setattr(polyhedra, "_abs_det", lambda rows, bad=bad: bad)
-        with pytest.raises(InternalInconsistencyError):
+    int_det = polyhedra.int_det
+    for bad in (Fraction(1, 3), _NegativeVolume()):
+        def det(rows, bad=bad):
+            return bad if sys._getframe(1).f_code.co_name == "mixed_volume" else int_det(rows)
+        monkeypatch.setattr(polyhedra, "int_det", det)
+        with pytest.raises(InternalInconsistencyError, match="not a nonnegative integer"):
             mixed_volume([s, s])
 
 

@@ -15,16 +15,17 @@ from toricity.polyring import (
     SparsePolynomial,
     ZeroPolynomialError,
     count_distinct_roots,
+    count_distinct_roots_coeffs,
     det_stacked,
     det_symbolic,
     render,
     sign_classify,
-    sturm_positive_roots,
     term_count,
     univariate_coefficients,
 )
 
 from _oracles import (
+    RingPolynomial,
     _oracle_poly_det,
     oracle_det,
     oracle_det_stacked,
@@ -34,12 +35,12 @@ from _oracles import (
 
 
 def P(variables, terms):
-    return SparsePolynomial(variables, terms)
+    return RingPolynomial(variables, terms)
 
 
 def test_mul_difference_of_squares():
-    x = SparsePolynomial.variable(("x",), "x")
-    one = SparsePolynomial.constant(("x",), 1)
+    x = RingPolynomial.variable(("x",), "x")
+    one = RingPolynomial.constant(("x",), 1)
     assert (x + one) * (x - one) == P(("x",), {(2,): 1, (0,): -1})
 
 
@@ -52,7 +53,7 @@ def test_variable_mismatch():
     from toricity.polyring import VariableMismatchError
 
     with pytest.raises(VariableMismatchError):
-        SparsePolynomial.variable(("x",), "x") + SparsePolynomial.variable(("y",), "y")
+        RingPolynomial.variable(("x",), "x") + RingPolynomial.variable(("y",), "y")
 
 
 def test_substitute_triangle_slice():
@@ -60,8 +61,8 @@ def test_substitute_triangle_slice():
     # the affine expression for x2 and clear denominators
     vs = ("x1", "x2")
     f = P(vs, {(0, 4): 1, (6, 0): -2})
-    x1 = SparsePolynomial.variable(vs, "x1")
-    repl = SparsePolynomial.constant(vs, Fraction(5, 3)) + x1.scale(Fraction(-2, 3))
+    x1 = RingPolynomial.variable(vs, "x1")
+    repl = RingPolynomial.constant(vs, Fraction(5, 3)) + x1.scale(Fraction(-2, 3))
     g = f.substitute("x2", repl).scale(81)
     coeffs, name = univariate_coefficients(g)
     assert name == "x1"
@@ -76,7 +77,7 @@ def test_substitute_triangle_slice():
 
 def test_det_symbolic_diagonal():
     vs = ("a1", "a2", "a3")
-    rows = [[SparsePolynomial.variable(vs, vs[i]) if i == j else SparsePolynomial.zero(vs)
+    rows = [[RingPolynomial.variable(vs, vs[i]) if i == j else RingPolynomial(vs)
              for j in range(3)] for i in range(3)]
     det = det_symbolic(rows)
     assert det == P(vs, {(1, 1, 1): 1})
@@ -106,7 +107,7 @@ def _injectivity_matrix(c_rows, m_rows, a_rows, mu_names, alpha_names):
     for i in range(s):
         row = []
         for k in range(n):
-            p = SparsePolynomial.zero(vs)
+            p = RingPolynomial(vs)
             for j in range(m):
                 coeff = c_rows[i][j] * m_rows[k][j]
                 if coeff:
@@ -117,7 +118,7 @@ def _injectivity_matrix(c_rows, m_rows, a_rows, mu_names, alpha_names):
             row.append(p)
         rows.append(row)
     for arow in a_rows:
-        rows.append([SparsePolynomial.constant(vs, x) for x in arow])
+        rows.append([RingPolynomial.constant(vs, x) for x in arow])
     return rows, vs
 
 
@@ -158,10 +159,10 @@ def test_det_symbolic_gamma_alpha():
         for k in range(5):
             e = [0] * 5
             e[k] = 1
-            row.append(SparsePolynomial(vs, {tuple(e): r[k]}) if r[k] else SparsePolynomial.zero(vs))
+            row.append(SparsePolynomial(vs, {tuple(e): r[k]}))
         rows.append(row)
     for r in l_rows:
-        rows.append([SparsePolynomial.constant(vs, x) for x in r])
+        rows.append([RingPolynomial.constant(vs, x) for x in r])
     det = det_symbolic(rows)
 
     def term(idx):
@@ -182,7 +183,7 @@ def test_det_symbolic_gamma_alpha():
 
 def test_det_symbolic_size_guard():
     vs = ("x",)
-    one = SparsePolynomial.constant(vs, 1)
+    one = RingPolynomial.constant(vs, 1)
     big = [[one for _ in range(13)] for _ in range(13)]
     with pytest.raises(DeterminantSizeError):
         det_symbolic(big)
@@ -191,8 +192,8 @@ def test_det_symbolic_size_guard():
 def test_det_symbolic_variable_mismatch():
     from toricity.polyring import VariableMismatchError
 
-    x = SparsePolynomial.variable(("x",), "x")
-    y = SparsePolynomial.variable(("y",), "y")
+    x = RingPolynomial.variable(("x",), "x")
+    y = RingPolynomial.variable(("y",), "y")
     with pytest.raises(VariableMismatchError):
         det_symbolic([[x, x], [x, y]])
 
@@ -236,7 +237,7 @@ def test_det_stacked_matches_det_symbolic():
             top.append(row)
         bottom = RationalMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - s)])
         bottom.cols = n
-        full = top + [[SparsePolynomial.constant(vs, x) for x in bottom.row(i)]
+        full = top + [[RingPolynomial.constant(vs, x) for x in bottom.row(i)]
                       for i in range(n - s)]
         assert stacked_det(top, bottom) == det_symbolic(full)
 
@@ -262,8 +263,8 @@ def test_det_symbolic_high_degree_matches_numeric_evaluation():
 def test_det_symbolic_power_of_two_degrees():
     # field widths land exactly on and just past powers of two
     vs = ("x", "y")
-    x = SparsePolynomial.variable(vs, "x")
-    y = SparsePolynomial.variable(vs, "y")
+    x = RingPolynomial.variable(vs, "x")
+    y = RingPolynomial.variable(vs, "y")
     rows = [[x ** 8, y], [y ** 7, x ** 7 * y]]
     assert det_symbolic(rows) == x ** 15 * y - y ** 8
 
@@ -296,7 +297,7 @@ def stacked_matrices(draw, monomial_columns: bool, singular: bool = False):
 def _stacked(top, bottom):
     matrix = RationalMatrix(bottom)
     matrix.cols = len(top[0])
-    full = top + [[SparsePolynomial.constant(VS, x) for x in row] for row in bottom]
+    full = top + [[RingPolynomial.constant(VS, x) for x in row] for row in bottom]
     return stacked_det(top, matrix), full
 
 
@@ -333,7 +334,7 @@ def test_det_stacked_monomial_columns_beyond_size_guard():
     n, s = 18, 15
     vs = tuple(f"a{k}" for k in range(n))
     rng = random.Random(4)
-    top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.choice([-1, 0, 1, 2]))
+    top = [[RingPolynomial.variable(vs, vs[k]).scale(rng.choice([-1, 0, 1, 2]))
             for k in range(n)] for _ in range(s)]
     bottom = [[rng.choice([0, 0, 1, 2]) for _ in range(n)] for _ in range(n - s)]
     det = stacked_det(top, RationalMatrix(bottom))
@@ -351,7 +352,7 @@ def test_det_stacked_term_budget(monkeypatch):
     n, s = 8, 6
     vs = tuple(f"a{k}" for k in range(n))
     rng = random.Random(12)
-    top = [[SparsePolynomial.variable(vs, vs[k]).scale(rng.randint(-3, 3)) for k in range(n)]
+    top = [[RingPolynomial.variable(vs, vs[k]).scale(rng.randint(-3, 3)) for k in range(n)]
            for _ in range(s)]
     bottom = RationalMatrix([[1] * n, list(range(n))])
     assert len(stacked_det(top, bottom).terms) > 20
@@ -366,7 +367,7 @@ def test_det_stacked_degree_fills_its_bit_field():
     row's degree would hold; the fields are adjacent, so a carry out of
     one would turn its power into another variable's."""
     vs = ("x", "y", "z")
-    x, y = (SparsePolynomial.variable(vs, v) for v in "xy")
+    x, y = (RingPolynomial.variable(vs, v) for v in "xy")
     # [[x^4, y^4, z], [y^4, x^3, 1]; [0, 0, 1]]
     rows = [[{(0, 0, 0, 0): 1}, {(1, 1, 1, 1): 1}, {(2,): 1}],
             [{(1, 1, 1, 1): 1}, {(0, 0, 0): 1}, {(): 1}]]
@@ -405,8 +406,8 @@ def test_packed_reads_match_decoded(case):
 
 def test_packed_sign_follows_a_negative_factor():
     vs = ("x", "y", "z")
-    x, y, z = (SparsePolynomial.variable(vs, v) for v in vs)
-    zero = SparsePolynomial.zero(vs)
+    x, y, z = (RingPolynomial.variable(vs, v) for v in vs)
+    zero = RingPolynomial(vs)
     # rows expanded sparsest first: an odd row order
     swapped = det_symbolic([[x, y], [z, zero]])
     # det(A_P) = -1
@@ -427,8 +428,8 @@ def test_packed_sign_follows_a_negative_factor():
 
 def test_packed_determinant_pickles_and_copies_as_its_polynomial():
     vs = ("x", "y", "z")
-    x, y, z = (SparsePolynomial.variable(vs, v) for v in vs)
-    rows = [[x, y, z], [y * z, x, SparsePolynomial.constant(vs, 2)], [z, x * x, y.scale(-3)]]
+    x, y, z = (RingPolynomial.variable(vs, v) for v in vs)
+    rows = [[x, y, z], [y * z, x, RingPolynomial.constant(vs, 2)], [z, x * x, y.scale(-3)]]
     expected = _oracle_poly_det(rows)
     for decoded in (False, True):
         det = det_symbolic(rows)
@@ -463,7 +464,7 @@ def _fraction_det(rows):
 
 def test_sign_classify_cases():
     vs = ("x", "y")
-    assert sign_classify(SparsePolynomial.zero(vs)) == SignVerdict.ZERO_POLYNOMIAL
+    assert sign_classify(SparsePolynomial(vs)) == SignVerdict.ZERO_POLYNOMIAL
     assert sign_classify(P(vs, {(1, 1): 1, (0, 2): -1})) == SignVerdict.MIXED_SIGNS
     assert sign_classify(P(vs, {(1, 0): 2, (0, 1): 3})) == SignVerdict.ALL_POSITIVE
     p = P(vs, {(1, 0): 2, (0, 1): 3})
@@ -472,41 +473,47 @@ def test_sign_classify_cases():
 
 
 def test_sturm_simple():
-    x = SparsePolynomial.variable(("x",), "x")
-    assert sturm_positive_roots(x * x - SparsePolynomial.constant(("x",), 1)) == 1
+    x = RingPolynomial.variable(("x",), "x")
+    assert count_distinct_roots(x * x - 1, 0) == 1
 
 
 def test_sturm_cubic():
     vs = ("x",)
-    x = SparsePolynomial.variable(vs, "x")
-    c = lambda v: SparsePolynomial.constant(vs, v)
+    x = RingPolynomial.variable(vs, "x")
+    c = lambda v: RingPolynomial.constant(vs, v)
     p = (x - c(1)) * (x - c(2)) * (x + c(3))
-    assert sturm_positive_roots(p) == 2
+    assert count_distinct_roots(p, 0) == 2
 
 
 def test_sturm_triangle_slice():
     # (5-2t)^4 - 162 t^6 has exactly one positive root
     vs = ("t",)
-    t = SparsePolynomial.variable(vs, "t")
-    lin = SparsePolynomial.constant(vs, 5) - t.scale(2)
+    t = RingPolynomial.variable(vs, "t")
+    lin = RingPolynomial.constant(vs, 5) - t.scale(2)
     p = lin ** 4 - (t ** 6).scale(162)
-    assert sturm_positive_roots(p) == 1
+    assert count_distinct_roots(p, 0) == 1
 
 
 def test_sturm_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
-        sturm_positive_roots(SparsePolynomial.zero(("x",)))
+        count_distinct_roots(SparsePolynomial(("x",)), 0)
+    with pytest.raises(ZeroPolynomialError):
+        count_distinct_roots_coeffs([0, 0], 2, 1)
 
 
 def test_sturm_repeated_roots_and_interval():
     vs = ("x",)
-    x = SparsePolynomial.variable(vs, "x")
-    c = lambda v: SparsePolynomial.constant(vs, v)
+    x = RingPolynomial.variable(vs, "x")
+    c = lambda v: RingPolynomial.constant(vs, v)
     p = (x - c(2)) ** 3 * (x - c(5)) * (x + c(1))
-    assert sturm_positive_roots(p) == 2
+    assert count_distinct_roots(p, 0) == 2
     assert count_distinct_roots(p, 0, 3) == 1
     assert count_distinct_roots(p, 2, 6) == 1  # endpoint root excluded
     assert count_distinct_roots(p, None, None) == 3
+    # an open interval with lower >= upper is empty
+    assert count_distinct_roots(p, 6, 0) == 0
+    assert count_distinct_roots(p, 2, 2) == 0
+    assert count_distinct_roots(x * x - 2, 2, 1) == 0
 
 
 def test_sturm_against_bisection_oracle():
@@ -522,11 +529,11 @@ def test_sturm_against_bisection_oracle():
         p = SparsePolynomial(vs, {(i,): c for i, c in enumerate(coeffs) if c})
         if p.is_zero():
             continue
-        assert sturm_positive_roots(p) == oracle_positive_roots(coeffs)
+        assert count_distinct_roots(p, 0) == oracle_positive_roots(coeffs)
 
 
 def test_render_canonical():
     vs = ("x1", "x2")
     p = P(vs, {(2, 0): -2, (1, 1): 1, (0, 0): Fraction(1, 3)})
     assert render(p) == "-2*x1^2 + x1*x2 + 1/3"
-    assert render(SparsePolynomial.zero(vs)) == "0"
+    assert render(SparsePolynomial(vs)) == "0"
