@@ -73,6 +73,16 @@ def _timeout(value: str) -> float:
     return seconds
 
 
+def _jobs(value: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {value!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a worker count of 1 or more")
+    return jobs
+
+
 def _matrix_lines(mat: IntegerMatrix, indent: str = "  ") -> list[str]:
     if mat.rows == 0:
         return [indent + "(empty)"]
@@ -496,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="analyze every model in a directory")
     p.add_argument("directory")
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--timeout", type=_timeout, default=60.0,
                    help="wall-clock seconds per model, 0 for no limit")
     p.add_argument("--seed", type=int)

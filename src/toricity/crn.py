@@ -21,7 +21,7 @@ from .exactalg import (
     integer_kernel_basis,
     left_kernel_basis,
 )
-from .polyhedra import simplex_maximize
+from .polyhedra import strictly_positive_kernel
 from .polyring import (
     DeterminantSizeError,
     SignVerdict,
@@ -290,11 +290,33 @@ class IntermediateChoice:
         return len(self.intermediates)
 
 
-def _complex_digraph(net: ReactionNetwork):
+def _complex_digraph(net: ReactionNetwork) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """Successors and predecessors of each complex in the reaction graph."""
     out: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
+    into: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
     for src, tgt, _ in net.reactions:
         out[src].add(tgt)
-    return out
+        into[tgt].add(src)
+    return out, into
+
+
+def _walk(start: int, edges, inside) -> tuple[set[int], set[int]]:
+    """Depth-first walk from ``start``, a node of ``inside``, along ``edges``.
+
+    Returns the nodes of ``inside`` reachable from ``start`` through
+    ``inside`` (``start`` among them) and the nodes outside ``inside`` that
+    the walk runs into.
+    """
+    reached, hit = {start}, set()
+    stack = [start]
+    while stack:
+        for nxt in edges[stack.pop()]:
+            if nxt not in inside:
+                hit.add(nxt)
+            elif nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    return reached, hit
 
 
 def find_intermediates(net: ReactionNetwork) -> IntermediateChoice:
@@ -314,57 +336,19 @@ def find_intermediates(net: ReactionNetwork) -> IntermediateChoice:
         if appearances and all(sum(net.complexes[ci]) == 1 for ci in appearances):
             candidates.add(i)
 
-    out_edges = _complex_digraph(net)
-    in_edges: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
-    for a, bs in out_edges.items():
-        for b in bs:
-            in_edges[b].add(a)
-
-    def evaluate(cands):
-        inter_complexes = {singleton_of[i] for i in cands}
-        inputs: dict[int, set[int]] = {}
-        reaches_out: dict[int, bool] = {}
-        for i in sorted(cands):
-            ci = singleton_of[i]
-            # walk backwards through intermediate complexes
-            seen = {ci}
-            stack = [ci]
-            sources = set()
-            while stack:
-                node = stack.pop()
-                for prev in in_edges[node]:
-                    if prev in inter_complexes:
-                        if prev not in seen:
-                            seen.add(prev)
-                            stack.append(prev)
-                    else:
-                        sources.add(prev)
-            # walk forwards
-            seen_f = {ci}
-            stack = [ci]
-            escapes = False
-            while stack and not escapes:
-                node = stack.pop()
-                for nxt in out_edges[node]:
-                    if nxt in inter_complexes:
-                        if nxt not in seen_f:
-                            seen_f.add(nxt)
-                            stack.append(nxt)
-                    else:
-                        escapes = True
-                        break
-            inputs[i] = sources
-            reaches_out[i] = escapes
-        return inputs, reaches_out
-
+    out_edges, in_edges = _complex_digraph(net)
     cands = set(candidates)
+    inputs: dict[int, set[int]] = {}
     while cands:
-        inputs, reaches_out = evaluate(cands)
-        bad = [i for i in sorted(cands) if len(inputs[i]) != 1 or not reaches_out[i]]
+        # outside complexes entering each candidate's complex through
+        # intermediate ones, and whether it leaves to an outside complex
+        inter_complexes = {singleton_of[i] for i in cands}
+        inputs = {i: _walk(singleton_of[i], in_edges, inter_complexes)[1] for i in cands}
+        bad = [i for i in sorted(cands) if len(inputs[i]) != 1
+               or not _walk(singleton_of[i], out_edges, inter_complexes)[1]]
         if not bad:
             break
         cands.discard(bad[0])
-    inputs, _ = evaluate(cands) if cands else ({}, {})
     inter = tuple(sorted(cands))
     non_inter = tuple(i for i in range(net.n) if i not in cands)
     input_map = {i: next(iter(inputs[i])) for i in inter}
@@ -397,58 +381,27 @@ def reduce_network(net: ReactionNetwork, choice: IntermediateChoice) -> Reductio
     x_idx = tuple(choice.non_intermediates)
     inter_complexes = {ci for ci, vec in enumerate(net.complexes)
                        if sum(vec) == 1 and vec.index(1) in inter_species}
-    out_edges = _complex_digraph(net)
+    out_edges, in_edges = _complex_digraph(net)
 
     # pairs of outside complexes connected through a nonempty intermediate path
     added: set[tuple[int, int]] = set()
-    for start in sorted(inter_complexes):
-        entry_points = [c for c in range(len(net.complexes))
-                        if c not in inter_complexes and start in out_edges[c]]
-        if not entry_points:
-            continue
-        reach = {start}
-        stack = [start]
-        outs = set()
-        while stack:
-            node = stack.pop()
-            for nxt in out_edges[node]:
-                if nxt in inter_complexes:
-                    if nxt not in reach:
-                        reach.add(nxt)
-                        stack.append(nxt)
-                else:
-                    outs.add(nxt)
-        for c in entry_points:
-            for c2 in outs:
-                if c != c2:
-                    added.add((c, c2))
+    for start in inter_complexes:
+        entry_points = in_edges[start] - inter_complexes
+        if entry_points:
+            outs = _walk(start, out_edges, inter_complexes)[1]
+            added.update((c, c2) for c in entry_points for c2 in outs if c != c2)
 
-    def restrict(ci):
-        vec = net.complexes[ci]
-        return {net.species[i]: vec[i] for i in x_idx if vec[i] > 0}
+    # reduced complexes, interned by their vectors over the kept species
+    index: dict[tuple[int, ...], int] = {}
 
-    species_names = tuple(net.species[i] for i in x_idx)
-    complexes: list[dict[str, int]] = []
-    cindex: dict[tuple, int] = {}
+    def intern(ci):
+        return index.setdefault(tuple(net.complexes[ci][i] for i in x_idx), len(index))
 
-    def intern(content):
-        key = tuple(sorted(content.items()))
-        if key not in cindex:
-            cindex[key] = len(complexes)
-            complexes.append(content)
-        return cindex[key]
-
-    reactions: list[tuple[int, int]] = []
-    for src, tgt, _ in net.reactions:
-        if src in inter_complexes or tgt in inter_complexes:
-            continue
-        reactions.append((intern(restrict(src)), intern(restrict(tgt))))
-    for c, c2 in sorted(added):
-        reactions.append((intern(restrict(c)), intern(restrict(c2))))
-
-    vecs = tuple(tuple(c.get(name, 0) for name in species_names) for c in complexes)
-    labeled = tuple((s, t, f"k{i+1}") for i, (s, t) in enumerate(reactions))
-    reduced = ReactionNetwork(species_names, vecs, labeled)
+    kept = [(src, tgt) for src, tgt, _ in net.reactions
+            if src not in inter_complexes and tgt not in inter_complexes]
+    reactions = [(intern(c), intern(c2)) for c, c2 in kept + sorted(added)]
+    reduced = ReactionNetwork(tuple(net.species[i] for i in x_idx), tuple(index),
+                              tuple((s, t, f"k{i+1}") for i, (s, t) in enumerate(reactions)))
 
     b_cols = []
     for i in choice.intermediates:
@@ -456,29 +409,18 @@ def reduce_network(net: ReactionNetwork, choice: IntermediateChoice) -> Reductio
         b_cols.append([vec[j] for j in x_idx])
     B = IntegerMatrix.with_width([[col[r] for col in b_cols] for r in range(len(x_idx))],
                                  len(choice.intermediates))
-    surj = _surjectivity_flag(net, choice, inter_complexes, out_edges)
+    surj = _surjectivity_flag(inter_complexes, out_edges, in_edges)
     return ReductionResult(reduced, B, surj, x_idx, tuple(choice.intermediates))
 
 
-def _surjectivity_flag(net, choice, inter_complexes, out_edges) -> str:
+def _surjectivity_flag(inter_complexes, out_edges, in_edges) -> str:
     """'yes' when every intermediate group is an isolated chain
     c <-> Y1 <-> ... <-> Yl -> c', otherwise 'conjectural'."""
-    in_edges: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
-    for a, bs in out_edges.items():
-        for b in bs:
-            in_edges[b].add(a)
     # undirected components among intermediate complexes
+    undirected = {c: out_edges[c] | in_edges[c] for c in inter_complexes}
     remaining = set(inter_complexes)
     while remaining:
-        seed = min(remaining)
-        group = {seed}
-        stack = [seed]
-        while stack:
-            node = stack.pop()
-            for nxt in (out_edges[node] | in_edges[node]) & inter_complexes:
-                if nxt not in group:
-                    group.add(nxt)
-                    stack.append(nxt)
+        group = _walk(min(remaining), undirected, inter_complexes)[0]
         remaining -= group
         if not _group_is_chain(group, inter_complexes, out_edges, in_edges):
             return "conjectural"
@@ -642,28 +584,15 @@ def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = Non
     partition from ``system`` (the network's steady-state system, whose C is
     a row basis of N) when the caller has built it."""
     s = system.s if system is not None else mass_action_matrices(net)[0].rank()
-    out_edges = _complex_digraph(net)
-    undirected: dict[int, set[int]] = {i: set() for i in range(len(net.complexes))}
-    for a, bs in out_edges.items():
-        for b in bs:
-            undirected[a].add(b)
-            undirected[b].add(a)
-    seen: set[int] = set()
-    classes = []
-    for start in range(len(net.complexes)):
-        if start in seen:
-            continue
-        group = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in undirected[node]:
-                if nxt not in group:
-                    group.add(nxt)
-                    stack.append(nxt)
-        seen |= group
-        classes.append(frozenset(group))
-    classes_t = tuple(sorted(classes, key=min))
+    out_edges, in_edges = _complex_digraph(net)
+    undirected = {c: out_edges[c] | in_edges[c] for c in out_edges}
+    # each class is found from its least complex, so they come sorted by it
+    classes, seen = [], set()
+    for start in undirected:
+        if start not in seen:
+            classes.append(frozenset(_walk(start, undirected, undirected)[0]))
+            seen |= classes[-1]
+    classes_t = tuple(classes)
     class_of = {}
     for ci, group in enumerate(classes_t):
         for c in group:
@@ -672,7 +601,9 @@ def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = Non
         frozenset(j for j, (src, _, _) in enumerate(net.reactions) if class_of[src] == ci)
         for ci in range(len(classes_t))
     )
-    weakly = all(_strongly_connected(group, out_edges) for group in classes_t)
+    # strongly connected: its least complex reaches all and is reached by all
+    weakly = all(_walk(min(g), out_edges, g)[0] == g == _walk(min(g), in_edges, g)[0]
+                 for g in classes_t)
     delta = len(net.complexes) - s - len(classes_t)
     refines = None
     if s > 0:
@@ -680,22 +611,6 @@ def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = Non
         refines = all(any(b <= rc for rc in reaction_classes) for b in part.blocks)
     return NetworkStructure(len(net.complexes), classes_t, reaction_classes, s, delta,
                             weakly, refines, delta == 0 and weakly)
-
-
-def _strongly_connected(group, out_edges) -> bool:
-    nodes = sorted(group)
-    for start in nodes:
-        reach = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in out_edges[node]:
-                if nxt in group and nxt not in reach:
-                    reach.add(nxt)
-                    stack.append(nxt)
-        if reach != group:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +693,8 @@ def _siphon_supported_in_rowspace(mat: RationalMatrix | IntegerMatrix,
     pivoting in the siphon block, each times its pivot (a positive multiple
     of its RREF row), span the row-space vectors vanishing outside it.  With
     no such row there is no v; with one, v is a positive multiple of it.
-    Only two or more need an LP, whose free y absorb the rows' scales.
+    Two or more rows S take one strictly-positive-kernel LP (Stiemke):
+    some y S >= 0 is nonzero exactly when no x > 0 has S x = 0.
     """
     inside = sorted(siphon)
     first = mat.cols - len(inside)
@@ -787,16 +703,7 @@ def _siphon_supported_in_rowspace(mat: RationalMatrix | IntegerMatrix,
     span = [[x * row[p] for x in row[first:]] for row, p in zip(rows, pivots) if p >= first]
     if len(span) <= 1:
         return bool(span) and min(span[0]) >= 0
-    # variables: y+ (k), y- (k), u (|inside|); y.span = u >= 0 with sum(u) = 1
-    k = len(span)
-    rows = []
-    for pos in range(len(inside)):
-        row = [r[pos] for r in span] + [-r[pos] for r in span] + [0] * len(inside)
-        row[2 * k + pos] = -1
-        rows.append(row)
-    rows.append([0] * (2 * k) + [1] * len(inside))
-    status, _, _ = simplex_maximize(rows, [0] * len(inside) + [1], [0] * len(rows[0]))
-    return status == "optimal"
+    return strictly_positive_kernel(IntegerMatrix.with_width(span, len(inside))).is_empty
 
 
 def siphon_boundary_check(net: ReactionNetwork, A: IntegerMatrix | None = None,
@@ -809,8 +716,9 @@ def siphon_boundary_check(net: ReactionNetwork, A: IntegerMatrix | None = None,
     space is that of A, or of the conservation laws when A is absent or
     empty.  The minimal siphons come from closure branching
     (``minimal_siphons``), and each is checked by an exact rank test on
-    that row space, with an LP only where the vectors vanishing outside the
-    siphon span two or more dimensions.  When the siphon search runs out of
+    that row space, with one strictly-positive-kernel LP (Stiemke) only
+    where the vectors vanishing outside the siphon span two or more
+    dimensions.  When the siphon search runs out of
     budget the 'unknown' is a ``_BudgetUnknown``, which ``analyze_network``
     reports in a note.
     """

@@ -94,12 +94,6 @@ class _Matrix:
     def transpose(self):
         return self._of([self.col(j) for j in range(self.cols)], self.rows)
 
-    def mul_vector(self, v) -> tuple:
-        vv = list(v)
-        if len(vv) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self._e)
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._e == other._e and self.cols == other.cols
 
@@ -176,25 +170,8 @@ class RationalMatrix(_Matrix):
         return tuple((tuple(a), d) for a, d in map(_integer_scaling, self._e))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values) -> "RationalMatrix":
-        vals = [_frac(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def column(cls, values) -> "RationalMatrix":
         return cls([[v] for v in values])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self._e for x in r)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._e]})"
@@ -209,9 +186,6 @@ class IntegerMatrix(_Matrix):
 
     def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((row, 1) for row in self._e)
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self._e, self.cols)
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.to_lists()})"

@@ -8,10 +8,13 @@ sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
 use the inclusion-exclusion over LP-pruned Minkowski sums that the
 package's Cayley triangulation replaced; it shares only the package's
 integer determinant.  Minimal siphons use the sweep over all species
-subsets that the package's closure branching replaced.  Siphon support is
-decided two ways: by one LP over the whole row space in place of the
-package's rank test, and by the ``Fraction`` RREF of the permuted matrix
-that the package's fraction-free echelon form replaced.  The scaling
+subsets that the package's closure branching replaced, and reachability in
+the reaction graph uses Warshall's transitive closure in place of the
+package's depth-first walks.  Siphon support is decided two ways, each with
+its own LP where the package applies Stiemke's lemma: by one LP over the
+whole row space in place of the package's rank test, and by the
+``Fraction`` RREF of the permuted matrix that the package's fraction-free
+echelon form replaced.  The scaling
 lattice of a column partition comes from the integer kernel of M with one
 indicator row per block, projected to its first n coordinates and put in
 Hermite form, where the package takes the kernel of a difference matrix.
@@ -27,6 +30,10 @@ The row basis and the left kernel come from separate reductions of the
 matrix and of its transpose, where the package takes both from one
 elimination of [N | I], and the Hermite normal form from the repeated
 smallest-entry Euclid loop that the package's extended-gcd steps replaced.
+
+The small matrix helpers (``zeros``, ``identity``, ``diagonal``,
+``is_zero``, ``to_rational``, ``mul_vector`` and ``matmul``) build and read
+test matrices; the package has no use for them.
 
 The package keeps polynomials as read-only values.  Their ring arithmetic
 lives here, in ``RingPolynomial``: the polynomial determinant oracles expand
@@ -164,6 +171,34 @@ def same_row_lattice(a, b) -> bool:
     equal ``oracle_hermite_normal_form``s."""
     return a.cols == b.cols and (oracle_hermite_normal_form(a.to_lists(), a.cols)
                                  == oracle_hermite_normal_form(b.to_lists(), b.cols))
+
+
+def zeros(rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix([[0] * cols for _ in range(rows)], cols)
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def diagonal(values) -> RationalMatrix:
+    n = len(values)
+    return RationalMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
+def is_zero(m) -> bool:
+    return not any(x for row in m.to_lists() for x in row)
+
+
+def to_rational(m) -> RationalMatrix:
+    return RationalMatrix(m.to_lists(), m.cols)
+
+
+def mul_vector(m, v) -> tuple:
+    """The product m v, for a matrix of either kind and a vector of its width."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m.to_lists())
 
 
 def matmul(a, b) -> RationalMatrix:
@@ -845,6 +880,25 @@ def oracle_minimal_siphons(net):
             if all((src & z) or not (tgt & z) for src, tgt in masks):
                 found.append(z)
     return [frozenset(i for i in range(n) if z >> i & 1) for z in found]
+
+
+def oracle_closure(edges) -> dict:
+    """Warshall's transitive closure of a digraph given as successor sets:
+    each node maps to the nodes it reaches by a path of one or more edges."""
+    reach = {a: set(bs) for a, bs in edges.items()}
+    for k in edges:
+        for a in edges:
+            if k in reach[a]:
+                reach[a] |= reach[k]
+    return reach
+
+
+def oracle_walk(start, edges, inside):
+    """``crn._walk`` from the closure of the digraph restricted to inside:
+    start with the inside nodes it reaches, and the outside successors of
+    those."""
+    reached = {start} | oracle_closure({a: edges[a] & inside for a in inside})[start]
+    return reached, {b for a in reached for b in edges[a] if b not in inside}
 
 
 def oracle_lattice(m_rows, n: int, blocks):

@@ -39,6 +39,7 @@ from toricity.polyhedra import SupportSet, mixed_volume
 from toricity.polyring import SparsePolynomial, count_distinct_roots, det_symbolic
 
 from _oracles import (
+    mul_vector,
     oracle_det,
     oracle_minkowski,
     oracle_positive_roots,
@@ -273,7 +274,7 @@ def test_criterion_8_property_suites():
                 cols = sorted(block)
                 for a, b in zip(cols, cols[1:]):
                     diff = [sys_.M.entry(k, a) - sys_.M.entry(k, b) for k in range(sys_.n)]
-                    assert all(v == 0 for v in inv.A.mul_vector(diff))
+                    assert all(v == 0 for v in mul_vector(inv.A, diff))
             done += 1
 
         # (c) planar two-polytope mixed volume identity

@@ -350,6 +350,15 @@ def test_batch_timeout_rejected(value):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_batch_jobs_below_one_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", str(MODELS), f"--jobs={value}"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "argument --jobs" in err and out == ""
+
+
 def test_batch_jobs_identical(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"

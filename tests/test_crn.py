@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from toricity import cli, crn
 from toricity.exactalg import IntegerMatrix, RationalMatrix
-from toricity.polyhedra import simplex_maximize
+from toricity.polyhedra import strictly_positive_kernel
 from toricity.core import (
     ALL_POSITIVE_ENRICHMENT_CAP,
     GroupMode,
@@ -45,10 +45,14 @@ from toricity.crn import (
 )
 
 from _oracles import (
+    mul_vector,
+    oracle_closure,
     oracle_minimal_siphons,
     oracle_siphon_supported,
     oracle_siphon_supported_lp,
+    oracle_walk,
     same_row_lattice,
+    to_rational,
 )
 from test_families import cascade, multisite
 
@@ -193,7 +197,7 @@ def test_conservation_laws_idh():
     stacked = RationalMatrix(ref.to_lists() + laws.to_lists())
     assert stacked.rank() == 2
     for i in range(laws.rows):
-        assert all(v == 0 for v in N.transpose().to_rational().mul_vector(laws.row(i)))
+        assert all(v == 0 for v in mul_vector(to_rational(N.transpose()), laws.row(i)))
 
 
 def test_conservation_laws_simple_and_full_rank():
@@ -250,6 +254,22 @@ def test_reduce_shinar_feinberg():
     assert "X4 + X5 -> X2 + X7" in texts
     assert "X3 + X7 -> X3 + X5" in texts
     assert "X1 + X7 -> X1 + X5" in texts
+
+
+def test_reduce_chain_of_intermediates():
+    """Y1 and Y2 form a chain A + B <=> Y1 -> Y2 -> C + D with input A + B;
+    Z is no intermediate, since no path leaves it."""
+    net = parse_network("A + B <=> Y1 -> Y2 -> C + D\nC + D -> Z")
+    choice = find_intermediates(net)
+    assert [net.species[i] for i in choice.intermediates] == ["Y1", "Y2"]
+    red = reduce_network(net, choice)
+    assert [red.network.reaction_text(k) for k in range(red.network.num_reactions)] \
+        == ["C + D -> Z  [k1]", "A + B -> C + D  [k2]"]
+    assert red.B.to_lists() == [[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]]
+    assert red.surjectivity == "yes"
+    # the same chain written tail first is still found whole
+    net = parse_network("Y2 -> C + D\nA + B <=> Y1 -> Y2\nC + D -> Z")
+    assert reduce_network(net, find_intermediates(net)).surjectivity == "yes"
 
 
 def test_reduce_rejects_invalid_choice():
@@ -466,6 +486,37 @@ def _networks(draw):
 
 
 @st.composite
+def _walks(draw):
+    """A random digraph on up to 8 nodes, a set of inside nodes and a start
+    among them."""
+    n = draw(st.integers(1, 8))
+    edges = {a: draw(st.sets(st.integers(0, n - 1), max_size=4)) for a in range(n)}
+    inside = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return draw(st.sampled_from(sorted(inside))), edges, inside
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_walks())
+def test_walk_matches_transitive_closure(case):
+    assert crn._walk(*case) == oracle_walk(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_networks())
+def test_linkage_classes_and_weak_reversibility_match_closure(net):
+    """Linkage classes are the classes of the undirected closure, in order of
+    their least complex; weak reversibility puts every reaction on a cycle."""
+    nodes = range(len(net.complexes))
+    edges = {c: {t for s, t, _ in net.reactions if s == c} for c in nodes}
+    undirected = oracle_closure({c: edges[c] | {s for s in nodes if c in edges[s]} for c in nodes})
+    classes = sorted({frozenset({c} | undirected[c]) for c in nodes}, key=min)
+    structure = network_structure(net)
+    assert list(structure.linkage_classes) == classes
+    directed = oracle_closure(edges)
+    assert structure.weakly_reversible == all(s in directed[t] for s, t, _ in net.reactions)
+
+
+@st.composite
 def _row_spaces(draw):
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.tuples(st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=n,
@@ -537,8 +588,8 @@ def test_siphon_support_matches_fraction_rref(case):
 ])
 def test_siphon_support_two_dimensional_uses_lp(monkeypatch, rows, expected):
     calls = []
-    monkeypatch.setattr(crn, "simplex_maximize",
-                        lambda *args: calls.append(args) or simplex_maximize(*args))
+    monkeypatch.setattr(crn, "strictly_positive_kernel",
+                        lambda m: calls.append(m) or strictly_positive_kernel(m))
     mat, siphon = RationalMatrix(rows), frozenset({1, 2, 3, 4})
     assert crn._siphon_supported_in_rowspace(mat, siphon) is expected
     assert oracle_siphon_supported_lp(mat, siphon) is expected

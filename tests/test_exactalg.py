@@ -25,7 +25,11 @@ from toricity.polyhedra import positive_row_space
 from toricity.polyring import SparsePolynomial
 
 from _oracles import (
+    diagonal,
+    identity,
+    is_zero,
     matmul,
+    mul_vector,
     oracle_det,
     oracle_hermite_normal_form,
     oracle_integer_kernel_basis,
@@ -34,6 +38,8 @@ from _oracles import (
     oracle_rref,
     same_row_lattice,
     stacked_det,
+    to_rational,
+    zeros,
 )
 
 # Running example: the two-substrate regulation system used throughout the suite.
@@ -62,8 +68,8 @@ FIG_M = IntegerMatrix([
 
 
 def test_rref_identity():
-    red, pivots = RationalMatrix.identity(2).rref()
-    assert red == RationalMatrix.identity(2)
+    red, pivots = identity(2).rref()
+    assert red == identity(2)
     assert pivots == (0, 1)
 
 
@@ -81,19 +87,19 @@ def test_rref_fig_two_pivots():
 
 
 def test_rank_zero_matrix():
-    assert RationalMatrix.zeros(3, 4).rank() == 0
+    assert zeros(3, 4).rank() == 0
 
 
 def test_rank_identity():
-    assert RationalMatrix.identity(5).rank() == 5
+    assert identity(5).rank() == 5
 
 
 def test_rank_scaled_jacobian_shape():
     # rank 3 for any of these kernel vectors; the second one reproduces a
     # known matrix exactly
-    j = matmul(matmul(IDH_C, RationalMatrix.diagonal([2, 1, 1, 2, 1, 1])), IDH_M.transpose())
+    j = matmul(matmul(IDH_C, diagonal([2, 1, 1, 2, 1, 1])), IDH_M.transpose())
     assert j.rank() == 3
-    j2 = matmul(matmul(IDH_C, RationalMatrix.diagonal([3, 1, 2, 3, 1, 2])), IDH_M.transpose())
+    j2 = matmul(matmul(IDH_C, diagonal([3, 1, 2, 3, 1, 2])), IDH_M.transpose())
     assert j2 == RationalMatrix([
         [-3, -3, 3, 0, 0],
         [-3, -3, 1, 0, 2],
@@ -103,7 +109,7 @@ def test_rank_scaled_jacobian_shape():
 
 
 def test_kernel_circuit_basis_identity_empty():
-    basis = kernel_circuit_basis(RationalMatrix.identity(3))
+    basis = kernel_circuit_basis(identity(3))
     assert len(basis) == 0
 
 
@@ -156,7 +162,7 @@ def test_circuit_supports_are_fundamental_circuits_small_random():
         circuits = _brute_force_circuit_supports(m)
         basis = kernel_circuit_basis(m)
         for v, s in zip(basis.vectors, basis.supports):
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert all(x == 0 for x in mul_vector(m, v))
             assert s in circuits, f"{s} not minimal for {m!r}"
         # the basis spans the kernel
         assert len(basis) == m.cols - m.rank()
@@ -315,14 +321,14 @@ def test_random_kernel_vector_line():
 
 def test_random_kernel_vector_trivial_kernel():
     with pytest.raises(TrivialKernelError):
-        random_kernel_vector(RationalMatrix.identity(2), seed=0)
+        random_kernel_vector(identity(2), seed=0)
 
 
 def test_random_kernel_vector_idh_residual_zero():
     for seed in (1, 2):
         w = random_kernel_vector(IDH_C, seed=seed)
         res = matmul(IDH_C, w)
-        assert res.is_zero()
+        assert is_zero(res)
     assert random_kernel_vector(IDH_C, 5) == random_kernel_vector(IDH_C, 5)
     assert random_kernel_vector(IDH_C, 5) != random_kernel_vector(IDH_C, 6)
 
@@ -331,7 +337,7 @@ def test_left_kernel_basis():
     n = RationalMatrix([[-1, 1], [1, -1]])
     lk = left_kernel_basis(n)
     assert lk.rows == 1
-    assert lk.mul_vector([0, 0]) == (0,)
+    assert mul_vector(lk, [0, 0]) == (0,)
     v = lk.row(0)
     assert v[0] == v[1] != 0
 
@@ -447,14 +453,14 @@ def _integer_matrices(draw):
 def test_integer_matrix_agrees_with_its_rational_copy(a, b):
     """Every kernel gives an integer matrix, read as it is, the result it
     gives the same matrix converted to Fractions."""
-    q = a.to_rational()
+    q = to_rational(a)
     assert a != q
     assert a.rref() == q.rref()
     assert a.rank() == q.rank()
     assert a.row_basis() == q.row_basis()
     assert kernel_circuit_basis(a) == kernel_circuit_basis(q)
     assert left_kernel_basis(a) == left_kernel_basis(q)
-    for rhs in (b[: a.rows], a.mul_vector(b[: a.cols])):
+    for rhs in (b[: a.rows], mul_vector(a, b[: a.cols])):
         assert solve(a, rhs) == solve(q, rhs)
     assert positive_row_space(a) == positive_row_space(q)
     if a.cols > a.rows:

@@ -2,8 +2,12 @@
 
 The fixtures under ``tests/data/golden/`` hold the ``batch --report`` of the
 bundled corpus, ``analyze --json`` of each matrix model and ``network --json``
-of each network, all at the default seed.  Only the ``model`` path, which
-depends on where the checkout lives, is replaced by the file name.
+of each network, all at the default seed.  ``network_multisite_2.json`` pins
+one more reduction, of the two-site phosphorylation network with its four
+intermediates; it is written from ``test_families.multisite(2)`` into the
+work directory, so the bundled corpus keeps its eight models.  Only the
+``model`` path, which depends on where the checkout lives, is replaced by the
+file name.
 """
 
 import contextlib
@@ -16,6 +20,8 @@ import pytest
 from toricity import cli, core, polyring
 from toricity.cli import main
 
+from test_families import multisite
+
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -23,7 +29,8 @@ MATRIX_MODELS = sorted(p.name for p in MODELS.glob("*.json"))
 NETWORK_MODELS = sorted(p.name for p in MODELS.glob("*.crn"))
 FIXTURES = (["batch_report.json"]
             + [f"analyze_{Path(n).stem}.json" for n in MATRIX_MODELS]
-            + [f"network_{Path(n).stem}.json" for n in NETWORK_MODELS])
+            + [f"network_{Path(n).stem}.json" for n in NETWORK_MODELS]
+            + ["network_multisite_2.json"])
 
 
 def _run(*argv) -> str:
@@ -33,9 +40,9 @@ def _run(*argv) -> str:
     return out.getvalue()
 
 
-def _json_output(command: str, name: str) -> str:
-    payload = json.loads(_run(command, str(MODELS / name), "--json"))
-    payload["model"] = name
+def _json_output(command: str, path: Path) -> str:
+    payload = json.loads(_run(command, str(path), "--json"))
+    payload["model"] = path.name
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -45,9 +52,12 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
     _run("batch", str(MODELS), "--report", str(report))
     outputs = {"batch_report.json": report.read_text(encoding="utf-8")}
     for name in MATRIX_MODELS:
-        outputs[f"analyze_{Path(name).stem}.json"] = _json_output("analyze", name)
+        outputs[f"analyze_{Path(name).stem}.json"] = _json_output("analyze", MODELS / name)
     for name in NETWORK_MODELS:
-        outputs[f"network_{Path(name).stem}.json"] = _json_output("network", name)
+        outputs[f"network_{Path(name).stem}.json"] = _json_output("network", MODELS / name)
+    network = workdir / "multisite_2.crn"
+    network.write_text(multisite(2), encoding="utf-8")
+    outputs["network_multisite_2.json"] = _json_output("network", network)
     return outputs
 
 
