@@ -141,19 +141,24 @@ def render_report(report, label: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def _read(path):
+    """The model in ``path``, or the exit code of the error reading it,
+    which is reported: a dimension mismatch or a parse error."""
+    try:
+        return read_model(path)
+    except (ModelFormatError, ModelDimensionError, NetworkParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIMENSION if isinstance(exc, ModelDimensionError) else EXIT_PARSE
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
 
 def cmd_analyze(args) -> int:
-    try:
-        model = read_model(args.file)
-    except ModelDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (ModelFormatError, NetworkParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    model = _read(args.file)
+    if isinstance(model, int):
+        return model
     if model.kind != "matrix":
         print("error: 'analyze' expects a matrix model; use 'network' for reaction files",
               file=sys.stderr)
@@ -210,11 +215,9 @@ def _multi_line(result) -> str:
 
 
 def cmd_network(args) -> int:
-    try:
-        model = read_model(args.file)
-    except (ModelFormatError, NetworkParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    model = _read(args.file)
+    if isinstance(model, int):
+        return model
     if model.kind != "network":
         print("error: 'network' expects a reaction network file", file=sys.stderr)
         return EXIT_PARSE
@@ -440,11 +443,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        model = read_model(args.file)
-    except (ModelFormatError, NetworkParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    model = _read(args.file)
+    if isinstance(model, int):
+        return model
     if model.kind == "network":
         system = steady_state_system(model.network)
     else:

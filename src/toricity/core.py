@@ -23,15 +23,12 @@ from .exactalg import (
     RationalMatrix,
     _frac,
     _integer_scaling,
-    _rref_pivots,
-    circuits_of_rref,
-    clear_denominators,
+    _reduced_matrix,
     int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
     random_combination,
     random_rng,
-    solve,
 )
 from .polyhedra import (
     ConeRays,
@@ -91,28 +88,23 @@ class VerticalSystem:
     objects the pipeline reads from (C, M) are built on first use and kept:
     the circuit kernel basis of C, its strictly positive kernel, the
     extreme rays of its nonnegative kernel, the matroid partition of its
-    columns, and the scaling lattice of each column partition asked for,
-    so the invariance lattice is built once per system.  The RREF of C is
-    taken once, here, and not at all when C is already in RREF, as the
-    row basis of a network's N is: ``echelon`` holds its nonzero rows,
-    ``pivots`` their pivot columns, and C keeps its rows in integers.
+    columns, the scaling lattice of each column partition asked for, so
+    the invariance lattice is built once per system, and the integer kernel
+    of each lattice.  C is eliminated once, in integers, and keeps its
+    echelon form: every reader of C's pivots, circuits or echelon rows
+    reads that.  The row basis of a network's N arrives with its echelon
+    form, from the elimination of [N | I].
     """
 
-    __slots__ = ("C", "M", "variables", "parameters", "echelon", "pivots", "_circuits",
+    __slots__ = ("C", "M", "variables", "parameters", "_circuits",
                  "_positive_kernel", "_rays", "_partition", "_lattices", "_lattice_kernels")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
             raise ValueError(f"C has {C.cols} columns but M has {M.cols}")
-        pivots = _rref_pivots(C)
-        if pivots is not None:
-            self.echelon = C
-        else:
-            red, pivots = C.rref()
-            self.echelon = RationalMatrix._of([red.row(i) for i in range(len(pivots))], C.cols)
-        self.pivots = pivots
+        rows, pivots = C.integer_echelon()
         if len(pivots) < C.rows:
-            C = self.echelon
+            C = _reduced_matrix(rows, pivots, C.cols)
         if C.rows > M.rows:
             raise ValueError("more independent equations than variables")
         self.C = C
@@ -124,7 +116,7 @@ class VerticalSystem:
         self._circuits = self._positive_kernel = None
         self._rays = self._partition = None
         self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
-        self._lattice_kernels: dict[IntegerMatrix, CircuitBasis] = {}
+        self._lattice_kernels: dict[IntegerMatrix, IntegerMatrix] = {}
 
     @property
     def s(self) -> int:
@@ -142,7 +134,7 @@ class VerticalSystem:
     def circuits(self) -> CircuitBasis:
         """Fundamental-circuit basis of ker C."""
         if self._circuits is None:
-            self._circuits = circuits_of_rref(self.echelon, self.pivots)
+            self._circuits = kernel_circuit_basis(self.C)
         return self._circuits
 
     @property
@@ -182,11 +174,13 @@ class VerticalSystem:
             self._lattices[partition] = integer_kernel_basis(D)
         return self._lattices[partition]
 
-    def lattice_kernel(self, A: IntegerMatrix) -> CircuitBasis:
-        """Circuit basis of ker A for a scaling lattice A of this system: the
-        constant-count conditions and the exact coset count both read it."""
+    def lattice_kernel(self, A: IntegerMatrix) -> IntegerMatrix:
+        """Integer basis of ker A for a scaling lattice A of this system, in
+        Hermite normal form: ``integer_kernel_basis`` of A^T.  The
+        multistationarity determinant, condition (iii) and the exact coset
+        count all read it."""
         if A not in self._lattice_kernels:
-            self._lattice_kernels[A] = kernel_circuit_basis(A)
+            self._lattice_kernels[A] = integer_kernel_basis(A.transpose())
         return self._lattice_kernels[A]
 
     def fingerprint(self) -> str:
@@ -589,10 +583,11 @@ class CountResult:
 def count_positive_cosets(h: CosetCountingSystem) -> CountResult:
     """Count the positive zeros of a one-equation counting system exactly.
 
-    The slice is eliminated exactly onto a line, positivity bounds become
-    an interval, and a Sturm sequence counts the distinct roots.  Systems
-    with more equations have no exact counter here; ``export`` writes their
-    counting system for an external solver.
+    The slice is the line through the slice point along the one integer
+    kernel vector of A, positivity bounds become an interval, and a Sturm
+    sequence counts the distinct roots.  Systems with more equations have
+    no exact counter here; ``export`` writes their counting system for an
+    external solver.
     """
     if h.base.s != 1:
         raise ValueError(f"exact coset counting needs one equation, not s={h.base.s}; "
@@ -603,65 +598,31 @@ def count_positive_cosets(h: CosetCountingSystem) -> CountResult:
 
 
 def _exact_count_on_line(h: CosetCountingSystem) -> int:
+    """Distinct roots of the equation on the line through the slice point
+    along the integer kernel of A, for the t keeping x0 + t v positive."""
     sys_ = h.base
-    n = sys_.n
-    if h.A.rows:
-        x0 = solve(h.A, h.b)
-        if x0 is None:
-            raise DegenerateSliceError("inconsistent slice")
-        ker = sys_.lattice_kernel(h.A)
-        if len(ker) != 1:
-            raise DegenerateSliceError("slice does not cut down to a line")
-        direction = clear_denominators(ker.vectors[0])
-    else:  # n = 1, no slice: the line is the coordinate axis
-        x0 = tuple(Fraction(0) for _ in range(n))
-        direction = tuple([1] * n)
-    lo = None
-    hi = None
-    for i in range(n):
-        v = direction[i]
-        if v == 0:
-            if x0[i] <= 0:
-                return 0
-            continue
-        bound = -x0[i] / Fraction(v)
-        if v > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo >= hi:
-        return 0
-    poly = sys_.polynomials(h.kappa)[0]
-    coeffs = _restrict_to_line(poly, x0, direction, sys_.variables)
-    if all(c == 0 for c in coeffs):
+    ker = sys_.lattice_kernel(h.A)
+    if ker.rows != 1:
+        raise DegenerateSliceError("slice does not cut down to a line")
+    x0, direction = h.point, ker.row(0)
+    lo = max((-x / v for x, v in zip(x0, direction) if v > 0), default=None)
+    hi = min((-x / v for x, v in zip(x0, direction) if v < 0), default=None)
+    coeffs = _restrict_to_line(sys_.polynomials(h.kappa)[0], x0, direction)
+    if not coeffs:
         raise DegenerateSliceError("system vanishes identically on the slice")
     return count_distinct_roots_coeffs(coeffs, lo, hi)
 
 
-def _restrict_to_line(poly: SparsePolynomial, x0, direction, variables):
-    """Coefficients of t -> poly(x0 + t v), ascending."""
-    affine = {}
-    for i, name in enumerate(variables):
-        affine[name] = (x0[i], Fraction(direction[i]))
+def _restrict_to_line(poly: SparsePolynomial, x0, direction):
+    """Coefficients of t -> poly(x0 + t v), ascending; the coordinates of
+    x0 and v are those of the polynomial's variables."""
     coeffs = [Fraction(0)]
-
-    def mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     for e, c in poly.terms.items():
         term = [c]
-        for name, k in zip(poly.variables, e):
-            base = [affine[name][0], affine[name][1]]
-            for _ in range(k):
-                term = mul(term, base)
-        if len(term) > len(coeffs):
-            coeffs.extend([Fraction(0)] * (len(term) - len(coeffs)))
+        for a, v, k in zip(x0, direction, e):
+            for _ in range(k):  # times a + v t
+                term = [a * x + v * y for x, y in zip(term + [0], [0] + term)]
+        coeffs += [Fraction(0)] * (len(term) - len(coeffs))
         for i, x in enumerate(term):
             coeffs[i] += x
     while coeffs and coeffs[-1] == 0:
@@ -756,14 +717,12 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
 
 def binomial_quickcheck(sys: VerticalSystem) -> bool:
     """Echelon rows that are all two-term with opposite signs: an immediate
-    positive-toricity certificate (binomial system)."""
-    red = sys.echelon
-    for i in range(red.rows):
-        support = [j for j in range(sys.m) if red.entry(i, j) != 0]
-        if len(support) != 2:
-            return False
-        a, b = (red.entry(i, support[0]), red.entry(i, support[1]))
-        if (a > 0) == (b > 0):
+    positive-toricity certificate (binomial system).  C's integer echelon
+    rows are positive or negative multiples of its RREF rows, and either
+    scaling keeps the sign pattern read here."""
+    for row in sys.C.integer_echelon()[0]:
+        support = [x for x in row if x]
+        if len(support) != 2 or (support[0] > 0) == (support[1] > 0):
             return False
     return True
 

@@ -18,7 +18,6 @@ from .exactalg import (
     RationalMatrix,
     _integer_rref,
     hermite_normal_form,
-    integer_kernel_basis,
     left_kernel_basis,
 )
 from .polyhedra import strictly_positive_kernel
@@ -511,7 +510,7 @@ def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
     n = sys.n
     if laws.rows == 0:
         return MultistationarityResult("inconclusive", reason="no conservation laws")
-    kernel_rows = integer_kernel_basis(inv.A.transpose())
+    kernel_rows = sys.lattice_kernel(inv.A)
     if kernel_rows.rows + laws.rows != n:
         return MultistationarityResult(
             "inconclusive",

@@ -191,21 +191,6 @@ class IntegerMatrix(_Matrix):
         return f"IntegerMatrix({self.to_lists()})"
 
 
-def _rref_pivots(m: RationalMatrix) -> tuple[int, ...] | None:
-    """Pivot columns of m if m is in reduced row echelon form without zero
-    rows, and so is its own RREF; otherwise None.  Reads m once, with no
-    elimination."""
-    pivots = []
-    for row in m._e:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None or row[p] != 1 or (pivots and p <= pivots[-1]):
-            return None
-        pivots.append(p)
-    if any(sum(1 for row in m._e if row[p]) != 1 for p in pivots):
-        return None
-    return tuple(pivots)
-
-
 @dataclass(frozen=True)
 class CircuitBasis:
     """Kernel basis made of fundamental circuit vectors.
@@ -230,28 +215,25 @@ class CircuitBasis:
 
 
 def kernel_circuit_basis(m: RationalMatrix | IntegerMatrix) -> CircuitBasis:
-    """Fundamental-circuit basis of ker(m) from the RREF pivot structure.
+    """Fundamental-circuit basis of ker(m), read off m's kept integer
+    echelon form.
 
-    Each non-pivot column j yields the vector with 1 in position j and the
-    negated RREF column entries in the pivot positions; its support is a
-    circuit of the column matroid.
+    Each non-pivot column j yields the vector with 1 in position j and
+    -row[j] / row[p] in the pivot column p of each echelon row, the negated
+    RREF entry; its support is a circuit of the column matroid.
     """
-    return circuits_of_rref(*m.rref())
-
-
-def circuits_of_rref(red: RationalMatrix, pivots) -> CircuitBasis:
-    """``kernel_circuit_basis`` of any matrix with this RREF and pivots."""
-    free = [j for j in range(red.cols) if j not in pivots]
+    rows, pivots = m.integer_echelon()
     vectors = []
     supports = []
-    for j in free:
-        v = [Fraction(0)] * red.cols
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [_ZERO] * m.cols
         v[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.entry(i, j)
+        for row, p in zip(rows, pivots):
+            if row[j]:
+                v[p] = Fraction(-row[j], row[p])
         vectors.append(tuple(v))
-        supports.append(frozenset(k for k in range(red.cols) if v[k] != 0))
-    return CircuitBasis(tuple(vectors), tuple(supports), red.cols)
+        supports.append(frozenset(k for k, x in enumerate(v) if x))
+    return CircuitBasis(tuple(vectors), tuple(supports), m.cols)
 
 
 def left_kernel_basis(m: RationalMatrix | IntegerMatrix) -> RationalMatrix:
@@ -259,20 +241,6 @@ def left_kernel_basis(m: RationalMatrix | IntegerMatrix) -> RationalMatrix:
     one elimination of [m | I] that also gives ``m.row_basis()``, kept on m,
     so a stoichiometric matrix is eliminated once for both."""
     return m._row_and_left_kernel()[1]
-
-
-def solve(a: RationalMatrix | IntegerMatrix, b) -> tuple[Fraction, ...] | None:
-    """One particular solution of a x = b, or None if inconsistent."""
-    bb = list(b)
-    if len(bb) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    red, pivots = RationalMatrix([(*row, x) for row, x in zip(a._e, bb)], a.cols + 1).rref()
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entry(i, a.cols)
-    return tuple(x)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -325,11 +293,6 @@ def _integer_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
                 m[i] = _primitive([pv * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
     return m[: len(pivots)], pivots
-
-
-def clear_denominators(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    return tuple(_primitive(_integer_scaling([_frac(x) for x in vec])[0]))
 
 
 def int_det(rows) -> int:

@@ -19,7 +19,6 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .exactalg import (
-    CircuitBasis,
     IntegerMatrix,
     InternalInconsistencyError,
     RationalMatrix,
@@ -182,17 +181,20 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
     return PositiveKernelResult(w)
 
 
-def positive_row_space(a: IntegerMatrix, kernel: CircuitBasis | None = None) -> bool:
+def positive_row_space(a: IntegerMatrix, kernel: IntegerMatrix | None = None) -> bool:
     """Whether the row space of a meets the open positive orthant.
 
     A vector is in row(a) iff it is orthogonal to ker(a), so the question
-    reduces to a strictly positive kernel of a kernel basis of a.  A caller
-    that holds the circuit basis of ker(a) passes it as ``kernel``.
+    reduces to a strictly positive kernel of a matrix whose rows span
+    ker(a).  A caller that holds such rows, as a system holds the integer
+    kernel of its scaling lattice, passes them as ``kernel``; otherwise the
+    circuit basis of ker(a) is taken.
     """
-    ker = kernel if kernel is not None else kernel_circuit_basis(a)
-    if len(ker) == 0:
+    if kernel is None:
+        kernel = RationalMatrix._of(kernel_circuit_basis(a).vectors, a.cols)
+    if kernel.rows == 0:
         return a.cols > 0
-    return not strictly_positive_kernel(RationalMatrix._of(ker.vectors, a.cols)).is_empty
+    return not strictly_positive_kernel(kernel).is_empty
 
 
 # ---------------------------------------------------------------------------

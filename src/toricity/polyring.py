@@ -485,25 +485,8 @@ def _poly_divmod(a, b):
     return q, a
 
 
-def _poly_gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
 def _derivative(c):
     return [i * x for i, x in enumerate(c)][1:]
-
-
-def squarefree_part(coeffs):
-    c = _trim([_frac(x) for x in coeffs])
-    if len(c) <= 1:
-        return c
-    g = _poly_gcd(c, _derivative(c))
-    if len(g) <= 1:
-        return c
-    return _trim(_poly_divmod(c, g)[0])
 
 
 def sturm_chain(coeffs):
@@ -557,7 +540,12 @@ def count_distinct_roots(p: SparsePolynomial, lower=None, upper=None) -> int:
 
 
 def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
-    c = squarefree_part(coeffs)
+    """``count_distinct_roots`` of the ascending coefficient list.  The
+    Sturm chain of a polynomial with repeated roots ends in the gcd of the
+    polynomial and its derivative, a factor of every member; it changes no
+    sign change at a point where the polynomial is nonzero, so the chain
+    counts distinct roots as it stands."""
+    c = _trim([_frac(x) for x in coeffs])
     if not c:
         raise ZeroPolynomialError("zero polynomial")
     if len(c) == 1 or (lower is not None and upper is not None

@@ -23,9 +23,16 @@ a Jacobian summed over Fractions, where the package runs one shared sweep
 over an integer pencil.
 
 The exact kernels that the package runs in integer arithmetic keep their
-``Fraction`` versions here: the reduced row echelon form, the two-phase
-simplex with Bland's rule and the double description of a nonnegative
-kernel.  The other oracles use these, never the package's own kernels.
+``Fraction`` versions here: the reduced row echelon form, the circuit
+kernel basis read off it (the package reads its circuits off the integer
+echelon form), the two-phase simplex with Bland's rule and the double
+description of a nonnegative kernel.  The other oracles use these, never
+the package's own kernels.  ``solve`` gives a particular solution of
+A x = b from the RREF of [A | b]; the coset-count oracle counts on the
+line through that solution along the circuit of ker A, by squarefree
+Descartes bisection, where the package counts on the line through the
+slice point along the integer kernel of A, with a Sturm chain of the
+polynomial itself.
 The row basis and the left kernel come from separate reductions of the
 matrix and of its transpose, where the package takes both from one
 elimination of [N | I], and the Hermite normal form from the repeated
@@ -105,19 +112,41 @@ def oracle_row_basis(rows, nc: int):
     return red[: len(pivots)]
 
 
-def oracle_left_kernel_basis(rows, nc: int):
-    """RREF basis of {v : v m = 0}: the circuit vectors of the transpose,
-    read off ``oracle_rref`` of the transpose, then reduced by it again."""
-    nr = len(rows)
-    red, pivots = oracle_rref([[row[j] for row in rows] for j in range(nc)], nr)
-    circuits = []
-    for f in (j for j in range(nr) if j not in pivots):
-        v = [Fraction(0)] * nr
+def oracle_circuits(rows, nc: int):
+    """Fundamental-circuit basis of the kernel of an nc-column matrix, read
+    off ``oracle_rref``: for each non-pivot column f the vector with 1 at f
+    and the negated RREF entries of column f at the pivots.  Returns the
+    vectors and their supports."""
+    red, pivots = oracle_rref(rows, nc)
+    vectors = []
+    for f in (j for j in range(nc) if j not in pivots):
+        v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
-        circuits.append(v)
+        vectors.append(tuple(v))
+    return tuple(vectors), tuple(frozenset(k for k, x in enumerate(v) if x) for v in vectors)
+
+
+def oracle_left_kernel_basis(rows, nc: int):
+    """RREF basis of {v : v m = 0}: the circuit vectors of the transpose,
+    then reduced by ``oracle_rref`` again."""
+    nr = len(rows)
+    circuits = oracle_circuits([[row[j] for row in rows] for j in range(nc)], nr)[0]
     return oracle_row_basis(circuits, nr)
+
+
+def solve(a, b) -> tuple[Fraction, ...] | None:
+    """One solution of a x = b, for a matrix of either kind, from the
+    ``oracle_rref`` of [a | b]: the free coordinates are 0.  None if the
+    system is inconsistent."""
+    red, pivots = oracle_rref([[*row, x] for row, x in zip(a.to_lists(), b)], a.cols + 1)
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][a.cols]
+    return tuple(x)
 
 
 def oracle_hermite_normal_form(rows, nc: int):
@@ -792,6 +821,14 @@ def _squarefree(coeffs):
     return q
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _poly_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
@@ -831,22 +868,26 @@ def _taylor_shift(coeffs, a: Fraction):
     return out
 
 
-def oracle_positive_roots(coeffs) -> int:
-    """Distinct roots in (0, inf) by squarefree Descartes bisection."""
+def oracle_roots_between(coeffs, lo=None, hi=None) -> int:
+    """Distinct roots in the open interval (lo, hi), None for an infinite
+    end, by squarefree Descartes bisection; an infinite end is replaced by
+    the Cauchy bound on the roots, and a root at a finite end divided out."""
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    # strip x^k
-    k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
-        k += 1
-    coeffs = coeffs[k:]
     if len(coeffs) <= 1:
         return 0
     coeffs = _squarefree(coeffs)
-    # Cauchy bound on positive roots
-    lead = abs(coeffs[-1])
-    bound = Fraction(1) + max(abs(c) for c in coeffs) / lead
+    bound = Fraction(1) + max(abs(c) for c in coeffs) / abs(coeffs[-1])
+    lo = -bound if lo is None else Fraction(lo)
+    hi = bound if hi is None else Fraction(hi)
+    if lo >= hi:
+        return 0
+    for end in (lo, hi):
+        if len(coeffs) > 1 and _poly_eval(coeffs, end) == 0:
+            coeffs, _ = _poly_divmod(coeffs, [-end, Fraction(1)])
+    if len(coeffs) <= 1:
+        return 0
 
     def count(lo, hi):
         b = _descartes_bound(coeffs, lo, hi)
@@ -860,7 +901,50 @@ def oracle_positive_roots(coeffs) -> int:
         extra = 1 if _poly_eval(coeffs, mid) == 0 else 0
         return count(lo, mid) + extra + count(mid, hi)
 
-    return count(Fraction(0), bound)
+    return count(lo, hi)
+
+
+def oracle_positive_roots(coeffs) -> int:
+    """Distinct roots in (0, inf)."""
+    return oracle_roots_between(coeffs, 0)
+
+
+def oracle_count_cosets(h) -> int | None:
+    """Positive zeros of a one-equation coset counting system h, counted on
+    the line x0 + t v: x0 a solution of A x = b from ``solve``, v the
+    circuit vector of ker A with its denominators cleared (for n = 1, no
+    slice: x0 = 0 and v = 1), the equation built from C, M and kappa with
+    each variable's negative exponents cleared, expanded along the line by
+    repeated products, and its roots on the stretch where x0 + t v > 0
+    counted by ``oracle_roots_between``.  None if the equation vanishes on
+    the line."""
+    sys_ = h.base
+    n, m = sys_.n, sys_.m
+    if h.A.rows:
+        x0 = solve(h.A, h.b)
+        (circuit,), _ = oracle_circuits(h.A.to_lists(), n)
+        den = lcm(*(x.denominator for x in circuit))
+        v = [int(x * den) for x in circuit]
+    else:
+        x0, v = [Fraction(0)] * n, [1] * n
+    if any(b == 0 and a <= 0 for a, b in zip(x0, v)):
+        return 0
+    lo = max((-a / b for a, b in zip(x0, v) if b > 0), default=None)
+    hi = min((-a / b for a, b in zip(x0, v) if b < 0), default=None)
+    exps = [sys_.M.col(j) for j in range(m)]
+    shift = [max(0, *(-e[k] for e in exps)) for k in range(n)]
+    line = [Fraction(0)]
+    for j in range(m):
+        term = [Fraction(sys_.C.entry(0, j)) * Fraction(h.kappa[j])]
+        for k in range(n):
+            for _ in range(exps[j][k] + shift[k]):
+                term = _poly_mul(term, [x0[k], v[k]])
+        line += [Fraction(0)] * (len(term) - len(line))
+        for i, x in enumerate(term):
+            line[i] += x
+    if not any(line):
+        return None
+    return oracle_roots_between(line, lo, hi)
 
 
 def oracle_minimal_siphons(net):

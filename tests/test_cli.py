@@ -107,6 +107,19 @@ def test_analyze_dimension_mismatch(tmp_path, capsys):
     assert "mismatch" in err
 
 
+@pytest.mark.parametrize("command", ["network", "export"])
+def test_dimension_mismatch_exits_3(tmp_path, capsys, command):
+    """Every command that reads a model reports C and M of different widths
+    as a dimension error, exit 3, as ``analyze`` does."""
+    path = write_json(tmp_path, "bad_dims.json", {"C": [["1", "-1"]], "M": [[1, 0, 2]]})
+    out_file = tmp_path / "system.txt"
+    extra = ["--kappa", "1,1", "--out", str(out_file)] if command == "export" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 3
+    assert err.startswith("error: ") and out == ""
+    assert not out_file.exists()
+
+
 def test_analyze_rejects_network_file(capsys):
     code, _, err = run_cli(capsys, "analyze", str(MODELS / "idh.crn"))
     assert code == 2

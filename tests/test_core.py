@@ -42,7 +42,9 @@ from toricity.polyring import SignVerdict
 from _oracles import (
     RingPolynomial,
     mul_vector,
+    oracle_count_cosets,
     oracle_lattice,
+    oracle_rref,
     oracle_scaled_jacobian,
     polynomial_rows,
     same_row_lattice,
@@ -506,6 +508,52 @@ def test_count_export():
     assert text.count("\n") >= 3 + 2
 
 
+def _counting_system(rng):
+    """A random one-equation system whose exponent columns lie on a line,
+    so that its invariance lattice has rank n - 1 (for n = 1 any columns
+    do), with a coefficient of each sign, and its counting system at a
+    random kappa; None where the positive locus is empty."""
+    n, m = rng.randint(1, 4), rng.randint(2, 6)
+    base = [rng.randint(-2, 3) for _ in range(n)]
+    step = [rng.randint(-2, 2) for _ in range(n)]
+    cols = [[b + k * u for b, u in zip(base, step)] for k in (rng.randint(0, 4) for _ in range(m))]
+    coeffs = [rng.choice([-3, -2, -1, 0, 1, 2, 3]) for _ in range(m - 2)] + [1, -1]
+    rng.shuffle(coeffs)
+    M = IntegerMatrix([list(r) for r in zip(*cols)], m)
+    sys_ = VerticalSystem(RationalMatrix([coeffs]), M)
+    if not positive_locus_nonempty(sys_, GroupMode.POSITIVE):
+        return None
+    inv = invariance_group(sys_)
+    if inv.d != sys_.n - 1:
+        return None
+    kappa = [Fraction(rng.randint(1, 64), rng.randint(1, 8)) for _ in range(m)]
+    return coset_counting_system(sys_, inv, kappa, seed=rng.randint(0, 99))
+
+
+def test_count_matches_solve_and_circuit_oracle():
+    """The count on the line through the slice point along the integer
+    kernel of A equals the count on the line through the RREF solution of
+    A x = b along the circuit of ker A, by Descartes bisection, on random
+    one-equation systems with n from 1 to 4."""
+    rng = random.Random(1919)
+    sizes, counts, done = Counter(), Counter(), 0
+    while done < 300:
+        h = _counting_system(rng)
+        if h is None:
+            continue
+        expected = oracle_count_cosets(h)
+        if expected is None:
+            with pytest.raises(DegenerateSliceError):
+                count_positive_cosets(h)
+        else:
+            assert count_positive_cosets(h).count == expected, h
+        sizes[h.base.n] += 1
+        counts[expected] += 1
+        done += 1
+    assert set(sizes) == {1, 2, 3, 4}, sizes
+    assert {0, 1, 2} <= set(counts), counts
+
+
 def test_degenerate_slice():
     sys_ = square_system()
     inv = invariance_group(sys_)
@@ -590,6 +638,43 @@ def test_vertical_system_row_basis_replacement():
     assert sys_.s == 3
     stacked = RationalMatrix(n_rows + sys_.C.to_lists())
     assert stacked.rank() == 3
+
+
+@st.composite
+def _coefficient_rows(draw):
+    """Rational coefficient rows, with a combination of two of them or a
+    zero row inserted half the time."""
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        f, g = draw(entry), draw(entry)
+        rows.insert(draw(st.integers(0, len(rows))), [f * x + g * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coefficient_rows())
+def test_rank_deficient_coefficients_become_the_rref(rows):
+    """C without full row rank becomes the nonzero rows of its Fraction
+    RREF, holding the integer rows and echelon form a fresh copy computes;
+    C of full row rank is kept.  The binomial check reads the RREF rows'
+    sign pattern either way."""
+    C = RationalMatrix(rows)
+    sys_ = VerticalSystem(C, IntegerMatrix([[1] * C.cols] * len(rows)))
+    red, pivots = oracle_rref(rows, C.cols)
+    basis = red[: len(pivots)]
+    if len(pivots) == C.rows:
+        assert sys_.C is C
+    else:
+        assert sys_.C.to_lists() == [list(r) for r in basis]
+        fresh = RationalMatrix(sys_.C.to_lists(), C.cols)
+        assert sys_.C.integer_rows() == fresh.integer_rows()
+        assert sys_.C.integer_echelon() == fresh.integer_echelon()
+    binomial = all(len(nz) == 2 and nz[0] * nz[1] < 0
+                   for nz in ([x for x in row if x] for row in basis))
+    assert binomial_quickcheck(sys_) is binomial
 
 
 # -- analyze ------------------------------------------------------------------
@@ -712,19 +797,19 @@ def test_analyze_evidence_ordering():
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
     the builders of the objects derived from (C, M), through the bindings
-    of ``core`` and ``polyhedra``, and every RREF and rank taken, of either
-    matrix class.  Also count the integer eliminations and the scalings of
-    rational rows to integers that ``exactalg`` makes, by their input, and
-    the eliminations each matrix's echelon form takes, by matrix.  The
-    siphon test eliminates permuted rows through its own binding, so it is
-    not counted."""
+    of ``core``, ``polyhedra`` and ``crn``, and every RREF and rank taken,
+    of either matrix class.  Also count the integer eliminations and the
+    scalings of rational rows to integers that ``exactalg`` makes, by their
+    input, and the eliminations each matrix's echelon form takes, by
+    matrix.  The siphon test eliminates permuted rows through its own
+    binding, so it is not counted."""
     seen = Counter()
-    for name in ("kernel_circuit_basis", "circuits_of_rref", "strictly_positive_kernel",
-                 "extreme_rays", "integer_kernel_basis"):
+    for name in ("kernel_circuit_basis", "strictly_positive_kernel", "extreme_rays",
+                 "integer_kernel_basis"):
         def counting(m, *rest, _name=name, _build=getattr(core, name)):
             seen[_name, m] += 1
             return _build(m, *rest)
-        for module in (core, polyhedra):
+        for module in (core, polyhedra, crn):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     for name in ("rref", "rank"):
@@ -756,8 +841,10 @@ def _count_builder_inputs(monkeypatch) -> Counter:
 
 
 def _assert_built_once(seen: Counter, systems):
-    """Each derived object is built once.  Each system's C is reduced at
-    most once, when the system is made, and never again downstream, and
+    """Each derived object is built once: among them the integer kernel of
+    each scaling lattice A, which the multistationarity determinant,
+    condition (iii) and the coset count share.  Each system's C is reduced
+    at most once, when the system is made, and never again downstream, and
     its rows are scaled to integers at most once.  Each scaling lattice
     reaches the integer elimination at most once, however many stages read
     its echelon form."""

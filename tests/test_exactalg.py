@@ -11,15 +11,12 @@ from toricity.exactalg import (
     IntegerMatrix,
     RationalMatrix,
     TrivialKernelError,
-    _rref_pivots,
-    clear_denominators,
     hermite_normal_form,
     int_det,
     integer_kernel_basis,
     kernel_circuit_basis,
     left_kernel_basis,
     random_kernel_vector,
-    solve,
 )
 from toricity.polyhedra import positive_row_space
 from toricity.polyring import SparsePolynomial
@@ -30,6 +27,7 @@ from _oracles import (
     is_zero,
     matmul,
     mul_vector,
+    oracle_circuits,
     oracle_det,
     oracle_hermite_normal_form,
     oracle_integer_kernel_basis,
@@ -37,6 +35,7 @@ from _oracles import (
     oracle_row_basis,
     oracle_rref,
     same_row_lattice,
+    solve,
     stacked_det,
     to_rational,
     zeros,
@@ -349,11 +348,6 @@ def test_solve_particular():
     assert solve(RationalMatrix([[1, 1], [1, 1]]), [0, 1]) is None
 
 
-def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(3, 4)]) == (2, 3)
-    assert clear_denominators([Fraction(-2), Fraction(4)]) == (-1, 2)
-
-
 def test_int_det_matches_cofactor_expansion():
     # small entries with many zeros: zero pivots force row swaps, and
     # singular matrices must give 0
@@ -403,26 +397,6 @@ def test_rref_and_rank_match_fraction_elimination(m):
     assert m.rref() == (red, pivots)  # read again from the kept echelon form
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_matrices())
-def test_rref_pivots_recognise_exactly_the_rref(m):
-    """A matrix is recognised as its own RREF exactly when it equals the
-    nonzero rows of its RREF, and then with the RREF's pivots."""
-    red, pivots = m.rref()
-    basis = m.row_basis()
-    assert _rref_pivots(basis) == pivots
-    if _rref_pivots(m) is None:
-        assert m != basis
-    else:
-        assert m == basis and _rref_pivots(m) == pivots
-
-
-@pytest.mark.parametrize("rows", [[[1, 2], [0, 1]], [[2, 0]], [[0, 1], [1, 0]],
-                                  [[1, 0], [0, 0]], [[1, 0], [1, 1]]])
-def test_rref_pivots_reject_non_rref(rows):
-    assert _rref_pivots(RationalMatrix(rows)) is None
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 5).flatmap(
     lambda nc: st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc), max_size=5)
@@ -463,11 +437,44 @@ def test_integer_matrix_agrees_with_its_rational_copy(a, b):
     for rhs in (b[: a.rows], mul_vector(a, b[: a.cols])):
         assert solve(a, rhs) == solve(q, rhs)
     assert positive_row_space(a) == positive_row_space(q)
+    assert positive_row_space(a, kernel=integer_kernel_basis(a.transpose())) \
+        == positive_row_space(a)
     if a.cols > a.rows:
         vs = ("x", "y")
         top = [[SparsePolynomial(vs, {(i, j % 2): b[(i + j) % 6] or 1}) for j in range(a.cols)]
                for i in range(a.cols - a.rows)]
         assert stacked_det(top, a) == stacked_det(top, q)
+
+
+@st.composite
+def _circuit_inputs(draw):
+    """Matrices of each kind a circuit basis is read from: rational and
+    integer ones, rank-deficient among them; a matrix already in RREF, made
+    afresh so that it eliminates itself; and the row basis of an integer
+    matrix, which arrives with its echelon form from the elimination of
+    [N | I]."""
+    kind = draw(st.sampled_from(("rational", "integer", "rref", "row basis")))
+    if kind == "integer":
+        return draw(_integer_matrices())
+    if kind == "row basis":
+        return draw(_integer_matrices()).row_basis()
+    m = draw(_matrices())
+    if kind == "rref":
+        return RationalMatrix.with_width(m.row_basis().to_lists(), m.cols)
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_circuit_inputs())
+def test_kernel_circuit_basis_matches_fraction_rref(m):
+    """The circuits read off the integer echelon form are those of the
+    Fraction RREF, vector for vector and support for support."""
+    basis = kernel_circuit_basis(m)
+    vectors, supports = oracle_circuits(m.to_lists(), m.cols)
+    assert basis.vectors == vectors
+    assert basis.supports == supports
+    assert basis.ambient_dim == m.cols
+    assert all(isinstance(x, Fraction) for v in basis.vectors for x in v)
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), "3", 1.0])

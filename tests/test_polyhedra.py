@@ -430,13 +430,14 @@ def test_extreme_rays_match_fraction_double_description(m):
 
 
 def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
-    # every LP, double description and RREF the corpus analyses make
+    # every LP, double description and circuit basis the corpus analyses make
     from toricity import cli, core
-    from _oracles import oracle_rref
+    from _oracles import oracle_circuits
 
-    calls = {"simplex": 0, "rays": 0, "rref": 0}
+    calls = {"simplex": 0, "rays": 0, "circuits": 0}
     mismatches = []
-    lp, rays, rref = polyhedra.simplex_maximize, polyhedra.extreme_rays, RationalMatrix.rref
+    lp, rays = polyhedra.simplex_maximize, polyhedra.extreme_rays
+    circuits = core.kernel_circuit_basis
 
     def checked_lp(a, b, c):
         calls["simplex"] += 1
@@ -452,18 +453,17 @@ def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
             mismatches.append(("rays", m))
         return result
 
-    def checked_rref(m):
-        calls["rref"] += 1
-        red, pivots = rref(m)
-        rows = tuple(red.row(i) for i in range(red.rows))
-        if (rows, pivots) != oracle_rref(m.to_lists(), m.cols):
-            mismatches.append(("rref", m))
-        return red, pivots
+    def checked_circuits(m):
+        calls["circuits"] += 1
+        result = circuits(m)
+        if (result.vectors, result.supports) != oracle_circuits(m.to_lists(), m.cols):
+            mismatches.append(("circuits", m))
+        return result
 
     monkeypatch.setattr(polyhedra, "simplex_maximize", checked_lp)
     for module in (polyhedra, core):
         monkeypatch.setattr(module, "extreme_rays", checked_rays)
-    monkeypatch.setattr(RationalMatrix, "rref", checked_rref)
+        monkeypatch.setattr(module, "kernel_circuit_basis", checked_circuits)
     models = sorted((Path(cli.__file__).parent / "data" / "models").iterdir())
     assert len(models) == 8
     for path in models:

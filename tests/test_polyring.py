@@ -30,6 +30,7 @@ from _oracles import (
     oracle_det,
     oracle_det_stacked,
     oracle_positive_roots,
+    oracle_roots_between,
     stacked_det,
 )
 
@@ -530,6 +531,30 @@ def test_sturm_against_bisection_oracle():
         if p.is_zero():
             continue
         assert count_distinct_roots(p, 0) == oracle_positive_roots(coeffs)
+
+
+@st.composite
+def _repeated_roots(draw):
+    """A product of a random polynomial and powers of linear factors with
+    small rational roots, and an interval whose ends are often among them."""
+    roots = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=4))
+    coeffs = [Fraction(draw(st.sampled_from([-2, -1, 1, 3])))]
+    coeffs += draw(st.lists(st.integers(-4, 4), max_size=2))
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):  # times x - r
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    end = st.one_of(st.none(), st.sampled_from(roots), st.fractions(-4, 4, max_denominator=2))
+    return coeffs, draw(end), draw(end)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_repeated_roots())
+def test_sturm_without_squarefree_part_matches_bisection(case):
+    """The Sturm chain of the polynomial itself, repeated roots and roots at
+    either end included, counts what squarefree Descartes bisection does."""
+    coeffs, lower, upper = case
+    assert count_distinct_roots_coeffs(coeffs, lower, upper) \
+        == oracle_roots_between(coeffs, lower, upper)
 
 
 def test_render_canonical():
