@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .exactalg import (
     CircuitBasis,
@@ -22,7 +22,6 @@ from .exactalg import (
     InternalInconsistencyError,
     RationalMatrix,
     _frac,
-    _integer_scaling,
     _reduced_matrix,
     int_det,
     integer_kernel_basis,
@@ -357,30 +356,26 @@ def quasihomogeneity_weights(sys: VerticalSystem) -> IntegerMatrix:
 # Nondegeneracy
 
 
-def _integer_jacobian(sys: VerticalSystem, w) -> tuple[list[list[int]], list[int]]:
-    """C' diag(w') M^T, where C' is C with each row scaled to integers and
-    w' is w with its denominators cleared, and the positive factor by which
-    each of its rows exceeds the same row of C diag(w) M^T."""
-    wi, dw = _integer_scaling(w)
+def _integer_jacobian(sys: VerticalSystem, w) -> list[list[int]]:
+    """C' diag(w) M^T for an integer vector w, where C' is C with each row
+    scaled to integers: row i exceeds the same row of C diag(w) M^T by
+    C's row denominator, ``sys.C.integer_rows()[i][1]``."""
     m_rows = [sys.M.row(k) for k in range(sys.n)]
-    rows, factors = [], []
-    for ci, dc in sys.C.integer_rows():
-        cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, wi)) if a and x]
+    rows = []
+    for ci, _ in sys.C.integer_rows():
+        cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, w)) if a and x]
         rows.append([sum(v * mk[j] for j, v in cw) for mk in m_rows])
-        factors.append(dc * dw)
-    return rows, factors
+    return rows
 
 
 def _jacobian_pencil(sys: VerticalSystem, generators) -> tuple[list, list[int]]:
-    """C diag(w) M^T with w = sum_t lam_t generators[t], in integers: entry
-    (i, k) lists the coefficient of each lam_t, and row i of the matrix is
-    that integer row divided by its scale, the lcm of the generators'
-    row factors."""
+    """C diag(w) M^T with w = sum_t lam_t generators[t] for integer
+    generators, in integers: entry (i, k) lists the coefficient of each
+    lam_t, and row i of the matrix is that integer row divided by its
+    scale, C's row denominator."""
     jacobians = [_integer_jacobian(sys, g) for g in generators]
-    scales = [lcm(*(factors[i] for _, factors in jacobians)) for i in range(sys.s)]
-    rows = [[tuple(jac[i][k] * (scale // factors[i]) for jac, factors in jacobians)
-             for k in range(sys.n)] for i, scale in enumerate(scales)]
-    return rows, scales
+    rows = [[tuple(jac[i][k] for jac in jacobians) for k in range(sys.n)] for i in range(sys.s)]
+    return rows, [d for _, d in sys.C.integer_rows()]
 
 
 @dataclass(frozen=True)
@@ -399,42 +394,43 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     short, one sweep of the s x s minors, if affordable, runs up to the
     first nonzero one: none means the rank over the function field of
     kernel coordinates is below s.  If the other ten fall short too, a
-    witness is drawn from that minor, or without one it is 'undetermined'.
+    witness is drawn from the columns of that minor, or without one it is
+    'undetermined'.
     """
     basis = sys.circuits
     if len(basis) == 0:
         return NondegeneracyResult("no" if sys.s > 0 else "yes")
-    lam = tuple(f"l{k+1}" for k in range(len(basis)))
-    minor = None
+    columns = None
     for attempt in range(11):
-        vec = random_combination(basis, seed + 7919 * attempt)
-        # positive row scalings leave the rank of C diag(w) M^T unchanged
-        if IntegerMatrix.with_width(_integer_jacobian(sys, vec)[0], sys.n).rank() == sys.s:
-            return NondegeneracyResult("yes", vec)
+        w, den = random_combination(basis, seed + 7919 * attempt)
+        # positive scalings of rows and of w leave the rank of C diag(w) M^T unchanged
+        if IntegerMatrix.with_width(_integer_jacobian(sys, w), sys.n).rank() == sys.s:
+            return NondegeneracyResult("yes", tuple(Fraction(x, den) for x in w))
         if attempt == 0 and comb(sys.n, sys.s) <= _NONDEG_MINOR_CAP:
+            lam = tuple(f"l{k+1}" for k in range(len(basis)))
             minors = minor_sweep(*_jacobian_pencil(sys, basis.vectors), lam)
             try:
-                minor = next((det for _, det in minors if not det.is_zero()), None)
+                columns = next((cols for cols, det in minors if not det.is_zero()), None)
             except DeterminantSizeError:
                 continue
-            if minor is None:
+            if columns is None:
                 return NondegeneracyResult("no")
-    if minor is None:
+    if columns is None:
         return NondegeneracyResult("undetermined")
-    return NondegeneracyResult("yes", _witness_from_minor(sys, basis, minor, lam, seed))
+    return NondegeneracyResult("yes", _witness_from_minor(sys, columns, seed))
 
 
-def _witness_from_minor(sys, basis, minor, lam, seed):
+def _witness_from_minor(sys: VerticalSystem, columns, seed: int):
+    """A kernel vector at which the minor of C diag(w) M^T on ``columns``,
+    nonzero as a polynomial, is nonzero: the first of 64 seeded integer
+    combinations of the circuits, each tested by the determinant of those
+    columns of its integer Jacobian."""
     rng = random_rng(seed ^ 0x5EED)
+    basis = sys.circuits
     for _ in range(64):
-        point = {name: Fraction(rng.randint(-(1 << 16), 1 << 16)) for name in lam}
-        if minor.evaluate(point) != 0:
-            w = [Fraction(0)] * sys.m
-            for name, g in zip(lam, basis.vectors):
-                c = point[name]
-                for j in range(sys.m):
-                    w[j] += c * g[j]
-            return tuple(w)
+        w, den = basis.combine([rng.randint(-(1 << 16), 1 << 16) for _ in basis.vectors])
+        if int_det([[row[k] for k in columns] for row in _integer_jacobian(sys, w)]):
+            return tuple(Fraction(x, den) for x in w)
     return None
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals and integers.
 
-Dense matrices with arbitrary-precision entries, reduced row echelon form,
-circuit-vector kernel bases, integer kernel lattices via Hermite normal form,
-and deterministic seeded sampling of kernel vectors.  Everything is exact:
-no floating point, no tolerances.
+Dense matrices with arbitrary-precision entries, integer echelon forms,
+circuit-vector kernel bases, integer kernel lattices via Hermite normal
+form, and deterministic seeded sampling of kernel vectors.  Everything is
+exact: no floating point, no tolerances.
 
 ``RationalMatrix`` and ``IntegerMatrix`` share one body: storage, access,
 transpose and elimination.  They differ only in how an entry is converted
@@ -11,9 +11,11 @@ and how a row becomes integers.  The arithmetic is fraction-free: a
 matrix scales its rows to integers once and keeps them with their echelon
 form, Gauss-Jordan keeps every row primitive, and determinants use
 Bareiss elimination.  The kernels accept either class, so an integer
-matrix never passes through ``Fraction``s on its way in.  A ``Fraction``
-is formed only where a result is handed out, such as the entries of a
-reduced row echelon form, which is always a ``RationalMatrix``.
+matrix never passes through ``Fraction``s on its way in.  A kernel vector
+is an integer vector: the circuits are primitive integer vectors, and a
+random combination of them is an integer numerator over one common
+denominator.  A ``Fraction`` is formed only where a rational result is
+handed out, such as a random kernel vector or the rows of a row basis.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ class InternalInconsistencyError(RuntimeError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -113,14 +113,6 @@ class _Matrix:
             self._echelon = tuple(map(tuple, rows)), tuple(pivots)
         return self._echelon
 
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns, read off the integer
-        echelon form; zero rows trail."""
-        rows, pivots = self.integer_echelon()
-        out = _divide_by_pivots(rows, pivots)
-        out += [(_ZERO,) * self.cols] * (self.rows - len(pivots))
-        return RationalMatrix._of(out, self.cols), pivots
-
     def rank(self) -> int:
         return len(self.integer_echelon()[1])
 
@@ -169,10 +161,6 @@ class RationalMatrix(_Matrix):
     def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((tuple(a), d) for a, d in map(_integer_scaling, self._e))
 
-    @classmethod
-    def column(cls, values) -> "RationalMatrix":
-        return cls([[v] for v in values])
-
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(x) for x in r] for r in self._e]})"
 
@@ -195,12 +183,15 @@ class IntegerMatrix(_Matrix):
 class CircuitBasis:
     """Kernel basis made of fundamental circuit vectors.
 
-    ``vectors[k]`` is an exact kernel vector whose support ``supports[k]`` is
-    minimal among supports of nonzero kernel vectors (one vector per non-pivot
-    column of the RREF).
+    ``vectors[k]`` is a primitive integer kernel vector whose support
+    ``supports[k]`` is minimal among supports of nonzero kernel vectors,
+    one vector per non-pivot column of the echelon form.  That column is
+    ``max(supports[k])``, and the vector's entry there is positive: the
+    least denominator of the circuit vector with 1 in that column, which
+    is ``vectors[k]`` divided by it.
     """
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
     supports: tuple[frozenset[int], ...]
     ambient_dim: int
 
@@ -208,29 +199,38 @@ class CircuitBasis:
         return len(self.vectors)
 
     def support_union(self) -> frozenset[int]:
-        u: frozenset[int] = frozenset()
-        for s in self.supports:
-            u = u | s
-        return u
+        return frozenset().union(*self.supports)
+
+    def combine(self, coeffs) -> tuple[tuple[int, ...], int]:
+        """sum_k coeffs[k] vectors[k] / d_k, with d_k the entry of vectors[k]
+        in its non-pivot column, as integers w over the lcm d of the d_k:
+        the combination is w / d."""
+        dens = [v[max(s)] for v, s in zip(self.vectors, self.supports)]
+        den = lcm(*dens)
+        weighted = [(c * (den // d), v) for c, v, d in zip(coeffs, self.vectors, dens) if c]
+        return tuple(sum(f * v[i] for f, v in weighted) for i in range(self.ambient_dim)), den
 
 
 def kernel_circuit_basis(m: RationalMatrix | IntegerMatrix) -> CircuitBasis:
     """Fundamental-circuit basis of ker(m), read off m's kept integer
     echelon form.
 
-    Each non-pivot column j yields the vector with 1 in position j and
+    Non-pivot column j yields the vector with 1 in position j and
     -row[j] / row[p] in the pivot column p of each echelon row, the negated
-    RREF entry; its support is a circuit of the column matroid.
+    RREF entry, scaled by the least common denominator d of those entries:
+    d in position j and -row[j] d / row[p] at p, all integers.  Its support
+    is a circuit of the column matroid.
     """
     rows, pivots = m.integer_echelon()
     vectors = []
     supports = []
     for j in (j for j in range(m.cols) if j not in pivots):
-        v = [_ZERO] * m.cols
-        v[j] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            if row[j]:
-                v[p] = Fraction(-row[j], row[p])
+        hits = [(row[j], row[p], p) for row, p in zip(rows, pivots) if row[j]]
+        d = lcm(*(b // gcd(a, b) for a, b, _ in hits))
+        v = [0] * m.cols
+        v[j] = d
+        for a, b, p in hits:
+            v[p] = -a * d // b
         vectors.append(tuple(v))
         supports.append(frozenset(k for k, x in enumerate(v) if x))
     return CircuitBasis(tuple(vectors), tuple(supports), m.cols)
@@ -395,24 +395,21 @@ RANDOM_NUMERATOR_BOUND = 1 << 16
 
 def random_kernel_vector(m: RationalMatrix, seed: int) -> RationalMatrix:
     """Deterministic random element of ker(m), returned as a column."""
-    return RationalMatrix.column(random_combination(kernel_circuit_basis(m), seed))
+    w, den = random_combination(kernel_circuit_basis(m), seed)
+    return RationalMatrix([[Fraction(x, den)] for x in w])
 
 
-def random_combination(basis: CircuitBasis, seed: int) -> tuple[Fraction, ...]:
-    """Deterministic random nonzero element of the span of a kernel basis.
+def random_combination(basis: CircuitBasis, seed: int) -> tuple[tuple[int, ...], int]:
+    """Deterministic random nonzero element of the span of a kernel basis,
+    as integers w over a denominator d > 0 (``CircuitBasis.combine``).
 
-    Integer coefficients uniform in [-2^16, 2^16] are combined through the
-    circuit vectors, so the residual is exactly zero.  The sum runs over
-    the vectors scaled by their common denominator.
+    Integer coefficients uniform in [-2^16, 2^16] weigh the circuit vectors,
+    each with 1 in its non-pivot column, so the residual is exactly zero.
     """
     if len(basis) == 0:
         raise TrivialKernelError("kernel is trivial")
-    rng = random_rng(seed)
-    den = lcm(*(x.denominator for v in basis.vectors for x in v))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in basis.vectors]
+    rng, bound = random_rng(seed), RANDOM_NUMERATOR_BOUND
     while True:
-        coeffs = [rng.randint(-RANDOM_NUMERATOR_BOUND, RANDOM_NUMERATOR_BOUND) for _ in scaled]
-        w = [sum(c * v[i] for c, v in zip(coeffs, scaled) if c) for i in range(basis.ambient_dim)]
+        w, den = basis.combine([rng.randint(-bound, bound) for _ in basis.vectors])
         if any(w):
-            return tuple(Fraction(x, den) for x in w)
-
+            return w, den

@@ -100,7 +100,10 @@ def load_matrix_model(data: dict) -> ModelInput:
 
 def read_model(path: str | Path) -> ModelInput:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if path.suffix == ".json" or stripped.startswith("{"):
         try:

@@ -6,9 +6,11 @@ method on primitive integer rays, exact volumes of lattice polytopes, and
 mixed volumes of Newton polytopes, both from exact placing triangulations:
 a polytope's volume from a triangulation of its points, the mixed volume
 from the mixed cells of one triangulation of the Cayley configuration of
-the supports.  A matrix's rows are read as the integers it keeps for
-them, other rational input is scaled to integers row by row, and
-Fractions appear only in the results handed out.
+the supports.  Every input arrives in integers: a matrix's rows are read as
+the integers it keeps for them, the LP takes integer rows, right-hand side
+and costs, and circuits are integer vectors.  Fractions appear only in the
+results handed out, and the LP's vertex is scaled back to integers once,
+to be checked.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ class LPStatus:
 def simplex_maximize(a_rows, b, c):
     """Maximize c.x subject to a_rows x = b, x >= 0, exactly over Q.
 
-    The entries are ints or Fractions.  Returns (status, value, x); Bland's
-    rule guarantees termination.  Each tableau row is a primitive integer
-    vector, a positive multiple of the rational row whose factor is the
-    row's entry in its basic column (where the rational row holds 1).
+    The entries are integers; a rational LP is scaled to integers row by
+    row by its caller.  Returns (status, value, x); Bland's rule guarantees
+    termination.  Each tableau row is a primitive integer vector, a
+    positive multiple of the rational row whose factor is the row's entry
+    in its basic column (where the rational row holds 1).
     Pivoting on entry p > 0 of row r (a row is negated first to make p
     positive) replaces every other row T by p T - T[pc] T_r, divided by its
     gcd.  Reduced costs are read by sign and ratios compared by
@@ -66,10 +69,9 @@ def simplex_maximize(a_rows, b, c):
     # tableau over columns [original | artificial | rhs], one artificial per row
     tab = []
     for i in range(m):
-        row, scale = _integer_scaling(list(a_rows[i]) + [b[i]])
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tab.append(_primitive(row[:-1] + [scale if k == i else 0 for k in range(m)] + row[-1:]))
+        sign = -1 if b[i] < 0 else 1
+        tab.append(_primitive([sign * x for x in a_rows[i]] + [int(k == i) for k in range(m)]
+                              + [sign * b[i]]))
     basis = [n + i for i in range(m)]
 
     def pivot(pr, pc):
@@ -129,8 +131,7 @@ def simplex_maximize(a_rows, b, c):
             if pc is not None:
                 pivot(i, pc)
     # rows still basic in an artificial are redundant; freeze them at zero
-    cost, scale = _integer_scaling(c)
-    bounded = run_phase(cost + [-scale] * m, range(n))
+    bounded = run_phase(list(c) + [-1] * m, range(n))
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
@@ -191,7 +192,7 @@ def positive_row_space(a: IntegerMatrix, kernel: IntegerMatrix | None = None) ->
     circuit basis of ker(a) is taken.
     """
     if kernel is None:
-        kernel = RationalMatrix._of(kernel_circuit_basis(a).vectors, a.cols)
+        kernel = IntegerMatrix.with_width(kernel_circuit_basis(a).vectors, a.cols)
     if kernel.rows == 0:
         return a.cols > 0
     return not strictly_positive_kernel(kernel).is_empty

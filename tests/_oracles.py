@@ -20,7 +20,10 @@ indicator row per block, projected to its first n coordinates and put in
 Hermite form, where the package takes the kernel of a difference matrix.
 The two nondegeneracy tests take one ``det_symbolic`` per column subset of
 a Jacobian summed over Fractions, where the package runs one shared sweep
-over an integer pencil.
+over an integer pencil; the kernel vectors they try are combinations of the
+``Fraction`` circuits of ``oracle_circuits``, with the package's seeded
+draws, where the package combines its integer circuits over one common
+denominator.
 
 The exact kernels that the package runs in integer arithmetic keep their
 ``Fraction`` versions here: the reduced row echelon form, the circuit
@@ -61,7 +64,7 @@ from toricity.core import (
     EmptyLocusError,
     NondegeneracyResult,
 )
-from toricity.exactalg import RationalMatrix, int_det, random_combination, random_rng
+from toricity.exactalg import RationalMatrix, int_det, random_rng
 from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
@@ -589,23 +592,35 @@ def oracle_scaled_jacobian(sys_, generators, lam):
     return entries
 
 
+def oracle_combination(vectors, seed: int) -> tuple[Fraction, ...]:
+    """A seeded random nonzero combination of the circuit vectors over
+    Fractions: one coefficient in [-2^16, 2^16] per vector, drawn again
+    while the sum is zero."""
+    rng = random_rng(seed)
+    while True:
+        coeffs = [rng.randint(-(1 << 16), 1 << 16) for _ in vectors]
+        w = tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(len(vectors[0])))
+        if any(w):
+            return w
+
+
 def oracle_nondegeneracy(sys_, seed: int) -> NondegeneracyResult:
-    """Eleven random kernel vectors, each Jacobian ranked by Gauss-Jordan
-    over Fractions; then one ``det_symbolic`` per s x s minor, and a witness
-    drawn from the first nonzero one."""
-    basis = sys_.circuits
-    if len(basis) == 0:
+    """Eleven random combinations of ``oracle_circuits``, each Jacobian
+    ranked by Gauss-Jordan over Fractions; then one ``det_symbolic`` per
+    s x s minor, and a witness drawn from the first nonzero one."""
+    vectors = oracle_circuits(sys_.C.to_lists(), sys_.m)[0]
+    if not vectors:
         return NondegeneracyResult("no" if sys_.s > 0 else "yes")
     for attempt in range(11):
-        vec = random_combination(basis, seed + 7919 * attempt)
+        vec = oracle_combination(vectors, seed + 7919 * attempt)
         jac = [[sum(sys_.C.entry(i, j) * vec[j] * sys_.M.entry(k, j) for j in range(sys_.m))
                 for k in range(sys_.n)] for i in range(sys_.s)]
         if len(oracle_rref(jac, sys_.n)[1]) == sys_.s:
             return NondegeneracyResult("yes", vec)
     if comb(sys_.n, sys_.s) > _NONDEG_MINOR_CAP:
         return NondegeneracyResult("undetermined")
-    lam = tuple(f"l{k+1}" for k in range(len(basis)))
-    top = oracle_scaled_jacobian(sys_, basis.vectors, lam)
+    lam = tuple(f"l{k+1}" for k in range(len(vectors)))
+    top = oracle_scaled_jacobian(sys_, vectors, lam)
     for cols in combinations(range(sys_.n), sys_.s):
         try:
             minor = det_symbolic([[row[j] for j in cols] for row in top])
@@ -617,7 +632,7 @@ def oracle_nondegeneracy(sys_, seed: int) -> NondegeneracyResult:
         for _ in range(64):
             point = {name: Fraction(rng.randint(-(1 << 16), 1 << 16)) for name in lam}
             if minor.evaluate(point) != 0:
-                w = [sum(point[name] * g[j] for name, g in zip(lam, basis.vectors))
+                w = [sum(point[name] * g[j] for name, g in zip(lam, vectors))
                      for j in range(sys_.m)]
                 return NondegeneracyResult("yes", tuple(w))
         return NondegeneracyResult("yes")

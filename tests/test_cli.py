@@ -120,6 +120,27 @@ def test_dimension_mismatch_exits_3(tmp_path, capsys, command):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "network", "export"])
+@pytest.mark.parametrize("name, payload", [("bin.crn", b"\xff\xfe\x00A -> B\n"),
+                                           ("bin.json", b'{"C": [["1"]], "M": [[1]]}\xff')],
+                         ids=["crn", "json"])
+def test_model_that_is_not_utf8_exits_2(tmp_path, capsys, command, name, payload):
+    """A model file that is not UTF-8 text is a parse error, exit 2, for
+    every command that reads one; batch records it as an error row."""
+    path = tmp_path / name
+    path.write_bytes(payload)
+    out_file = tmp_path / "system.txt"
+    extra = ["--kappa", "1", "--out", str(out_file)] if command == "export" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert err.startswith("error: ") and "UTF-8" in err and out == ""
+    assert not out_file.exists()
+    report_path = tmp_path / "report.json"
+    assert run_cli(capsys, "batch", str(tmp_path), "--report", str(report_path))[0] == 0
+    (row,) = json.loads(report_path.read_text())["models"]
+    assert row["verdict"] == "error" and row["model"] == name
+
+
 def test_analyze_rejects_network_file(capsys):
     code, _, err = run_cli(capsys, "analyze", str(MODELS / "idh.crn"))
     assert code == 2

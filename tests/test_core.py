@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +53,7 @@ from _oracles import (
     to_rational,
     zeros,
 )
-from test_families import multisite
+from test_families import cascade, multisite
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 
@@ -797,8 +798,8 @@ def test_analyze_evidence_ordering():
 def _count_builder_inputs(monkeypatch) -> Counter:
     """Count, per builder and input matrix, the calls the pipeline makes to
     the builders of the objects derived from (C, M), through the bindings
-    of ``core``, ``polyhedra`` and ``crn``, and every RREF and rank taken,
-    of either matrix class.  Also count the integer eliminations and the
+    of ``core``, ``polyhedra`` and ``crn``, and every rank taken, of either
+    matrix class.  Also count the integer eliminations and the
     scalings of rational rows to integers that ``exactalg`` makes, by their
     input, and the eliminations each matrix's echelon form takes, by
     matrix.  The siphon test eliminates permuted rows through its own
@@ -812,11 +813,12 @@ def _count_builder_inputs(monkeypatch) -> Counter:
         for module in (core, polyhedra, crn):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
-    for name in ("rref", "rank"):
-        def counting_method(m, _name=name, _method=getattr(_Matrix, name)):
-            seen[_name, m] += 1
-            return _method(m)
-        monkeypatch.setattr(_Matrix, name, counting_method)
+    rank = _Matrix.rank
+
+    def counting_rank(m):
+        seen["rank", m] += 1
+        return rank(m)
+    monkeypatch.setattr(_Matrix, "rank", counting_rank)
     integer_rref, integer_scaling = exactalg._integer_rref, exactalg._integer_scaling
     echelon = _Matrix.integer_echelon
 
@@ -849,11 +851,11 @@ def _assert_built_once(seen: Counter, systems):
     reaches the integer elimination at most once, however many stages read
     its echelon form."""
     builds = {key: count for key, count in seen.items()
-              if key[0] not in ("rref", "rank", "eliminated", "echelon", "scaling")
+              if key[0] not in ("rank", "eliminated", "echelon", "scaling")
               and key != "eliminations"}
     assert builds and max(builds.values()) == 1, builds
     for sys_ in systems:
-        assert seen["rref", sys_.C] <= 1, sys_.C
+        assert seen["echelon", sys_.C] <= 1, sys_.C
         assert max((seen["scaling", sys_.C.row(i)] for i in range(sys_.s)), default=0) <= 1
         for A in sys_._lattices.values():
             assert seen["echelon", A] <= 1, A
@@ -926,7 +928,7 @@ def test_analyze_builds_derived_objects_once(monkeypatch, name):
     seen = _count_builder_inputs(monkeypatch)
     analyze(model.system, model.mode, seed=0)
     _assert_built_once(seen, [model.system])
-    assert seen["rref", model.system.C] == 0
+    assert seen["echelon", model.system.C] == 0
 
 
 @pytest.mark.parametrize("name, source", [("idh.crn", "reduced"),
@@ -977,12 +979,35 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
                           for i in range(N.rows))
         assert seen["eliminated", augmented, N.cols + N.rows] == 1, network
         assert seen["eliminated", tuple(N.col(j) for j in range(N.cols)), N.rows] == 0, network
-        assert seen["rref", N] == 0 and seen["rank", N] == 0, network
-    for sys_ in systems:
-        assert seen["rref", sys_.C] == 0, sys_.C
+        assert seen["rank", N] == 0 and seen["echelon", N] == 0, network
     for mat in [sys_.C for sys_ in systems] + laws:
         assert seen["echelon", mat] == 0, mat
         assert not any(seen["scaling", mat.row(i)] for i in range(mat.rows)), mat
+
+
+@pytest.mark.parametrize("text", [multisite(2), cascade(2),
+                                  (MODELS / "triangle_cycle.crn").read_text()],
+                         ids=["multisite_2", "cascade_2", "triangle_cycle"])
+def test_kernel_vectors_reach_no_fraction_scaling(monkeypatch, text):
+    """Kernel vectors travel as integers: while a network is analysed, its
+    deferred facts included, no LP, Jacobian or random combination scales a
+    vector to integers.  Only the check of the positive-kernel LP's vertex,
+    a vector of Fractions, does."""
+    callers = Counter()
+    integer_scaling = exactalg._integer_scaling
+
+    def counting(vec):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return integer_scaling(vec)
+    for module in (exactalg, polyhedra, core):
+        if hasattr(module, "_integer_scaling"):
+            monkeypatch.setattr(module, "_integer_scaling", counting)
+    analysis = analyze_network(crn.parse_network(text), seed=0)
+    for report in (analysis.report, analysis.reduced_report):
+        if report is not None:
+            report.to_dict()
+    assert callers["strictly_positive_kernel"] > 0, callers
+    assert not {"simplex_maximize", "_integer_jacobian", "random_combination"} & set(callers)
 
 
 def test_multisite_2_takes_one_hermite_form_per_lattice(monkeypatch):

@@ -66,23 +66,24 @@ FIG_M = IntegerMatrix([
 ])
 
 
+def _divided_by_pivots(rows, pivots):
+    """The RREF rows an integer echelon form stands for."""
+    return tuple(tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots))
+
+
 def test_rref_identity():
-    red, pivots = identity(2).rref()
-    assert red == identity(2)
-    assert pivots == (0, 1)
+    assert identity(2).integer_echelon() == (((1, 0), (0, 1)), (0, 1))
 
 
 def test_rref_rank_one():
-    red, pivots = RationalMatrix([[1, 1], [2, 2]]).rref()
-    assert red == RationalMatrix([[1, 1], [0, 0]])
-    assert pivots == (0,)
+    assert RationalMatrix([[1, 1], [2, 2]]).integer_echelon() == (((1, 1),), (0,))
 
 
 def test_rref_fig_two_pivots():
     # hand Gaussian elimination gives pivots in columns 0 and 3
-    red, pivots = FIG_C.rref()
+    rows, pivots = FIG_C.integer_echelon()
     assert pivots == (0, 3)
-    assert red == RationalMatrix([[1, -1, -1, 0, 0], [0, 0, 0, 1, -1]])
+    assert _divided_by_pivots(rows, pivots) == ((1, -1, -1, 0, 0), (0, 0, 0, 1, -1))
 
 
 def test_rank_zero_matrix():
@@ -168,6 +169,7 @@ def test_circuit_supports_are_fundamental_circuits_small_random():
 
 
 def test_rref_idempotent_and_rank_preserving():
+    """The integer echelon form of a matrix is its own echelon form."""
     rng = random.Random(11)
     for _ in range(30):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
@@ -175,9 +177,9 @@ def test_rref_idempotent_and_rank_preserving():
             [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(nc)]
              for _ in range(nr)]
         )
-        red, _ = m.rref()
-        red2, _ = red.rref()
-        assert red2 == red
+        echelon = m.integer_echelon()
+        red = IntegerMatrix.with_width(echelon[0], nc)
+        assert red.integer_echelon() == echelon
         assert red.rank() == m.rank()
 
 
@@ -386,15 +388,16 @@ def _matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_matrices())
 def test_rref_and_rank_match_fraction_elimination(m):
-    red, pivots = m.rref()
+    """The integer echelon rows are primitive multiples of the RREF rows."""
+    echelon, pivots = m.integer_echelon()
     rows, expected_pivots = oracle_rref(m.to_lists(), m.cols)
     assert pivots == expected_pivots
-    assert red.shape == m.shape
-    assert tuple(red.row(i) for i in range(red.rows)) == rows
-    assert all(isinstance(x, Fraction) for i in range(red.rows) for x in red.row(i))
+    assert _divided_by_pivots(echelon, pivots) == rows[: len(pivots)]
+    assert all(type(x) is int for row in echelon for x in row)
+    assert all(gcd(*row) == 1 for row in echelon)
     assert m.rank() == len(expected_pivots)
     assert m.row_basis().to_lists() == [list(r) for r in rows[: len(pivots)]]
-    assert m.rref() == (red, pivots)  # read again from the kept echelon form
+    assert m.integer_echelon() is m.integer_echelon()  # kept, not eliminated again
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -429,7 +432,7 @@ def test_integer_matrix_agrees_with_its_rational_copy(a, b):
     gives the same matrix converted to Fractions."""
     q = to_rational(a)
     assert a != q
-    assert a.rref() == q.rref()
+    assert a.integer_echelon() == q.integer_echelon()
     assert a.rank() == q.rank()
     assert a.row_basis() == q.row_basis()
     assert kernel_circuit_basis(a) == kernel_circuit_basis(q)
@@ -467,14 +470,19 @@ def _circuit_inputs(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_circuit_inputs())
 def test_kernel_circuit_basis_matches_fraction_rref(m):
-    """The circuits read off the integer echelon form are those of the
-    Fraction RREF, vector for vector and support for support."""
+    """The circuits read off the integer echelon form are primitive integer
+    vectors, positive in their non-pivot column; divided by that entry they
+    are the circuits of the Fraction RREF, vector for vector and support
+    for support."""
     basis = kernel_circuit_basis(m)
     vectors, supports = oracle_circuits(m.to_lists(), m.cols)
-    assert basis.vectors == vectors
+    free = [max(s) for s in basis.supports]
+    assert tuple(tuple(Fraction(x, v[j]) for x in v) for v, j in zip(basis.vectors, free)) \
+        == vectors
     assert basis.supports == supports
     assert basis.ambient_dim == m.cols
-    assert all(isinstance(x, Fraction) for v in basis.vectors for x in v)
+    assert all(type(x) is int for v in basis.vectors for x in v)
+    assert all(gcd(*v) == 1 and v[j] > 0 for v, j in zip(basis.vectors, free))
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), "3", 1.0])

@@ -48,7 +48,8 @@ def _system(C, M) -> VerticalSystem:
 
 def _assert_matches_oracles(sys_, seed=0):
     """Both tests give the oracles' results, and the integer pencil over
-    the circuits, whose denominators differ, is the Fraction Jacobian."""
+    the integer circuits, over C's row denominators, is the Fraction
+    Jacobian over the same generators."""
     assert nondegeneracy(sys_, seed) == oracle_nondegeneracy(sys_, seed)
     if len(sys_.circuits) and sys_.s:
         lam = tuple(f"l{k+1}" for k in range(len(sys_.circuits)))
@@ -82,27 +83,52 @@ def small_systems(draw):
     return C, M, draw(st.integers(0, 3)), draw(st.integers(0, 11))
 
 
+def _assert_unlucky_matches_oracles(C, M, seed, unlucky):
+    """The first ``unlucky`` random kernel vectors are replaced by the
+    first circuit, which often falls short of full rank on its own: the
+    later attempts and the witness drawn from the sweep's first nonzero
+    minor are compared too."""
+    random_combination, oracle_combination = core.random_combination, _oracles.oracle_combination
+
+    def unlucky_attempt(attempt_seed):
+        return (attempt_seed - seed) // 7919 < unlucky
+
+    def combination(basis, attempt_seed):
+        if unlucky_attempt(attempt_seed):  # the first circuit over its denominator
+            return basis.vectors[0], basis.vectors[0][max(basis.supports[0])]
+        return random_combination(basis, attempt_seed)
+
+    def fraction_combination(vectors, attempt_seed):
+        if unlucky_attempt(attempt_seed):
+            return vectors[0]
+        return oracle_combination(vectors, attempt_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "random_combination", combination)
+        mp.setattr(_oracles, "oracle_combination", fraction_combination)
+        _assert_matches_oracles(_system(C, M), seed)
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(small_systems())
 @example((*REFUTED, 0, 0))
 @example((*RANK_ONE, 0, 0))
 @example(([[1, -1, 0], [0, 1, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 0))
 def test_nondegeneracy_matches_oracles(case):
-    """The first ``unlucky`` random kernel vectors are replaced by the
-    first circuit, which often falls short of full rank on its own: the
-    later attempts and the witness drawn from the sweep's first nonzero
-    minor are compared too."""
-    C, M, seed, unlucky = case
-    random_combination = core.random_combination
+    _assert_unlucky_matches_oracles(*case)
 
-    def combination(basis, attempt_seed):
-        if (attempt_seed - seed) // 7919 < unlucky:
-            return basis.vectors[0]
-        return random_combination(basis, attempt_seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "random_combination", combination)
-        mp.setattr(_oracles, "random_combination", combination)
-        _assert_matches_oracles(_system(C, M), seed)
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_systems())
+# the circuits have denominator 2, the first falls short, and the first
+# nonzero minor is the second column: M's first row is zero
+@example(([[2, -1, -1]], [[0, 0, 0], [1, 1, 0]], 0, 11))
+def test_witness_from_the_first_nonzero_minor_matches_oracle(case):
+    """All eleven attempts take the first circuit, so every system whose
+    first circuit falls short of full rank but has a nonzero minor draws
+    its witness from that minor's columns, over the circuits' common
+    denominator."""
+    C, M, seed, _ = case
+    _assert_unlucky_matches_oracles(C, M, seed, 11)
 
 
 def _reached_systems(monkeypatch, analyses):

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -387,7 +387,30 @@ def test_mixed_volume_of_five_species_coset_systems(text, expected):
      [Fraction(1, 2), Fraction(1, 3)]),
 ])
 def test_simplex_matches_fraction_tableau(a, b, c):
-    assert simplex_maximize(a, b, c) == oracle_simplex_maximize(a, b, c)
+    _assert_simplex_matches_oracle(a, b, c)
+
+
+def _integer_lp(a, b, c):
+    """The LP with each constraint row, right-hand side included, and the
+    costs scaled by the lcm of their denominators, and that cost factor."""
+    rows, rhs = [], []
+    for row, beta in zip(a, b):
+        d = lcm(*(Fraction(x).denominator for x in [*row, beta]))
+        rows.append([int(x * d) for x in row])
+        rhs.append(int(beta * d))
+    scale = lcm(*(Fraction(x).denominator for x in c))
+    return rows, rhs, [int(x * scale) for x in c], scale
+
+
+def _assert_simplex_matches_oracle(a, b, c):
+    """The integer simplex on the LP scaled to integers gives the Fraction
+    tableau's status, vertex and value on that LP, and the status, the
+    vertex and the value, unscaled, of the original LP."""
+    rows, rhs, cost, scale = _integer_lp(a, b, c)
+    status, value, x = simplex_maximize(rows, rhs, cost)
+    assert (status, value, x) == oracle_simplex_maximize(rows, rhs, cost)
+    unscaled = value if value is None else value / scale
+    assert (status, unscaled, x) == oracle_simplex_maximize(a, b, c)
 
 
 _RATIONALS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
@@ -406,7 +429,7 @@ def _linear_programs(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_linear_programs())
 def test_simplex_matches_fraction_tableau_random(lp):
-    assert simplex_maximize(*lp) == oracle_simplex_maximize(*lp)
+    _assert_simplex_matches_oracle(*lp)
 
 
 @st.composite
@@ -456,7 +479,9 @@ def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
     def checked_circuits(m):
         calls["circuits"] += 1
         result = circuits(m)
-        if (result.vectors, result.supports) != oracle_circuits(m.to_lists(), m.cols):
+        vectors = tuple(tuple(Fraction(x, v[max(s)]) for x in v)
+                        for v, s in zip(result.vectors, result.supports))
+        if (vectors, result.supports) != oracle_circuits(m.to_lists(), m.cols):
             mismatches.append(("circuits", m))
         return result
 
