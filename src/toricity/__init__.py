@@ -48,7 +48,6 @@ from .core import (
     VerticalSystem,
     analyze,
     binomial_quickcheck,
-    build_free_system,
     constant_coset_conditions,
     coset_counting_system,
     count_positive_cosets,
@@ -80,7 +79,7 @@ from .crn import (
     siphon_boundary_check,
     steady_state_system,
 )
-from .fileio import read_model, write_matrix_json
+from .fileio import read_model
 
 __version__ = "0.1.0"
 
@@ -91,7 +90,7 @@ __all__ = [
     "NetworkParseError", "RationalMatrix", "ReactionNetwork", "SignVerdict",
     "SparsePolynomial", "SupportSet", "ToricityReport", "TrivialKernelError",
     "Verdict", "VerticalSystem", "ZeroDynamicsError", "acr_detect", "analyze",
-    "analyze_network", "binomial_quickcheck", "build_free_system",
+    "analyze_network", "binomial_quickcheck",
     "conservation_laws", "constant_coset_conditions", "coset_counting_system",
     "count_distinct_roots", "count_positive_cosets", "det_stacked",
     "extreme_rays", "find_intermediates", "hermite_normal_form",
@@ -104,5 +103,5 @@ __all__ = [
     "quasihomogeneity_weights", "random_kernel_vector", "read_model",
     "reduce_network", "render", "render_exchange", "sign_classify",
     "siphon_boundary_check", "steady_state_system",
-    "strictly_positive_kernel", "write_matrix_json", "__version__",
+    "strictly_positive_kernel", "__version__",
 ]

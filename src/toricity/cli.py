@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import time
@@ -45,16 +44,6 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 
 BATCH_EXTENSIONS = (".json", ".crn", ".txt", ".net")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("TORICITY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
 
 
 # CPython's setitimer converts the limit to 64-bit nanoseconds, which overflow
@@ -164,7 +153,6 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     mode = GroupMode(args.mode) if args.mode else model.mode
-    seed = args.seed if args.seed is not None else _default_seed()
     options = AnalyzeOptions(boundary="yes" if args.assume_no_boundary_zeros else "unknown")
     if args.kappa:
         try:
@@ -173,7 +161,7 @@ def cmd_analyze(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        report = analyze(model.system, mode, seed, options)
+        report = analyze(model.system, mode, args.seed, options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -223,9 +211,8 @@ def cmd_network(args) -> int:
         return EXIT_PARSE
     net = model.network
     mode = GroupMode(args.mode) if args.mode else GroupMode.POSITIVE
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        result = analyze_network(net, mode, seed, reduce=args.reduce)
+        result = analyze_network(net, mode, args.seed, reduce=args.reduce)
     except ZeroDynamicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -400,7 +387,7 @@ def cmd_batch(args) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_PARSE
-    base_seed = args.seed if args.seed is not None else _default_seed()
+    base_seed = args.seed
     files = sorted(p for p in directory.iterdir()
                    if p.is_file() and p.suffix in BATCH_EXTENSIONS)
     rows = {}
@@ -455,13 +442,12 @@ def cmd_export(args) -> int:
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
         inv = invariance_group(system)
         point = None
         if args.point:
             point = tuple(parse_rational(v) for v in args.point.split(","))
-        ccs = coset_counting_system(system, inv, kappa, seed, point)
+        ccs = coset_counting_system(system, inv, kappa, args.seed, point)
     except (EmptyLocusError, ValueError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -484,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze a matrix model (JSON)")
     p.add_argument("file")
     p.add_argument("--mode", choices=[m.value for m in GroupMode])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--kappa", help="parameter point for coset counting (comma separated)")
     p.add_argument("--assume-no-boundary-zeros", action="store_true",
@@ -500,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acr", action="store_true")
     p.add_argument("--structure", action="store_true")
     p.add_argument("--mode", choices=[m.value for m in GroupMode])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_network)
 
@@ -510,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--timeout", type=_timeout, default=60.0,
                    help="wall-clock seconds per model, 0 for no limit")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("export", help="write the coset counting system to a file")
@@ -518,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True, help="comma separated positive rationals")
     p.add_argument("--out", required=True)
     p.add_argument("--point", help="positive point defining the slice offset")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_export)
     return parser
 

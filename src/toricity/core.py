@@ -43,7 +43,7 @@ from .polyring import (
     DeterminantSizeError,
     SignVerdict,
     SparsePolynomial,
-    count_distinct_roots_coeffs,
+    count_distinct_roots,
     det_stacked,
     minor_sweep,
     render,
@@ -221,54 +221,6 @@ class VerticalSystem:
         """Newton support of row i (exponent columns with nonzero coefficient)."""
         pts = [tuple(self.M.col(j)) for j in range(self.m) if self.C.entry(i, j) != 0]
         return SupportSet(tuple(pts))
-
-
-def build_free_system(supports, signs=None, variables=None) -> VerticalSystem:
-    """System with fixed supports and free coefficients of prescribed signs.
-
-    ``supports[i]`` is the ordered point list of the i-th polynomial and
-    ``signs[i]`` assigns each point '+', '-', '+-' (both, by repeating the
-    monomial), or an explicit rational coefficient.  The coefficient matrix
-    is block diagonal with one row per polynomial.
-    """
-    supports = [list(map(tuple, pts)) for pts in supports]
-    if not supports:
-        raise ValueError("no supports given")
-    n = len(supports[0][0])
-    cols: list[tuple[int, ...]] = []
-    c_rows: list[list[Fraction]] = []
-    for i, pts in enumerate(supports):
-        row_coeffs: list[Fraction] = []
-        row_cols: list[tuple[int, ...]] = []
-        pattern = signs[i] if signs else ["+"] * len(pts)
-        if len(pattern) != len(pts):
-            raise ValueError("sign pattern length mismatch")
-        for p, sgn in zip(pts, pattern):
-            if sgn == "+":
-                row_cols.append(p)
-                row_coeffs.append(Fraction(1))
-            elif sgn == "-":
-                row_cols.append(p)
-                row_coeffs.append(Fraction(-1))
-            elif sgn in ("+-", "-+", "pm"):
-                row_cols.extend([p, p])
-                row_coeffs.extend([Fraction(1), Fraction(-1)])
-            else:
-                row_cols.append(p)
-                row_coeffs.append(_frac(sgn))
-        start = len(cols)
-        cols.extend(row_cols)
-        c_rows.append((start, row_coeffs))
-    m = len(cols)
-    rows = []
-    for start, coeffs in c_rows:
-        row = [Fraction(0)] * m
-        for k, c in enumerate(coeffs):
-            row[start + k] = c
-        rows.append(row)
-    C = RationalMatrix(rows)
-    M = IntegerMatrix([[p[k] for p in cols] for k in range(n)])
-    return VerticalSystem(C, M, variables=variables)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +426,8 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     return AllPositiveResult("unknown", reason="no sign-definite minor")
 
 
-def local_toricity(sys: VerticalSystem, inv: InvarianceResult, nondeg: NondegeneracyResult,
-                   all_positive: AllPositiveResult | None = None) -> Verdict:
+def local_toricity(sys: VerticalSystem, inv: InvarianceResult,
+                   nondeg: NondegeneracyResult) -> Verdict:
     """Dimension test: local toricity holds exactly when s + d = n."""
     if nondeg.status != "yes":
         return Verdict.INVARIANT_ONLY
@@ -486,8 +438,6 @@ def local_toricity(sys: VerticalSystem, inv: InvarianceResult, nondeg: Nondegene
         )
     if total < sys.n:
         return Verdict.NOT_LOCALLY_TORIC
-    if all_positive is not None and all_positive.status == "yes":
-        return Verdict.LOCALLY_TORIC
     return Verdict.GENERICALLY_LOCALLY_TORIC
 
 
@@ -550,14 +500,19 @@ class CosetCountingSystem:
     point: tuple[Fraction, ...]  # strictly positive witness with A point = b
 
 
+def _checked_kappa(sys: VerticalSystem, kappa) -> tuple[Fraction, ...]:
+    kap = tuple(_frac(k) for k in kappa)
+    if len(kap) != sys.m or any(k <= 0 for k in kap):
+        raise ValueError("kappa must be a strictly positive vector of length m")
+    return kap
+
+
 def coset_counting_system(sys: VerticalSystem, inv: InvarianceResult, kappa,
                           seed: int = 0, point=None) -> CosetCountingSystem:
     """Attach the affine slice A x = b with b = A p for a positive point p."""
     if inv.d != sys.n - sys.s:
         raise ValueError("coset counting needs a full-dimensional invariance lattice")
-    kap = tuple(_frac(k) for k in kappa)
-    if len(kap) != sys.m or any(k <= 0 for k in kap):
-        raise ValueError("kappa must be a strictly positive vector of length m")
+    kap = _checked_kappa(sys, kappa)
     if point is not None:
         p = tuple(_frac(x) for x in point)
         if len(p) != sys.n or any(x <= 0 for x in p):
@@ -606,7 +561,7 @@ def _exact_count_on_line(h: CosetCountingSystem) -> int:
     coeffs = _restrict_to_line(sys_.polynomials(h.kappa)[0], x0, direction)
     if not coeffs:
         raise DegenerateSliceError("system vanishes identically on the slice")
-    return count_distinct_roots_coeffs(coeffs, lo, hi)
+    return count_distinct_roots(coeffs, lo, hi)
 
 
 def _restrict_to_line(poly: SparsePolynomial, x0, direction):
@@ -883,9 +838,12 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     run only for the positive-reals mode.  The count is exact for one
     equation (s = 1); a larger system that reaches it is reported locally
     toric with a constant number of cosets bounded by the mixed volume, and
-    ``export`` writes its counting system for an external solver.
+    ``export`` writes its counting system for an external solver.  A
+    given ``options.kappa`` is checked on entry, whichever branch is taken.
     """
     opts = options or AnalyzeOptions()
+    if opts.kappa is not None:
+        _checked_kappa(sys, opts.kappa)
     rep = ToricityReport(mode=mode, seed=seed, n=sys.n, m=sys.m, s=sys.s)
     fp = sys.fingerprint()
 

@@ -9,7 +9,7 @@ linkage-class / deficiency structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from math import comb
 
@@ -93,8 +93,25 @@ class ReactionNetwork:
 
     @cached_property
     def _mass_action(self) -> tuple[IntegerMatrix, IntegerMatrix]:
-        """N and M, built on the first ``mass_action_matrices`` call and kept."""
-        return _mass_action_matrices(self)
+        """N (target - source) and M, built on the first
+        ``mass_action_matrices`` call and kept."""
+        sources = [self.complexes[src] for src, _, _ in self.reactions]
+        targets = [self.complexes[tgt] for _, tgt, _ in self.reactions]
+        width = self.num_reactions
+        return (IntegerMatrix.with_width([[t[i] - s[i] for s, t in zip(sources, targets)]
+                                          for i in range(self.n)], width),
+                IntegerMatrix.with_width([[s[i] for s in sources] for i in range(self.n)], width))
+
+    @cached_property
+    def _steady_state(self) -> VerticalSystem:
+        """The steady-state system, built on the first
+        ``steady_state_system`` call and kept."""
+        N, M = self._mass_action
+        C = N.row_basis()
+        if C.rows == 0:
+            raise ZeroDynamicsError("stoichiometric matrix is zero")
+        labels = tuple(lbl for _, _, lbl in self.reactions)
+        return VerticalSystem(C, M, variables=self.species, parameters=labels)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -246,28 +263,11 @@ def mass_action_matrices(net: ReactionNetwork) -> tuple[IntegerMatrix, IntegerMa
     return net._mass_action
 
 
-def _mass_action_matrices(net: ReactionNetwork) -> tuple[IntegerMatrix, IntegerMatrix]:
-    n = net.n
-    ncols = net.num_reactions
-    ncols_n = [[0] * ncols for _ in range(n)]
-    ncols_m = [[0] * ncols for _ in range(n)]
-    for j, (src, tgt, _) in enumerate(net.reactions):
-        for i in range(n):
-            ncols_m[i][j] = net.complexes[src][i]
-            ncols_n[i][j] = net.complexes[tgt][i] - net.complexes[src][i]
-    return (IntegerMatrix.with_width(ncols_n, ncols),
-            IntegerMatrix.with_width(ncols_m, ncols))
-
-
 def steady_state_system(net: ReactionNetwork) -> VerticalSystem:
     """Vertical system of the steady states: a row basis of N against the
-    reactant exponents."""
-    N, M = mass_action_matrices(net)
-    C = N.row_basis()
-    if C.rows == 0:
-        raise ZeroDynamicsError("stoichiometric matrix is zero")
-    labels = tuple(lbl for _, _, lbl in net.reactions)
-    return VerticalSystem(C, M, variables=net.species, parameters=labels)
+    reactant exponents.  It is built once per network and kept, so every
+    reader shares its derived objects."""
+    return net._steady_state
 
 
 def conservation_laws(N: IntegerMatrix) -> RationalMatrix:
@@ -574,15 +574,10 @@ class NetworkStructure:
 
 def network_structure(net: ReactionNetwork) -> NetworkStructure:
     """Linkage classes, deficiency r - s - l, weak reversibility, and the
-    zero-deficiency local-toricity certificate."""
-    return _network_structure(net)
-
-
-def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = None):
-    """``network_structure``, reading the rank of N and the matroid
-    partition from ``system`` (the network's steady-state system, whose C is
-    a row basis of N) when the caller has built it."""
-    s = system.s if system is not None else mass_action_matrices(net)[0].rank()
+    zero-deficiency local-toricity certificate.  s is the rank of N, read
+    from the row basis N keeps, and the matroid partition from the
+    network's kept steady-state system."""
+    s = mass_action_matrices(net)[0].row_basis().rows
     out_edges, in_edges = _complex_digraph(net)
     undirected = {c: out_edges[c] | in_edges[c] for c in out_edges}
     # each class is found from its least complex, so they come sorted by it
@@ -606,7 +601,7 @@ def _network_structure(net: ReactionNetwork, system: VerticalSystem | None = Non
     delta = len(net.complexes) - s - len(classes_t)
     refines = None
     if s > 0:
-        part = matroid_partition(system or steady_state_system(net))
+        part = matroid_partition(steady_state_system(net))
         refines = all(any(b <= rc for rc in reaction_classes) for b in part.blocks)
     return NetworkStructure(len(net.complexes), classes_t, reaction_classes, s, delta,
                             weakly, refines, delta == 0 and weakly)
@@ -624,7 +619,7 @@ class _BudgetUnknown(str):
     """The "unknown" of a siphon search stopped by its budget."""
 
 
-def minimal_siphons(net: ReactionNetwork, budget: int = _SIPHON_BUDGET) -> list[frozenset[int]]:
+def minimal_siphons(net: ReactionNetwork) -> list[frozenset[int]]:
     """Minimal species sets whose production always consumes a member.
 
     Closure branching (Cordone, Ferrarini & Piroddi 2005): from each seed
@@ -635,8 +630,8 @@ def minimal_siphons(net: ReactionNetwork, budget: int = _SIPHON_BUDGET) -> list[
     by size, then by sorted indices.  There is no limit on the number of
     species.  Each branch node is charged one plus a subset test per
     reaction and per siphon found so far, so the charge tracks the time
-    even when the siphons are many; past ``budget`` the search raises
-    ``SearchBudgetExceededError``.
+    even when the siphons are many; past ``_SIPHON_BUDGET`` the search
+    raises ``SearchBudgetExceededError``.
     """
     n = net.n
     masks = []
@@ -657,7 +652,7 @@ def minimal_siphons(net: ReactionNetwork, budget: int = _SIPHON_BUDGET) -> list[
                 continue
             seen.add(z)
             tests += 1 + len(masks) + len(found)
-            if tests > budget:
+            if tests > _SIPHON_BUDGET:
                 raise SearchBudgetExceededError("siphon search exceeded its budget")
             if any(f & z == f for f in found):
                 continue
@@ -725,7 +720,7 @@ def siphon_boundary_check(net: ReactionNetwork, A: IntegerMatrix | None = None,
     if mat is None or mat.rows == 0:
         return "unknown"
     try:
-        siphons = minimal_siphons(net, _SIPHON_BUDGET)
+        siphons = minimal_siphons(net)
     except SearchBudgetExceededError:
         return _BudgetUnknown("unknown")
     for z in siphons:
@@ -786,8 +781,7 @@ _TRANSFERABLE = (Verdict.TORIC, Verdict.GENERICALLY_TORIC, Verdict.LOCALLY_TORIC
 
 
 def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
-                    seed: int = 0, reduce: bool = True,
-                    options: AnalyzeOptions | None = None) -> NetworkAnalysis:
+                    seed: int = 0, reduce: bool = True) -> NetworkAnalysis:
     """Steady-state toricity analysis of a mass-action network.
 
     The reduced network (single-input intermediates removed) is analyzed
@@ -801,17 +795,14 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
     sys_ = steady_state_system(net)
     N, _ = mass_action_matrices(net)
     laws = conservation_laws(N)
-    structure = _network_structure(net, sys_)
-    opts = options or AnalyzeOptions()
+    structure = network_structure(net)
 
     direct_inv = None
     try:
         direct_inv = invariance_group(sys_, mode)
     except EmptyLocusError:
         pass
-    boundary = opts.boundary
-    if boundary != "yes":
-        boundary = siphon_boundary_check(net, direct_inv.A if direct_inv else None, laws)
+    boundary = siphon_boundary_check(net, direct_inv.A if direct_inv else None, laws)
 
     reduction = None
     red_boundary = None
@@ -834,8 +825,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
             red_n, _ = mass_action_matrices(reduction.network)
             red_boundary = siphon_boundary_check(reduction.network, None,
                                                  conservation_laws(red_n))
-            reduced_report = analyze(red_sys, mode, seed,
-                                     replace(opts, kappa=None, boundary=red_boundary))
+            reduced_report = analyze(red_sys, mode, seed, AnalyzeOptions(boundary=red_boundary))
             if reduced_report.invariance is not None:
                 lifted_xy = lift_invariance(reduced_report.invariance.A, reduction.B)
                 perm = list(reduction.x_indices) + list(reduction.y_indices)
@@ -858,7 +848,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
                 report.defer(partial(_direct_facts, sys_, direct_inv))
         report.notes.append("verdict obtained on the reduced network and lifted")
     else:
-        report = analyze(sys_, mode, seed, replace(opts, boundary=boundary))
+        report = analyze(sys_, mode, seed, AnalyzeOptions(boundary=boundary))
     if any(isinstance(b, _BudgetUnknown) for b in (boundary, red_boundary)):
         report.notes.append("boundary zeros not excluded: the siphon search reached its budget")
 

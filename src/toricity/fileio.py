@@ -1,10 +1,9 @@
-"""Model file ingestion and emission.
+"""Model file ingestion.
 
 Two input formats: matrix JSON ({"C": [["1","-1",...],...], "M": [[...]],
-"mode": "positive"}, with rational entries as "p/q" strings, or {"N": ...}
-from which a coefficient row basis is derived) and reaction network text in
-the grammar of the parser.  Matrix JSON written by the tool re-parses to
-bit-identical matrices.
+"mode": "positive"}, with rational entries as integers or "p/q" strings,
+or {"N": ...} from which a coefficient row basis is derived) and reaction
+network text in the grammar of the parser.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"not a rational: {value!r}") from exc
     raise ModelFormatError(f"not a rational: {value!r}")
-
-
-def rational_to_string(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _matrix(data: dict, key: str, make):
@@ -115,20 +110,3 @@ def read_model(path: str | Path) -> ModelInput:
         return load_matrix_model(data)
     net = parse_network(text)
     return ModelInput("network", None, net, None, GroupMode.POSITIVE)
-
-
-def matrix_model_dict(system: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE) -> dict:
-    return {
-        "C": [[rational_to_string(system.C.entry(i, j)) for j in range(system.m)]
-              for i in range(system.s)],
-        "M": system.M.to_lists(),
-        "mode": mode.value,
-    }
-
-
-def write_matrix_json(system: VerticalSystem, path: str | Path,
-                      mode: GroupMode = GroupMode.POSITIVE) -> None:
-    Path(path).write_text(
-        json.dumps(matrix_model_dict(system, mode), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

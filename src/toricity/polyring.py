@@ -3,9 +3,9 @@
 A ``SparsePolynomial`` is a read-only value: terms map exponent vectors to
 nonzero coefficients, and printing and hashing use the graded lexicographic
 order.  The module has no ring arithmetic; it builds polynomials as
-symbolic determinants (plain and stacked against a constant block), and
-reads them back by coefficient-sign classification and, in the univariate
-case, by Sturm-sequence root counting.
+symbolic determinants (plain and stacked against a constant block) and
+reads them back by coefficient-sign classification.  Sturm sequences count
+the distinct real roots of a univariate coefficient list.
 """
 
 from __future__ import annotations
@@ -64,25 +64,6 @@ class SparsePolynomial:
     def sorted_terms(self):
         """Terms in graded lexicographic order, highest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def evaluate(self, values: dict) -> Fraction:
-        vals = [_frac(values[v]) for v in self.variables]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            acc = c
-            for base, k in zip(vals, e):
-                if k:
-                    acc *= base ** k
-            total += acc
-        return total
-
-    def used_variables(self) -> tuple[str, ...]:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(self.variables[i])
-        return tuple(v for v in self.variables if v in used)
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,10 +152,10 @@ def term_count(p: SparsePolynomial) -> int:
 # stays packed, as a ``_PackedDeterminant``: its sign pattern and
 # whether it is zero are read from the packed coefficients and the sign of
 # the factor, and its exponent tuples and ``Fraction`` coefficients are
-# decoded only when something reads ``terms``: rendering, evaluation and
-# equality.  The memoized minors of one expansion or sweep
-# hold at most ``_DET_TERM_BUDGET`` terms: 4 million take about 400 MB, and
-# the multistationarity matrix of the 7-layer cascade needs 1.4 million.
+# decoded only when something reads ``terms``: rendering and equality.
+# The memoized minors of one expansion or sweep hold at most
+# ``_DET_TERM_BUDGET`` terms: 4 million take about 400 MB, and the
+# multistationarity matrix of the 7-layer cascade needs 1.4 million.
 
 
 def _pack(rows, nvars: int) -> tuple[list[list[dict[int, int]]], list[tuple[int, int]]]:
@@ -447,22 +428,6 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
 # Sturm sequences
 
 
-def univariate_coefficients(p: SparsePolynomial) -> tuple[list[Fraction], str]:
-    """Dense coefficient list (ascending) and the variable name."""
-    used = p.used_variables()
-    if len(used) > 1:
-        raise ValueError(f"polynomial is not univariate: uses {used}")
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    name = used[0] if used else (p.variables[0] if p.variables else "x")
-    idx = p.variables.index(name) if p.variables else 0
-    deg = max(e[idx] for e in p.terms) if p.variables else 0
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        coeffs[e[idx] if p.variables else 0] += c
-    return coeffs, name
-
-
 def _trim(c):
     c = list(c)
     while c and c[-1] == 0:
@@ -528,23 +493,17 @@ def _variations(chain, point) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_distinct_roots(p: SparsePolynomial, lower=None, upper=None) -> int:
-    """Distinct real roots of a univariate polynomial in the open interval.
+def count_distinct_roots(coeffs, lower=None, upper=None) -> int:
+    """Distinct real roots in the open interval of the univariate polynomial
+    with ascending coefficient list ``coeffs``.
 
     ``lower``/``upper`` are rationals or None for -inf/+inf; roots exactly at
     finite endpoints are divided out first, so the interval is open, and
-    empty when ``lower >= upper``.
+    empty when ``lower >= upper``.  The Sturm chain of a polynomial with
+    repeated roots ends in the gcd of the polynomial and its derivative, a
+    factor of every member; it changes no sign change at a point where the
+    polynomial is nonzero, so the chain counts distinct roots as it stands.
     """
-    coeffs, _ = univariate_coefficients(p)
-    return count_distinct_roots_coeffs(coeffs, lower, upper)
-
-
-def count_distinct_roots_coeffs(coeffs, lower=None, upper=None) -> int:
-    """``count_distinct_roots`` of the ascending coefficient list.  The
-    Sturm chain of a polynomial with repeated roots ends in the gcd of the
-    polynomial and its derivative, a factor of every member; it changes no
-    sign change at a point where the polynomial is nonzero, so the chain
-    counts distinct roots as it stands."""
     c = _trim([_frac(x) for x in coeffs])
     if not c:
         raise ZeroPolynomialError("zero polynomial")

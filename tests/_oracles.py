@@ -48,6 +48,7 @@ test matrices; the package has no use for them.
 The package keeps polynomials as read-only values.  Their ring arithmetic
 lives here, in ``RingPolynomial``: the polynomial determinant oracles expand
 by cofactors with it, and the tests spell their polynomials with it.
+``evaluate`` gives a polynomial's value at a point.
 ``stacked_det`` and ``polynomial_rows`` are not oracles: they convert a
 top block of ``SparsePolynomial``s to the integer rows ``det_stacked``
 takes and back, so the tests can state their matrices as polynomials.
@@ -510,6 +511,19 @@ class RingPolynomial(SparsePolynomial):
         return out
 
 
+def evaluate(p: SparsePolynomial, values: dict) -> Fraction:
+    """The value of ``p`` with each variable set to ``values[name]``."""
+    vals = [Fraction(values[v]) for v in p.variables]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        acc = c
+        for base, k in zip(vals, e):
+            if k:
+                acc *= base ** k
+        total += acc
+    return total
+
+
 def _oracle_poly_det(rows):
     """Polynomial determinant by cofactor expansion along the first row,
     using only the ring operations of ``RingPolynomial``."""
@@ -631,7 +645,7 @@ def oracle_nondegeneracy(sys_, seed: int) -> NondegeneracyResult:
         rng = random_rng(seed ^ 0x5EED)
         for _ in range(64):
             point = {name: Fraction(rng.randint(-(1 << 16), 1 << 16)) for name in lam}
-            if minor.evaluate(point) != 0:
+            if evaluate(minor, point) != 0:
                 w = [sum(point[name] * g[j] for name, g in zip(lam, vectors))
                      for j in range(sys_.m)]
                 return NondegeneracyResult("yes", tuple(w))
@@ -862,19 +876,26 @@ def _poly_divmod(a, b):
 
 
 def _descartes_bound(coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Upper bound on the number of roots in (lo, hi) by sign variations."""
-    # shift to (lo, hi) -> (0, 1) -> (0, inf) via x = (lo + hi*y) / (1 + y)
+    """Upper bound on the number of roots in (lo, hi) by sign variations.
+
+    In integers: with lo = a/d and hi = b/d over one denominator d and the
+    coefficients' denominators cleared, x = (a + (b - a) z) / d turns the
+    polynomial into a positive multiple of an integer one whose roots in
+    (lo, hi) sit at z in (0, 1); z -> 1/z and a shift by 1 map those to
+    (0, inf).  A positive factor changes no sign variation."""
     n = len(coeffs) - 1
-    width = hi - lo
-    shifted = _taylor_shift(coeffs, lo)           # roots in (0, width)
-    scaled = [c * width ** i for i, c in enumerate(shifted)]  # roots in (0, 1)
-    rev = list(reversed(scaled))                  # x -> 1/x : roots in (1, inf)
-    mapped = _taylor_shift(rev, Fraction(1))      # roots in (0, inf)
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) * d ** (n - i) for i, c in enumerate(coeffs)]
+    shifted = _taylor_shift(ints, a)              # p((a + u) / d): roots in (0, b - a)
+    scaled = [c * (b - a) ** i for i, c in enumerate(shifted)]  # roots in (0, 1)
+    mapped = _taylor_shift(scaled[::-1], 1)       # z -> 1/(1 + y): roots in (0, inf)
     signs = [c for c in mapped if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+    return sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
 
 
-def _taylor_shift(coeffs, a: Fraction):
+def _taylor_shift(coeffs, a: int):
     out = list(coeffs)
     n = len(out)
     for i in range(n):

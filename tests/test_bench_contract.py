@@ -84,16 +84,18 @@ def test_determinant_term_counter():
     assert count((top, bottom), det) == 6
 
 
-# the layers a traced analysis of multisite_2, cascade_2 and sparse_pair.json reaches
+# the layers a traced analysis of multisite_2 and cascade_2, and batch rows of
+# sparse_pair.json and triangle_cycle.crn, reach
 REACHED = {
     "cli.run_batch_model",
     *(f"core.{name}" for name in (
-        "analyze", "constant_coset_conditions", "injectivity_test", "invariance_group",
-        "matroid_partition", "nondegeneracy", "nondegeneracy_all_positive",
+        "analyze", "constant_coset_conditions", "count_positive_cosets", "injectivity_test",
+        "invariance_group", "matroid_partition", "nondegeneracy", "nondegeneracy_all_positive",
         "quasihomogeneity_weights")),
     *(f"crn.{name}" for name in (
-        "conservation_laws", "find_intermediates", "minimal_siphons", "multistationarity_test",
-        "reduce_network", "siphon_boundary_check", "steady_state_system")),
+        "analyze_network", "conservation_laws", "find_intermediates", "minimal_siphons",
+        "multistationarity_test", "network_structure", "parse_network", "reduce_network",
+        "siphon_boundary_check", "steady_state_system")),
     *(f"exactalg.{name}" for name in (
         "hermite_normal_form", "integer_kernel_basis", "kernel_circuit_basis",
         "left_kernel_basis")),
@@ -101,7 +103,7 @@ REACHED = {
     *(f"polyhedra.{name}" for name in (
         "extreme_rays", "mixed_volume", "positive_row_space", "simplex_maximize",
         "strictly_positive_kernel")),
-    "polyring.det_stacked", "polyring.sign_classify",
+    "polyring.count_distinct_roots", "polyring.det_stacked", "polyring.sign_classify",
 }
 
 
@@ -112,7 +114,7 @@ def test_traced_layers_are_reached():
     else: the per-layer metrics would read 0 on working code."""
     generators = _load_bench("generators")
     nets = [parse_network(generators.multisite(2)), parse_network(generators.cascade(2))]
-    model = Path(cli.__file__).parent / "data" / "models" / "sparse_pair.json"
+    models = Path(cli.__file__).parent / "data" / "models"
     tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
@@ -120,10 +122,12 @@ def test_traced_layers_are_reached():
         tracer.start_model(0)
         for net in nets:
             analyze_network(net, GroupMode.POSITIVE, 0)  # bound before install: untraced
-        assert cli.run_batch_model(str(model), 0, 0)["verdict"] not in ("error", "timeout")
+        for name in ("sparse_pair.json", "triangle_cycle.crn"):
+            row = cli.run_batch_model(str(models / name), 0, 0)
+            assert row["verdict"] not in ("error", "timeout"), row
         tracer.end_model(True)
     finally:
         tracer.enabled = False
         tracer.uninstall()
-    assert len(REACHED) == 28
+    assert len(REACHED) == 33
     assert {span[0] for span in tracer.spans} == REACHED

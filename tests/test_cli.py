@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from toricity.cli import main
-from toricity.core import GroupMode, VerticalSystem
+from toricity.core import GroupMode
 from toricity.exactalg import IntegerMatrix, RationalMatrix
-from toricity.fileio import read_model, write_matrix_json
+from toricity.fileio import read_model
 
 from _oracles import same_row_lattice
 
@@ -189,6 +189,17 @@ def test_analyze_boundary_assertion_flag(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "locally_toric"  # without the assertion
 
 
+@pytest.mark.parametrize("kappa", ["1,2", "-1,1,1,1"])
+@pytest.mark.parametrize("flag", [(), ("--assume-no-boundary-zeros",)], ids=["plain", "assumed"])
+def test_analyze_refuses_malformed_kappa(tmp_path, capsys, flag, kappa):
+    """A kappa of the wrong length or with an entry <= 0 is refused on
+    entry, whether or not the analysis reaches the coset count."""
+    model = write_json(tmp_path, "triangle.json", TRIANGLE_MATRIX_JSON)
+    code, out, err = run_cli(capsys, "analyze", str(model), f"--kappa={kappa}", *flag)
+    assert (code, out) == (3, "")
+    assert "kappa must be a strictly positive vector of length m" in err
+
+
 def test_analyze_real_star_mode(capsys):
     code, out, _ = run_cli(capsys, "analyze", str(MODELS / "sparse_pair.json"),
                            "--mode", "real-star", "--json")
@@ -295,8 +306,7 @@ def test_batch_runs_without_numpy(tmp_path):
     # numpy is not a runtime dependency: with its import blocked, batch still
     # writes the golden corpus report byte for byte
     report_path = tmp_path / "report.json"
-    proc = run_python("-c", "import os, sys; sys.modules['numpy'] = None; "
-                            "os.environ.pop('TORICITY_SEED', None); "
+    proc = run_python("-c", "import sys; sys.modules['numpy'] = None; "
                             "from toricity.cli import main; sys.exit(main(sys.argv[1:]))",
                       "batch", str(MODELS), "--report", str(report_path))
     assert proc.returncode == 0, proc.stderr
@@ -474,15 +484,11 @@ def test_export_wrong_kappa_length(tmp_path, capsys):
 def test_matrix_json_roundtrip(tmp_path):
     from fractions import Fraction
 
-    sys_ = VerticalSystem(
-        RationalMatrix([[Fraction(1, 3), -2], [0, Fraction(7, 2)]]),
-        IntegerMatrix([[1, 0], [0, 5]]),
-    )
-    path = tmp_path / "model.json"
-    write_matrix_json(sys_, path)
+    path = write_json(tmp_path, "model.json", {"C": [["1/3", "-2"], ["0", "7/2"]],
+                                               "M": [[1, 0], [0, 5]], "mode": "positive"})
     model = read_model(path)
-    assert model.system.C == sys_.C
-    assert model.system.M == sys_.M
+    assert model.system.C == RationalMatrix([[Fraction(1, 3), -2], [0, Fraction(7, 2)]])
+    assert model.system.M == IntegerMatrix([[1, 0], [0, 5]])
     assert model.mode == GroupMode.POSITIVE
 
 
@@ -490,11 +496,3 @@ def test_console_entry_point():
     proc = run_python("-m", "toricity.cli", "--help")
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "batch" in proc.stdout
-
-
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TORICITY_SEED", "41")
-    path = write_json(tmp_path, "idh.json", IDH_MATRIX_JSON)
-    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)["seed"] == 41

@@ -437,6 +437,17 @@ def test_network_structure_triangle():
     assert st.matroid_refines_linkage is True
 
 
+def test_network_structure_without_dynamics():
+    """N = 0 has no steady-state system, and still a structure: s = 0 and
+    no matroid partition to compare."""
+    net = ReactionNetwork(("A",), ((1,), (1,)), ((0, 1, "k1"),))
+    with pytest.raises(ZeroDynamicsError):
+        steady_state_system(net)
+    st = network_structure(net)
+    assert (st.complex_count, len(st.linkage_classes), st.rank, st.deficiency) == (2, 1, 0, 1)
+    assert st.matroid_refines_linkage is None and st.weakly_reversible is False
+
+
 def test_deficiency_nonnegative_and_zero_refines():
     for text in (IDH_TEXT, TRIANGLE_TEXT, SQUARE_TEXT, STRAUBE_TEXT,
                  SHINAR_FEINBERG_TEXT, "A <=> B", "A + B <=> C; C <=> D"):
@@ -610,9 +621,9 @@ def test_siphon_budget_reported(monkeypatch):
     assert note not in analyze_network(net, seed=0).report.notes
     unsupported = analyze_network(parse_network(multisite(2)), seed=0)
     assert unsupported.boundary == "unknown" and note not in unsupported.report.notes
-    with pytest.raises(SearchBudgetExceededError):
-        minimal_siphons(net, budget=3)
     monkeypatch.setattr(crn, "_SIPHON_BUDGET", 3)
+    with pytest.raises(SearchBudgetExceededError):
+        minimal_siphons(net)
     assert siphon_boundary_check(net, None, conservation_laws(N)) == "unknown"
     res = analyze_network(net, seed=0)
     assert res.boundary == "unknown"

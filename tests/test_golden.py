@@ -63,9 +63,7 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("TORICITY_SEED", raising=False)
-        return golden_outputs(tmp_path_factory.mktemp("golden"))
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
 
 
 def test_golden_fixture_set(outputs):
@@ -99,7 +97,6 @@ def test_determinants_decoded_only_when_rendered(monkeypatch, tmp_path):
         finally:
             rendering = False
     monkeypatch.setattr(core, "render", flagged)
-    monkeypatch.delenv("TORICITY_SEED", raising=False)
     outputs = golden_outputs(tmp_path)
     assert decoded and all(decoded)
     for name in FIXTURES:
