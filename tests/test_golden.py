@@ -8,11 +8,26 @@ intermediates; it is written from ``test_families.multisite(2)`` into the
 work directory, so the bundled corpus keeps its eight models.  Only the
 ``model`` path, which depends on where the checkout lives, is replaced by the
 file name.
+
+``tests/data/output_digests.json`` pins more outputs by their sha256:
+``network --json`` and ``network --no-reduce --json`` on the multisite and
+cascade families and on the bench's ``screen`` networks, and ``analyze
+--json`` in the real-star and complex-star modes on each matrix model.  It
+lives outside ``golden/``, whose file set ``test_golden_fixture_set`` pins.
+A change to ``bench/generators.screen`` must rewrite it.
+
+To rewrite every expected output from the current code, after an output
+change has been agreed on::
+
+    PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,10 +35,12 @@ import pytest
 from toricity import cli, core, polyring
 from toricity.cli import main
 
-from test_families import multisite
+from test_bench_contract import _load_bench
+from test_families import cascade, multisite
 
 MODELS = Path(__file__).resolve().parents[1] / "src" / "toricity" / "data" / "models"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DIGESTS = Path(__file__).resolve().parent / "data" / "output_digests.json"
 
 MATRIX_MODELS = sorted(p.name for p in MODELS.glob("*.json"))
 NETWORK_MODELS = sorted(p.name for p in MODELS.glob("*.crn"))
@@ -40,8 +57,8 @@ def _run(*argv) -> str:
     return out.getvalue()
 
 
-def _json_output(command: str, path: Path) -> str:
-    payload = json.loads(_run(command, str(path), "--json"))
+def _json_output(command: str, path: Path, *flags: str) -> str:
+    payload = json.loads(_run(command, str(path), "--json", *flags))
     payload["model"] = path.name
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -61,6 +78,34 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
     return outputs
 
 
+def _digest_networks() -> dict[str, str]:
+    """The networks of the digest table by name: multisite 1-4, cascade 1-3
+    and the ``screen`` workload's networks."""
+    networks = {f"multisite_{k}": multisite(k) for k in range(1, 5)}
+    networks.update((f"cascade_{k}", cascade(k)) for k in range(1, 4))
+    # the population of bench/run.py's ``Screen`` workload, less its three left-out networks
+    for index, text in enumerate(_load_bench("generators").screen(20241122, 120)):
+        if index not in (6, 21, 78):
+            networks[f"screen_{index}"] = text
+    return networks
+
+
+def output_digests(workdir: Path) -> dict[str, str]:
+    """The sha256 of each output the digest table pins, keyed by command."""
+    outputs = {}
+    for name, text in _digest_networks().items():
+        path = workdir / f"{name}.crn"
+        path.write_text(text, encoding="utf-8")
+        outputs[f"network {name}"] = _json_output("network", path)
+        outputs[f"network --no-reduce {name}"] = _json_output("network", path, "--no-reduce")
+    for name in MATRIX_MODELS:
+        for mode in ("real-star", "complex-star"):
+            outputs[f"analyze --mode {mode} {name}"] = _json_output("analyze", MODELS / name,
+                                                                    "--mode", mode)
+    return {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for key, text in outputs.items()}
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return golden_outputs(tmp_path_factory.mktemp("golden"))
@@ -75,6 +120,13 @@ def test_golden_fixture_set(outputs):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_golden_output(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_output_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests = output_digests(tmp_path)
+    assert sorted(digests) == sorted(expected)
+    assert [key for key in expected if digests[key] != expected[key]] == []
 
 
 def test_determinants_decoded_only_when_rendered(monkeypatch, tmp_path):
@@ -101,3 +153,18 @@ def test_determinants_decoded_only_when_rendered(monkeypatch, tmp_path):
     assert decoded and all(decoded)
     for name in FIXTURES:
         assert outputs[name] == (GOLDEN / name).read_text(encoding="utf-8"), name
+
+
+def write_expected_outputs():
+    """Rewrite the golden fixtures and the digest table from the current code."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in golden_outputs(Path(work)).items():
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+        digests = output_digests(Path(work))
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_expected_outputs()
