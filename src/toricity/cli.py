@@ -121,8 +121,7 @@ def render_report(report, label: str | None = None) -> str:
                      f"all-positive-rank={c.rank_all_positive}, "
                      f"positive-row-space={'yes' if c.row_space_positive else 'no'}")
     if report.coset_count is not None:
-        kind = report.count.kind if report.count else "derived"
-        lines.append(f"coset count: {report.coset_count} ({kind})")
+        lines.append(f"coset count: {report.coset_count} ({report.coset_count_kind or 'derived'})")
     if report.parameter_region_full:
         lines.append("every strictly positive parameter value admits positive zeros")
     for note in report.notes:
@@ -339,8 +338,8 @@ def _model_row(path: Path, seed: int) -> dict:
                injectivity=None if inj is None else ("toric" if inj.toric else "inconclusive"),
                mixed_volume=source.mixed_volume_bound,
                coset_count=source.coset_count,
-               coset_count_kind=source.count.kind if source.count else None,
-               coset_bound=source.coset_bound,
+               coset_count_kind=source.coset_count_kind,
+               coset_bound=source.mixed_volume_bound,
                multistationarity=multi.status if multi else None)
     if acr is not None:
         row["acr"] = sorted(k for k, v in acr.items() if v == "acr")
@@ -439,16 +438,14 @@ def cmd_export(args) -> int:
         system = model.system
     try:
         kappa = tuple(parse_rational(v) for v in args.kappa.split(","))
+        point = tuple(parse_rational(v) for v in args.point.split(",")) if args.point else None
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         inv = invariance_group(system)
-        point = None
-        if args.point:
-            point = tuple(parse_rational(v) for v in args.point.split(","))
         ccs = coset_counting_system(system, inv, kappa, args.seed, point)
-    except (EmptyLocusError, ValueError, ModelFormatError) as exc:
+    except (EmptyLocusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     text = render_exchange(ccs)

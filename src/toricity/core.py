@@ -525,33 +525,21 @@ def coset_counting_system(sys: VerticalSystem, inv: InvarianceResult, kappa,
     return CosetCountingSystem(sys, inv.A, kap, b, p)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    kind: str  # always "exact"
-    count: int
-
-
-def count_positive_cosets(h: CosetCountingSystem) -> CountResult:
+def count_positive_cosets(h: CosetCountingSystem) -> int:
     """Count the positive zeros of a one-equation counting system exactly.
 
-    The slice is the line through the slice point along the one integer
-    kernel vector of A, positivity bounds become an interval, and a Sturm
-    sequence counts the distinct roots.  Systems with more equations have
-    no exact counter here; ``export`` writes their counting system for an
-    external solver.
+    The slice is the line x0 + t v through the slice point along the one
+    integer kernel vector of A, positivity bounds t to an interval, and a
+    Sturm sequence counts the distinct roots of the equation there.
+    Systems with more equations have no exact counter here; ``export``
+    writes their counting system for an external solver.
     """
-    if h.base.s != 1:
-        raise ValueError(f"exact coset counting needs one equation, not s={h.base.s}; "
+    sys_ = h.base
+    if sys_.s != 1:
+        raise ValueError(f"exact coset counting needs one equation, not s={sys_.s}; "
                          "use 'export' to count with an external solver")
     if h.A.rank() < h.A.rows:
         raise DegenerateSliceError("slice matrix does not have full row rank")
-    return CountResult("exact", _exact_count_on_line(h))
-
-
-def _exact_count_on_line(h: CosetCountingSystem) -> int:
-    """Distinct roots of the equation on the line through the slice point
-    along the integer kernel of A, for the t keeping x0 + t v positive."""
-    sys_ = h.base
     ker = sys_.lattice_kernel(h.A)
     if ker.rows != 1:
         raise DegenerateSliceError("slice does not cut down to a line")
@@ -719,9 +707,8 @@ class ToricityReport:
     injectivity: InjectivityResult | None = None
     mixed_volume_bound: int | None = None
     conditions: ConstantCosetConditions | None = None
-    count: CountResult | None = None
     coset_count: int | None = None      # exact count when established
-    coset_bound: int | None = None
+    coset_count_kind: str | None = None  # "exact" when the count stage ran
     constant_count: bool = False
     parameter_region_full: bool = False  # all positive parameters admit zeros
     evidence: list[EvidenceRecord] = field(default_factory=list)
@@ -731,9 +718,6 @@ class ToricityReport:
     # either is read (see ``defer``).  It is not a field: equality,
     # ``replace``, ``asdict``, copies and pickles see the filled values.
     _pending = None
-
-    def log(self, test: str, inputs: str, outcome: str):
-        self.evidence.append(EvidenceRecord(test, inputs, outcome))
 
     def defer(self, step):
         """Fill ``injectivity`` and ``nondegenerate`` from ``step()`` when
@@ -786,8 +770,8 @@ class ToricityReport:
                 "row_space_positive": self.conditions.row_space_positive,
             },
             "coset_count": self.coset_count,
-            "coset_count_kind": self.count.kind if self.count else None,
-            "coset_bound": self.coset_bound,
+            "coset_count_kind": self.coset_count_kind,
+            "coset_bound": self.mixed_volume_bound,
             "constant_count": self.constant_count,
             "parameter_region_full": self.parameter_region_full,
             "evidence": [{"test": e.test, "inputs": e.inputs, "outcome": e.outcome}
@@ -833,13 +817,14 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
 
     Invariance lattice, nondegeneracy, dimension test, injectivity, mixed
     volume, all-positive nondegeneracy, constant-count conditions, and an
-    exact coset count, in that order; every branch outcome is appended to
-    the evidence trail.  Counting and the positivity-specific certificates
-    run only for the positive-reals mode.  The count is exact for one
-    equation (s = 1); a larger system that reaches it is reported locally
-    toric with a constant number of cosets bounded by the mixed volume, and
-    ``export`` writes its counting system for an external solver.  A
-    given ``options.kappa`` is checked on entry, whichever branch is taken.
+    exact coset count, in that order; every stage outcome is appended to
+    the evidence trail, and the first stage that settles the verdict ends
+    the run.  Counting and the positivity-specific certificates run only
+    for the positive-reals mode.  The count is exact for one equation
+    (s = 1); a larger system that reaches it is reported locally toric with
+    a constant number of cosets bounded by the mixed volume, and ``export``
+    writes its counting system for an external solver.  A given
+    ``options.kappa`` is checked on entry, whichever stage settles.
     """
     opts = options or AnalyzeOptions()
     if opts.kappa is not None:
@@ -847,155 +832,117 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     rep = ToricityReport(mode=mode, seed=seed, n=sys.n, m=sys.m, s=sys.s)
     fp = sys.fingerprint()
 
+    def log(test: str, outcome: str):
+        rep.evidence.append(EvidenceRecord(test, fp, outcome))
+
+    def settle(verdict: Verdict, note: str, cosets: int | None = None) -> ToricityReport:
+        rep.verdict = verdict
+        rep.notes.append(note)
+        rep.coset_count = 1 if verdict is Verdict.TORIC else cosets
+        rep.constant_count = verdict in (Verdict.TORIC, Verdict.LOCALLY_TORIC)
+        return rep
+
     rep.binomial = binomial_quickcheck(sys)
-    rep.log("binomial_quickcheck", fp, str(rep.binomial))
+    log("binomial_quickcheck", str(rep.binomial))
 
     if sys.circuits.support_union() != frozenset(range(sys.m)):
-        rep.verdict = Verdict.EMPTY_POSITIVE_LOCUS
-        rep.log("support_union", fp, "incomplete")
-        rep.notes.append(f"zero sets are empty over {mode.value} for every parameter value")
-        return rep
-    rep.log("support_union", fp, "complete")
-
+        log("support_union", "incomplete")
+        return settle(Verdict.EMPTY_POSITIVE_LOCUS,
+                      f"zero sets are empty over {mode.value} for every parameter value")
+    log("support_union", "complete")
     if mode is GroupMode.POSITIVE:
-        pos = sys.positive_kernel
-        if pos.is_empty:
-            rep.verdict = Verdict.EMPTY_POSITIVE_LOCUS
-            rep.log("positive_kernel", fp, "empty")
-            rep.notes.append("positive zero sets are empty for every parameter value")
-            return rep
-        rep.positive_kernel_witness = pos.witness
-        rep.log("positive_kernel", fp, "witness")
+        if sys.positive_kernel.is_empty:
+            log("positive_kernel", "empty")
+            return settle(Verdict.EMPTY_POSITIVE_LOCUS,
+                          "positive zero sets are empty for every parameter value")
+        rep.positive_kernel_witness = sys.positive_kernel.witness
+        log("positive_kernel", "witness")
 
-    partition = matroid_partition(sys)
-    rep.partition = partition
-    rep.log("matroid_partition", fp, f"{len(partition)} blocks")
-
-    inv = invariance_group(sys, mode)
-    rep.invariance = inv
+    rep.partition = matroid_partition(sys)
+    log("matroid_partition", f"{len(rep.partition)} blocks")
+    inv = rep.invariance = invariance_group(sys, mode)
     rep.d = inv.d
-    rep.log("invariance_group", fp, f"d={inv.d}")
-
+    log("invariance_group", f"d={inv.d}")
     quasi = quasihomogeneity_weights(sys)
     rep.quasihomogeneity_rank = quasi.rows
     # both lattices are in Hermite normal form, so equal lattices are equal matrices
     rep.quasihomogeneity_agrees = quasi == inv.A
-    rep.log("quasihomogeneity", fp, f"rank={quasi.rows}")
+    log("quasihomogeneity", f"rank={quasi.rows}")
 
     nd = nondegeneracy(sys, seed)
     rep.nondegenerate = nd.status if nd.status != "undetermined" else "unknown"
     rep.witness = nd.witness
-    rep.log("nondegeneracy", fp, nd.status)
+    log("nondegeneracy", nd.status)
+    if nd.status == "no":
+        return settle(Verdict.INVARIANT_ONLY,
+                      "degenerate system: zero sets never have the expected dimension")
     if nd.status != "yes":
-        rep.verdict = Verdict.INVARIANT_ONLY
-        if nd.status == "no":
-            rep.notes.append("degenerate system: zero sets never have the expected dimension")
-        else:
-            rep.notes.append("nondegeneracy undecided; only invariance is reported")
-        return rep
-
+        return settle(Verdict.INVARIANT_ONLY, "nondegeneracy undecided; only invariance is reported")
     if local_toricity(sys, inv, nd) is Verdict.NOT_LOCALLY_TORIC:
-        rep.verdict = Verdict.NOT_LOCALLY_TORIC
-        rep.log("dimension_test", fp, f"s+d={sys.s + inv.d}<n={sys.n}")
-        rep.notes.append("zero sets have strictly larger dimension than the scaling lattice")
-        return rep
-    rep.log("dimension_test", fp, f"s+d=n={sys.n}")
-
+        log("dimension_test", f"s+d={sys.s + inv.d}<n={sys.n}")
+        return settle(Verdict.NOT_LOCALLY_TORIC,
+                      "zero sets have strictly larger dimension than the scaling lattice")
+    log("dimension_test", f"s+d=n={sys.n}")
     if mode is not GroupMode.POSITIVE:
-        rep.verdict = Verdict.GENERICALLY_LOCALLY_TORIC
-        rep.notes.append(
-            f"counting and positivity certificates apply to the positive mode only; "
-            f"over {mode.value} the verdict stops at generic local toricity"
-        )
-        return rep
+        return settle(Verdict.GENERICALLY_LOCALLY_TORIC,
+                      f"counting and positivity certificates apply to the positive mode only; "
+                      f"over {mode.value} the verdict stops at generic local toricity")
 
-    inj = injectivity_test(sys, inv)
-    rep.injectivity = inj
-    rep.log("injectivity", fp, "toric" if inj.toric else f"inconclusive ({inj.reason})")
-
-    if inj.toric:
-        # report enrichment only; the verdict is already settled
-        if comb(sys.n, sys.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
-            all_pos = nondegeneracy_all_positive(sys)
-            rep.log("all_positive_nondegeneracy", fp, all_pos.status)
-            if all_pos.status == "yes":
-                rep.nondegenerate = "yes-for-all-positive"
-        else:
-            rep.log("all_positive_nondegeneracy", fp, "skipped (size)")
-        rep.verdict = Verdict.TORIC
-        rep.coset_count = 1
-        rep.constant_count = True
-        rep.notes.append("toric over the positive reals: injectivity determinant is sign-definite")
-        return rep
-
+    inj = rep.injectivity = injectivity_test(sys, inv)
+    log("injectivity", "toric" if inj.toric else f"inconclusive ({inj.reason})")
     mv = None
-    if sys.n <= MIXED_VOLUME_MAX_DIM:
+    if not inj.toric and sys.n > MIXED_VOLUME_MAX_DIM:
+        log("mixed_volume", "skipped (dimension)")
+    elif not inj.toric:
         try:
-            mv = mixed_volume(_coset_supports(sys, inv))
-            rep.mixed_volume_bound = mv
-            rep.log("mixed_volume", fp, str(mv))
+            mv = rep.mixed_volume_bound = mixed_volume(_coset_supports(sys, inv))
+            log("mixed_volume", str(mv))
         except VolumeBudgetError:
-            rep.log("mixed_volume", fp, "skipped (budget)")
+            log("mixed_volume", "skipped (budget)")
+    # after a toric injectivity the stage only enriches the report, so a cap applies
+    if inj.toric and comb(sys.n, sys.s) > ALL_POSITIVE_ENRICHMENT_CAP:
+        log("all_positive_nondegeneracy", "skipped (size)")
     else:
-        rep.log("mixed_volume", fp, "skipped (dimension)")
-    rep.coset_bound = mv
-
-    all_pos = nondegeneracy_all_positive(sys)
-    rep.log("all_positive_nondegeneracy", fp, all_pos.status)
-    if all_pos.status == "yes":
-        rep.nondegenerate = "yes-for-all-positive"
+        all_pos = nondegeneracy_all_positive(sys)
+        log("all_positive_nondegeneracy", all_pos.status)
+        if all_pos.status == "yes":
+            rep.nondegenerate = "yes-for-all-positive"
+    if inj.toric:
+        return settle(Verdict.TORIC,
+                      "toric over the positive reals: injectivity determinant is sign-definite")
+    if rep.nondegenerate != "yes-for-all-positive":
         if mv == 1:
-            rep.verdict = Verdict.TORIC
-            rep.coset_count = 1
-            rep.constant_count = True
-            rep.notes.append("toric: single coset forced by the root-count bound, "
-                             "valid for every positive parameter value")
-            return rep
-        conds = None
-        if all(sys.M.entry(i, j) >= 0 for i in range(sys.n) for j in range(sys.m)):
-            conds = constant_coset_conditions(sys, inv, opts.boundary)
-            rep.conditions = conds
-            rep.log("constant_count_conditions", fp,
-                    f"boundary={conds.boundary_empty} rank={conds.rank_all_positive} "
-                    f"rowspace={conds.row_space_positive}")
-        else:
-            rep.log("constant_count_conditions", fp, "skipped (negative exponents)")
-        countable = (conds is not None and conds.row_space_positive
-                     and conds.boundary_empty == "yes")
-        if countable and sys.s != 1:
-            rep.log("coset_count", fp, f"skipped (s={sys.s}; exact count needs one equation)")
-        elif countable:
-            kappa = opts.kappa
-            if kappa is None:
-                rng = random_rng(seed ^ 0xC0FFEE)
-                kappa = tuple(Fraction(rng.randint(1, 1 << 10), 1 << 4) for _ in range(sys.m))
-            result = count_positive_cosets(coset_counting_system(sys, inv, kappa, seed))
-            rep.count = result
-            rep.log("coset_count", fp, f"{result.kind}:{result.count}")
-            rep.coset_count = result.count
-            rep.constant_count = True
-            rep.parameter_region_full = conds.all_hold
-            if result.count == 1:
-                rep.verdict = Verdict.TORIC
-                rep.notes.append("toric: the counting system has exactly one positive zero, "
-                                 "and the count is parameter-independent")
-            else:
-                rep.verdict = Verdict.LOCALLY_TORIC
-                rep.notes.append(f"locally toric with a constant count of {result.count} cosets")
-            return rep
-        rep.verdict = Verdict.LOCALLY_TORIC
-        rep.constant_count = True
-        rep.notes.append(f"locally toric with a constant number of cosets, at most "
-                         f"{mv if mv is not None else 'unknown'}")
-        return rep
-
+            return settle(Verdict.GENERICALLY_TORIC, "generically toric: root-count bound is one")
+        return settle(Verdict.GENERICALLY_LOCALLY_TORIC,
+                      "generically locally toric; no root-count bound computed" if mv is None
+                      else f"generically locally toric with generically at most {mv} cosets")
     if mv == 1:
-        rep.verdict = Verdict.GENERICALLY_TORIC
-        rep.notes.append("generically toric: root-count bound is one")
-        return rep
-    rep.verdict = Verdict.GENERICALLY_LOCALLY_TORIC
-    if mv is not None:
-        rep.notes.append(f"generically locally toric with generically at most {mv} cosets")
+        return settle(Verdict.TORIC, "toric: single coset forced by the root-count bound, "
+                                     "valid for every positive parameter value")
+
+    conds = None
+    if all(sys.M.entry(i, j) >= 0 for i in range(sys.n) for j in range(sys.m)):
+        conds = rep.conditions = constant_coset_conditions(sys, inv, opts.boundary)
+        log("constant_count_conditions", f"boundary={conds.boundary_empty} "
+            f"rank={conds.rank_all_positive} rowspace={conds.row_space_positive}")
     else:
-        rep.notes.append("generically locally toric; no root-count bound computed")
-    return rep
+        log("constant_count_conditions", "skipped (negative exponents)")
+    countable = conds is not None and conds.row_space_positive and conds.boundary_empty == "yes"
+    if countable and sys.s != 1:
+        log("coset_count", f"skipped (s={sys.s}; exact count needs one equation)")
+    if not countable or sys.s != 1:
+        return settle(Verdict.LOCALLY_TORIC, f"locally toric with a constant number of cosets, "
+                                             f"at most {mv if mv is not None else 'unknown'}")
+    kappa = opts.kappa
+    if kappa is None:
+        rng = random_rng(seed ^ 0xC0FFEE)
+        kappa = tuple(Fraction(rng.randint(1, 1 << 10), 1 << 4) for _ in range(sys.m))
+    count = count_positive_cosets(coset_counting_system(sys, inv, kappa, seed))
+    rep.coset_count_kind = "exact"
+    rep.parameter_region_full = conds.all_hold
+    log("coset_count", f"exact:{count}")
+    if count == 1:
+        return settle(Verdict.TORIC, "toric: the counting system has exactly one positive zero, "
+                                     "and the count is parameter-independent")
+    return settle(Verdict.LOCALLY_TORIC, f"locally toric with a constant count of {count} cosets",
+                  count)

@@ -493,7 +493,6 @@ def lift_invariance(a_tilde: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
 @dataclass(frozen=True)
 class MultistationarityResult:
     status: str                     # "multistationary" | "monostationary" | "inconclusive"
-    sign: SignVerdict | None = None
     reason: str | None = None
 
 
@@ -512,23 +511,20 @@ def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
         return MultistationarityResult("inconclusive", reason="no conservation laws")
     kernel_rows = sys.lattice_kernel(inv.A)
     if kernel_rows.rows + laws.rows != n:
-        return MultistationarityResult(
-            "inconclusive",
-            reason="matrix is not square (only the determinant criterion is implemented)")
+        return MultistationarityResult("inconclusive", reason="matrix is not square "
+                                       "(only the determinant criterion is implemented)")
     al = tuple(f"al{k+1}" for k in range(n))
     top = [[{(k,): v} if v else {} for k, v in enumerate(row)] for row in kernel_rows.to_lists()]
     try:
         det = det_stacked(top, [1] * len(top), al, laws)
     except DeterminantSizeError as exc:
         return MultistationarityResult("inconclusive", reason=str(exc))
-    sign = sign_classify(det)
-    if sign in (SignVerdict.MIXED_SIGNS, SignVerdict.ZERO_POLYNOMIAL):
-        return MultistationarityResult("multistationary", sign)
+    if sign_classify(det) in (SignVerdict.MIXED_SIGNS, SignVerdict.ZERO_POLYNOMIAL):
+        return MultistationarityResult("multistationary")
     if toric:
-        return MultistationarityResult("monostationary", sign)
-    return MultistationarityResult(
-        "inconclusive", sign,
-        reason="determinant sign-definite; monostationarity needs the toric verdict")
+        return MultistationarityResult("monostationary")
+    return MultistationarityResult("inconclusive", reason="determinant sign-definite; "
+                                   "monostationarity needs the toric verdict")
 
 
 def acr_detect(inv: InvarianceResult, verdict: Verdict | None,
@@ -780,6 +776,20 @@ _TRANSFERABLE = (Verdict.TORIC, Verdict.GENERICALLY_TORIC, Verdict.LOCALLY_TORIC
                  Verdict.GENERICALLY_LOCALLY_TORIC)
 
 
+def _reduced_system(net: ReactionNetwork) -> tuple[ReductionResult, VerticalSystem] | None:
+    """The network with its single-input intermediates removed, and the
+    steady-state system of that network; None when there are no
+    intermediates or removing them strips all dynamics."""
+    choice = find_intermediates(net)
+    if not len(choice):
+        return None
+    reduction = reduce_network(net, choice)
+    try:
+        return reduction, steady_state_system(reduction.network)
+    except ZeroDynamicsError:
+        return None
+
+
 def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
                     seed: int = 0, reduce: bool = True) -> NetworkAnalysis:
     """Steady-state toricity analysis of a mass-action network.
@@ -793,79 +803,56 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
     multistationarity are evaluated against the final verdict.
     """
     sys_ = steady_state_system(net)
-    N, _ = mass_action_matrices(net)
-    laws = conservation_laws(N)
+    laws = conservation_laws(mass_action_matrices(net)[0])
     structure = network_structure(net)
-
-    direct_inv = None
     try:
         direct_inv = invariance_group(sys_, mode)
     except EmptyLocusError:
-        pass
-    boundary = siphon_boundary_check(net, direct_inv.A if direct_inv else None, laws)
+        direct_inv = None
+    direct_A = direct_inv.A if direct_inv else IntegerMatrix.with_width([], sys_.n)
+    boundaries = [siphon_boundary_check(net, direct_A, laws)]
 
-    reduction = None
-    red_boundary = None
-    reduced_report = None
-    lifted = None
-    verdict_source = "direct"
-    report = None
+    reduction = reduced_report = lifted = None
+    reduced = _reduced_system(net) if reduce and mode is GroupMode.POSITIVE else None
+    if reduced is not None:
+        reduction, red_sys = reduced
+        boundaries.append(siphon_boundary_check(
+            reduction.network, None, conservation_laws(mass_action_matrices(reduction.network)[0])))
+        reduced_report = analyze(red_sys, mode, seed, AnalyzeOptions(boundary=boundaries[1]))
+        if reduced_report.invariance is not None:
+            perm = reduction.x_indices + reduction.y_indices
+            inverse = sorted(range(net.n), key=perm.__getitem__)  # column of each species
+            lifted = IntegerMatrix.with_width(
+                [[row[k] for k in inverse]
+                 for row in lift_invariance(reduced_report.invariance.A, reduction.B).to_lists()],
+                net.n)
 
-    if reduce and mode is GroupMode.POSITIVE:
-        choice = find_intermediates(net)
-        if len(choice):
-            reduction = reduce_network(net, choice)
-            try:
-                red_sys = steady_state_system(reduction.network)
-            except ZeroDynamicsError:
-                # reduction stripped all dynamics; analyze the full network
-                reduction = None
-                red_sys = None
-        if reduction is not None:
-            red_n, _ = mass_action_matrices(reduction.network)
-            red_boundary = siphon_boundary_check(reduction.network, None,
-                                                 conservation_laws(red_n))
-            reduced_report = analyze(red_sys, mode, seed, AnalyzeOptions(boundary=red_boundary))
-            if reduced_report.invariance is not None:
-                lifted_xy = lift_invariance(reduced_report.invariance.A, reduction.B)
-                perm = list(reduction.x_indices) + list(reduction.y_indices)
-                inverse = [perm.index(i) for i in range(net.n)]
-                lifted = IntegerMatrix.with_width(
-                    [[lifted_xy.entry(r, inverse[i]) for i in range(net.n)]
-                     for r in range(lifted_xy.rows)], net.n)
-            if reduced_report.verdict in _TRANSFERABLE:
-                verdict_source = "reduced"
-
-    if verdict_source == "reduced":
+    if reduced_report is not None and reduced_report.verdict in _TRANSFERABLE:
+        verdict_source = "reduced"
         # record direct-system facts without redoing the whole pipeline
-        report = ToricityReport(mode=mode, seed=seed, n=sys_.n, m=sys_.m, s=sys_.s)
-        report.verdict = reduced_report.verdict
-        report.partition = None
-        if direct_inv is not None:
-            report.invariance = direct_inv
-            report.d = direct_inv.d
-            if direct_inv.d == sys_.n - sys_.s:
-                report.defer(partial(_direct_facts, sys_, direct_inv))
-        report.notes.append("verdict obtained on the reduced network and lifted")
+        report = ToricityReport(mode=mode, seed=seed, n=sys_.n, m=sys_.m, s=sys_.s,
+                                verdict=reduced_report.verdict, invariance=direct_inv,
+                                d=direct_inv.d if direct_inv else None,
+                                notes=["verdict obtained on the reduced network and lifted"])
+        if direct_inv is not None and direct_inv.d == sys_.n - sys_.s:
+            report.defer(partial(_direct_facts, sys_, direct_inv))
     else:
-        report = analyze(sys_, mode, seed, AnalyzeOptions(boundary=boundary))
-    if any(isinstance(b, _BudgetUnknown) for b in (boundary, red_boundary)):
+        verdict_source = "direct"
+        report = analyze(sys_, mode, seed, AnalyzeOptions(boundary=boundaries[0]))
+    if any(isinstance(b, _BudgetUnknown) for b in boundaries):
         report.notes.append("boundary zeros not excluded: the siphon search reached its budget")
-
-    analysis = NetworkAnalysis(net, sys_, laws, structure, boundary,
-                               direct_inv.A if direct_inv else IntegerMatrix.with_width([], sys_.n),
-                               report, verdict_source, reduction, reduced_report, lifted)
-    final_verdict = analysis.verdict
 
     acr_basis = direct_inv
     if acr_basis is None and lifted is not None:
         acr_basis = InvarianceResult(lifted, lifted.rows, mode)
+    acr = multistationarity = None
     if acr_basis is not None:
-        analysis.acr = acr_detect(acr_basis, final_verdict, net.species)
-        analysis.multistationarity = multistationarity_test(
-            sys_, acr_basis, laws, toric=final_verdict == Verdict.TORIC)
-    if lifted is not None and direct_inv is not None:
-        # direct_inv.A is in Hermite normal form already
-        if hermite_normal_form(lifted) != direct_inv.A:
-            report.notes.append("lifted invariance lattice disagrees with the direct one")
-    return analysis
+        acr = acr_detect(acr_basis, report.verdict, net.species)
+        multistationarity = multistationarity_test(sys_, acr_basis, laws,
+                                                   toric=report.verdict == Verdict.TORIC)
+    # direct_inv.A is in Hermite normal form already
+    if direct_inv and lifted is not None and hermite_normal_form(lifted) != direct_inv.A:
+        report.notes.append("lifted invariance lattice disagrees with the direct one")
+    return NetworkAnalysis(net, sys_, laws, structure, boundaries[0], direct_A, report,
+                           verdict_source, reduction, reduced_report, lifted, acr,
+                           multistationarity)

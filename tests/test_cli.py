@@ -481,6 +481,18 @@ def test_export_wrong_kappa_length(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--kappa", "--point"])
+def test_export_malformed_rational_exits_2(tmp_path, capsys, flag):
+    """A value that is not a rational is a parse error for either flag."""
+    model = write_json(tmp_path, "triangle.json", TRIANGLE_MATRIX_JSON)
+    values = {"--kappa": "1,1,1,1", "--point": "1,1", flag: "abc"}
+    code, out, err = run_cli(capsys, "export", str(model), "--out", str(tmp_path / "x.txt"),
+                             *(f"{k}={v}" for k, v in values.items()))
+    assert (code, out) == (2, "")
+    assert "not a rational: 'abc'" in err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_matrix_json_roundtrip(tmp_path):
     from fractions import Fraction
 
