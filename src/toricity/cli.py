@@ -2,8 +2,8 @@
 
 Subcommands: ``analyze`` a matrix model, ``network`` for reaction network
 files, ``batch`` for a directory of models, ``export`` a coset counting
-system for an external solver.  Exit codes: 0 success, 2 parse error,
-3 dimension or precondition error.
+system for an external solver.  Exit codes: 0 success, 2 parse error or
+unreadable input or unwritable output, 3 dimension or precondition error.
 """
 
 from __future__ import annotations
@@ -137,6 +137,17 @@ def _read(path):
     except (ModelFormatError, ModelDimensionError, NetworkParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION if isinstance(exc, ModelDimensionError) else EXIT_PARSE
+
+
+def _write(path, text: str) -> bool:
+    """Write ``text`` to ``path``; an unwritable path is reported and gives
+    False."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +422,15 @@ def cmd_batch(args) -> int:
     for row in ordered:
         key = row["verdict"] or "none"
         summary[key] = summary.get(key, 0) + 1
-    report = {"schema": 1, "seed": base_seed, "models": ordered, "summary": summary}
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
     for row in ordered:
         wall = f"  [{timings[row['model']]*1000:7.1f} ms]" if row["model"] in timings else ""
         verdict = row["verdict"] or "-"
         extra = f" ({row['error']})" if row["error"] else ""
         print(f"{row['model']:32s} {verdict:28s}{extra}{wall}")
     print(f"total: {summary['models']} models")
+    report = {"schema": 1, "seed": base_seed, "models": ordered, "summary": summary}
+    if args.report and not _write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n"):
+        return EXIT_PARSE
     return EXIT_OK
 
 
@@ -448,8 +458,8 @@ def cmd_export(args) -> int:
     except (EmptyLocusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    text = render_exchange(ccs)
-    Path(args.out).write_text(text, encoding="utf-8")
+    if not _write(args.out, render_exchange(ccs)):
+        return EXIT_PARSE
     print(f"wrote {args.out}: {system.s} polynomial(s), {inv.d} linear equation(s)")
     return EXIT_OK
 

@@ -175,9 +175,8 @@ class VerticalSystem:
 
     def lattice_kernel(self, A: IntegerMatrix) -> IntegerMatrix:
         """Integer basis of ker A for a scaling lattice A of this system, in
-        Hermite normal form: ``integer_kernel_basis`` of A^T.  The
-        multistationarity determinant, condition (iii) and the exact coset
-        count all read it."""
+        Hermite normal form: ``integer_kernel_basis`` of A^T.  Condition
+        (iii) and the exact coset count read it."""
         if A not in self._lattice_kernels:
             self._lattice_kernels[A] = integer_kernel_basis(A.transpose())
         return self._lattice_kernels[A]

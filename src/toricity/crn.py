@@ -496,27 +496,45 @@ class MultistationarityResult:
     reason: str | None = None
 
 
+def multistationarity_determinant(A: IntegerMatrix, laws: RationalMatrix):
+    """det(A diag(be) L^T) for a d x n invariance matrix A of full row rank
+    and d conservation laws L, each law scaled to integers.
+
+    By Cauchy-Binet its coefficient of be^T is det(A_T) det(L_T) over the
+    d-subsets T of the species.  With B a basis of ker A, Grassmann-Plucker
+    duality gives det(B_S) = lam sgn(S, S^c) det(A_{S^c}) for one nonzero
+    lam, so these are, up to lam, the coefficients of det[B diag(al); L]:
+    the same sign class and the same number of terms from a d x d
+    expansion in place of an n x n one.
+    """
+    lrows = [row for row, _ in laws.integer_rows()]
+    # entry (i, k) is sum_j A_ij L_kj be_j
+    top = [[{(j,): a * l for j, (a, l) in enumerate(zip(arow, lrow)) if a and l} for lrow in lrows]
+           for arow in A.to_lists()]
+    return det_stacked(top, [1] * len(top), tuple(f"be{j+1}" for j in range(A.cols)),
+                       IntegerMatrix.with_width([], len(top)))
+
+
 def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
                            laws: RationalMatrix, toric: bool = False) -> MultistationarityResult:
-    """Square-determinant criterion on [B^T diag(al); L] with B a kernel
-    basis of the invariance matrix.
+    """Sign criterion on ``multistationarity_determinant`` of the invariance
+    matrix and the conservation laws.
 
     A sign-definite determinant rules the degeneracy direction out, which
     under toricity means no compatibility class holds two positive steady
     states; a zero or sign-mixed determinant yields multistationarity from
     invariance alone.
     """
-    n = sys.n
+    if laws.cols != sys.n:
+        raise ValueError(f"{laws.cols} columns of conservation laws against {sys.n} species")
     if laws.rows == 0:
         return MultistationarityResult("inconclusive", reason="no conservation laws")
-    kernel_rows = sys.lattice_kernel(inv.A)
-    if kernel_rows.rows + laws.rows != n:
+    # A is in Hermite normal form, or lifted from one: of full row rank
+    if inv.A.rows != laws.rows:
         return MultistationarityResult("inconclusive", reason="matrix is not square "
                                        "(only the determinant criterion is implemented)")
-    al = tuple(f"al{k+1}" for k in range(n))
-    top = [[{(k,): v} if v else {} for k, v in enumerate(row)] for row in kernel_rows.to_lists()]
     try:
-        det = det_stacked(top, [1] * len(top), al, laws)
+        det = multistationarity_determinant(inv.A, laws)
     except DeterminantSizeError as exc:
         return MultistationarityResult("inconclusive", reason=str(exc))
     if sign_classify(det) in (SignVerdict.MIXED_SIGNS, SignVerdict.ZERO_POLYNOMIAL):

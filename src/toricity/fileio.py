@@ -78,6 +78,9 @@ def load_matrix_model(data: dict) -> ModelInput:
             [[parse_rational(x) for x in row] for row in rows]))
     elif "N" in data:
         N = _matrix(data, "N", IntegerMatrix)
+        if N.rows != M.rows:
+            raise ModelDimensionError(
+                f"row mismatch: N has {N.rows} species, M has {M.rows}")
         C = N.row_basis()
         if C.rows == 0:
             raise ModelFormatError("stoichiometric matrix is zero")

@@ -155,7 +155,7 @@ def term_count(p: SparsePolynomial) -> int:
 # decoded only when something reads ``terms``: rendering and equality.
 # The memoized minors of one expansion or sweep hold at most
 # ``_DET_TERM_BUDGET`` terms: 4 million take about 400 MB, and the
-# multistationarity matrix of the 7-layer cascade needs 1.4 million.
+# multistationarity matrix of the 7-layer cascade needs 0.76 million.
 
 
 def _pack(rows, nvars: int) -> tuple[list[list[dict[int, int]]], list[tuple[int, int]]]:

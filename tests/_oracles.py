@@ -45,6 +45,10 @@ The small matrix helpers (``zeros``, ``identity``, ``diagonal``,
 ``is_zero``, ``to_rational``, ``mul_vector`` and ``matmul``) build and read
 test matrices; the package has no use for them.
 
+The multistationarity test expands det[B diag(al); L], n x n with B the
+integer kernel of A from ``oracle_integer_kernel_basis``, where the
+package expands the d x d det(A diag(be) L^T) of the same sign class.
+
 The package keeps polynomials as read-only values.  Their ring arithmetic
 lives here, in ``RingPolynomial``: the polynomial determinant oracles expand
 by cofactors with it, and the tests spell their polynomials with it.
@@ -65,6 +69,7 @@ from toricity.core import (
     EmptyLocusError,
     NondegeneracyResult,
 )
+from toricity.crn import MultistationarityResult
 from toricity.exactalg import RationalMatrix, int_det, random_rng
 from toricity.polyring import (
     DeterminantSizeError,
@@ -582,6 +587,40 @@ def oracle_det_stacked(top, bottom):
         sign = -1 if (sum(cols) - s * (s - 1) // 2) % 2 else 1
         total = total + minor.scale(sign * const)
     return total
+
+
+# --- Multistationarity by the n x n stacked determinant -----------------------
+
+
+def oracle_multistationarity_det(A, laws):
+    """det[B diag(al); L] for B the integer kernel of A, from
+    ``oracle_integer_kernel_basis`` of A^T, and L the conservation laws:
+    the n x n determinant that the package's d x d one replaced."""
+    kernel = oracle_integer_kernel_basis([list(A.col(j)) for j in range(A.cols)], A.rows)
+    al = tuple(f"al{k+1}" for k in range(A.cols))
+    top = [[{(k,): v} if v else {} for k, v in enumerate(row)] for row in kernel]
+    return det_stacked(top, [1] * len(top), al, laws)
+
+
+def oracle_multistationarity(sys_, inv, laws, toric: bool = False) -> MultistationarityResult:
+    """The multistationarity test on ``oracle_multistationarity_det``, which
+    ``det_stacked`` refuses unless the kernel of A and the laws together
+    have n rows."""
+    if laws.rows == 0:
+        return MultistationarityResult("inconclusive", reason="no conservation laws")
+    try:
+        det = oracle_multistationarity_det(inv.A, laws)
+    except DeterminantSizeError as exc:
+        return MultistationarityResult("inconclusive", reason=str(exc))
+    except ValueError:
+        return MultistationarityResult("inconclusive", reason="matrix is not square "
+                                       "(only the determinant criterion is implemented)")
+    if sign_classify(det) in (SignVerdict.MIXED_SIGNS, SignVerdict.ZERO_POLYNOMIAL):
+        return MultistationarityResult("multistationary")
+    if toric:
+        return MultistationarityResult("monostationary")
+    return MultistationarityResult("inconclusive", reason="determinant sign-definite; "
+                                   "monostationarity needs the toric verdict")
 
 
 # --- Nondegeneracy by one determinant per minor -------------------------------

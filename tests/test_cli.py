@@ -107,6 +107,22 @@ def test_analyze_dimension_mismatch(tmp_path, capsys):
     assert "mismatch" in err
 
 
+def test_stoichiometric_row_mismatch(tmp_path, capsys):
+    """An N over fewer species than M is a dimension error: ``analyze``
+    exits 3 and ``batch`` writes an error row, in place of testing
+    multistationarity against laws over the wrong species."""
+    payload = {"N": [[-1, 1, 0], [1, -1, 0]], "M": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    path = write_json(tmp_path, "rows.json", payload)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: row mismatch: N has 2 species, M has 3\n"
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "batch", str(tmp_path), "--report", str(report_path))
+    assert code == 0
+    (row,) = json.loads(report_path.read_text())["models"]
+    assert (row["verdict"], row["error"]) == ("error", "row mismatch: N has 2 species, M has 3")
+
+
 @pytest.mark.parametrize("command", ["network", "export"])
 def test_dimension_mismatch_exits_3(tmp_path, capsys, command):
     """Every command that reads a model reports C and M of different widths
@@ -365,6 +381,19 @@ def test_batch_error_row(tmp_path, capsys):
     assert len(errors) == 1 and errors[0]["model"] == "broken.json"
 
 
+def test_batch_unwritable_report_exits_2(tmp_path, capsys):
+    """A report path in a missing directory is reported after the table,
+    exit 2, with no traceback."""
+    d = tmp_path / "models"
+    d.mkdir()
+    (d / "ok.crn").write_text("A <=> B", encoding="utf-8")
+    code, out, err = run_cli(capsys, "batch", str(d), "--report", str(tmp_path / "no" / "r.json"))
+    assert code == 2
+    assert out.startswith("ok.crn") and out.endswith("total: 1 models\n")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "no").exists()
+
+
 def test_batch_timeout_rows(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "batch", str(MODELS), "--report", str(report_path),
@@ -472,6 +501,14 @@ def test_export_no_slice(tmp_path, capsys):
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert lines[-1] == "# linear"  # no linear equations for d = 0
+
+
+def test_export_unwritable_out_exits_2(tmp_path, capsys):
+    model = write_json(tmp_path, "triangle.json", TRIANGLE_MATRIX_JSON)
+    code, out, err = run_cli(capsys, "export", str(model), "--kappa", "1,1,1,1",
+                             "--out", str(tmp_path / "no" / "system.txt"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "system.txt" in err
 
 
 def test_export_wrong_kappa_length(tmp_path, capsys):

@@ -9,12 +9,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricity import cli, crn
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyhedra import strictly_positive_kernel
+from toricity.polyring import SignVerdict, sign_classify, term_count
 from toricity.core import (
     ALL_POSITIVE_ENRICHMENT_CAP,
     GroupMode,
@@ -48,6 +49,7 @@ from _oracles import (
     mul_vector,
     oracle_closure,
     oracle_minimal_siphons,
+    oracle_multistationarity_det,
     oracle_siphon_supported,
     oracle_siphon_supported_lp,
     oracle_walk,
@@ -364,6 +366,52 @@ def test_multistationarity_no_laws():
     N, _ = mass_action_matrices(net)
     res = multistationarity_test(sys_, inv, conservation_laws(N))
     assert res.status == "inconclusive"
+
+
+def test_multistationarity_refuses_laws_over_other_species():
+    """Laws whose width is not the species count are an error, never cut
+    down to the common columns."""
+    net = parse_network(IDH_TEXT)
+    sys_ = steady_state_system(net)
+    inv = invariance_group(sys_)
+    N, _ = mass_action_matrices(net)
+    laws = conservation_laws(N)
+    wider = RationalMatrix.with_width([list(row) + [0] for row in laws.to_lists()], laws.cols + 1)
+    with pytest.raises(ValueError, match="columns of conservation laws"):
+        multistationarity_test(sys_, inv, wider, toric=True)
+
+
+@st.composite
+def _invariance_and_laws(draw):
+    """A d x n integer A and d rational laws L, both of full row rank,
+    n <= 10."""
+    n = draw(st.integers(2, 10))
+    d = draw(st.integers(1, n - 1))
+    entries = st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]), min_size=n, max_size=n),
+                       min_size=d, max_size=d)
+    dens = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    A = IntegerMatrix(draw(entries))
+    L = RationalMatrix([[Fraction(x, q) for x in row] for q, row in zip(dens, draw(entries))])
+    assume(A.rank() == d and L.rank() == d)
+    return A, L
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_invariance_and_laws())
+@example((IntegerMatrix([[1, 0]]), RationalMatrix([[0, 1]])))                      # zero
+@example((IntegerMatrix([[1, 1, 0]]), RationalMatrix([[1, -1, 0]])))               # mixed
+@example((IntegerMatrix([[1, 0, 1], [0, 1, 1]]), RationalMatrix([[1, 0, 1], [0, 1, -1]])))
+def test_multistationarity_determinant_matches_stacked(case):
+    """The d x d det(A diag(be) L^T) has the sign class (zero, mixed or
+    definite) and the number of terms of the n x n det[B diag(al); L] it
+    replaced: their coefficients agree up to one nonzero factor, whose sign
+    may flip a definite sign."""
+    A, L = case
+    small, stacked = crn.multistationarity_determinant(A, L), oracle_multistationarity_det(A, L)
+    definite = {SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE}
+    assert ({sign_classify(small), sign_classify(stacked)} <= definite
+            or sign_classify(small) == sign_classify(stacked))
+    assert term_count(small) == term_count(stacked)
 
 
 def test_acr_idh():

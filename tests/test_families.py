@@ -7,12 +7,18 @@ Conradi 2012).  The k-site network is multistationary if and only if k >= 2
 monostationary (Feliu & Wiuf 2012).
 """
 
+from pathlib import Path
+
 import pytest
 
 from toricity import GroupMode, Verdict, analyze_network, cli, core, crn, parse_network, polyring
+from toricity.crn import multistationarity_test
 from toricity.polyring import SparsePolynomial, det_stacked, det_symbolic, term_count
 
-from _oracles import RingPolynomial, polynomial_rows
+from _oracles import RingPolynomial, oracle_multistationarity, polynomial_rows
+from test_bench_contract import _load_bench
+
+MODELS = Path(cli.__file__).resolve().parent / "data" / "models"
 
 
 def multisite(k: int) -> str:
@@ -139,3 +145,31 @@ def test_analysis_decodes_no_determinant(monkeypatch):
         assert a.report.to_dict() == b.report.to_dict()
         assert a.reduced_report.to_dict() == b.reduced_report.to_dict()
         assert a.multistationarity == b.multistationarity
+
+
+def test_multistationarity_matches_stacked_oracle(monkeypatch):
+    """Every multistationarity test the pipeline runs gives the result of the
+    n x n stacked determinant: on multisite 1-8, cascade 1-6, the bundled
+    corpus through the batch rows, and the 117 ``screen`` networks of the
+    benchmark (its population of 120 from seed 20241122, less the three it
+    leaves out for their 40 s mixed volumes)."""
+    pairs = []
+
+    def both(sys_, inv, laws, toric=False):
+        result = multistationarity_test(sys_, inv, laws, toric)
+        pairs.append((result, oracle_multistationarity(sys_, inv, laws, toric)))
+        return result
+    for module in (crn, cli):
+        monkeypatch.setattr(module, "multistationarity_test", both)
+    texts = [multisite(k) for k in range(1, 9)] + [cascade(k) for k in range(1, 7)]
+    texts += [text for index, text in enumerate(_load_bench("generators").screen(20241122, 120))
+              if index not in (6, 21, 78)]
+    for text in texts:
+        analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
+    for path in sorted(MODELS.iterdir()):
+        cli._model_row(path, 0)
+    assert len(pairs) > 100
+    statuses = {result.status for result, _ in pairs}
+    assert statuses == {"multistationary", "monostationary", "inconclusive"}
+    for result, expected in pairs:
+        assert result == expected
