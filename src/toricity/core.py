@@ -138,9 +138,20 @@ class VerticalSystem:
 
     @property
     def positive_kernel(self) -> PositiveKernelResult:
-        """Witness of ker C in the open positive orthant, or empty."""
+        """Witness of ker C in the open positive orthant, or empty.
+
+        The sum of the nonnegative fundamental circuits is an integer vector
+        of ker C; when it is strictly positive it is the witness, and only
+        otherwise is the question put to the exact LP."""
         if self._positive_kernel is None:
-            self._positive_kernel = strictly_positive_kernel(self.C)
+            w = [0] * self.m
+            for v in self.circuits.vectors:
+                if min(v) >= 0:
+                    w = [a + b for a, b in zip(w, v)]
+            if all(w):
+                self._positive_kernel = PositiveKernelResult(tuple(w))
+            else:
+                self._positive_kernel = strictly_positive_kernel(self.C)
         return self._positive_kernel
 
     @property

@@ -8,9 +8,12 @@ a polytope's volume from a triangulation of its points, the mixed volume
 from the mixed cells of one triangulation of the Cayley configuration of
 the supports.  Every input arrives in integers: a matrix's rows are read as
 the integers it keeps for them, the LP takes integer rows, right-hand side
-and costs, and circuits are integer vectors.  Fractions appear only in the
-results handed out, and the LP's vertex is scaled back to integers once,
-to be checked.
+and costs, and circuits are integer vectors.  The positive-kernel LP is
+built on a matrix's kept integer echelon rows, whose pivot columns give it
+a feasible starting basis, so it runs phase 2 alone; an LP with no basis
+runs both phases.  Fractions appear only in the results handed out, and
+the LP's vertex is scaled back to integers once, to form the witness and
+check it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class VolumeBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Exact LP on integer tableau rows (dense simplex, Bland's rule, two phases)
+# Exact LP on integer tableau rows (dense simplex, Bland's rule, two phases or
+# one from a given feasible basis)
 
 
 class LPStatus:
@@ -49,7 +53,7 @@ class LPStatus:
     UNBOUNDED = "unbounded"
 
 
-def simplex_maximize(a_rows, b, c):
+def simplex_maximize(a_rows, b, c, basis=None):
     """Maximize c.x subject to a_rows x = b, x >= 0, exactly over Q.
 
     The entries are integers; a rational LP is scaled to integers row by
@@ -61,18 +65,33 @@ def simplex_maximize(a_rows, b, c):
     positive) replaces every other row T by p T - T[pc] T_r, divided by its
     gcd.  Reduced costs are read by sign and ratios compared by
     cross-multiplication, so the pivots are those of the rational tableau;
-    Fractions are formed only for the returned vertex and value.
+    Fractions are formed only for the returned vertex and value, the value
+    from the nonzero costs alone.
+
+    With no ``basis`` the LP runs in two phases: phase 1 minimizes the
+    sum of one artificial column per row to find a feasible basis, then
+    phase 2 optimizes c.  A caller that holds a feasible basis passes it as
+    ``basis``, the column basic in each row: the tableau is brought to that
+    basis, one pivot per row in order, and phase 2 starts there, with no
+    artificial columns.  A zero pivot or a negative basic value raises
+    ``ValueError``.
     """
     m = len(a_rows)
     n = len(c)
-    total = n + m
-    # tableau over columns [original | artificial | rhs], one artificial per row
-    tab = []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        tab.append(_primitive([sign * x for x in a_rows[i]] + [int(k == i) for k in range(m)]
-                              + [sign * b[i]]))
-    basis = [n + i for i in range(m)]
+    started = basis is not None
+    if started:
+        total = n
+        tab = [_primitive([*a_rows[i], b[i]]) for i in range(m)]
+        basis = list(basis)
+    else:
+        # tableau over columns [original | artificial | rhs], one artificial per row
+        total = n + m
+        tab = []
+        for i in range(m):
+            sign = -1 if b[i] < 0 else 1
+            tab.append(_primitive([sign * x for x in a_rows[i]] + [int(k == i) for k in range(m)]
+                                  + [sign * b[i]]))
+        basis = [n + i for i in range(m)]
 
     def pivot(pr, pc):
         prow = tab[pr]
@@ -120,25 +139,33 @@ def simplex_maximize(a_rows, b, c):
         finally:
             tab.pop()
 
-    # phase 1: maximize -(sum of artificials)
-    run_phase([0] * n + [-1] * m, range(total))
-    if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
-        return LPStatus.INFEASIBLE, None, None
-    # drive remaining artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            pc = next((j for j in range(n) if tab[i][j] != 0), None)
-            if pc is not None:
-                pivot(i, pc)
+    if started:
+        for i in range(m):
+            if not tab[i][basis[i]]:
+                raise ValueError(f"column {basis[i]} cannot be basic in row {i}")
+            pivot(i, basis[i])
+        if any(row[-1] < 0 for row in tab):
+            raise ValueError("the starting basis is not feasible")
+    else:
+        # phase 1: maximize -(sum of artificials)
+        run_phase([0] * n + [-1] * m, range(total))
+        if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
+            return LPStatus.INFEASIBLE, None, None
+        # drive remaining artificials out of the basis
+        for i in range(m):
+            if basis[i] >= n:
+                pc = next((j for j in range(n) if tab[i][j] != 0), None)
+                if pc is not None:
+                    pivot(i, pc)
     # rows still basic in an artificial are redundant; freeze them at zero
-    bounded = run_phase(list(c) + [-1] * m, range(n))
+    bounded = run_phase(list(c) + [-1] * (total - n), range(n))
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     if not bounded:
         return LPStatus.UNBOUNDED, None, x
-    value = sum(ci * xi for ci, xi in zip(c, x))
+    value = sum((ci * x[j] for j, ci in enumerate(c) if ci), Fraction(0))
     return LPStatus.OPTIMAL, value, x
 
 
@@ -148,7 +175,7 @@ def simplex_maximize(a_rows, b, c):
 
 @dataclass(frozen=True)
 class PositiveKernelResult:
-    witness: tuple[Fraction, ...] | None
+    witness: tuple[int, ...] | None
 
     @property
     def is_empty(self) -> bool:
@@ -160,24 +187,27 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
 
     Decided by the exact LP: maximize t subject to m(u + t 1) = 0, u >= 0,
     t + s = 1; the witness w = u + t 1 is strictly positive iff the optimum
-    is > 0.  The LP and the check of the witness read m's integer rows.
+    is > 0.  The LP reads m's kept integer echelon rows, whose pivot
+    columns, with s, are a feasible basis (u = t = 0, s = 1): it starts
+    there, in one phase.  The witness is a primitive integer vector, formed
+    and checked against m's integer rows in integers.
     """
     ncols = m.cols
     if ncols == 0:
         return PositiveKernelResult(())
-    rows = [row for row, _ in m.integer_rows()]
+    rows, pivots = m.integer_echelon()
     # variables: u_1..u_n, t, s
     a_rows = [[*row, sum(row), 0] for row in rows]
     a_rows.append([0] * ncols + [1, 1])
-    b = [0] * m.rows + [1]
+    b = [0] * len(rows) + [1]
     c = [0] * ncols + [1, 0]
-    status, value, x = simplex_maximize(a_rows, b, c)
+    status, value, x = simplex_maximize(a_rows, b, c, [*pivots, ncols + 1])
     if status != LPStatus.OPTIMAL or value is None or value <= 0:
         return PositiveKernelResult(None)
-    t = x[ncols]
-    w = tuple(x[j] + t for j in range(ncols))
-    point = _integer_scaling(w)[0]
-    if any(v <= 0 for v in point) or any(sum(map(mul, row, point)) for row in rows):
+    point = _integer_scaling(x[:ncols + 1])[0]
+    t = point[ncols]
+    w = tuple(_primitive([u + t for u in point[:ncols]]))
+    if any(v <= 0 for v in w) or any(sum(map(mul, row, w)) for row, _ in m.integer_rows()):
         raise InternalInconsistencyError("LP optimum is not a strictly positive kernel vector")
     return PositiveKernelResult(w)
 

@@ -247,22 +247,31 @@ def matmul(a, b) -> RationalMatrix:
                            for row in a.to_lists()], b.cols)
 
 
-def oracle_simplex_maximize(a_rows, b, c):
+def oracle_simplex_maximize(a_rows, b, c, basis=None):
     """Maximize c.x subject to a_rows x = b, x >= 0 over Fractions: a dense
     two-phase tableau simplex with Bland's rule.  Returns (status, value, x)
-    with the statuses "optimal", "infeasible" and "unbounded"."""
+    with the statuses "optimal", "infeasible" and "unbounded".  Given a
+    starting ``basis`` (the column basic in each row), it pivots row i on
+    column basis[i] in turn, requires the basic solution to be nonnegative,
+    and runs phase 2 alone, with no artificial columns."""
     m = len(a_rows)
     n = len(c)
     rows = [_fractions(row) for row in a_rows]
     rhs = _fractions(b)
     cost = _fractions(c)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    total = n + m
-    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
+    started = basis is not None
+    if started:
+        total = n
+        tab = [rows[i] + [rhs[i]] for i in range(m)]
+        basis = list(basis)
+    else:
+        for i in range(m):
+            if rhs[i] < 0:
+                rows[i] = [-x for x in rows[i]]
+                rhs[i] = -rhs[i]
+        total = n + m
+        tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
+        basis = [n + i for i in range(m)]
 
     def pivot(pr, pc):
         pv = tab[pr][pc]
@@ -297,15 +306,23 @@ def oracle_simplex_maximize(a_rows, b, c):
                 return False
             pivot(leaving, entering)
 
-    run_phase([Fraction(0)] * n + [Fraction(-1)] * m, range(total))
-    if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
-        return "infeasible", None, None
-    for i in range(m):
-        if basis[i] >= n:
-            pc = next((j for j in range(n) if tab[i][j] != 0), None)
-            if pc is not None:
-                pivot(i, pc)
-    bounded = run_phase(cost + [Fraction(-1)] * m, range(n))
+    if started:
+        for i in range(m):
+            if tab[i][basis[i]] == 0:
+                raise ValueError(f"column {basis[i]} cannot be basic in row {i}")
+            pivot(i, basis[i])
+        if any(row[-1] < 0 for row in tab):
+            raise ValueError("the starting basis is not feasible")
+    else:
+        run_phase([Fraction(0)] * n + [Fraction(-1)] * m, range(total))
+        if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
+            return "infeasible", None, None
+        for i in range(m):
+            if basis[i] >= n:
+                pc = next((j for j in range(n) if tab[i][j] != 0), None)
+                if pc is not None:
+                    pivot(i, pc)
+    bounded = run_phase(cost + [Fraction(-1)] * (total - n), range(n))
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:

@@ -47,6 +47,7 @@ from _oracles import (
     oracle_lattice,
     oracle_rref,
     oracle_scaled_jacobian,
+    oracle_simplex_maximize,
     polynomial_rows,
     same_row_lattice,
     stacked_det,
@@ -759,6 +760,62 @@ def test_analyze_empty_equation_system():
     assert rep.d == sys_.n
 
 
+@st.composite
+def _kernel_questions(draw):
+    """A random integer C with at most 8 columns, among them zero, duplicate
+    and proportional columns, and possibly a zero row."""
+    s = draw(st.integers(0, 4))
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "copy", "multiple"]))
+        if kind == "zero":
+            cols.append([0] * s)
+        elif kind == "random" or not cols:
+            cols.append(draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s)))
+        else:
+            f = 1 if kind == "copy" else draw(st.sampled_from([-2, -1, 2, 3]))
+            cols.append([f * x for x in draw(st.sampled_from(cols))])
+    rows = [list(row) for row in zip(*cols)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(cols))
+    return rows, len(cols)
+
+
+def test_positive_kernel_agrees_with_the_lp_oracle(monkeypatch):
+    """``VerticalSystem.positive_kernel`` decides emptiness as the Fraction
+    LP does: maximize t subject to C(u + t 1) = 0, u >= 0, t <= 1.  Every
+    witness is strictly positive and lies exactly in ker C.  Both routes are
+    taken, the sum of the nonnegative circuits and the LP, and the LP finds
+    both empty and nonempty kernels."""
+    routes = Counter()
+    lp = core.strictly_positive_kernel
+    monkeypatch.setattr(core, "strictly_positive_kernel",
+                        lambda m: routes.update(["lp"]) or lp(m))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_kernel_questions())
+    def check(question):
+        rows, n = question
+        C = RationalMatrix(rows, n)
+        sys_ = VerticalSystem(C, IntegerMatrix([[int(i == j) for j in range(n)]
+                                                for i in range(n)]))
+        before = routes["lp"]
+        witness = sys_.positive_kernel.witness
+        routes["circuits" if routes["lp"] == before else "lp route", witness is None] += 1
+        a_rows = [[*row, sum(row), 0] for row in rows] + [[0] * n + [1, 1]]
+        status, value, _ = oracle_simplex_maximize(a_rows, [0] * len(rows) + [1],
+                                                   [0] * n + [1, 0])
+        assert status == "optimal"
+        assert (witness is None) == (value == 0)
+        if witness is not None:
+            assert len(witness) == n and all(x > 0 for x in witness)
+            assert all(v == 0 for v in mul_vector(C, witness))
+
+    check()
+    # the circuits settle only nonempty kernels; the LP settles both kinds
+    assert routes["circuits", False] and routes["lp route", False] and routes["lp route", True]
+
+
 def test_analyze_evidence_ordering():
     toric_rep = analyze(idh_system(), seed=0)
     glt_prefix = ["binomial_quickcheck", "support_union", "positive_kernel",
@@ -960,14 +1017,28 @@ def test_analyze_network_builds_derived_objects_once(monkeypatch, name, source):
         assert not any(seen["scaling", mat.row(i)] for i in range(mat.rows)), mat
 
 
-@pytest.mark.parametrize("text", [multisite(2), cascade(2),
-                                  (MODELS / "triangle_cycle.crn").read_text()],
-                         ids=["multisite_2", "cascade_2", "triangle_cycle"])
-def test_kernel_vectors_reach_no_fraction_scaling(monkeypatch, text):
+# the bench's screen_1: its positive kernel is not settled by the circuits
+SCREEN_1 = """# screen model 1
+X2 + X1 <=> I1a -> X3 + X1
+X3 + X1 <=> I1b -> X2 + X1
+X3 + X1 -> 2 X1
+X1 -> X3
+X1 -> X3
+X2 + X1 -> 2 X1
+X1 -> X2
+"""
+
+
+@pytest.mark.parametrize("text, reaches_lp", [
+    (multisite(2), False), (cascade(2), False),
+    ((MODELS / "triangle_cycle.crn").read_text(), True), (SCREEN_1, True)],
+    ids=["multisite_2", "cascade_2", "triangle_cycle", "screen_1"])
+def test_kernel_vectors_reach_no_fraction_scaling(monkeypatch, text, reaches_lp):
     """Kernel vectors travel as integers: while a network is analysed, its
     deferred facts included, no LP, Jacobian or random combination scales a
-    vector to integers.  Only the check of the positive-kernel LP's vertex,
-    a vector of Fractions, does."""
+    vector to integers.  Only the positive-kernel LP's vertex, a vector of
+    Fractions, is scaled, and only where the LP runs: the nonnegative
+    circuits settle multisite_2's and cascade_2's positive kernels."""
     callers = Counter()
     integer_scaling = exactalg._integer_scaling
 
@@ -981,7 +1052,7 @@ def test_kernel_vectors_reach_no_fraction_scaling(monkeypatch, text):
     for report in (analysis.report, analysis.reduced_report):
         if report is not None:
             report.to_dict()
-    assert callers["strictly_positive_kernel"] > 0, callers
+    assert (callers["strictly_positive_kernel"] > 0) == reaches_lp, callers
     assert not {"simplex_maximize", "_integer_jacobian", "random_combination"} & set(callers)
 
 

@@ -75,7 +75,8 @@ def test_strictly_positive_kernel_rejects_bad_optimum(monkeypatch):
     # an LP optimum whose witness is not strictly positive is a bug, reported
     # as one even when asserts are stripped
     monkeypatch.setattr(polyhedra, "simplex_maximize",
-                        lambda a, b, c: (polyhedra.LPStatus.OPTIMAL, Fraction(1), [Fraction(0)] * len(c)))
+                        lambda a, b, c, basis: (polyhedra.LPStatus.OPTIMAL, Fraction(1),
+                                                [Fraction(0)] * len(c)))
     with pytest.raises(InternalInconsistencyError):
         strictly_positive_kernel(RationalMatrix([[1, -1]]))
 
@@ -433,6 +434,49 @@ def test_simplex_matches_fraction_tableau_random(lp):
 
 
 @st.composite
+def _started_lps(draw):
+    """The positive-kernel LP of a random integer matrix on its echelon rows,
+    with its starting basis: the pivot columns and the slack.  Each row is
+    scaled by a nonzero integer, negative ones included, and gets multiples
+    of the rows below it, so the basis must be pivoted in.  The cost is the
+    LP's own or a random one, which can leave the LP unbounded."""
+    n = draw(st.integers(1, 6))
+    m = IntegerMatrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                    min_size=1, max_size=4)))
+    echelon, pivots = m.integer_echelon()
+    rows = [[*row, sum(row), 0, 0] for row in echelon] + [[0] * n + [1, 1, 1]]
+    for i in range(len(rows)):
+        f = draw(st.sampled_from([-2, -1, 1, 3]))
+        rows[i] = [f * x for x in rows[i]]
+        for below in rows[i + 1:]:
+            k = draw(st.integers(-2, 2))
+            rows[i] = [x + k * y for x, y in zip(rows[i], below)]
+    c = draw(st.one_of(st.just([0] * n + [1, 0]),
+                       st.lists(st.integers(-3, 3), min_size=n + 2, max_size=n + 2)))
+    return [row[:-1] for row in rows], [row[-1] for row in rows], c, [*pivots, n + 1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_started_lps())
+def test_started_simplex_matches_fraction_tableau_random(lp):
+    """From a feasible starting basis the integer simplex gives the Fraction
+    tableau's status, vertex and value from that basis, and the two-phase
+    LP's status and optimal value."""
+    a, b, c, basis = lp
+    status, value, x = simplex_maximize(a, b, c, basis)
+    assert (status, value, x) == oracle_simplex_maximize(a, b, c, basis)
+    assert (status, value) == oracle_simplex_maximize(a, b, c)[:2]
+
+
+@pytest.mark.parametrize("lp", [simplex_maximize, oracle_simplex_maximize])
+def test_simplex_refuses_a_starting_basis_it_cannot_use(lp):
+    with pytest.raises(ValueError, match="cannot be basic"):
+        lp([[0, 1]], [1], [1, 1], [0])
+    with pytest.raises(ValueError, match="not feasible"):
+        lp([[1, 1]], [-1], [1, 1], [0])
+
+
+@st.composite
 def _cone_equations(draw):
     """ker(m) in the nonnegative orthant is pointed; duplicated and scaled
     rows, and small entries, make the double description meet the same
@@ -453,7 +497,8 @@ def test_extreme_rays_match_fraction_double_description(m):
 
 
 def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
-    # every LP, double description and circuit basis the corpus analyses make
+    # every LP, from the basis it is given if any, double description and
+    # circuit basis the corpus analyses make
     from toricity import cli, core
     from _oracles import oracle_circuits
 
@@ -462,11 +507,11 @@ def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
     lp, rays = polyhedra.simplex_maximize, polyhedra.extreme_rays
     circuits = core.kernel_circuit_basis
 
-    def checked_lp(a, b, c):
+    def checked_lp(a, b, c, basis=None):
         calls["simplex"] += 1
-        result = lp(a, b, c)
-        if result != oracle_simplex_maximize(a, b, c):
-            mismatches.append(("simplex", a, b, c))
+        result = lp(a, b, c, basis)
+        if result != oracle_simplex_maximize(a, b, c, basis):
+            mismatches.append(("simplex", a, b, c, basis))
         return result
 
     def checked_rays(m):
