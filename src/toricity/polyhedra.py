@@ -10,10 +10,9 @@ the supports.  Every input arrives in integers: a matrix's rows are read as
 the integers it keeps for them, the LP takes integer rows, right-hand side
 and costs, and circuits are integer vectors.  The positive-kernel LP is
 built on a matrix's kept integer echelon rows, whose pivot columns give it
-a feasible starting basis, so it runs phase 2 alone; an LP with no basis
-runs both phases.  Fractions appear only in the results handed out, and
-the LP's vertex is scaled back to integers once, to form the witness and
-check it.
+a feasible starting basis, so the simplex runs from there with no phase 1.
+Fractions appear only in the results handed out, and the LP's vertex is
+scaled back to integers once, to form the witness and check it.
 """
 
 from __future__ import annotations
@@ -43,126 +42,82 @@ class VolumeBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Exact LP on integer tableau rows (dense simplex, Bland's rule, two phases or
-# one from a given feasible basis)
+# Exact LP on integer tableau rows (dense simplex, Bland's rule, from a given
+# feasible basis)
 
 
 class LPStatus:
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
-def simplex_maximize(a_rows, b, c, basis=None):
-    """Maximize c.x subject to a_rows x = b, x >= 0, exactly over Q.
+def simplex_maximize(a_rows, b, c, basis):
+    """Maximize c.x subject to a_rows x = b, x >= 0, exactly over Q, from the
+    feasible ``basis``, the column basic in each row.
 
     The entries are integers; a rational LP is scaled to integers row by
-    row by its caller.  Returns (status, value, x); Bland's rule guarantees
+    row by its caller.  The caller hands the LP in canonical form for its
+    basis, as RREF rows plus a slack row are: column basis[i] is nonzero in
+    row i and zero in every other row, and b[i] is zero or has that
+    entry's sign.  Returns (status, value, x); Bland's rule guarantees
     termination.  Each tableau row is a primitive integer vector, a
     positive multiple of the rational row whose factor is the row's entry
-    in its basic column (where the rational row holds 1).
-    Pivoting on entry p > 0 of row r (a row is negated first to make p
-    positive) replaces every other row T by p T - T[pc] T_r, divided by its
-    gcd.  Reduced costs are read by sign and ratios compared by
+    in its basic column (where the rational row holds 1); a row is negated
+    first to make that entry positive.  Pivoting on entry p > 0 of row r
+    replaces every other row T by p T - T[pc] T_r, divided by its gcd.
+    Reduced costs are read by sign and ratios compared by
     cross-multiplication, so the pivots are those of the rational tableau;
     Fractions are formed only for the returned vertex and value, the value
     from the nonzero costs alone.
-
-    With no ``basis`` the LP runs in two phases: phase 1 minimizes the
-    sum of one artificial column per row to find a feasible basis, then
-    phase 2 optimizes c.  A caller that holds a feasible basis passes it as
-    ``basis``, the column basic in each row: the tableau is brought to that
-    basis, one pivot per row in order, and phase 2 starts there, with no
-    artificial columns.  A zero pivot or a negative basic value raises
-    ``ValueError``.
     """
     m = len(a_rows)
     n = len(c)
-    started = basis is not None
-    if started:
-        total = n
-        tab = [_primitive([*a_rows[i], b[i]]) for i in range(m)]
-        basis = list(basis)
-    else:
-        # tableau over columns [original | artificial | rhs], one artificial per row
-        total = n + m
-        tab = []
+    basis = list(basis)
+    tab = []
+    for row, beta, j in zip(a_rows, b, basis):
+        t = _primitive([*row, beta])
+        tab.append(t if t[j] > 0 else [-x for x in t])
+    assert all(t[j] > 0 and t[-1] >= 0 for t, j in zip(tab, basis)), "not a feasible basis"
+    # the reduced costs c_j - c_B . B^-1 column_j ride along as a last
+    # tableau row, scaled by a positive factor
+    den = lcm(*(tab[i][basis[i]] for i in range(m) if c[basis[i]]))
+    z = [den * x for x in c] + [0]
+    for i in range(m):
+        if c[basis[i]]:
+            f = c[basis[i]] * (den // tab[i][basis[i]])
+            z = [a - f * x for a, x in zip(z, tab[i])]
+    tab.append(_primitive(z))
+    bounded = True
+    while True:
+        z = tab[m]
+        entering = next((j for j in range(n) if z[j] > 0), None)  # Bland: smallest index
+        if entering is None:
+            break
+        leaving = None
         for i in range(m):
-            sign = -1 if b[i] < 0 else 1
-            tab.append(_primitive([sign * x for x in a_rows[i]] + [int(k == i) for k in range(m)]
-                                  + [sign * b[i]]))
-        basis = [n + i for i in range(m)]
-
-    def pivot(pr, pc):
-        prow = tab[pr]
-        if prow[pc] < 0:
-            prow = tab[pr] = [-x for x in prow]
-        p = prow[pc]
-        for i, row in enumerate(tab):
-            f = row[pc]
-            if f and i != pr:
-                tab[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
-        basis[pr] = pc
-
-    def run_phase(obj, allowed):
-        # obj: integer cost per column (maximization); allowed: columns eligible
-        # to enter.  The reduced costs obj_j - obj_B . B^-1 column_j ride along
-        # as a last tableau row, scaled by a positive factor.
-        den = lcm(*(tab[i][basis[i]] for i in range(m) if obj[basis[i]]))
-        z = [den * x for x in obj] + [0]
-        for i in range(m):
-            if obj[basis[i]]:
-                f = obj[basis[i]] * (den // tab[i][basis[i]])
-                z = [a - f * x for a, x in zip(z, tab[i])]
-        tab.append(_primitive(z))
-        try:
-            while True:
-                z = tab[m]
-                entering = next((j for j in allowed if z[j] > 0), None)  # Bland: smallest index
-                if entering is None:
-                    return True
-                leaving = None
-                for i in range(m):
-                    a = tab[i][entering]
-                    if a > 0:
-                        if leaving is None:
-                            leaving = i
-                            continue
-                        # rhs_i / a against rhs_l / a_l, both denominators positive
-                        lrow = tab[leaving]
-                        d = tab[i][-1] * lrow[entering] - lrow[-1] * a
-                        if d < 0 or (d == 0 and basis[i] < basis[leaving]):
-                            leaving = i
+            a = tab[i][entering]
+            if a > 0:
                 if leaving is None:
-                    return False  # unbounded
-                pivot(leaving, entering)
-        finally:
-            tab.pop()
-
-    if started:
-        for i in range(m):
-            if not tab[i][basis[i]]:
-                raise ValueError(f"column {basis[i]} cannot be basic in row {i}")
-            pivot(i, basis[i])
-        if any(row[-1] < 0 for row in tab):
-            raise ValueError("the starting basis is not feasible")
-    else:
-        # phase 1: maximize -(sum of artificials)
-        run_phase([0] * n + [-1] * m, range(total))
-        if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
-            return LPStatus.INFEASIBLE, None, None
-        # drive remaining artificials out of the basis
-        for i in range(m):
-            if basis[i] >= n:
-                pc = next((j for j in range(n) if tab[i][j] != 0), None)
-                if pc is not None:
-                    pivot(i, pc)
-    # rows still basic in an artificial are redundant; freeze them at zero
-    bounded = run_phase(list(c) + [-1] * (total - n), range(n))
+                    leaving = i
+                    continue
+                # rhs_i / a against rhs_l / a_l, both denominators positive
+                lrow = tab[leaving]
+                d = tab[i][-1] * lrow[entering] - lrow[-1] * a
+                if d < 0 or (d == 0 and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving is None:
+            bounded = False
+            break
+        prow = tab[leaving]
+        p = prow[entering]
+        for i, row in enumerate(tab):
+            f = row[entering]
+            if f and i != leaving:
+                tab[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
+        basis[leaving] = entering
     x = [Fraction(0)] * n
     for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
+        x[basis[i]] = Fraction(tab[i][-1], tab[i][basis[i]])
     if not bounded:
         return LPStatus.UNBOUNDED, None, x
     value = sum((ci * x[j] for j, ci in enumerate(c) if ci), Fraction(0))

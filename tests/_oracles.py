@@ -247,86 +247,99 @@ def matmul(a, b) -> RationalMatrix:
                            for row in a.to_lists()], b.cols)
 
 
+def _oracle_pivot(tab, basis, pr, pc):
+    pv = tab[pr][pc]
+    tab[pr] = [x / pv for x in tab[pr]]
+    for i in range(len(basis)):
+        if i != pr and tab[i][pc] != 0:
+            f = tab[i][pc]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
+    basis[pr] = pc
+
+
+def _oracle_run_phase(tab, basis, obj, allowed) -> bool:
+    """Bland's-rule pivots on the tableau rows until no column in
+    ``allowed`` improves obj (True) or one improves it without bound."""
+    m = len(basis)
+    while True:
+        y = [obj[basis[i]] for i in range(m)]
+        entering = None
+        for j in allowed:
+            if j in basis:
+                continue
+            if obj[j] - sum(y[i] * tab[i][j] for i in range(m)) > 0:
+                entering = j
+                break
+        if entering is None:
+            return True
+        leaving = None
+        best = None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                ratio = tab[i][-1] / tab[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return False
+        _oracle_pivot(tab, basis, leaving, entering)
+
+
+def oracle_feasible_start(a_rows, b):
+    """Phase 1 of the tableau simplex over Fractions: maximize minus the
+    sum of one artificial column per row, rows with a negative right-hand
+    side negated, then drive the artificials out of the basis.  Returns
+    (rows, rhs, basis): a_rows x = b in canonical form for the feasible
+    basis phase 1 ends in, each row holding 1 in its basic column and 0 in
+    the others, with the rows found redundant dropped; None when
+    a_rows x = b has no solution x >= 0."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    rows = [_fractions(row) for row in a_rows]
+    rhs = _fractions(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    _oracle_run_phase(tab, basis, [Fraction(0)] * n + [Fraction(-1)] * m, range(n + m))
+    if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
+        return None
+    for i in range(m):
+        if basis[i] >= n:
+            pc = next((j for j in range(n) if tab[i][j] != 0), None)
+            if pc is not None:
+                _oracle_pivot(tab, basis, i, pc)
+    # a row still basic in an artificial is zero in every original column
+    kept = [i for i in range(m) if basis[i] < n]
+    return [tab[i][:n] for i in kept], [tab[i][-1] for i in kept], [basis[i] for i in kept]
+
+
 def oracle_simplex_maximize(a_rows, b, c, basis=None):
     """Maximize c.x subject to a_rows x = b, x >= 0 over Fractions: a dense
     two-phase tableau simplex with Bland's rule.  Returns (status, value, x)
-    with the statuses "optimal", "infeasible" and "unbounded".  Given a
-    starting ``basis`` (the column basic in each row), it pivots row i on
-    column basis[i] in turn, requires the basic solution to be nonnegative,
-    and runs phase 2 alone, with no artificial columns."""
-    m = len(a_rows)
+    with the statuses "optimal", "infeasible" and "unbounded".  With no
+    ``basis`` phase 1 (``oracle_feasible_start``) finds one; a given one
+    (the column basic in each row) is pivoted in, row i on column basis[i]
+    in turn, and must give a nonnegative basic solution.  Phase 2 runs
+    from that basis."""
     n = len(c)
-    rows = [_fractions(row) for row in a_rows]
-    rhs = _fractions(b)
     cost = _fractions(c)
-    started = basis is not None
-    if started:
-        total = n
-        tab = [rows[i] + [rhs[i]] for i in range(m)]
-        basis = list(basis)
-    else:
-        for i in range(m):
-            if rhs[i] < 0:
-                rows[i] = [-x for x in rows[i]]
-                rhs[i] = -rhs[i]
-        total = n + m
-        tab = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
-        basis = [n + i for i in range(m)]
-
-    def pivot(pr, pc):
-        pv = tab[pr][pc]
-        tab[pr] = [x / pv for x in tab[pr]]
-        for i in range(m):
-            if i != pr and tab[i][pc] != 0:
-                f = tab[i][pc]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
-        basis[pr] = pc
-
-    def run_phase(obj, allowed):
-        while True:
-            y = [obj[basis[i]] for i in range(m)]
-            entering = None
-            for j in allowed:
-                if j in basis:
-                    continue
-                if obj[j] - sum(y[i] * tab[i][j] for i in range(m)) > 0:
-                    entering = j
-                    break
-            if entering is None:
-                return True
-            leaving = None
-            best = None
-            for i in range(m):
-                if tab[i][entering] > 0:
-                    ratio = tab[i][-1] / tab[i][entering]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving is None:
-                return False
-            pivot(leaving, entering)
-
-    if started:
-        for i in range(m):
-            if tab[i][basis[i]] == 0:
-                raise ValueError(f"column {basis[i]} cannot be basic in row {i}")
-            pivot(i, basis[i])
-        if any(row[-1] < 0 for row in tab):
-            raise ValueError("the starting basis is not feasible")
-    else:
-        run_phase([Fraction(0)] * n + [Fraction(-1)] * m, range(total))
-        if any(tab[i][-1] != 0 and basis[i] >= n for i in range(m)):
+    if basis is None:
+        start = oracle_feasible_start(a_rows, b)
+        if start is None:
             return "infeasible", None, None
-        for i in range(m):
-            if basis[i] >= n:
-                pc = next((j for j in range(n) if tab[i][j] != 0), None)
-                if pc is not None:
-                    pivot(i, pc)
-    bounded = run_phase(cost + [Fraction(-1)] * (total - n), range(n))
+        a_rows, b, basis = start
+    tab = [_fractions(row) + [beta] for row, beta in zip(a_rows, _fractions(b))]
+    basis = list(basis)
+    for i, j in enumerate(basis):
+        _oracle_pivot(tab, basis, i, j)
+    assert all(row[-1] >= 0 for row in tab), "not a feasible basis"
+    bounded = _oracle_run_phase(tab, basis, cost, range(n))
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
+    for i, j in enumerate(basis):
+        x[j] = tab[i][-1]
     if not bounded:
         return "unbounded", None, x
     return "optimal", sum(ci * xi for ci, xi in zip(cost, x)), x

@@ -25,6 +25,7 @@ from toricity.polyhedra import (
 from _oracles import (
     mul_vector,
     oracle_extreme_rays,
+    oracle_feasible_start,
     oracle_minkowski,
     oracle_minkowski_hull,
     oracle_mixed_volume,
@@ -43,15 +44,44 @@ TRIANGLE_C = RationalMatrix([[1, -1, 1, -2]])
 
 
 def test_simplex_basic():
-    # max x + y st x + y <= 4 (as equality with slack), x,y >= 0
-    status, value, x = simplex_maximize([[1, 1, 1]], [4], [1, 1, 0])
+    # max x + y st x + y <= 4 (as equality with slack), x,y >= 0, from the slack
+    status, value, x = simplex_maximize([[1, 1, 1]], [4], [1, 1, 0], [2])
     assert status == "optimal"
     assert value == 4
 
 
+def _phase_one_lp(a, b):
+    """Phase 1 of a x = b, x >= 0 as an LP with its starting basis: one
+    artificial column per row, rows with a negative right-hand side
+    negated, maximize minus the artificials' sum from the artificial basis.
+    Its optimum is 0 iff a x = b has a solution x >= 0."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[(-1 if beta < 0 else 1) * x for x in row] + [int(k == i) for k in range(m)]
+            for i, (row, beta) in enumerate(zip(a, b))]
+    return rows, [abs(beta) for beta in b], [0] * n + [-1] * m, [n + i for i in range(m)]
+
+
+def _started_lp(a, b):
+    """a x = b in canonical form for the feasible basis the Fraction phase 1
+    ends in, each row with its right-hand side scaled to integers, and that
+    basis; None when a x = b has no solution x >= 0."""
+    start = oracle_feasible_start(a, b)
+    if start is None:
+        return None
+    rows, rhs, basis = start
+    scaled = []
+    for row in ([*row, beta] for row, beta in zip(rows, rhs)):
+        d = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * d) for x in row])
+    return [row[:-1] for row in scaled], [row[-1] for row in scaled], basis
+
+
 def test_simplex_infeasible():
-    status, _, _ = simplex_maximize([[1, 0], [1, 0]], [1, 2], [0, 0])
-    assert status == "infeasible"
+    # x1 = 1 and x1 = 2: the phase-1 LP stops short of 0
+    status, value, _ = simplex_maximize(*_phase_one_lp([[1, 0], [1, 0]], [1, 2]))
+    assert status == "optimal"
+    assert value == -1
 
 
 def test_strictly_positive_kernel_witness():
@@ -182,7 +212,8 @@ def test_simplex_against_scipy_oracle():
         # cap the total mass through a slack column so the optimum is finite
         a.append([1] * nvars + [1])
         b.append(sum(x_feas) + rng.randint(1, 5))
-        status, value, x = simplex_maximize(a, b, c)
+        rows, rhs, basis = _started_lp(a, b)
+        status, value, x = simplex_maximize(rows, rhs, c, basis)
         ref = linprog([-ci for ci in c], A_eq=np.array(a, dtype=float),
                       b_eq=np.array(b, dtype=float), bounds=[(0, None)] * (nvars + 1),
                       method="highs")
@@ -365,8 +396,9 @@ def test_mixed_volume_of_five_species_coset_systems(text, expected):
 
 
 @pytest.mark.parametrize("a, b, c", [
-    # rows tie in a ratio test; Bland breaks the tie by basis index, which
-    # here decides the point returned with "unbounded"
+    # rows tie in a ratio test of phase 1; Bland breaks the tie by basis
+    # index, and the basis phase 1 ends in decides the point returned with
+    # "unbounded"
     ([[2, -1], [0, -1], [0, -1]], [1, -2, -2], [1, 0]),
     ([[0, 0, 2, 1], [-2, 0, -2, 0]], [1, -1], [1, 1, 1, 1]),
     # the last two rows are redundant: an artificial stays basic at zero
@@ -404,12 +436,20 @@ def _integer_lp(a, b, c):
 
 
 def _assert_simplex_matches_oracle(a, b, c):
-    """The integer simplex on the LP scaled to integers gives the Fraction
-    tableau's status, vertex and value on that LP, and the status, the
-    vertex and the value, unscaled, of the original LP."""
+    """On the LP scaled to integers, the integer simplex run as phase 1 from
+    the artificial basis, and run from the basis the Fraction phase 1 ends
+    in, gives the two-phase Fraction tableau's infeasibility, status,
+    vertex and value; these are, unscaled, the original LP's."""
     rows, rhs, cost, scale = _integer_lp(a, b, c)
-    status, value, x = simplex_maximize(rows, rhs, cost)
-    assert (status, value, x) == oracle_simplex_maximize(rows, rhs, cost)
+    status, value, x = oracle_simplex_maximize(rows, rhs, cost)
+    phase_one = _phase_one_lp(rows, rhs)
+    result = simplex_maximize(*phase_one)
+    assert result == oracle_simplex_maximize(*phase_one)
+    assert (result[1] < 0) == (status == "infeasible")
+    start = _started_lp(rows, rhs)
+    if start is not None:
+        started_rows, started_rhs, basis = start
+        assert simplex_maximize(started_rows, started_rhs, cost, basis) == (status, value, x)
     unscaled = value if value is None else value / scale
     assert (status, unscaled, x) == oracle_simplex_maximize(a, b, c)
 
@@ -437,9 +477,9 @@ def test_simplex_matches_fraction_tableau_random(lp):
 def _started_lps(draw):
     """The positive-kernel LP of a random integer matrix on its echelon rows,
     with its starting basis: the pivot columns and the slack.  Each row is
-    scaled by a nonzero integer, negative ones included, and gets multiples
-    of the rows below it, so the basis must be pivoted in.  The cost is the
-    LP's own or a random one, which can leave the LP unbounded."""
+    scaled by a nonzero integer, negative ones included, so a basic entry
+    can be negative.  The cost is the LP's own or a random one, which can
+    leave the LP unbounded."""
     n = draw(st.integers(1, 6))
     m = IntegerMatrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                                     min_size=1, max_size=4)))
@@ -448,9 +488,6 @@ def _started_lps(draw):
     for i in range(len(rows)):
         f = draw(st.sampled_from([-2, -1, 1, 3]))
         rows[i] = [f * x for x in rows[i]]
-        for below in rows[i + 1:]:
-            k = draw(st.integers(-2, 2))
-            rows[i] = [x + k * y for x, y in zip(rows[i], below)]
     c = draw(st.one_of(st.just([0] * n + [1, 0]),
                        st.lists(st.integers(-3, 3), min_size=n + 2, max_size=n + 2)))
     return [row[:-1] for row in rows], [row[-1] for row in rows], c, [*pivots, n + 1]
@@ -468,12 +505,15 @@ def test_started_simplex_matches_fraction_tableau_random(lp):
     assert (status, value) == oracle_simplex_maximize(a, b, c)[:2]
 
 
-@pytest.mark.parametrize("lp", [simplex_maximize, oracle_simplex_maximize])
-def test_simplex_refuses_a_starting_basis_it_cannot_use(lp):
-    with pytest.raises(ValueError, match="cannot be basic"):
-        lp([[0, 1]], [1], [1, 1], [0])
-    with pytest.raises(ValueError, match="not feasible"):
-        lp([[1, 1]], [-1], [1, 1], [0])
+@pytest.mark.parametrize("a, b, c, basis", [
+    # rows tie in a ratio test; Bland breaks the tie by basis index, not by
+    # row, which here decides the point returned with "unbounded"
+    ([[2, 1, 0, 0, 1], [2, 0, -1, 1, 0]], [1, 1], [1, 1, 1, 0, 0], [4, 3]),
+    # a tie that decides the optimal vertex
+    ([[1, 2, -2, 1, 0], [1, 0, 1, 0, 1]], [1, 1], [1, 0, 2, 0, 0], [3, 4]),
+])
+def test_started_simplex_matches_fraction_tableau(a, b, c, basis):
+    assert simplex_maximize(a, b, c, basis) == oracle_simplex_maximize(a, b, c, basis)
 
 
 @st.composite
@@ -497,8 +537,8 @@ def test_extreme_rays_match_fraction_double_description(m):
 
 
 def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
-    # every LP, from the basis it is given if any, double description and
-    # circuit basis the corpus analyses make
+    # every LP, from the basis it is given, double description and circuit
+    # basis the corpus analyses make
     from toricity import cli, core
     from _oracles import oracle_circuits
 
@@ -507,7 +547,7 @@ def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
     lp, rays = polyhedra.simplex_maximize, polyhedra.extreme_rays
     circuits = core.kernel_circuit_basis
 
-    def checked_lp(a, b, c, basis=None):
+    def checked_lp(a, b, c, basis):
         calls["simplex"] += 1
         result = lp(a, b, c, basis)
         if result != oracle_simplex_maximize(a, b, c, basis):
