@@ -13,6 +13,10 @@ file name.
 ``network --json`` and ``network --no-reduce --json`` on the multisite and
 cascade families and on the bench's ``screen`` networks, and ``analyze
 --json`` in the real-star and complex-star modes on each matrix model.  It
+pins the text renderer too: text ``network`` on the same networks and, with
+``--structure --acr --multistationarity``, on each bundled network; text
+``analyze`` in each mode on each matrix model, and once more with a
+``--kappa`` of the model's own length and ``--assume-no-boundary-zeros``.  It
 lives outside ``golden/``, whose file set ``test_golden_fixture_set`` pins.
 A change to ``bench/generators.screen`` must rewrite it.
 
@@ -34,6 +38,7 @@ import pytest
 
 from toricity import cli, core, polyring
 from toricity.cli import main
+from toricity.fileio import read_model
 
 from test_bench_contract import _load_bench
 from test_families import cascade, multisite
@@ -61,6 +66,10 @@ def _json_output(command: str, path: Path, *flags: str) -> str:
     payload = json.loads(_run(command, str(path), "--json", *flags))
     payload["model"] = path.name
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _text_output(command: str, path: Path, *flags: str) -> str:
+    return _run(command, str(path), *flags).replace(str(path), path.name)
 
 
 def golden_outputs(workdir: Path) -> dict[str, str]:
@@ -98,10 +107,21 @@ def output_digests(workdir: Path) -> dict[str, str]:
         path.write_text(text, encoding="utf-8")
         outputs[f"network {name}"] = _json_output("network", path)
         outputs[f"network --no-reduce {name}"] = _json_output("network", path, "--no-reduce")
+        outputs[f"text network {name}"] = _text_output("network", path)
+    every_line = ("--structure", "--acr", "--multistationarity")
+    for name in NETWORK_MODELS:
+        outputs[f"text network {' '.join(every_line)} {name}"] = _text_output(
+            "network", MODELS / name, *every_line)
     for name in MATRIX_MODELS:
         for mode in ("real-star", "complex-star"):
             outputs[f"analyze --mode {mode} {name}"] = _json_output("analyze", MODELS / name,
                                                                     "--mode", mode)
+        for mode in ("positive", "real-star", "complex-star"):
+            outputs[f"text analyze --mode {mode} {name}"] = _text_output(
+                "analyze", MODELS / name, "--mode", mode)
+        kappa = ",".join(str(k) for k in range(1, read_model(MODELS / name).system.m + 1))
+        outputs[f"text analyze --kappa {kappa} --assume-no-boundary-zeros {name}"] = \
+            _text_output("analyze", MODELS / name, "--kappa", kappa, "--assume-no-boundary-zeros")
     return {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for key, text in outputs.items()}
 
