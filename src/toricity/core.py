@@ -472,13 +472,6 @@ def injectivity_test(sys: VerticalSystem, inv: InvarianceResult) -> InjectivityR
     """
     if inv.d != sys.n - sys.s:
         raise ValueError("injectivity needs a full-dimensional invariance lattice")
-    if sys.s == 0:
-        # no equations: the zero set is the full torus, a single coset
-        det = SparsePolynomial(("al1",), {(0,): int_det(inv.A.to_lists())})
-        sign = sign_classify(det)
-        if sign in (SignVerdict.ALL_POSITIVE, SignVerdict.ALL_NEGATIVE):
-            return InjectivityResult(True, det, sign)
-        return InjectivityResult(False, det, sign, reason="degenerate lattice")
     mu = tuple(f"mu{j+1}" for j in range(sys.m))
     al = tuple(f"al{k+1}" for k in range(sys.n))
     # entry (i, k) is the sum over j of C_ij M_kj mu_j al_k, over nonzero products only

@@ -4,6 +4,12 @@ Parsing of reaction network text, stoichiometric and kinetic matrices under
 mass-action kinetics, conservation laws, removal of single-input
 intermediates, multistationarity and concentration-robustness tests, and
 linkage-class / deficiency structure.
+
+The parser reads the text in one pass.  One regular expression splits each
+statement into tokens, and a character outside the grammar is an error.  One
+loop then walks the statement's tokens, closed by an end token, keeping only
+what it expects next: a complex, a term after '+', a species name after a
+coefficient, or a '+', an arrow or the end after a complex's last term.
 """
 
 from __future__ import annotations
@@ -115,23 +121,20 @@ class ReactionNetwork:
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<rev><=>)|(?P<fwd>->)|(?P<plus>\+)|(?P<colon>:))")
+                    r"|(?P<rev><=>)|(?P<fwd>->)|(?P<plus>\+)|(?P<colon>:)|(?P<bad>\S))")
 
 
-def _tokenize(stmt: str, line_no: int, offset: int):
+def _tokenize(stmt: str, line_no: int, offset: int) -> list[tuple[str, str, int]]:
+    """The (kind, text, column) tokens of one statement; any character
+    outside the grammar is an error at the column where the whitespace
+    before it starts."""
     tokens = []
-    pos = 0
-    while pos < len(stmt):
-        m = _TOKEN.match(stmt, pos)
-        if m is None:
-            if stmt[pos:].strip() == "":
-                break
-            col = offset + pos + 1
-            raise NetworkParseError(f"unexpected character {stmt[pos:].strip()[0]!r}",
-                                    line_no, col)
+    for m in _TOKEN.finditer(stmt):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), offset + m.start(kind) + 1))
-        pos = m.end()
+        if kind == "bad":
+            raise NetworkParseError(f"unexpected character {m[kind]!r}",
+                                    line_no, offset + m.start() + 1)
+        tokens.append((kind, m[kind], offset + m.start(kind) + 1))
     return tokens
 
 
@@ -144,108 +147,73 @@ def parse_network(text: str) -> ReactionNetwork:
     ``species: A B C`` header fixes the order.  Reversible arrows expand to
     two reactions, forward first, with labels k1, k2, ... in parse order.
     """
-    species: list[str] = []
-    species_index: dict[str, int] = {}
+    species: dict[str, int] = {}
     fixed_order = False
-    complexes: list[dict[str, int]] = []
-    complex_index: dict[tuple, int] = {}
+    complexes: dict[tuple, int] = {}     # sorted (species, coefficient) pairs
     raw_reactions: list[tuple[int, int]] = []
-
-    def intern_species(name, line_no, col):
-        if name not in species_index:
-            if fixed_order:
-                raise NetworkParseError(f"species {name!r} not in the species header",
-                                        line_no, col)
-            species_index[name] = len(species)
-            species.append(name)
-        return species_index[name]
-
-    def intern_complex(content: dict[str, int]):
-        key = tuple(sorted(content.items()))
-        if key not in complex_index:
-            complex_index[key] = len(complexes)
-            complexes.append(content)
-        return complex_index[key]
-
-    statements = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        col = 0
-        for chunk in body.split(";"):
-            if chunk.strip():
-                statements.append((chunk, line_no, col))
-            col += len(chunk) + 1
-
-    first = True
-    for stmt, line_no, offset in statements:
-        tokens = _tokenize(stmt, line_no, offset)
-        if not tokens:
-            continue
-        if first and len(tokens) >= 2 and tokens[0][0] == "name" \
-                and tokens[0][1] == "species" and tokens[1][0] == "colon":
-            for kind, value, col in tokens[2:]:
-                if kind != "name":
-                    raise NetworkParseError("species header takes names only", line_no, col)
-                if value in species_index:
-                    raise NetworkParseError(f"duplicate species {value!r}", line_no, col)
-                species_index[value] = len(species)
-                species.append(value)
-            fixed_order = True
-            first = False
-            continue
-        first = False
-
-        # parse: complex (arrow complex)+
-        idx = 0
-
-        def parse_complex():
-            nonlocal idx
-            content: dict[str, int] = {}
-            if idx < len(tokens) and tokens[idx][0] == "int" and tokens[idx][1] == "0" \
-                    and (idx + 1 >= len(tokens) or tokens[idx + 1][0] in ("fwd", "rev")):
-                idx += 1
-                return content
-            while True:
-                coeff = 1
-                if idx < len(tokens) and tokens[idx][0] == "int":
-                    coeff = int(tokens[idx][1])
+        offset = 0
+        for stmt in line.split("#", 1)[0].split(";"):
+            tokens = _tokenize(stmt, line_no, offset) + [("end", "", offset + len(stmt))]
+            offset += len(stmt) + 1
+            if len(tokens) == 1:
+                continue
+            # every statement read so far left a species or the fixed order behind
+            first = not (species or fixed_order)
+            if first and tokens[0][1] == "species" and tokens[1][0] == "colon":
+                for kind, name, col in tokens[2:-1]:
+                    if kind != "name":
+                        raise NetworkParseError("species header takes names only", line_no, col)
+                    if name in species:
+                        raise NetworkParseError(f"duplicate species {name!r}", line_no, col)
+                    species[name] = len(species)
+                fixed_order = True
+                continue
+            # expect: "complex" at a complex's start, "term" after '+',
+            # "name" after a coefficient, "more" after a complex's last term
+            expect, content, coeff, left, arrow = "complex", {}, 1, None, None
+            for i, (kind, value, col) in enumerate(tokens):
+                if expect == "more" and kind == "plus":
+                    expect = "term"
+                elif expect == "more":
+                    right = complexes.setdefault(tuple(sorted(content.items())), len(complexes))
+                    if arrow is not None:
+                        if right == left:
+                            raise NetworkParseError("reaction endpoints must differ",
+                                                    line_no, arrow[1])
+                        raw_reactions.append((left, right))
+                        if arrow[0] == "rev":
+                            raw_reactions.append((right, left))
+                    left, content = right, {}
+                    if kind in ("fwd", "rev"):
+                        expect, arrow = "complex", (kind, col)
+                    elif kind != "end":
+                        raise NetworkParseError("expected '->' or '<=>'", line_no, col)
+                    elif arrow is None:
+                        raise NetworkParseError("statement has no reaction arrow", line_no,
+                                                tokens[0][2])
+                elif kind == "name":
+                    if value not in species:
+                        if fixed_order:
+                            raise NetworkParseError(
+                                f"species {value!r} not in the species header", line_no, col)
+                        species[value] = len(species)
+                    content[value] = content.get(value, 0) + coeff
+                    expect, coeff = "more", 1
+                elif kind != "int" or expect == "name":
+                    raise NetworkParseError("expected a species name", line_no, col)
+                elif expect == "complex" and value == "0" \
+                        and tokens[i + 1][0] in ("fwd", "rev", "end"):
+                    expect = "more"
+                else:
+                    coeff = int(value)
                     if coeff == 0:
-                        raise NetworkParseError("zero coefficient", line_no, tokens[idx][2])
-                    idx += 1
-                if idx >= len(tokens) or tokens[idx][0] != "name":
-                    where = tokens[idx][2] if idx < len(tokens) else offset + len(stmt)
-                    raise NetworkParseError("expected a species name", line_no, where)
-                name = tokens[idx][1]
-                intern_species(name, line_no, tokens[idx][2])
-                content[name] = content.get(name, 0) + coeff
-                idx += 1
-                if idx < len(tokens) and tokens[idx][0] == "plus":
-                    idx += 1
-                    continue
-                return content
-
-        left = intern_complex(parse_complex())
-        arrows = 0
-        while idx < len(tokens):
-            kind, _, col = tokens[idx]
-            if kind not in ("fwd", "rev"):
-                raise NetworkParseError("expected '->' or '<=>'", line_no, col)
-            idx += 1
-            right = intern_complex(parse_complex())
-            if right == left:
-                raise NetworkParseError("reaction endpoints must differ", line_no, col)
-            raw_reactions.append((left, right))
-            if kind == "rev":
-                raw_reactions.append((right, left))
-            left = right
-            arrows += 1
-        if arrows == 0:
-            raise NetworkParseError("statement has no reaction arrow", line_no,
-                                    tokens[0][2])
+                        raise NetworkParseError("zero coefficient", line_no, col)
+                    expect = "name"
 
     if not raw_reactions:
         raise NetworkParseError("no reactions found", 1, 1)
-    vecs = tuple(tuple(c.get(name, 0) for name in species) for c in complexes)
+    vecs = tuple(tuple(c.get(name, 0) for name in species) for c in map(dict, complexes))
     reactions = tuple((s, t, f"k{i+1}") for i, (s, t) in enumerate(raw_reactions))
     return ReactionNetwork(tuple(species), vecs, reactions)
 

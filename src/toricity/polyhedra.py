@@ -29,7 +29,6 @@ from .exactalg import (
     _integer_scaling,
     _primitive,
     int_det,
-    kernel_circuit_basis,
 )
 
 
@@ -167,17 +166,13 @@ def strictly_positive_kernel(m: RationalMatrix) -> PositiveKernelResult:
     return PositiveKernelResult(w)
 
 
-def positive_row_space(a: IntegerMatrix, kernel: IntegerMatrix | None = None) -> bool:
+def positive_row_space(a: IntegerMatrix, kernel: IntegerMatrix) -> bool:
     """Whether the row space of a meets the open positive orthant.
 
     A vector is in row(a) iff it is orthogonal to ker(a), so the question
-    reduces to a strictly positive kernel of a matrix whose rows span
-    ker(a).  A caller that holds such rows, as a system holds the integer
-    kernel of its scaling lattice, passes them as ``kernel``; otherwise the
-    circuit basis of ker(a) is taken.
+    reduces to a strictly positive kernel of ``kernel``, whose rows span
+    ker(a): a system passes the integer kernel of its scaling lattice.
     """
-    if kernel is None:
-        kernel = IntegerMatrix.with_width(kernel_circuit_basis(a).vectors, a.cols)
     if kernel.rows == 0:
         return a.cols > 0
     return not strictly_positive_kernel(kernel).is_empty

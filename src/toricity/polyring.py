@@ -378,18 +378,17 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     Subtracting from each top column r in R the top's P columns weighted by
     X[:, r] is a column operation that zeroes the bottom block on R, so
     Laplace expansion along the bottom rows keeps one term,
-    sign(R) det(top'[:, R]) det(A_P): one packed s x s expansion.  A
-    rank-deficient bottom block gives the zero polynomial.  There is no
-    size guard: the expansion raises ``DeterminantSizeError`` once the
-    minors it holds exceed ``_DET_TERM_BUDGET`` terms.
+    sign(R) det(top'[:, R]) det(A_P): one packed s x s expansion, which is
+    1 when there are no top rows.  A rank-deficient bottom block gives the
+    zero polynomial.  There is no size guard: the expansion raises
+    ``DeterminantSizeError`` once the minors it holds exceed
+    ``_DET_TERM_BUDGET`` terms.
     """
     s = len(rows)
     n = len(rows[0]) if s else bottom.cols
     d = bottom.rows
     if s + d != n or (d and bottom.cols != n):
         raise ValueError("stacked matrix is not square")
-    if s == 0:
-        raise ValueError("no symbolic rows to expand")
     variables = tuple(variables)
     echelon, pivots = bottom.integer_echelon()
     if len(pivots) < d:

@@ -53,11 +53,17 @@ The package keeps polynomials as read-only values.  Their ring arithmetic
 lives here, in ``RingPolynomial``: the polynomial determinant oracles expand
 by cofactors with it, and the tests spell their polynomials with it.
 ``evaluate`` gives a polynomial's value at a point.
+
+``oracle_parse_network`` is the reaction-network parser the package had
+before its one-pass token loop: it collects the statements first, tokenizes
+each with repeated ``match`` calls, and parses complexes through closures
+over a shared token index.
 ``stacked_det`` and ``polynomial_rows`` are not oracles: they convert a
 top block of ``SparsePolynomial``s to the integer rows ``det_stacked``
 takes and back, so the tests can state their matrices as polynomials.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
@@ -69,7 +75,7 @@ from toricity.core import (
     EmptyLocusError,
     NondegeneracyResult,
 )
-from toricity.crn import MultistationarityResult
+from toricity.crn import MultistationarityResult, NetworkParseError, ReactionNetwork
 from toricity.exactalg import RationalMatrix, int_det, random_rng
 from toricity.polyring import (
     DeterminantSizeError,
@@ -1154,3 +1160,142 @@ def oracle_siphon_supported_lp(mat, siphon) -> bool:
     rhs.append(1)
     status, _, _ = oracle_simplex_maximize(rows, rhs, [0] * nvars)
     return status == "optimal"
+
+
+# --- The reaction-network parser before its one-pass token loop --------------
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<rev><=>)|(?P<fwd>->)|(?P<plus>\+)|(?P<colon>:))")
+
+
+def _tokenize(stmt: str, line_no: int, offset: int):
+    tokens = []
+    pos = 0
+    while pos < len(stmt):
+        m = _TOKEN.match(stmt, pos)
+        if m is None:
+            if stmt[pos:].strip() == "":
+                break
+            col = offset + pos + 1
+            raise NetworkParseError(f"unexpected character {stmt[pos:].strip()[0]!r}",
+                                    line_no, col)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), offset + m.start(kind) + 1))
+        pos = m.end()
+    return tokens
+
+
+def oracle_parse_network(text: str) -> ReactionNetwork:
+    """Parse the one-statement-per-line / ';'-separated reaction grammar.
+
+    A statement is a chain ``complex (->|<=>) complex [...]``; a complex is
+    ``0`` or terms ``[coefficient] name`` joined by '+'.  '#' starts a
+    comment.  Species are ordered by first appearance unless an initial
+    ``species: A B C`` header fixes the order.  Reversible arrows expand to
+    two reactions, forward first, with labels k1, k2, ... in parse order.
+    """
+    species: list[str] = []
+    species_index: dict[str, int] = {}
+    fixed_order = False
+    complexes: list[dict[str, int]] = []
+    complex_index: dict[tuple, int] = {}
+    raw_reactions: list[tuple[int, int]] = []
+
+    def intern_species(name, line_no, col):
+        if name not in species_index:
+            if fixed_order:
+                raise NetworkParseError(f"species {name!r} not in the species header",
+                                        line_no, col)
+            species_index[name] = len(species)
+            species.append(name)
+        return species_index[name]
+
+    def intern_complex(content: dict[str, int]):
+        key = tuple(sorted(content.items()))
+        if key not in complex_index:
+            complex_index[key] = len(complexes)
+            complexes.append(content)
+        return complex_index[key]
+
+    statements = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        col = 0
+        for chunk in body.split(";"):
+            if chunk.strip():
+                statements.append((chunk, line_no, col))
+            col += len(chunk) + 1
+
+    first = True
+    for stmt, line_no, offset in statements:
+        tokens = _tokenize(stmt, line_no, offset)
+        if not tokens:
+            continue
+        if first and len(tokens) >= 2 and tokens[0][0] == "name" \
+                and tokens[0][1] == "species" and tokens[1][0] == "colon":
+            for kind, value, col in tokens[2:]:
+                if kind != "name":
+                    raise NetworkParseError("species header takes names only", line_no, col)
+                if value in species_index:
+                    raise NetworkParseError(f"duplicate species {value!r}", line_no, col)
+                species_index[value] = len(species)
+                species.append(value)
+            fixed_order = True
+            first = False
+            continue
+        first = False
+
+        # parse: complex (arrow complex)+
+        idx = 0
+
+        def parse_complex():
+            nonlocal idx
+            content: dict[str, int] = {}
+            if idx < len(tokens) and tokens[idx][0] == "int" and tokens[idx][1] == "0" \
+                    and (idx + 1 >= len(tokens) or tokens[idx + 1][0] in ("fwd", "rev")):
+                idx += 1
+                return content
+            while True:
+                coeff = 1
+                if idx < len(tokens) and tokens[idx][0] == "int":
+                    coeff = int(tokens[idx][1])
+                    if coeff == 0:
+                        raise NetworkParseError("zero coefficient", line_no, tokens[idx][2])
+                    idx += 1
+                if idx >= len(tokens) or tokens[idx][0] != "name":
+                    where = tokens[idx][2] if idx < len(tokens) else offset + len(stmt)
+                    raise NetworkParseError("expected a species name", line_no, where)
+                name = tokens[idx][1]
+                intern_species(name, line_no, tokens[idx][2])
+                content[name] = content.get(name, 0) + coeff
+                idx += 1
+                if idx < len(tokens) and tokens[idx][0] == "plus":
+                    idx += 1
+                    continue
+                return content
+
+        left = intern_complex(parse_complex())
+        arrows = 0
+        while idx < len(tokens):
+            kind, _, col = tokens[idx]
+            if kind not in ("fwd", "rev"):
+                raise NetworkParseError("expected '->' or '<=>'", line_no, col)
+            idx += 1
+            right = intern_complex(parse_complex())
+            if right == left:
+                raise NetworkParseError("reaction endpoints must differ", line_no, col)
+            raw_reactions.append((left, right))
+            if kind == "rev":
+                raw_reactions.append((right, left))
+            left = right
+            arrows += 1
+        if arrows == 0:
+            raise NetworkParseError("statement has no reaction arrow", line_no,
+                                    tokens[0][2])
+
+    if not raw_reactions:
+        raise NetworkParseError("no reactions found", 1, 1)
+    vecs = tuple(tuple(c.get(name, 0) for name in species) for c in complexes)
+    reactions = tuple((s, t, f"k{i+1}") for i, (s, t) in enumerate(raw_reactions))
+    return ReactionNetwork(tuple(species), vecs, reactions)

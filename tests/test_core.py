@@ -38,7 +38,7 @@ from toricity.core import (
     quasihomogeneity_weights,
     render_exchange,
 )
-from toricity.polyring import SignVerdict
+from toricity.polyring import SignVerdict, render
 
 from _oracles import (
     RingPolynomial,
@@ -758,6 +758,10 @@ def test_analyze_empty_equation_system():
     rep = analyze(sys_, seed=0)
     assert rep.verdict == Verdict.TORIC
     assert rep.d == sys_.n
+    # A is the identity, and the determinant of [no top rows; A] is det A = 1
+    assert rep.injectivity.toric
+    assert render(rep.injectivity.determinant) == "1"
+    assert rep.injectivity.sign == SignVerdict.ALL_POSITIVE
 
 
 @st.composite

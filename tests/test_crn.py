@@ -50,6 +50,7 @@ from _oracles import (
     oracle_closure,
     oracle_minimal_siphons,
     oracle_multistationarity_det,
+    oracle_parse_network,
     oracle_siphon_supported,
     oracle_siphon_supported_lp,
     oracle_walk,
@@ -57,6 +58,8 @@ from _oracles import (
     to_rational,
 )
 from test_families import cascade, multisite
+
+MODELS = Path(crn.__file__).parent / "data" / "models"
 
 IDH_TEXT = "X1 + X2 <=> X3 -> X1 + X4 ; X3 + X4 <=> X5 -> X2 + X3"
 
@@ -130,6 +133,90 @@ def test_parse_comment_and_errors():
         parse_network("A + ? -> B")
     with pytest.raises(NetworkParseError):
         parse_network("A")
+
+
+# Pieces of the grammar, and of what lies just outside it: Unicode digits,
+# stray arrow halves, every kind of line break and space, and characters no
+# token takes.
+_PIECES = ("A", "B", "X1", "_y", "S0", "species", "species:", "species :", "0", "00", "2", "10",
+           "\u0663", "\u0660", "\uff12", "->", "<=>", "<", "-", ">", "<=", "+", ":", ";", "#",
+           " ", "\t", "\n", "\r\n", "\u2028", "\u00a0", "\x1c", "\x0b", "?", "\u00e9", "=")
+_NAMES = ("A", "B", "C", "X1", "_y", "S0", "species")
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Statements built from complexes, arrows and separators, after a
+    species header now and then; each choice sometimes leaves the grammar."""
+    ws = st.sampled_from(("", " ", "  ", "\t", "\u00a0"))
+    statements = []
+    if draw(st.integers(0, 3)) == 0:
+        entries = draw(st.permutations(_NAMES))[draw(st.integers(0, 1)):]
+        if draw(st.integers(0, 3)) == 0:
+            entries.insert(draw(st.integers(0, len(entries))),
+                           draw(st.sampled_from(("A", "1", "+", "->", "\u0663"))))
+        statements.append(draw(st.sampled_from(("species:",) * 4 + ("species :", "species")))
+                          + " ".join(entries))
+    for _ in range(draw(st.integers(1, 4))):
+        parts = []
+        for k in range(draw(st.sampled_from((1,) + (2,) * 6 + (3,) * 4 + (4,) * 2))):
+            if k:
+                parts.append(draw(st.sampled_from(("->", "<=>") * 20 + ("-", "<", ">", "+", ":"))))
+            if draw(st.integers(0, 2)) == 0:  # repeats make reactions with equal ends
+                repeats = ("0", "A", "B", "2A", "A + B") * 4 + ("00", "\u0660A")
+                parts.append(draw(st.sampled_from(repeats)))
+                continue
+            coefficients = ("",) * 20 + ("2", "3 ", "10", "1", "\u0663") * 2 + ("0",)
+            terms = [draw(st.sampled_from(coefficients)) + draw(st.sampled_from(_NAMES))
+                     for _ in range(draw(st.integers(1, 3)))]
+            parts.append((draw(ws) + "+" + draw(ws)).join(terms))
+        statements.append("".join(draw(ws) + part + draw(ws) for part in parts))
+    separators = st.sampled_from((";", "\n", "\r\n", " # note\n", "\u2028", "\x1c", "\x0b"))
+    return statements[0] + "".join(draw(separators) + s for s in statements[1:])
+
+
+@st.composite
+def _mutations(draw, texts):
+    """A text of ``texts`` with a few pieces inserted, characters deleted or
+    characters replaced by pieces."""
+    chars = list(draw(texts))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars)))
+        piece = draw(st.sampled_from(_PIECES))
+        action = draw(st.sampled_from(("insert", "delete", "replace")))
+        if action == "insert" or at == len(chars):
+            chars.insert(at, piece)
+        elif action == "delete":
+            del chars[at]
+        else:
+            chars[at] = piece
+    return "".join(chars)
+
+
+_NETWORK_TEXTS = st.sampled_from(
+    [p.read_text(encoding="utf-8") for p in sorted(MODELS.glob("*.crn"))]
+    + [multisite(k) for k in range(1, 4)] + [cascade(k) for k in range(1, 3)])
+
+
+def _parse_outcome(parse, text):
+    try:
+        net = parse(text)
+    except NetworkParseError as exc:
+        return str(exc), exc.line, exc.column
+    return net.species, net.complexes, net.reactions
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds("".join, st.lists(st.sampled_from(_PIECES), max_size=16)),
+    st.builds(" ".join, st.lists(st.sampled_from(_PIECES), max_size=16)),
+    _grammar_texts(),
+    _mutations(_grammar_texts()),
+    _mutations(_NETWORK_TEXTS)))
+def test_parse_network_agrees_with_previous_parser(text):
+    """The one-pass parser gives the old parser's species, complexes and
+    reactions, or its error with the same message, line and column."""
+    assert _parse_outcome(parse_network, text) == _parse_outcome(oracle_parse_network, text)
 
 
 # -- matrices -----------------------------------------------------------------
@@ -761,9 +848,6 @@ def test_nondegeneracy_minor_sweep_past_six_equations():
 
 
 # -- the direct system's report-only facts on the reduced path ---------------
-
-MODELS = Path(crn.__file__).parent / "data" / "models"
-
 
 def _count_direct_facts(monkeypatch):
     """Count the calls of the two report-only stages that ``crn`` makes."""

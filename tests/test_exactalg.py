@@ -18,7 +18,6 @@ from toricity.exactalg import (
     left_kernel_basis,
     random_kernel_vector,
 )
-from toricity.polyhedra import positive_row_space
 from toricity.polyring import SparsePolynomial
 
 from _oracles import (
@@ -439,9 +438,6 @@ def test_integer_matrix_agrees_with_its_rational_copy(a, b):
     assert left_kernel_basis(a) == left_kernel_basis(q)
     for rhs in (b[: a.rows], mul_vector(a, b[: a.cols])):
         assert solve(a, rhs) == solve(q, rhs)
-    assert positive_row_space(a) == positive_row_space(q)
-    assert positive_row_space(a, kernel=integer_kernel_basis(a.transpose())) \
-        == positive_row_space(a)
     if a.cols > a.rows:
         vs = ("x", "y")
         top = [[SparsePolynomial(vs, {(i, j % 2): b[(i + j) % 6] or 1}) for j in range(a.cols)]

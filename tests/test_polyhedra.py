@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricity import GroupMode, analyze_network, parse_network, polyhedra
-from toricity.exactalg import IntegerMatrix, InternalInconsistencyError, RationalMatrix
+from toricity.exactalg import (
+    IntegerMatrix,
+    InternalInconsistencyError,
+    RationalMatrix,
+    integer_kernel_basis,
+)
 from toricity.polyhedra import (
     DimensionMismatchError,
     SupportSet,
@@ -224,11 +229,13 @@ def test_simplex_against_scipy_oracle():
 
 
 def test_positive_row_space_examples():
-    assert positive_row_space(IntegerMatrix([[2, 3]])) is True
-    assert positive_row_space(IntegerMatrix([[1, -1]])) is False
+    def positive(a):
+        return positive_row_space(a, kernel=integer_kernel_basis(a.transpose()))
+    assert positive(IntegerMatrix([[2, 3]])) is True
+    assert positive(IntegerMatrix([[1, -1]])) is False
     # the zero column blocks strict positivity here
     idh_a = IntegerMatrix([[1, 0, 1, 0, 1], [0, 1, 1, 0, 1]])
-    assert positive_row_space(idh_a) is False
+    assert positive(idh_a) is False
 
 
 def test_polytope_volume_square():
@@ -573,7 +580,7 @@ def test_corpus_kernel_calls_match_fraction_oracles(monkeypatch):
     monkeypatch.setattr(polyhedra, "simplex_maximize", checked_lp)
     for module in (polyhedra, core):
         monkeypatch.setattr(module, "extreme_rays", checked_rays)
-        monkeypatch.setattr(module, "kernel_circuit_basis", checked_circuits)
+    monkeypatch.setattr(core, "kernel_circuit_basis", checked_circuits)
     models = sorted((Path(cli.__file__).parent / "data" / "models").iterdir())
     assert len(models) == 8
     for path in models:

@@ -336,6 +336,14 @@ def test_det_stacked_singular_bottom(case):
     assert det_symbolic(full).is_zero()
 
 
+def test_det_stacked_empty_top():
+    """With no top rows the expansion is 1 and the determinant is the bottom's."""
+    vs = ("x",)
+    assert render(det_stacked([], [], vs, RationalMatrix([[2, 1], [Fraction(1, 2), 3]]))) == "11/2"
+    assert render(det_stacked([], [], vs, IntegerMatrix([[0, 1], [1, 0]]))) == "-1"
+    assert det_stacked([], [], vs, IntegerMatrix([[1, 2], [2, 4]])).is_zero()
+
+
 def test_det_stacked_monomial_columns_beyond_size_guard():
     # 15 monomial top rows over 3 constant rows: the multistationarity shape
     # of 5-site phosphorylation, which the symbolic size guard would refuse
