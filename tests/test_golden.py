@@ -17,7 +17,9 @@ pins the text renderer too: text ``network`` on the same networks and, with
 ``--structure --acr --multistationarity``, on each bundled network; text
 ``analyze`` in each mode on each matrix model, and once more with a
 ``--kappa`` of the model's own length and ``--assume-no-boundary-zeros``.  It
-lives outside ``golden/``, whose file set ``test_golden_fixture_set`` pins.
+pins the ``batch`` row of each digest network as well, from
+``cli.run_batch_model`` at the seed ``batch`` gives the file.  It lives
+outside ``golden/``, whose file set ``test_golden_fixture_set`` pins.
 A change to ``bench/generators.screen`` must rewrite it.
 
 To rewrite every expected output from the current code, after an output
@@ -108,6 +110,8 @@ def output_digests(workdir: Path) -> dict[str, str]:
         outputs[f"network {name}"] = _json_output("network", path)
         outputs[f"network --no-reduce {name}"] = _json_output("network", path, "--no-reduce")
         outputs[f"text network {name}"] = _text_output("network", path)
+        row = cli.run_batch_model(str(path), cli._model_seed(0, path.name), 0)
+        outputs[f"batch row {name}"] = json.dumps(row, indent=2, sort_keys=True) + "\n"
     every_line = ("--structure", "--acr", "--multistationarity")
     for name in NETWORK_MODELS:
         outputs[f"text network {' '.join(every_line)} {name}"] = _text_output(
