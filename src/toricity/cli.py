@@ -129,6 +129,20 @@ def render_report(report, label: str | None = None) -> str:
     return "\n".join(lines)
 
 
+def _past_digit_limit(exc: Exception) -> bool:
+    """Python converts no integer of more digits than its limit to or from
+    text, and says so in a plain ValueError.  The readers refuse longer
+    literals, so such an error comes from a number the analysis made."""
+    return isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit")
+
+
+def _error_text(exc: Exception) -> str:
+    if _past_digit_limit(exc):
+        return (f"a number in the analysis has more than {sys.get_int_max_str_digits()} "
+                "digits, too many to write as text")
+    return str(exc)
+
+
 def _read(path):
     """The model in ``path``, or the exit code of the error reading it,
     which is reported: a dimension mismatch or a parse error."""
@@ -173,7 +187,7 @@ def cmd_analyze(args) -> int:
     try:
         report = analyze(model.system, mode, args.seed, options)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DIMENSION
     if args.json:
         payload = report.to_dict()
@@ -327,8 +341,16 @@ def _model_row(path: Path, seed: int) -> dict:
         rep = result.report
         red = result.reduced_report
         source = red if (result.verdict_source == "reduced" and red) else rep
-        nondegenerate = rep.nondegenerate if rep.nondegenerate != "unknown" or red is None \
-            else red.nondegenerate
+        # On the reduced path the full report's value is "yes-for-all-positive"
+        # or "unknown", and the row falls back to the reduced value on
+        # "unknown", so a reduced certificate is the row's value: taking it
+        # first spares the full system's sweep.
+        if source is red and red.nondegenerate == "yes-for-all-positive":
+            nondegenerate = red.nondegenerate
+        elif rep.nondegenerate != "unknown" or red is None:
+            nondegenerate = rep.nondegenerate
+        else:
+            nondegenerate = red.nondegenerate
         inj = rep.injectivity or (red.injectivity if red else None)
         acr, multi = result.acr, result.multistationarity
     else:
@@ -382,7 +404,7 @@ def run_batch_model(path_str: str, seed: int, timeout: float) -> dict:
         # while the rows below are built.
         row = _blank_row(path.name, "timeout")
     except Exception as exc:  # recorded per model, batch keeps going
-        row = _blank_row(path.name, "error", str(exc))
+        row = _blank_row(path.name, "error", _error_text(exc))
     finally:
         signal.signal(signal.SIGALRM, old)
     return row
@@ -518,7 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        if not _past_digit_limit(exc):
+            raise
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
+        return EXIT_DIMENSION
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .exactalg import (
     CircuitBasis,
@@ -717,24 +718,29 @@ class ToricityReport:
     evidence: list[EvidenceRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    # A step that fills ``injectivity`` and ``nondegenerate`` the first time
-    # either is read (see ``defer``).  It is not a field: equality,
-    # ``replace``, ``asdict``, copies and pickles see the filled values.
-    _pending = None
+    # The steps that fill ``injectivity`` and ``nondegenerate``, each the
+    # first time its own field is read (see ``defer``).  They are not
+    # fields: equality, ``replace``, ``asdict``, copies and pickles see the
+    # filled values.
+    _pending = MappingProxyType({})
 
-    def defer(self, step):
-        """Fill ``injectivity`` and ``nondegenerate`` from ``step()`` when
-        either is first read, not now.  An exception from ``step`` reaches
-        that reader and leaves the step pending."""
-        self._pending = step
+    def defer(self, **steps):
+        """Fill each named field from its step, ``steps[name]()``, when that
+        field is first read, not now.  An exception from a step reaches that
+        reader and leaves that step pending."""
+        self._pending = steps
 
-    def _resolve(self):
-        if self._pending is not None:
-            self.injectivity, self.nondegenerate = self._pending()
-            del self._pending
+    def _resolve(self, name):
+        step = self._pending.get(name)
+        if step is not None:
+            setattr(self, name, step())
+            del self._pending[name]
+            if not self._pending:
+                del self._pending
 
     def __getstate__(self):
-        self._resolve()
+        for name in list(self._pending):
+            self._resolve(name)
         return self.__dict__
 
     def to_dict(self) -> dict:
@@ -787,7 +793,7 @@ def _filled_by_pending(name: str) -> property:
     key = "_" + name
 
     def read(self):
-        self._resolve()
+        self._resolve(name)
         return self.__dict__[key]
 
     def write(self, value):

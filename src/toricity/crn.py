@@ -15,6 +15,7 @@ coefficient, or a '+', an arrow or the end after a complex's last term.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import comb
@@ -206,7 +207,12 @@ def parse_network(text: str) -> ReactionNetwork:
                         and tokens[i + 1][0] in ("fwd", "rev", "end"):
                     expect = "more"
                 else:
-                    coeff = int(value)
+                    try:
+                        coeff = int(value)
+                    except ValueError:  # more digits than Python converts
+                        raise NetworkParseError(
+                            f"coefficient of {len(value)} digits exceeds the "
+                            f"{sys.get_int_max_str_digits()}-digit limit", line_no, col) from None
                     if coeff == 0:
                         raise NetworkParseError("zero coefficient", line_no, col)
                     expect = "name"
@@ -741,21 +747,24 @@ class NetworkAnalysis:
 _INJECTIVITY_ENRICHMENT_CAP = 20000
 
 
-def _direct_facts(sys_: VerticalSystem, inv: InvarianceResult):
-    """Injectivity and all-positive nondegeneracy of the full system, which
-    the reduced path records in its report but needs for no verdict."""
+def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult):
+    """The full system's injectivity, which the reduced path records in its
+    report but needs for no verdict."""
     if sys_.s > 12 or comb(sys_.n, sys_.s) > _INJECTIVITY_ENRICHMENT_CAP:
-        injectivity = InjectivityResult(False, reason="determinant too large")
-    else:
-        try:
-            injectivity = injectivity_test(sys_, inv)
-        except ValueError:
-            injectivity = None
-    nondegenerate = "unknown"
-    if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
-        if nondegeneracy_all_positive(sys_).status == "yes":
-            nondegenerate = "yes-for-all-positive"
-    return injectivity, nondegenerate
+        return InjectivityResult(False, reason="determinant too large")
+    try:
+        return injectivity_test(sys_, inv)
+    except ValueError:
+        return None
+
+
+def _direct_all_positive(sys_: VerticalSystem) -> str:
+    """The full system's all-positive nondegeneracy, a report-only field
+    like its injectivity."""
+    if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP \
+            and nondegeneracy_all_positive(sys_).status == "yes":
+        return "yes-for-all-positive"
+    return "unknown"
 
 
 _TRANSFERABLE = (Verdict.TORIC, Verdict.GENERICALLY_TORIC, Verdict.LOCALLY_TORIC,
@@ -784,7 +793,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
     first when reduction is enabled; a positive verdict transfers to the
     full network with the lifted invariance matrix; the full system's
     injectivity and all-positive nondegeneracy, which that verdict does not
-    need, are then computed when the report's fields are first read.
+    need, are then each computed when its report field is first read.
     Otherwise the full system is analyzed directly.  Robustness and
     multistationarity are evaluated against the final verdict.
     """
@@ -821,7 +830,8 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
                                 d=direct_inv.d if direct_inv else None,
                                 notes=["verdict obtained on the reduced network and lifted"])
         if direct_inv is not None and direct_inv.d == sys_.n - sys_.s:
-            report.defer(partial(_direct_facts, sys_, direct_inv))
+            report.defer(injectivity=partial(_direct_injectivity, sys_, direct_inv),
+                         nondegenerate=partial(_direct_all_positive, sys_))
     else:
         verdict_source = "direct"
         report = analyze(sys_, mode, seed, AnalyzeOptions(boundary=boundaries[0]))

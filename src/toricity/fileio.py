@@ -9,6 +9,7 @@ network text in the grammar of the parser.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -96,6 +97,15 @@ def load_matrix_model(data: dict) -> ModelInput:
     return ModelInput("matrix", system, None, N, mode)
 
 
+def _json_int(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # more digits than Python converts
+        raise ModelFormatError(
+            f"integer of {len(literal.lstrip('-'))} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit") from None
+
+
 def read_model(path: str | Path) -> ModelInput:
     path = Path(path)
     try:
@@ -105,7 +115,7 @@ def read_model(path: str | Path) -> ModelInput:
     stripped = text.lstrip()
     if path.suffix == ".json" or stripped.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):

@@ -434,53 +434,63 @@ def _trim(c):
     return c
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b, as ascending coefficient lists."""
-    a = _trim(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[i + shift] -= f * bc
-        a = _trim(a)
-    return q, a
-
-
 def _derivative(c):
     return [i * x for i, x in enumerate(c)][1:]
 
 
-def sturm_chain(coeffs):
-    p0 = _trim(coeffs)
-    p1 = _trim(_derivative(p0))
-    chain = [p0]
-    if p1:
-        chain.append(p1)
-    while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-x for x in rem])
-    return chain
+def _primitive(c: list[int]) -> list[int]:
+    """A nonzero integer list divided by the gcd of its entries."""
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
-def _eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive positive multiple of -(a mod b), or [] when b divides
+    a; ascending integer lists, len(a) >= len(b) > 1, ``a`` consumed.
+
+    Each step of the pseudo-division multiplies a by lc(b) before it
+    cancels a's leading term, so after k steps it holds lc(b)^k (a mod b)
+    (Collins' pseudo-remainder, whose k is at most deg a - deg b + 1).  The
+    sign of lc(b)^k is corrected, and the content divided out."""
+    lead, sign = b[-1], -1
+    while len(a) >= len(b):
+        top = a.pop()
+        shift = len(a) - len(b) + 1
+        a = [lead * x for x in a]
+        for i, y in enumerate(b[:-1]):
+            a[shift + i] -= top * y
+        while a and a[-1] == 0:
+            a.pop()
+        if lead < 0:
+            sign = -sign
+    return _primitive([sign * x for x in a]) if a else a
 
 
-def _sign_at(coeffs, point) -> int:
-    """Sign at a rational point, or at +inf / -inf."""
+def _sign_at(c: list[int], point) -> int:
+    """Sign of the integer polynomial at +inf, -inf or a Fraction a/b: the
+    homogeneous sum of c_i a^i b^(k-i), which is b^k c(a/b) with b > 0."""
     if point == "+inf":
-        return _sgn(coeffs[-1])
+        return _sgn(c[-1])
     if point == "-inf":
-        return _sgn(coeffs[-1]) * (-1 if (len(coeffs) - 1) % 2 else 1)
-    return _sgn(_eval(coeffs, point))
+        return _sgn(c[-1]) * (-1 if (len(c) - 1) % 2 else 1)
+    a, b = point.numerator, point.denominator
+    acc, scale = 0, 1
+    for x in reversed(c):
+        acc = acc * a + x * scale
+        scale *= b
+    return _sgn(acc)
+
+
+def _divide_root(c: list[int], point: Fraction) -> list[int]:
+    """c / (b x - a) for a root a/b of the integer polynomial c, with the
+    fraction in lowest terms; exact in integers by Gauss's lemma, and
+    1/b times c / (x - a/b)."""
+    a, b = point.numerator, point.denominator
+    q = [0] * (len(c) - 1)
+    carry = 0
+    for i in range(len(c) - 1, 0, -1):
+        carry = q[i - 1] = (c[i] + a * carry) // b
+    return q
 
 
 def _sgn(x) -> int:
@@ -502,23 +512,31 @@ def count_distinct_roots(coeffs, lower=None, upper=None) -> int:
     repeated roots ends in the gcd of the polynomial and its derivative, a
     factor of every member; it changes no sign change at a point where the
     polynomial is nonzero, so the chain counts distinct roots as it stands.
+
+    The chain is kept in integers: the polynomial is scaled to a primitive
+    integer one, and each later member is a primitive pseudo-remainder
+    (``_negated_remainder``), so every member is a positive multiple of
+    the member of the ``Fraction`` chain and has the same signs.
     """
     c = _trim([_frac(x) for x in coeffs])
     if not c:
         raise ZeroPolynomialError("zero polynomial")
-    if len(c) == 1 or (lower is not None and upper is not None
-                       and _frac(lower) >= _frac(upper)):
+    ends = [None if e is None else _frac(e) for e in (lower, upper)]
+    if len(c) == 1 or (None not in ends and ends[0] >= ends[1]):
         return 0
-    for endpoint in (lower, upper):
-        if endpoint is None:
-            continue
-        e = _frac(endpoint)
-        while len(c) > 1 and _eval(c, e) == 0:
-            c = _poly_divmod(c, [-e, Fraction(1)])[0]
-    if len(c) <= 1:
+    den = lcm(*(x.denominator for x in c))
+    p = _primitive([x.numerator * (den // x.denominator) for x in c])
+    for e in ends:
+        while e is not None and len(p) > 1 and _sign_at(p, e) == 0:
+            p = _divide_root(p, e)
+    if len(p) <= 1:
         return 0
-    chain = sturm_chain(c)
-    lo = "-inf" if lower is None else _frac(lower)
-    hi = "+inf" if upper is None else _frac(upper)
+    chain = [p, _primitive(_derivative(p))]
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2][:], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    lo = "-inf" if ends[0] is None else ends[0]
+    hi = "+inf" if ends[1] is None else ends[1]
     return _variations(chain, lo) - _variations(chain, hi)
-

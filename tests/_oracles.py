@@ -35,7 +35,9 @@ A x = b from the RREF of [A | b]; the coset-count oracle counts on the
 line through that solution along the circuit of ker A, by squarefree
 Descartes bisection, where the package counts on the line through the
 slice point along the integer kernel of A, with a Sturm chain of the
-polynomial itself.
+polynomial itself.  ``oracle_sturm_count`` is the package's count with the
+``Fraction`` Sturm chain (``sturm_chain``) that its primitive integer
+pseudo-remainder chain replaced.
 The row basis and the left kernel come from separate reductions of the
 matrix and of its transpose, where the package takes both from one
 elimination of [N | I], and the Hermite normal form from the repeated
@@ -1018,6 +1020,66 @@ def oracle_roots_between(coeffs, lo=None, hi=None) -> int:
 def oracle_positive_roots(coeffs) -> int:
     """Distinct roots in (0, inf)."""
     return oracle_roots_between(coeffs, 0)
+
+
+# --- the Fraction Sturm chain that the package's integer chain replaced ------
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def sturm_chain(coeffs):
+    """p, p' and each negated remainder after them, over Fractions, until a
+    remainder is zero or a member is constant."""
+    p0 = _trim(Fraction(c) for c in coeffs)
+    p1 = _trim(i * c for i, c in enumerate(p0))[1:]
+    chain = [p0]
+    if p1:
+        chain.append(p1)
+    while len(chain[-1]) > 1:
+        rem = _trim(_poly_divmod(chain[-2], chain[-1])[1])
+        if not rem:
+            break
+        chain.append([-x for x in rem])
+    return chain
+
+
+def _sturm_sign(coeffs, point) -> int:
+    if point == "+inf":
+        value = coeffs[-1]
+    elif point == "-inf":
+        value = coeffs[-1] * (-1) ** (len(coeffs) - 1)
+    else:
+        value = _poly_eval(coeffs, point)
+    return (value > 0) - (value < 0)
+
+
+def oracle_sturm_count(coeffs, lower=None, upper=None) -> int:
+    """``count_distinct_roots`` with its Sturm chain in Fractions: distinct
+    roots in the open interval, None for an infinite end, a root at a
+    finite end divided out first."""
+    c = _trim(Fraction(x) for x in coeffs)
+    if not c:
+        raise ValueError("zero polynomial")
+    if len(c) == 1 or (lower is not None and upper is not None
+                       and Fraction(lower) >= Fraction(upper)):
+        return 0
+    for end in (lower, upper):
+        while end is not None and len(c) > 1 and _poly_eval(c, Fraction(end)) == 0:
+            c = _poly_divmod(c, [-Fraction(end), Fraction(1)])[0]
+    if len(c) <= 1:
+        return 0
+    chain = sturm_chain(c)
+
+    def variations(point):
+        signs = [s for s in (_sturm_sign(p, point) for p in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return (variations("-inf" if lower is None else Fraction(lower))
+            - variations("+inf" if upper is None else Fraction(upper)))
 
 
 def oracle_count_cosets(h) -> int | None:

@@ -282,6 +282,108 @@ def test_network_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+DIGIT_LIMIT = sys.get_int_max_str_digits()  # Python's limit on int <-> text conversion
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="integer digits are unlimited")
+
+
+def _one_error_line(err: str) -> str:
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def _network_past_digit_limit(tmp_path):
+    """A network whose coefficient has more digits than Python converts."""
+    path = tmp_path / "huge.crn"
+    path.write_text("A <=> B\nB + " + "1" * (DIGIT_LIMIT + 700) + "A -> C\n", encoding="utf-8")
+    return path
+
+
+def _matrix_past_digit_limit(tmp_path):
+    """A matrix model with an integer entry of more digits than Python converts."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"C": [[1, -1]], "M": [[' + "1" * (DIGIT_LIMIT + 700) + ', 0], [0, 1]]}',
+                    encoding="utf-8")
+    return path
+
+
+def _network_outgrowing_digit_limit(tmp_path):
+    """Coefficients just under the limit, whose mixed volume has more digits."""
+    c = "1" * (DIGIT_LIMIT - 300)
+    path = tmp_path / "big.crn"
+    path.write_text(f"{c}A <=> B\n{c}B <=> A + C\n", encoding="utf-8")
+    return path
+
+
+@needs_digit_limit
+def test_network_coefficient_past_digit_limit_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "network", str(_network_past_digit_limit(tmp_path)))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (f"error: line 2, column 5: coefficient of {DIGIT_LIMIT + 700} "
+                                    f"digits exceeds the {DIGIT_LIMIT}-digit limit\n")
+
+
+@needs_digit_limit
+def test_analyze_entry_past_digit_limit_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "analyze", str(_matrix_past_digit_limit(tmp_path)))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (f"error: integer of {DIGIT_LIMIT + 700} digits exceeds the "
+                                    f"{DIGIT_LIMIT}-digit limit\n")
+
+
+def _matrix_outgrowing_digit_limit(tmp_path):
+    """The steady states of ``_network_outgrowing_digit_limit`` as a matrix model."""
+    c = int("1" * (DIGIT_LIMIT - 300))
+    rows = {"N": [[-c, c, 1, -1], [1, -1, -c, c], [0, 0, 1, -1]],
+            "M": [[c, 0, 0, 1], [0, 1, c, 0], [0, 0, 0, 1]]}
+    path = tmp_path / "big.json"
+    path.write_text("{" + ", ".join(f'"{key}": [' + ", ".join(
+        "[" + ", ".join(map(str, row)) + "]" for row in value) + "]"
+        for key, value in rows.items()) + "}", encoding="utf-8")
+    return path
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["network", "network --json", "export",
+                                     "analyze", "analyze --json"])
+def test_result_number_past_digit_limit_exits_3(tmp_path, capsys, command):
+    """Coefficients under the limit are read, and an analysis whose numbers
+    outgrow it ends in one error line, not a traceback."""
+    make = _matrix_outgrowing_digit_limit if "analyze" in command \
+        else _network_outgrowing_digit_limit
+    argv = command.split() + [str(make(tmp_path))]
+    if command == "export":
+        argv += ["--kappa", "1,1,1,1", "--out", str(tmp_path / "out.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert _one_error_line(err) == (f"error: a number in the analysis has more than "
+                                    f"{DIGIT_LIMIT} digits, too many to write as text\n")
+
+
+@needs_digit_limit
+def test_batch_rows_for_numbers_past_digit_limit(tmp_path, capsys):
+    d = tmp_path / "models"
+    d.mkdir()
+    for make in (_network_past_digit_limit, _matrix_past_digit_limit,
+                 _network_outgrowing_digit_limit):
+        make(d)
+    (d / "ok.crn").write_text("A <=> B", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "batch", str(d), "--report", str(report_path))
+    assert code == 0
+    rows = {row["model"]: row for row in json.loads(report_path.read_text())["models"]}
+    assert rows["ok.crn"]["verdict"] == "toric"
+    assert {name: (row["verdict"], row["error"].split(": ")[-1] if row["error"] else None)
+            for name, row in rows.items() if name != "ok.crn"} == {
+        "huge.crn": ("error", f"coefficient of {DIGIT_LIMIT + 700} digits exceeds the "
+                              f"{DIGIT_LIMIT}-digit limit"),
+        "huge.json": ("error", f"integer of {DIGIT_LIMIT + 700} digits exceeds the "
+                               f"{DIGIT_LIMIT}-digit limit"),
+        "big.crn": ("error", f"a number in the analysis has more than {DIGIT_LIMIT} digits, "
+                             "too many to write as text"),
+    }
+    assert rows["huge.crn"]["error"].startswith("line 2, column 5: ")
+
+
 GOLDEN_VERDICTS = {
     "homogeneous_surface.json": "not_locally_toric",
     "idh.crn": "toric",

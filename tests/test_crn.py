@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricity import cli, crn
+from toricity import cli, core, crn
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyhedra import strictly_positive_kernel
 from toricity.polyring import SignVerdict, sign_classify, term_count
@@ -875,15 +875,23 @@ def _eager_direct_facts(system):
                          [((MODELS / "idh.crn").read_text(), 1), (multisite(2), 0)],
                          ids=["idh", "multisite_2"])
 def test_direct_facts_computed_when_read(monkeypatch, text, all_positive_calls):
+    """Each deferred field runs its own step on its first read, and only it."""
     calls = _count_direct_facts(monkeypatch)
     res = analyze_network(parse_network(text), seed=0)
     assert res.verdict_source == "reduced"
     assert calls == Counter()
-    expected = Counter(injectivity_test=1, nondegeneracy_all_positive=all_positive_calls)
-    for read in (lambda r: r.nondegenerate, lambda r: r.injectivity, ToricityReport.to_dict,
-                 lambda r: r.nondegenerate, ToricityReport.to_dict):
+    nondegenerate = Counter(nondegeneracy_all_positive=all_positive_calls)
+    both = nondegenerate + Counter(injectivity_test=1)
+    for read, expected in ((lambda r: r.nondegenerate, nondegenerate),
+                           (lambda r: r.nondegenerate, nondegenerate),
+                           (lambda r: r.injectivity, both),
+                           (ToricityReport.to_dict, both),
+                           (lambda r: r.nondegenerate, both)):
         read(res.report)
         assert +calls == +expected
+    res = analyze_network(parse_network(text), seed=0)
+    res.report.injectivity
+    assert +calls == +(both + Counter(injectivity_test=1))
 
 
 @pytest.mark.parametrize("text", [multisite(k) for k in range(1, 5)]
@@ -908,21 +916,50 @@ def test_direct_facts_copy_resolved(roundtrip):
 
 
 def test_direct_facts_stay_pending_after_error(monkeypatch):
-    stage = crn.injectivity_test
-    failures = []
+    """A failing step reaches its reader and leaves only its own field
+    pending; the other field fills and reads as usual."""
+    for name, failing, other in (("injectivity_test", "injectivity", "nondegenerate"),
+                                 ("nondegeneracy_all_positive", "nondegenerate", "injectivity")):
+        with monkeypatch.context() as patch:
+            calls = _count_direct_facts(patch)
+            stage = getattr(crn, name)
+            failures = []
 
-    def failing_once(*args):
-        if not failures:
-            failures.append(args)
-            raise RuntimeError("interrupted")
-        return stage(*args)
-    monkeypatch.setattr(crn, "injectivity_test", failing_once)
-    res = analyze_network(parse_network(IDH_TEXT), seed=0)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        res.report.nondegenerate
-    assert res.report.injectivity.toric
-    assert res.report.nondegenerate == "yes-for-all-positive"
-    assert len(failures) == 1
+            def failing_once(*args, _stage=stage, _failures=failures):
+                if not _failures:
+                    _failures.append(args)
+                    raise RuntimeError("interrupted")
+                return _stage(*args)
+            patch.setattr(crn, name, failing_once)
+            res = analyze_network(parse_network(IDH_TEXT), seed=0)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                getattr(res.report, failing)
+            assert set(res.report._pending) == {"injectivity", "nondegenerate"}
+            getattr(res.report, other)
+            assert set(res.report._pending) == {failing}
+            assert res.report.injectivity.toric
+            assert res.report.nondegenerate == "yes-for-all-positive"
+            assert "_pending" not in vars(res.report)
+            assert len(failures) == 1 and sum(calls.values()) == 2
+
+
+@pytest.mark.parametrize("name", ["idh.crn", "shinar_feinberg.crn"])
+def test_batch_row_takes_all_positive_from_reduced_report(monkeypatch, name):
+    """On the reduced path the row reads "yes-for-all-positive" off the
+    reduced report, so the full system's sweep never runs; the full
+    system's injectivity still does."""
+    swept = []
+    for module in (core, crn):
+        def recording(system, _stage=module.nondegeneracy_all_positive):
+            swept.append(system.variables)
+            return _stage(system)
+        monkeypatch.setattr(module, "nondegeneracy_all_positive", recording)
+    calls = _count_direct_facts(monkeypatch)
+    row = cli.run_batch_model(str(MODELS / name), cli._model_seed(0, name), 0)
+    species = parse_network((MODELS / name).read_text()).species
+    assert row["nondegenerate"] == "yes-for-all-positive" and row["injectivity"] is not None
+    assert swept and species not in swept
+    assert calls == Counter(injectivity_test=1)
 
 
 def test_batch_timeout_inside_direct_facts(monkeypatch):

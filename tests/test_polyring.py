@@ -2,13 +2,14 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricity.exactalg import IntegerMatrix, RationalMatrix
+from toricity import polyring
 from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
@@ -30,7 +31,9 @@ from _oracles import (
     oracle_det_stacked,
     oracle_positive_roots,
     oracle_roots_between,
+    oracle_sturm_count,
     stacked_det,
+    sturm_chain,
 )
 
 
@@ -565,6 +568,55 @@ def test_sturm_without_squarefree_part_matches_bisection(case):
     either end included, counts what squarefree Descartes bisection does."""
     coeffs, lower, upper = case
     assert count_distinct_roots(coeffs, lower, upper) == oracle_roots_between(coeffs, lower, upper)
+
+
+_BIG = st.builds(Fraction, st.integers(-(1 << 120), 1 << 120), st.integers(1, 1 << 40))
+
+
+@st.composite
+def _sturm_cases(draw):
+    """A polynomial with rational coefficients of up to 120 bits times
+    powers of linear factors with rational roots, and two ends, each
+    infinite, one of those roots or another rational, in either order."""
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=7), max_size=4))
+    coeffs = draw(st.lists(st.one_of(_BIG, st.integers(-4, 4).map(Fraction)), max_size=4))
+    coeffs.append(draw(_BIG.filter(bool)))
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):  # times x - r
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    end = st.one_of(st.none(), st.fractions(-6, 6, max_denominator=9),
+                    *([st.sampled_from(roots)] if roots else []))
+    lower, upper = draw(end), draw(end)
+    return (coeffs, upper, lower) if draw(st.booleans()) else (coeffs, lower, upper)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sturm_cases())
+def test_integer_sturm_count_matches_fraction_chain(case):
+    """The integer chain counts what the ``Fraction`` chain counts: repeated
+    roots, roots on an end, rational and infinite ends, lower >= upper."""
+    coeffs, lower, upper = case
+    assert count_distinct_roots(coeffs, lower, upper) == oracle_sturm_count(coeffs, lower, upper)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=2, max_size=8).filter(lambda c: c[-1]))
+def test_integer_sturm_chain_is_a_positive_multiple(coeffs):
+    """Each member of the integer chain is primitive and a positive multiple
+    of the member of the ``Fraction`` chain, which has the same length."""
+    p = polyring._primitive(coeffs)
+    chain = [p, polyring._primitive(polyring._derivative(p))]
+    while len(chain[-1]) > 1:
+        rem = polyring._negated_remainder(chain[-2][:], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    expected = sturm_chain(coeffs)
+    assert len(chain) == len(expected)
+    for member, fraction_member in zip(chain, expected):
+        assert len(member) == len(fraction_member) and gcd(*member) == 1
+        ratio = Fraction(member[-1]) / fraction_member[-1]
+        assert ratio > 0 and [ratio * x for x in fraction_member] == member
 
 
 def test_render_canonical():
