@@ -396,6 +396,7 @@ def run_batch_model(path_str: str, seed: int, timeout: float) -> dict:
         signal.setitimer(signal.ITIMER_REAL, timeout)
         try:
             row = _model_row(path, seed)
+            json.dumps(row)  # a number too long to write fails here, as this model's error
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     except TimeoutError:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from sys import get_int_max_str_digits
 from types import MappingProxyType
 
 from .exactalg import (
@@ -41,6 +42,7 @@ from .polyhedra import (
     positive_row_space,
 )
 from .polyring import (
+    DET_SIZE_LIMIT,
     DeterminantSizeError,
     SignVerdict,
     SparsePolynomial,
@@ -350,15 +352,47 @@ class NondegeneracyResult:
 _NONDEG_MINOR_CAP = 5000
 
 
+def _term_rank(pattern) -> int:
+    """Size of a largest matching of rows to columns, each row given as the
+    columns of its nonzero entries (Kuhn's augmenting paths)."""
+    owner = {}  # column -> row matched to it
+
+    def augment(i, seen):
+        for k in pattern[i]:
+            if k not in seen:
+                seen.add(k)
+                if k not in owner or augment(owner[k], seen):
+                    owner[k] = i
+                    return True
+        return False
+    return sum(augment(i, set()) for i in range(len(pattern)))
+
+
+def _pencil_rank_deficient(rows, n: int) -> bool:
+    """Whether one of two exact certificates shows that the s x n pencil,
+    entry (i, k) the coefficients of its lam_t, has rank below s for every
+    lam.  Term rank: no matching of all s rows to columns over the nonzero
+    entries, so every Leibniz term of every s x s minor has a zero factor.
+    Stacked rank: the generators' Jacobians stacked vertically have rank
+    below s, and every matrix of the pencil has its rows in their span."""
+    s = len(rows)
+    if _term_rank([[k for k, entry in enumerate(row) if any(entry)] for row in rows]) < s:
+        return True
+    stacked = [[entry[t] for entry in row] for row in rows for t in range(len(row[0]))]
+    return IntegerMatrix.with_width(stacked, n).rank() < s
+
+
 def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     """Whether C diag(w) M^T reaches rank s for some kernel vector w.
 
     Up to eleven random kernel vectors are tried.  When the first falls
-    short, one sweep of the s x s minors, if affordable, runs up to the
-    first nonzero one: none means the rank over the function field of
-    kernel coordinates is below s.  If the other ten fall short too, a
-    witness is drawn from the columns of that minor, or without one it is
-    'undetermined'.
+    short and a sweep of the s x s minors is affordable, the Jacobian
+    pencil over the circuits is tested first: a term rank or a stacked
+    rank below s proves the rank below s for every kernel vector.  Else one
+    sweep runs up to the first nonzero minor: none means the rank over the
+    function field of kernel coordinates is below s.  If the other ten
+    vectors fall short too, a witness is drawn from the columns of that
+    minor, or without one it is 'undetermined'.
     """
     basis = sys.circuits
     if len(basis) == 0:
@@ -370,8 +404,11 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
         if IntegerMatrix.with_width(_integer_jacobian(sys, w), sys.n).rank() == sys.s:
             return NondegeneracyResult("yes", tuple(Fraction(x, den) for x in w))
         if attempt == 0 and comb(sys.n, sys.s) <= _NONDEG_MINOR_CAP:
+            rows, scales = _jacobian_pencil(sys, basis.vectors)
+            if sys.s <= DET_SIZE_LIMIT and _pencil_rank_deficient(rows, sys.n):
+                return NondegeneracyResult("no")
             lam = tuple(f"l{k+1}" for k in range(len(basis)))
-            minors = minor_sweep(*_jacobian_pencil(sys, basis.vectors), lam)
+            minors = minor_sweep(rows, scales, lam)
             try:
                 columns = next((cols for cols, det in minors if not det.is_zero()), None)
             except DeterminantSizeError:
@@ -820,6 +857,15 @@ def _coset_supports(sys: VerticalSystem, inv: InvarianceResult) -> list[SupportS
     return supports
 
 
+def _number_text(k: int) -> str:
+    """k >= 0 in decimal, or, past the number of digits Python writes as
+    text, where ``str`` would raise, a text that names that limit."""
+    limit = get_int_max_str_digits()
+    if limit and k >= 10 ** limit:
+        return f"a number of more than {limit} digits"
+    return str(k)
+
+
 def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int = 0,
             options: AnalyzeOptions | None = None) -> ToricityReport:
     """Full decision pipeline over the chosen scalar group.
@@ -899,13 +945,14 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
 
     inj = rep.injectivity = injectivity_test(sys, inv)
     log("injectivity", "toric" if inj.toric else f"inconclusive ({inj.reason})")
-    mv = None
+    mv = bound = None
     if not inj.toric and sys.n > MIXED_VOLUME_MAX_DIM:
         log("mixed_volume", "skipped (dimension)")
     elif not inj.toric:
         try:
             mv = rep.mixed_volume_bound = mixed_volume(_coset_supports(sys, inv))
-            log("mixed_volume", str(mv))
+            bound = _number_text(mv)
+            log("mixed_volume", bound)
         except VolumeBudgetError:
             log("mixed_volume", "skipped (budget)")
     # after a toric injectivity the stage only enriches the report, so a cap applies
@@ -924,7 +971,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
             return settle(Verdict.GENERICALLY_TORIC, "generically toric: root-count bound is one")
         return settle(Verdict.GENERICALLY_LOCALLY_TORIC,
                       "generically locally toric; no root-count bound computed" if mv is None
-                      else f"generically locally toric with generically at most {mv} cosets")
+                      else f"generically locally toric with generically at most {bound} cosets")
     if mv == 1:
         return settle(Verdict.TORIC, "toric: single coset forced by the root-count bound, "
                                      "valid for every positive parameter value")
@@ -941,7 +988,7 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
         log("coset_count", f"skipped (s={sys.s}; exact count needs one equation)")
     if not countable or sys.s != 1:
         return settle(Verdict.LOCALLY_TORIC, f"locally toric with a constant number of cosets, "
-                                             f"at most {mv if mv is not None else 'unknown'}")
+                                             f"at most {bound or 'unknown'}")
     kappa = opts.kappa
     if kappa is None:
         rng = random_rng(seed ^ 0xC0FFEE)

@@ -36,6 +36,19 @@ class ModelInput:
     mode: GroupMode
 
 
+_SHOWN = 24  # characters of a long bad entry that its error repeats
+
+
+def _shown(value) -> str:
+    """A bad entry as its error names it: whole when short, else its first
+    characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _SHOWN:
+        return repr(value)
+    head = repr(text[:_SHOWN]) if isinstance(value, str) else text[:_SHOWN]
+    return f"{head}... ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
         raise ModelFormatError(f"not a rational: {value!r}")
@@ -45,8 +58,11 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ModelFormatError(f"not a rational: {value!r}") from exc
-    raise ModelFormatError(f"not a rational: {value!r}")
+            if str(exc).startswith("Exceeds the limit"):  # more digits than Python converts
+                raise ModelFormatError(f"entry {_shown(value)} exceeds the "
+                                       f"{sys.get_int_max_str_digits()}-digit limit") from None
+            raise ModelFormatError(f"not a rational: {_shown(value)}") from exc
+    raise ModelFormatError(f"not a rational: {_shown(value)}")
 
 
 def _matrix(data: dict, key: str, make):

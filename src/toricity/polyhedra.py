@@ -6,7 +6,10 @@ method on primitive integer rays, exact volumes of lattice polytopes, and
 mixed volumes of Newton polytopes, both from exact placing triangulations:
 a polytope's volume from a triangulation of its points, the mixed volume
 from the mixed cells of one triangulation of the Cayley configuration of
-the supports.  Every input arrives in integers: a matrix's rows are read as
+the supports.  Before that triangulation the mixed volume takes out every
+support that spans a segment, as a factor of its lattice length and a
+unimodular projection of the others along it, so only what is left is
+triangulated.  Every input arrives in integers: a matrix's rows are read as
 the integers it keeps for them, the LP takes integer rows, right-hand side
 and costs, and circuits are integer vectors.  The positive-kernel LP is
 built on a matrix's kept integer echelon rows, whose pivot columns give it
@@ -375,18 +378,67 @@ def polytope_volume(support) -> Fraction:
     return Fraction(total, factorial(len(pts[0])))
 
 
+def _quotient_rows(u):
+    """Rows 2..n of a unimodular integer matrix U with U u = e_1, for a
+    primitive u: they map Z^n onto Z^n / Z u, identified with Z^(n-1).
+    Each unimodular 2 x 2 step (x, y; -b/g, a/g), x a + y b = g = gcd(a, b),
+    clears one entry of u from the last one up."""
+    n = len(u)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = list(u)
+    for i in range(n - 1, 0, -1):
+        a, b = v[i - 1], v[i]
+        if b:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            x = pow(a, -1, abs(b))  # Bezout: x a + y b = 1
+            y = (1 - x * a) // b
+            r, t = rows[i - 1], rows[i]
+            rows[i - 1] = [x * p + y * q for p, q in zip(r, t)]
+            rows[i] = [a * q - b * p for p, q in zip(r, t)]
+            v[i - 1], v[i] = g, 0
+    return rows[1:]
+
+
+def _segment(points):
+    """(lattice length, primitive direction) when the sorted points, two or
+    more, lie on one line, else None.  Points on a line sort along it, so
+    the first and the last are the segment's ends."""
+    first, last = points[0], points[-1]
+    d = [b - a for a, b in zip(first, last)]
+    g = gcd(*d)
+    u = [x // g for x in d]
+    k = next(i for i, x in enumerate(u) if x)
+    for p in points[1:-1]:
+        t = (p[k] - first[k]) // u[k]
+        if any(x - a != t * y for x, a, y in zip(p, first, u)):
+            return None
+    return g, u
+
+
 def mixed_volume(supports) -> int:
     """Normalized mixed volume of n lattice supports in Z^n.
 
-    Sums the mixed cells of one placing triangulation of the Cayley
-    configuration {(p, e_i) : p in P_i} in Z^(2n-1), with e_0 = 0 and unit
-    vectors e_1..e_(n-1).  Every triangulation of it induces a fine mixed
-    subdivision of P_1 + ... + P_n (Huber, Rambau & Santos 2000), whose mixed
-    cells are its simplices with exactly two points from every support; a
-    cell with edges b_i1 - b_i0 has volume |det(b_i1 - b_i0)|, and the cells
-    add up to the mixed volume (Huber & Sturmfels 1995).  The normalization
-    is the root-count convention, i.e. n! times the classical mixed volume,
-    an integer for lattice polytopes.
+    Segments go first.  A support with one point gives 0.  A support whose
+    points lie on one line, a segment of lattice length g along the
+    primitive u, contributes the factor g: the mixed volume is g times that
+    of the other supports projected to Z^n / Z u, by a unimodular matrix
+    mapping u to e_1 and dropping the first coordinate.  In the monomial
+    coordinates of that matrix the segment's binomial has g roots in y_1,
+    and each leaves a system in y_2..y_n with the projected supports, so
+    the root counts multiply (Bernstein 1975).  A single support left in
+    dimension 1 gives its lattice length.
+
+    What is left is summed over the mixed cells of one placing
+    triangulation of the Cayley configuration {(p, e_i) : p in P_i} in
+    Z^(2n-1), with e_0 = 0 and unit vectors e_1..e_(n-1).  Every
+    triangulation of it induces a fine mixed subdivision of
+    P_1 + ... + P_n (Huber, Rambau & Santos 2000), whose mixed cells are
+    its simplices with exactly two points from every support; a cell with
+    edges b_i1 - b_i0 has volume |det(b_i1 - b_i0)|, and the cells add up
+    to the mixed volume (Huber & Sturmfels 1995).  The normalization is the
+    root-count convention, i.e. n! times the classical mixed volume, an
+    integer for lattice polytopes.
     """
     supports = [s if isinstance(s, SupportSet) else SupportSet(tuple(s)) for s in supports]
     if not supports:
@@ -396,8 +448,25 @@ def mixed_volume(supports) -> int:
         raise DimensionMismatchError(
             f"need exactly {n} supports in ambient dimension {n}"
         )
+    factor = 1
+    supports = [s.points for s in supports]
+    while True:
+        if any(len(pts) == 1 for pts in supports):
+            return 0
+        if n == 1:
+            return factor * (supports[0][-1][0] - supports[0][0][0])
+        segment = next(((i, seg) for i, pts in enumerate(supports)
+                        if (seg := _segment(pts))), None)
+        if segment is None:
+            break
+        i, (g, u) = segment
+        factor *= g
+        rows = _quotient_rows(u)
+        supports = [sorted({tuple(sum(map(mul, r, p)) for r in rows) for p in pts})
+                    for k, pts in enumerate(supports) if k != i]
+        n -= 1
     lifts = [tuple(int(j == i) for j in range(1, n)) for i in range(n)]
-    cayley = [p + lift for s, lift in zip(supports, lifts) for p in s.points]
+    cayley = [p + lift for pts, lift in zip(supports, lifts) for p in pts]
     total = 0
     for simplex in _placing_triangulation(cayley) or ():
         # group the vertices by their support, read off the lift coordinates
@@ -408,4 +477,4 @@ def mixed_volume(supports) -> int:
             total += abs(int_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()]))
     if total.denominator != 1 or total < 0:
         raise InternalInconsistencyError(f"mixed volume {total} is not a nonnegative integer")
-    return int(total)
+    return factor * int(total)

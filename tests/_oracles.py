@@ -7,7 +7,10 @@ interval bisection.  Stacked determinants use the column-subset Laplace
 sweep that the package's basis-enumerating kernel replaced.  Mixed volumes
 use the inclusion-exclusion over LP-pruned Minkowski sums that the
 package's Cayley triangulation replaced; it shares only the package's
-integer determinant.  Minimal siphons use the sweep over all species
+integer determinant.  ``oracle_mixed_volume`` is the package's mixed
+volume before it took out segments: the mixed cells of one placing
+triangulation, the package's own, of the whole Cayley configuration.
+Minimal siphons use the sweep over all species
 subsets that the package's closure branching replaced, and reachability in
 the reaction graph uses Warshall's transitive closure in place of the
 package's depth-first walks.  Siphon support is decided two ways, each with
@@ -79,6 +82,7 @@ from toricity.core import (
 )
 from toricity.crn import MultistationarityResult, NetworkParseError, ReactionNetwork
 from toricity.exactalg import RationalMatrix, int_det, random_rng
+from toricity.polyhedra import _placing_triangulation
 from toricity.polyring import (
     DeterminantSizeError,
     SignVerdict,
@@ -865,7 +869,7 @@ def oracle_minkowski_hull(a, b):
     return _vertices(pts)
 
 
-def oracle_mixed_volume(supports) -> int:
+def oracle_inclusion_exclusion_mixed_volume(supports) -> int:
     """n! times the mixed volume of n supports in Z^n, by inclusion-exclusion:
     the sum over nonempty subsets S of (-1)^(n-|S|) vol(sum of P_i, i in S)."""
     supports = [sorted(set(map(tuple, s))) for s in supports]
@@ -879,6 +883,25 @@ def oracle_mixed_volume(supports) -> int:
             total += (-1) ** (n - size) * oracle_polytope_volume(acc)
     assert total.denominator == 1 and total >= 0, total
     return int(total)
+
+
+def oracle_mixed_volume(supports) -> int:
+    """n! times the mixed volume of n supports in Z^n from the mixed cells
+    of one placing triangulation of their whole Cayley configuration, with
+    no segment taken out first: the package's mixed volume before its
+    segment reduction."""
+    supports = [sorted(set(map(tuple, s))) for s in supports]
+    n = len(supports)
+    lifts = [tuple(int(j == i) for j in range(1, n)) for i in range(n)]
+    cayley = [p + lift for pts, lift in zip(supports, lifts) for p in pts]
+    total = 0
+    for simplex in _placing_triangulation(cayley) or ():
+        pairs = {}
+        for q in simplex:
+            pairs.setdefault(q[n:], []).append(q[:n])
+        if all(len(pair) == 2 for pair in pairs.values()):
+            total += abs(int_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()]))
+    return total
 
 
 # --- Descartes-style interval bisection root counting (exact) ---------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from toricity import analyze_network, parse_network
 from toricity.cli import main
 from toricity.core import GroupMode
 from toricity.exactalg import IntegerMatrix, RationalMatrix
@@ -328,6 +329,35 @@ def test_analyze_entry_past_digit_limit_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert _one_error_line(err) == (f"error: integer of {DIGIT_LIMIT + 700} digits exceeds the "
                                     f"{DIGIT_LIMIT}-digit limit\n")
+
+
+@needs_digit_limit
+def test_analyze_string_entry_past_digit_limit_exits_2(tmp_path, capsys):
+    """A rational entry written as a string of more digits than Python
+    converts names the limit and shows only the entry's start and length."""
+    path = tmp_path / "huge_string.json"
+    path.write_text('{"C": [["' + "1" * (DIGIT_LIMIT + 700) + '", -1]], "M": [[1, 0], [0, 1]]}',
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (f"error: bad matrix 'C': entry '{'1' * 24}'... "
+                                    f"({DIGIT_LIMIT + 700} characters) exceeds the "
+                                    f"{DIGIT_LIMIT}-digit limit\n")
+
+
+@needs_digit_limit
+def test_analysis_names_a_mixed_volume_past_digit_limit():
+    """The library writes a mixed volume past the limit into its evidence
+    and notes as a text naming the limit, where ``str`` would raise; the
+    CLI, which prints the number itself, still exits 3 (above)."""
+    c = "1" * (DIGIT_LIMIT - 300)
+    analysis = analyze_network(parse_network(f"{c}A <=> B\n{c}B <=> A + C\n"),
+                               GroupMode.POSITIVE, 0)
+    report = analysis.report
+    assert report.mixed_volume_bound >= 10 ** DIGIT_LIMIT
+    text = f"a number of more than {DIGIT_LIMIT} digits"
+    assert ("mixed_volume", text) in [(e.test, e.outcome) for e in report.evidence]
+    assert report.notes == [f"locally toric with a constant number of cosets, at most {text}"]
 
 
 def _matrix_outgrowing_digit_limit(tmp_path):

@@ -10,6 +10,8 @@ the oracles in ``_oracles.py``: eleven random vectors first, then one
 """
 
 import importlib.util
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -31,6 +33,7 @@ from toricity.fileio import read_model
 from toricity.polyring import DeterminantSizeError, SparsePolynomial, det_symbolic, minor_sweep
 
 import _oracles
+from test_polyhedra import _screen_pass
 from _oracles import oracle_all_positive, oracle_nondegeneracy, oracle_scaled_jacobian
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +43,10 @@ REFUTED = ([[1, -1]], [[1, 1]])
 # M of rank one with columns of different lengths: every entry of the
 # Jacobian is nonzero, every 2 x 2 minor vanishes
 RANK_ONE = ([[1, -1, 0, 0], [0, 0, 1, -1]], [[1, 2, 1, 2], [1, 2, 1, 2], [1, 2, 1, 2]])
+# degenerate, with a Jacobian pencil of term rank 3 and stacked rank 3:
+# only the minor sweep shows that every 3 x 3 minor vanishes
+UNCERTIFIED = ([[0, 0, 2, 2, -1], [-1, 1, 0, 0, 2], [0, 0, 0, 2, -1]],
+               [[1, 2, 2, 2, 1], [2, 2, 1, 0, 1], [0, 0, 2, 2, 1], [2, 1, 0, 0, 2]])
 
 
 def _system(C, M) -> VerticalSystem:
@@ -112,6 +119,7 @@ def _assert_unlucky_matches_oracles(C, M, seed, unlucky):
 @given(small_systems())
 @example((*REFUTED, 0, 0))
 @example((*RANK_ONE, 0, 0))
+@example((*UNCERTIFIED, 0, 0))
 @example(([[1, -1, 0], [0, 1, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 0))
 def test_nondegeneracy_matches_oracles(case):
     _assert_unlucky_matches_oracles(*case)
@@ -198,15 +206,77 @@ def test_reached_systems_match_oracles(monkeypatch, name):
 
 def test_sweep_budget_gives_named_inconclusive(monkeypatch):
     """Past the term budget the sweep makes nondegeneracy undetermined and
-    all-positive nondegeneracy unknown with the budget named; neither raises."""
-    sys_ = _system(*RANK_ONE)
+    all-positive nondegeneracy unknown with the budget named; neither
+    raises.  RANK_ONE's stacked rank settles its nondegeneracy before any
+    sweep, so a budget of 1 leaves that "no" as it is."""
+    sys_ = _system(*UNCERTIFIED)
+    rank_one = _system(*RANK_ONE)
     assert nondegeneracy(sys_).status == "no"
-    assert nondegeneracy_all_positive(sys_).reason == "no sign-definite minor"
+    assert nondegeneracy_all_positive(rank_one).reason == "no sign-definite minor"
     monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 1)
     assert nondegeneracy(sys_) == core.NondegeneracyResult("undetermined")
-    result = nondegeneracy_all_positive(sys_)
+    assert nondegeneracy(rank_one) == core.NondegeneracyResult("no")
+    result = nondegeneracy_all_positive(rank_one)
     assert result.status == "unknown"
     assert result.reason == "symbolic determinant exceeds its budget of 1 terms"
+
+
+def _counting_sweeps(monkeypatch):
+    """Calls of ``minor_sweep`` made by ``nondegeneracy``, counted as they
+    happen."""
+    calls = []
+
+    def counting(*args):
+        if sys._getframe(1).f_code.co_name == "nondegeneracy":
+            calls.append(args)
+        return minor_sweep(*args)
+    monkeypatch.setattr(core, "minor_sweep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("system, certificate", [(REFUTED, "term rank"),
+                                                  (RANK_ONE, "stacked rank")])
+def test_certificates_refute_without_a_sweep(monkeypatch, system, certificate):
+    """REFUTED's one Jacobian entry is zero on the kernel, so its term rank
+    is 0; every entry of RANK_ONE's pencil is nonzero, so its term rank is
+    2, but its stacked Jacobians have rank 1."""
+    sys_ = _system(*system)
+    rows, _ = core._jacobian_pencil(sys_, sys_.circuits.vectors)
+    pattern = [[k for k, entry in enumerate(row) if any(entry)] for row in rows]
+    assert (core._term_rank(pattern) < sys_.s) == (certificate == "term rank")
+    assert core._pencil_rank_deficient(rows, sys_.n)
+    sweeps = _counting_sweeps(monkeypatch)
+    assert nondegeneracy(sys_).status == "no"
+    assert sweeps == []
+
+
+def test_uncertified_degenerate_system_still_sweeps(monkeypatch):
+    """Neither certificate decides UNCERTIFIED: its pencil matches all three
+    rows and its stacked Jacobians have rank 3, yet every 3 x 3 minor is
+    zero, which the one sweep finds."""
+    sys_ = _system(*UNCERTIFIED)
+    rows, _ = core._jacobian_pencil(sys_, sys_.circuits.vectors)
+    assert not core._pencil_rank_deficient(rows, sys_.n)
+    sweeps = _counting_sweeps(monkeypatch)
+    assert nondegeneracy(sys_) == oracle_nondegeneracy(sys_, 0) == core.NondegeneracyResult("no")
+    assert len(sweeps) == 1
+
+
+def test_screen_degenerate_systems_need_no_sweep(monkeypatch):
+    """On the 117 networks of a screen pass, analysed with the benchmark's
+    seeds, nondegeneracy answers 102 systems "yes" and 16 "no", and the
+    certificates settle all 16 before any sweep."""
+    sweeps = _counting_sweeps(monkeypatch)
+    statuses = []
+
+    def recording(sys_, seed=0):
+        result = nondegeneracy(sys_, seed)
+        statuses.append(result.status)
+        return result
+    monkeypatch.setattr(core, "nondegeneracy", recording)
+    _screen_pass()
+    assert Counter(statuses) == {"yes": 102, "no": 16}
+    assert sweeps == []
 
 
 def test_nondegeneracy_past_the_size_limit_is_undetermined():

@@ -1,15 +1,16 @@
 import random
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 from itertools import product
 from math import factorial, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricity import GroupMode, analyze_network, parse_network, polyhedra
+from toricity import GroupMode, analyze_network, core, parse_network, polyhedra
 from toricity.exactalg import (
     IntegerMatrix,
     InternalInconsistencyError,
@@ -27,12 +28,14 @@ from toricity.polyhedra import (
     strictly_positive_kernel,
 )
 
+from test_bench_contract import _load_bench
 from _oracles import (
     mul_vector,
     oracle_extreme_rays,
     oracle_feasible_start,
     oracle_minkowski,
     oracle_minkowski_hull,
+    oracle_inclusion_exclusion_mixed_volume,
     oracle_mixed_volume,
     oracle_polytope_volume,
     oracle_shoelace,
@@ -350,7 +353,84 @@ def _points(dim, max_points):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(_points(n, 5), min_size=n, max_size=n)))
 def test_mixed_volume_matches_inclusion_exclusion(supports):
+    assert mixed_volume(supports) == oracle_inclusion_exclusion_mixed_volume(supports)
+
+
+@st.composite
+def _segment_heavy_supports(draw):
+    """1-5 supports in Z^n, n their number, with negative coordinates: one
+    point, points on one line (two ends of lattice length up to 6, often
+    with a point between), a copy of an earlier support, or a few points
+    anywhere.  Small coordinates make the projections merge points."""
+    n = draw(st.integers(1, 5))
+    coordinate = st.integers(-3, 3)
+    supports = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["point", "line", "copy", "cloud", "cloud"]))
+        if kind == "copy" and supports:
+            supports.append(draw(st.sampled_from(supports)))
+        elif kind == "point":
+            supports.append([tuple(draw(coordinate) for _ in range(n))])
+        elif kind == "line":
+            start = [draw(coordinate) for _ in range(n)]
+            step = [draw(st.integers(-2, 2)) for _ in range(n)]
+            steps = draw(st.sets(st.integers(-2, 3), min_size=1, max_size=3)) | {0}
+            supports.append([tuple(a + t * d for a, d in zip(start, step)) for t in steps])
+        else:
+            supports.append(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                                          min_size=2, max_size=4)))
+    return supports
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_segment_heavy_supports())
+# a segment of lattice length 2 whose projection merges the other
+# support's points into a segment of length 3
+@example([[(0, 0), (2, 2)], [(0, 0), (1, 1), (3, 0)]])
+# a single point, and a collinear support with a point between its ends
+@example([[(1, -1)], [(0, 0), (1, 1)]])
+@example([[(0, 0, 0), (-2, 2, 4), (-1, 1, 2)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+          [(0, 0, 0), (0, 0, 1), (1, 1, 1)]])
+# the same segment twice: the second projects to a point
+@example([[(0, 0), (3, 6)], [(0, 0), (3, 6)]])
+# a single support in dimension 1, and one of a single point
+@example([[(-2,), (4,), (1,)]])
+@example([[(5,)]])
+def test_mixed_volume_matches_cayley_oracle(supports):
+    """Taking out segments first gives the mixed volume of the whole
+    Cayley configuration's triangulation."""
     assert mixed_volume(supports) == oracle_mixed_volume(supports)
+
+
+def _screen_pass():
+    """The 117 networks a ``screen`` benchmark pass runs, with the analysis
+    seeds it derives from their names."""
+    generators = _load_bench("generators")
+    for index, text in enumerate(generators.screen(20241122, 120)):
+        if index not in (6, 21, 78):
+            seed = zlib.crc32(f"screen_{index}".encode("utf-8"))
+            analyze_network(parse_network(text), GroupMode.POSITIVE, seed)
+
+
+def test_screen_pass_triangulates_what_segments_leave(monkeypatch):
+    """A screen pass computes 17 mixed volumes; 12 of them reduce to one
+    support in dimension 1 or hold a single point, so only 5 reach the
+    placing triangulation."""
+    calls = {"mixed_volume": 0, "triangulation": 0}
+    volume, triangulation = polyhedra.mixed_volume, polyhedra._placing_triangulation
+
+    def counting_volume(supports):
+        calls["mixed_volume"] += 1
+        return volume(supports)
+
+    def counting_triangulation(points):
+        if sys._getframe(1).f_code.co_name == "mixed_volume":
+            calls["triangulation"] += 1
+        return triangulation(points)
+    monkeypatch.setattr(core, "mixed_volume", counting_volume)
+    monkeypatch.setattr(polyhedra, "_placing_triangulation", counting_triangulation)
+    _screen_pass()
+    assert calls == {"mixed_volume": 17, "triangulation": 5}
 
 
 @settings(max_examples=150, deadline=None)
