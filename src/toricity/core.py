@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from sys import get_int_max_str_digits
 from types import MappingProxyType
 
@@ -95,7 +95,9 @@ class VerticalSystem:
     of each lattice.  C is eliminated once, in integers, and keeps its
     echelon form: every reader of C's pivots, circuits or echelon rows
     reads that.  The row basis of a network's N arrives with its echelon
-    form, from the elimination of [N | I].
+    form, from the elimination of [N | I].  Row supports, the polynomials
+    and the fingerprint read C's integer rows too, so a C built from its
+    echelon form never builds its ``Fraction`` entries.
     """
 
     __slots__ = ("C", "M", "variables", "parameters", "_circuits",
@@ -196,13 +198,18 @@ class VerticalSystem:
         return self._lattice_kernels[A]
 
     def fingerprint(self) -> str:
+        """sha256 of ``repr(C) + repr(M)``, first 12 hex digits.  C's text is
+        written from its kept integer rows: entry a / d in lowest terms is
+        the text ``str(Fraction(a, d))``, so no ``Fraction`` is built."""
+        entries = [[_fraction_text(a, d) for a in ints] for ints, d in self.C.integer_rows()]
         h = hashlib.sha256()
-        h.update(repr(self.C).encode())
+        h.update(f"RationalMatrix({entries!r})".encode())
         h.update(repr(self.M).encode())
         return h.hexdigest()[:12]
 
     def row_support(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in range(self.m) if self.C.entry(i, j) != 0)
+        """Columns where row i of C is nonzero, read from its integer row."""
+        return frozenset(j for j, a in enumerate(self.C.integer_rows()[i][0]) if a)
 
     def polynomials(self, kappa) -> list[SparsePolynomial]:
         """Specialized rows C(kappa . x^M) as polynomials in the variables.
@@ -214,10 +221,10 @@ class VerticalSystem:
         if len(kappa) != self.m:
             raise ValueError("parameter vector length mismatch")
         out = []
-        for i in range(self.s):
+        for ints, d in self.C.integer_rows():
             terms: dict[tuple[int, ...], Fraction] = {}
-            for j in range(self.m):
-                c = self.C.entry(i, j) * kappa[j]
+            for j, a in enumerate(ints):
+                c = Fraction(a, d) * kappa[j]
                 if c == 0:
                     continue
                 e = tuple(self.M.entry(k, j) for k in range(self.n))
@@ -231,9 +238,16 @@ class VerticalSystem:
         return out
 
     def row_support_points(self, i: int) -> SupportSet:
-        """Newton support of row i (exponent columns with nonzero coefficient)."""
-        pts = [tuple(self.M.col(j)) for j in range(self.m) if self.C.entry(i, j) != 0]
+        """Newton support of row i (exponent columns with nonzero coefficient),
+        read from C's integer row."""
+        pts = [tuple(self.M.col(j)) for j, a in enumerate(self.C.integer_rows()[i][0]) if a]
         return SupportSet(tuple(pts))
+
+
+def _fraction_text(a: int, d: int) -> str:
+    """``str(Fraction(a, d))`` for d > 0, without building the Fraction."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 # ---------------------------------------------------------------------------

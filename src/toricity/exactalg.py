@@ -15,7 +15,8 @@ matrix never passes through ``Fraction``s on its way in.  A kernel vector
 is an integer vector: the circuits are primitive integer vectors, and a
 random combination of them is an integer numerator over one common
 denominator.  A ``Fraction`` is formed only where a rational result is
-handed out, such as a random kernel vector or the rows of a row basis.
+read, such as a random kernel vector; a row basis or left kernel keeps its
+integer echelon rows and builds its ``Fraction`` entries on their first read.
 """
 
 from __future__ import annotations
@@ -100,6 +101,21 @@ class _Matrix:
     def __hash__(self) -> int:
         return hash((self._e, self.cols))
 
+    def __getattr__(self, name):
+        """Build the entries of a matrix made from its echelon form
+        (``_reduced_matrix``) on their first read: the RREF rows are its
+        integer echelon rows divided by their pivots."""
+        if name != "_e":
+            raise AttributeError(name)
+        self._e = _divide_by_pivots(*self._echelon)
+        return self._e
+
+    def __getstate__(self):
+        """Pickle every slot, the entries included, so a matrix built from
+        its echelon form travels like one built from its entries."""
+        self._e
+        return None, {name: getattr(self, name) for name in _Matrix.__slots__}
+
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each row as integers a and the least d > 0 with row = a / d, kept."""
         if self._ints is None:
@@ -141,12 +157,14 @@ class _Matrix:
 
 
 def _reduced_matrix(rows, pivots, cols: int) -> "RationalMatrix":
-    """The RREF matrix of echelon rows with the integer rows and echelon form
-    it would build: each row primitive with a positive pivot p, which is its
-    least denominator and which ``_integer_rref`` leaves as it is."""
+    """The RREF matrix of echelon rows, kept as the integer rows and echelon
+    form it would build: each row primitive with a positive pivot p, which
+    is its least denominator and which ``_integer_rref`` leaves as it is.
+    Its ``Fraction`` entries are built only when something reads them."""
     ints = [_primitive(row) for row in rows]
     ints = tuple(tuple(x if row[p] > 0 else -x for x in row) for row, p in zip(ints, pivots))
-    red = RationalMatrix._of(_divide_by_pivots(ints, pivots), cols)
+    red = RationalMatrix.__new__(RationalMatrix)
+    red.rows, red.cols, red._split = len(ints), cols, None
     red._ints = tuple((row, row[p]) for row, p in zip(ints, pivots))
     red._echelon = ints, tuple(pivots)
     return red
@@ -260,10 +278,10 @@ def _integer_scaling(vec) -> tuple[list[int], int]:
 _ZERO = Fraction(0)
 
 
-def _divide_by_pivots(rows, pivots) -> list[tuple[Fraction, ...]]:
+def _divide_by_pivots(rows, pivots) -> tuple[tuple[Fraction, ...], ...]:
     """RREF rows, from echelon rows such as those of ``_integer_rref``."""
-    return [tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
-            for row, p in zip(rows, pivots)]
+    return tuple(tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
+                 for row, p in zip(rows, pivots))
 
 
 def _integer_rref(rows, ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -17,7 +17,9 @@ package's depth-first walks.  Siphon support is decided two ways, each with
 its own LP where the package applies Stiemke's lemma: by one LP over the
 whole row space in place of the package's rank test, and by the
 ``Fraction`` RREF of the permuted matrix that the package's fraction-free
-echelon form replaced.  The scaling
+echelon form replaced.  ``oracle_siphon_boundary_check`` is the boundary
+check before its two certificates: every minimal siphon searched and tested
+by elimination, with no row read first.  The scaling
 lattice of a column partition comes from the integer kernel of M with one
 indicator row per block, projected to its first n coordinates and put in
 Hermite form, where the package takes the kernel of a difference matrix.
@@ -73,6 +75,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
+from toricity import crn
 from toricity.core import (
     _ALLPOS_MINOR_CAP,
     _NONDEG_MINOR_CAP,
@@ -1160,6 +1163,31 @@ def oracle_minimal_siphons(net):
             if all((src & z) or not (tgt & z) for src, tgt in masks):
                 found.append(z)
     return [frozenset(i for i in range(n) if z >> i & 1) for z in found]
+
+
+def oracle_is_siphon(net, species) -> bool:
+    """Every reaction producing a member of the species set consumes one."""
+    return all(any(net.complexes[src][i] > 0 for i in species)
+               or not any(net.complexes[tgt][i] > 0 for i in species)
+               for src, tgt, _ in net.reactions)
+
+
+def oracle_siphon_boundary_check(net, A=None, laws=None) -> str:
+    """The package's boundary check before its certificates: the minimal
+    siphons from ``crn.minimal_siphons``, each tested by
+    ``crn._siphon_supported_in_rowspace`` on A's row space, or on the laws'
+    when A is absent or empty."""
+    mat = A if A is not None and A.rows else laws
+    if mat is None or mat.rows == 0:
+        return "unknown"
+    try:
+        siphons = crn.minimal_siphons(net)
+    except crn.SearchBudgetExceededError:
+        return crn._BudgetUnknown("unknown")
+    for z in siphons:
+        if not crn._siphon_supported_in_rowspace(mat, z):
+            return "unknown"
+    return "yes"
 
 
 def oracle_closure(edges) -> dict:

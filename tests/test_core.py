@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from toricity import core, crn, exactalg, polyhedra
 from toricity.crn import analyze_network
-from toricity.fileio import read_model
+from toricity.fileio import load_matrix_model, read_model
 from toricity.exactalg import IntegerMatrix, RationalMatrix, _Matrix
 from toricity.core import (
     AnalyzeOptions,
@@ -651,6 +652,35 @@ def test_rank_deficient_coefficients_become_the_rref(rows):
     binomial = all(len(nz) == 2 and nz[0] * nz[1] < 0
                    for nz in ([x for x in row if x] for row in basis))
     assert binomial_quickcheck(sys_) is binomial
+
+
+def _old_fingerprint(sys_) -> str:
+    h = hashlib.sha256()
+    h.update(repr(sys_.C).encode())
+    h.update(repr(sys_.M).encode())
+    return h.hexdigest()[:12]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coefficient_rows(), st.integers(0, 2))
+def test_fingerprint_text_from_integer_rows(rows, low):
+    """The fingerprint writes C from its integer rows, with the text of
+    ``repr(C)``: the same digest whether C is kept or is its RREF."""
+    C = RationalMatrix(rows)
+    M = IntegerMatrix([[(i + j) % 3 - low for j in range(C.cols)] for i in range(len(rows))])
+    sys_ = VerticalSystem(C, M)
+    assert sys_.fingerprint() == _old_fingerprint(sys_)
+
+
+def test_fingerprint_of_json_model_with_fractional_negative_C():
+    sys_ = load_matrix_model({"C": [["-1/2", "3", "-7/3"], ["2/4", "-3", "7/3"]],
+                              "M": [[1, 0, 2], [0, 1, 1]]}).system
+    assert sys_.C.rows == 1
+    assert sys_.fingerprint() == _old_fingerprint(sys_)
+    sys_ = load_matrix_model({"C": [["-1/2", "3", "-7/3"], ["0", "-5/6", "-4"]],
+                              "M": [[1, 0, 2], [0, 1, 1]]}).system
+    assert sys_.C.rows == 2
+    assert sys_.fingerprint() == _old_fingerprint(sys_)
 
 
 # -- analyze ------------------------------------------------------------------

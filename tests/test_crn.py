@@ -12,12 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricity import cli, core, crn
+from toricity import cli, core, crn, exactalg
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyhedra import strictly_positive_kernel
 from toricity.polyring import SignVerdict, sign_classify, term_count
 from toricity.core import (
     ALL_POSITIVE_ENRICHMENT_CAP,
+    EmptyLocusError,
     GroupMode,
     ToricityReport,
     Verdict,
@@ -48,9 +49,11 @@ from toricity.crn import (
 from _oracles import (
     mul_vector,
     oracle_closure,
+    oracle_is_siphon,
     oracle_minimal_siphons,
     oracle_multistationarity_det,
     oracle_parse_network,
+    oracle_siphon_boundary_check,
     oracle_siphon_supported,
     oracle_siphon_supported_lp,
     oracle_walk,
@@ -749,7 +752,18 @@ def test_minimal_siphons_past_twenty_species(text, count):
     assert len(minimal_siphons(net)) == count
 
 
+def _direct_A(net):
+    """The invariance matrix ``analyze_network`` tests, empty without one."""
+    try:
+        return invariance_group(steady_state_system(net)).A
+    except (EmptyLocusError, ZeroDynamicsError):
+        return IntegerMatrix.with_width([], net.n)
+
+
 def test_siphon_budget_reported(monkeypatch):
+    """Past its budget a check that needs the search is a ``_BudgetUnknown``,
+    with A and without, and ``analyze_network`` notes it once.  A check that
+    certificate 2 settles never searches, so it stays a plain 'unknown'."""
     net = parse_network(TRIANGLE_TEXT)
     N, _ = mass_action_matrices(net)
     note = "boundary zeros not excluded: the siphon search reached its budget"
@@ -760,10 +774,121 @@ def test_siphon_budget_reported(monkeypatch):
     with pytest.raises(SearchBudgetExceededError):
         minimal_siphons(net)
     assert siphon_boundary_check(net, None, conservation_laws(N)) == "unknown"
+    assert isinstance(siphon_boundary_check(net, _direct_A(net), conservation_laws(N)),
+                      crn._BudgetUnknown)
     res = analyze_network(net, seed=0)
     assert res.boundary == "unknown"
     assert res.verdict is not None
     assert res.report.notes.count(note) == 1
+    # certificate 2 settles multisite_2's direct check before any search
+    searched = []
+    search = crn.minimal_siphons
+    monkeypatch.setattr(crn, "minimal_siphons", lambda net: searched.append(1) or search(net))
+    net = parse_network(multisite(2))
+    laws = conservation_laws(mass_action_matrices(net)[0])
+    result = siphon_boundary_check(net, _direct_A(net), laws)
+    assert result == "unknown" and not isinstance(result, crn._BudgetUnknown)
+    assert not searched
+
+
+def _unit(n: int, *species: int) -> tuple[int, ...]:
+    return tuple(species.count(i) for i in range(n))
+
+
+@st.composite
+def _siphon_networks(draw):
+    """Networks on up to 8 species.  Complexes may repeat and may be the zero
+    complex, and a reaction may come with its reverse or twice.  Up to two
+    futile cycles S + E <=> C -> P + E, P + F <=> D -> S + F, on species
+    drawn at random, join the random reactions; their laws are often
+    one-signed."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from((0, 0, 0, 1, 2))] * n),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        pool.append((0,) * n)
+    complexes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=7))
+    pairs = st.tuples(st.integers(0, len(complexes) - 1), st.integers(0, len(complexes) - 1))
+    reactions = []
+    for a, b in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=8)):
+        reactions += [(a, b)] * draw(st.sampled_from((1, 1, 1, 2)))
+        if draw(st.booleans()):
+            reactions.append((b, a))
+    species = st.integers(0, n - 1)
+    for s, p, e, f, c, d in draw(st.lists(st.tuples(*[species] * 6),
+                                          min_size=int(not reactions), max_size=2)):
+        k = len(complexes)
+        complexes += [_unit(n, s, e), _unit(n, c), _unit(n, p, e),
+                      _unit(n, p, f), _unit(n, d), _unit(n, s, f)]
+        reactions += [(k, k + 1), (k + 1, k), (k + 1, k + 2),
+                      (k + 3, k + 4), (k + 4, k + 3), (k + 4, k + 5)]
+    return ReactionNetwork(tuple(f"X{i}" for i in range(n)), tuple(complexes),
+                           tuple((a, b, f"k{r}") for r, (a, b) in enumerate(reactions)))
+
+
+def test_siphon_check_matches_oracle_and_each_step_settles(monkeypatch):
+    """The check with its two certificates decides as the search over every
+    minimal siphon does, with A given and with A absent.  Certificate 1 (a
+    one-signed row inside every siphon, no elimination), certificate 2 (an
+    unsupported one-signed law, no search) and the search each settle some
+    case, and the support of every one-signed law is a siphon."""
+    searched, eliminated = [], []
+    search, eliminate = crn.minimal_siphons, crn._siphon_supported_in_rowspace
+
+    def counted_search(net):
+        searched.append(search(net))
+        return searched[-1]
+    monkeypatch.setattr(crn, "minimal_siphons", counted_search)
+    monkeypatch.setattr(crn, "_siphon_supported_in_rowspace",
+                        lambda mat, z: eliminated.append(1) or eliminate(mat, z))
+    settled = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_siphon_networks())
+    @example(parse_network(multisite(2)))
+    @example(parse_network(cascade(2)))
+    @example(parse_network("A <=> B"))
+    def check(net):
+        laws = conservation_laws(mass_action_matrices(net)[0])
+        for A in (_direct_A(net), None):
+            expected = oracle_siphon_boundary_check(net, A, laws)
+            searched.clear()
+            eliminated.clear()
+            assert siphon_boundary_check(net, A, laws) == expected
+            if not searched:  # nothing to test, or certificate 2
+                assert expected == "unknown"
+                settled["certificate 2"] += laws.rows > 0
+            elif expected == "yes" and not eliminated:  # certificate 1, or no siphons
+                settled["certificate 1"] += bool(searched[0])
+            else:
+                settled["search"] += 1
+        minimal = oracle_minimal_siphons(net)
+        for row in laws.to_lists():
+            if all(x >= 0 for x in row) or all(x <= 0 for x in row):
+                support = frozenset(j for j, x in enumerate(row) if x)
+                assert oracle_is_siphon(net, support)
+                assert any(z <= support for z in minimal)
+        settled["networks"] += 1
+
+    check()
+    assert settled["networks"] >= 400
+    assert settled["certificate 1"] and settled["certificate 2"] and settled["search"], settled
+
+
+def test_pipeline_builds_no_fraction_rref(monkeypatch):
+    """``analyze_network`` and the batch rows of the bundled networks read
+    the RREF matrices of C and of the laws through their kept integer rows:
+    no ``Fraction`` entries are built."""
+    calls = []
+    divide = exactalg._divide_by_pivots
+    monkeypatch.setattr(exactalg, "_divide_by_pivots", lambda *a: calls.append(1) or divide(*a))
+    for text in (multisite(2), cascade(2)):
+        analyze_network(parse_network(text), seed=0)
+    paths = sorted(MODELS.glob("*.crn"))
+    assert paths
+    for path in paths:
+        assert cli.run_batch_model(str(path), 0, 0)["verdict"] not in ("error", "timeout")
+    assert not calls
 
 
 # -- network-level orchestration ----------------------------------------------

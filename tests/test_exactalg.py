@@ -1,16 +1,20 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricity import exactalg
 from toricity.exactalg import (
     IntegerMatrix,
     RationalMatrix,
     TrivialKernelError,
+    _reduced_matrix,
     hermite_normal_form,
     int_det,
     integer_kernel_basis,
@@ -312,6 +316,38 @@ def test_row_basis_and_left_kernel_share_one_elimination(m):
         fresh = RationalMatrix(part.to_lists(), part.cols)
         assert part.integer_rows() == fresh.integer_rows()
         assert part.integer_echelon() == fresh.integer_echelon()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_elimination_inputs())
+def test_rref_matrices_build_entries_on_first_read(m):
+    """A row basis or left kernel keeps its integer echelon rows and builds
+    no ``Fraction`` entry until one is read.  Then it equals, hashes, prints,
+    transposes and pickles like the matrix built from those entries."""
+    rows = m.to_lists()
+    with mock.patch.object(exactalg, "_divide_by_pivots",
+                           wraps=exactalg._divide_by_pivots) as divide:
+        kept = (m.row_basis(), left_kernel_basis(m))
+        for part in kept:
+            part.integer_rows(), part.integer_echelon(), part.rank()
+        assert divide.call_count == 0
+        for part, expected in zip(kept, (oracle_row_basis(rows, m.cols),
+                                         oracle_left_kernel_basis(rows, m.cols))):
+            eager = RationalMatrix(expected, part.cols)
+
+            def fresh():
+                return _reduced_matrix(*part.integer_echelon(), part.cols)
+            assert fresh() == eager and eager == fresh()
+            assert hash(fresh()) == hash(eager)
+            assert repr(fresh()) == repr(eager)
+            assert fresh().transpose() == eager.transpose()
+            assert fresh().to_lists() == eager.to_lists()
+            if eager.rows and eager.cols:
+                assert fresh().entry(0, eager.cols - 1) == eager.entry(0, eager.cols - 1)
+                assert fresh().row(eager.rows - 1) == eager.row(eager.rows - 1)
+            restored = pickle.loads(pickle.dumps(fresh()))
+            assert restored == eager and repr(restored) == repr(eager)
+            assert restored.integer_echelon() == eager.integer_echelon()
 
 
 def test_random_kernel_vector_line():
