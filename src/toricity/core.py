@@ -184,8 +184,8 @@ class VerticalSystem:
         if partition not in self._lattices:
             pairs = [(j, min(block)) for block in partition.blocks for j in sorted(block)
                      if j != min(block)]
-            D = IntegerMatrix.with_width([[row[j] - row[f] for j, f in pairs]
-                                          for row in map(self.M.row, range(self.n))], len(pairs))
+            D = IntegerMatrix._of([tuple(row[j] - row[f] for j, f in pairs)
+                                   for row in map(self.M.row, range(self.n))], len(pairs))
             self._lattices[partition] = integer_kernel_basis(D)
         return self._lattices[partition]
 
@@ -335,7 +335,7 @@ def quasihomogeneity_weights(sys: VerticalSystem) -> IntegerMatrix:
 # Nondegeneracy
 
 
-def _integer_jacobian(sys: VerticalSystem, w) -> list[list[int]]:
+def _integer_jacobian(sys: VerticalSystem, w) -> list[tuple[int, ...]]:
     """C' diag(w) M^T for an integer vector w, where C' is C with each row
     scaled to integers: row i exceeds the same row of C diag(w) M^T by
     C's row denominator, ``sys.C.integer_rows()[i][1]``."""
@@ -343,7 +343,7 @@ def _integer_jacobian(sys: VerticalSystem, w) -> list[list[int]]:
     rows = []
     for ci, _ in sys.C.integer_rows():
         cw = [(j, a * x) for j, (a, x) in enumerate(zip(ci, w)) if a and x]
-        rows.append([sum(v * mk[j] for j, v in cw) for mk in m_rows])
+        rows.append(tuple(sum(v * mk[j] for j, v in cw) for mk in m_rows))
     return rows
 
 
@@ -392,8 +392,8 @@ def _pencil_rank_deficient(rows, n: int) -> bool:
     s = len(rows)
     if _term_rank([[k for k, entry in enumerate(row) if any(entry)] for row in rows]) < s:
         return True
-    stacked = [[entry[t] for entry in row] for row in rows for t in range(len(row[0]))]
-    return IntegerMatrix.with_width(stacked, n).rank() < s
+    stacked = [tuple(entry[t] for entry in row) for row in rows for t in range(len(row[0]))]
+    return IntegerMatrix._of(stacked, n).rank() < s
 
 
 def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
@@ -415,7 +415,7 @@ def nondegeneracy(sys: VerticalSystem, seed: int = 0) -> NondegeneracyResult:
     for attempt in range(11):
         w, den = random_combination(basis, seed + 7919 * attempt)
         # positive scalings of rows and of w leave the rank of C diag(w) M^T unchanged
-        if IntegerMatrix.with_width(_integer_jacobian(sys, w), sys.n).rank() == sys.s:
+        if IntegerMatrix._of(_integer_jacobian(sys, w), sys.n).rank() == sys.s:
             return NondegeneracyResult("yes", tuple(Fraction(x, den) for x in w))
         if attempt == 0 and comb(sys.n, sys.s) <= _NONDEG_MINOR_CAP:
             rows, scales = _jacobian_pencil(sys, basis.vectors)

@@ -454,11 +454,9 @@ def lift_invariance(a_tilde: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     if a_tilde.cols != b.rows:
         raise ValueError(f"shape mismatch: {a_tilde.shape} against {b.shape}")
     b_cols = [b.col(j) for j in range(b.cols)]
-    return IntegerMatrix.with_width(
-        [row + tuple(sum(map(mul, row, col)) for col in b_cols)
-         for row in map(a_tilde.row, range(a_tilde.rows))],
-        a_tilde.cols + b.cols,
-    )
+    return IntegerMatrix._of([row + tuple(sum(map(mul, row, col)) for col in b_cols)
+                              for row in map(a_tilde.row, range(a_tilde.rows))],
+                             a_tilde.cols + b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +680,10 @@ def _siphon_supported_in_rowspace(mat: RationalMatrix | IntegerMatrix,
     first = mat.cols - len(inside)
     order = [i for i in range(mat.cols) if i not in siphon] + inside
     rows, pivots = _integer_rref([[r[i] for i in order] for r, _ in mat.integer_rows()], mat.cols)
-    span = [[x * row[p] for x in row[first:]] for row, p in zip(rows, pivots) if p >= first]
+    span = [tuple(x * row[p] for x in row[first:]) for row, p in zip(rows, pivots) if p >= first]
     if len(span) <= 1:
         return bool(span) and min(span[0]) >= 0
-    return strictly_positive_kernel(IntegerMatrix.with_width(span, len(inside))).is_empty
+    return strictly_positive_kernel(IntegerMatrix._of(span, len(inside))).is_empty
 
 
 def _one_signed_supports(mat: RationalMatrix | IntegerMatrix) -> list[frozenset[int]]:
@@ -845,10 +843,9 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
         if reduced_report.invariance is not None:
             perm = reduction.x_indices + reduction.y_indices
             inverse = sorted(range(net.n), key=perm.__getitem__)  # column of each species
-            lifted = IntegerMatrix.with_width(
-                [[row[k] for k in inverse]
-                 for row in lift_invariance(reduced_report.invariance.A, reduction.B).to_lists()],
-                net.n)
+            full = lift_invariance(reduced_report.invariance.A, reduction.B)
+            lifted = IntegerMatrix._of([tuple(row[k] for k in inverse)
+                                        for row in map(full.row, range(full.rows))], net.n)
 
     if reduced_report is not None and reduced_report.verdict in _TRANSFERABLE:
         verdict_source = "reduced"

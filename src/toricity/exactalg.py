@@ -70,7 +70,10 @@ class _Matrix:
 
     @classmethod
     def _of(cls, rows, cols: int):
-        """Wrap tuples of converted entries, without converting them again."""
+        """Wrap rows the library built itself: a sequence of tuples, each of
+        ``cols`` entries already of this class's kind, such as the ints of
+        its own integer arithmetic.  Nothing is converted or checked; input
+        from outside goes through the constructor or ``with_width``."""
         m = cls.__new__(cls)
         m._e, m.rows, m.cols = tuple(rows), len(rows), cols
         m._ints = m._echelon = m._split = None
@@ -341,20 +344,22 @@ def int_det(rows) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
-    """Row-style Hermite normal form; zero rows dropped.
+def _bezout_echelon(h: list[list[int]], ncols: int) -> list[int]:
+    """Bring the integer rows ``h``, in place, to echelon form on their first
+    ``ncols`` columns by unimodular row operations, and return the pivot
+    columns, lowest first: row i < len(pivots) has its first nonzero entry
+    at pivots[i], and the rows below vanish on the first ``ncols`` columns.
 
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    the row lattice is preserved.  Pivot columns are chosen lowest-first.
     An entry b below a pivot a is cleared in one step: a multiple of the
     pivot row when a divides b, else the unimodular 2 x 2 step
     (x, y; -b/g, a/g) with x a + y b = g = gcd(a, b), leaving g as pivot.
+    No entry above a pivot is touched, and a pivot keeps its sign.
     """
-    h = [list(r) for r in m._e]
-    nr, nc = m.rows, m.cols
-    r = 0
-    for c in range(nc):
-        if r >= nr:
+    nr = len(h)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
             break
         i0 = next((i for i in range(r, nr) if h[i][c]), None)
         if i0 is None:
@@ -375,32 +380,48 @@ def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
                 y = (1 - x * a) // b
                 prow, h[i] = ([x * v + y * u for u, v in zip(row, prow)],
                               [a * u - b * v for u, v in zip(row, prow)])
-        if prow[c] < 0:
-            prow = [-x for x in prow]
         h[r] = prow
+        pivots.append(c)
+    return pivots
+
+
+def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
+    """Row-style Hermite normal form; zero rows dropped.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    the row lattice is preserved.  Pivot columns are chosen lowest-first.
+    ``_bezout_echelon`` brings the rows to echelon form; then each pivot row
+    in turn is made positive and reduces the rows above it.
+    """
+    h = [list(r) for r in m._e]
+    pivots = _bezout_echelon(h, m.cols)
+    for r, c in enumerate(pivots):
+        prow = h[r]
+        if prow[c] < 0:
+            prow = h[r] = [-x for x in prow]
         for i in range(r):
             q = h[i][c] // prow[c]
             if q:
                 h[i] = [u - q * v for u, v in zip(h[i], prow)]
-        r += 1
-    return IntegerMatrix.with_width(h[:r], nc)
+    return IntegerMatrix._of([tuple(row) for row in h[:len(pivots)]], m.cols)
 
 
 def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Rows form a basis of {v in Z^rows(m) : v m = 0}, i.e. of ker(m^T).
+    """Rows form a basis of {v in Z^rows(m) : v m = 0}, i.e. of ker(m^T), in
+    Hermite normal form.
 
-    Computed from the Hermite normal form of [m | I]: the unimodular row
-    transform is tracked in the identity block, and the trailing rows,
-    whose m-part vanished, carry a lattice basis of the integer kernel
-    already in (canonical) Hermite normal form.
+    ``_bezout_echelon`` brings [m | I] to echelon form on the m block by
+    unimodular steps tracked in the identity block; the rows whose m-part
+    vanished carry a lattice basis of the integer kernel in their identity
+    block, and the Hermite normal form of that block alone is the answer
+    (Cohen 1993, section 2.4).  It equals the kernel block of the Hermite
+    form of [m | I], since that form is canonical and reducing above the m
+    block's pivots touches only rows discarded here.
     """
     nr, nc = m.rows, m.cols
-    aug = IntegerMatrix.with_width(
-        [list(m.row(i)) + [1 if k == i else 0 for k in range(nr)] for i in range(nr)],
-        nc + nr,
-    )
-    h = hermite_normal_form(aug)
-    return IntegerMatrix.with_width([row[nc:] for row in h._e if not any(row[:nc])], nr)
+    h = [list(row) + [1 if k == i else 0 for k in range(nr)] for i, row in enumerate(m._e)]
+    r = len(_bezout_echelon(h, nc))
+    return hermite_normal_form(IntegerMatrix._of([tuple(row[nc:]) for row in h[r:]], nr))
 
 
 def random_rng(seed: int) -> random.Random:

@@ -9,6 +9,7 @@ network text in the grammar of the parser.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,11 +43,35 @@ _SHOWN = 24  # characters of a long bad entry that its error repeats
 def _shown(value) -> str:
     """A bad entry as its error names it: whole when short, else its first
     characters and its length."""
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except RecursionError:  # lists nested about as deep as JSON reads them
+        return f"a {type(value).__name__} nested too deeply"
     if len(text) <= _SHOWN:
         return repr(value)
     head = repr(text[:_SHOWN]) if isinstance(value, str) else text[:_SHOWN]
     return f"{head}... ({len(text)} characters)"
+
+
+# a decimal in exponent notation, as ``Fraction`` reads it; group 1 is the exponent
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?e([-+]?\d[\d_]*)\s*\Z",
+                       re.IGNORECASE)
+
+
+def _exponent_past_limit(text: str, limit: int) -> bool:
+    """Whether ``text`` has an exponent e with |e| >= ``limit``, so that
+    10^|e|, a factor of its numerator or denominator, has more digits
+    than ``limit``; ``Fraction`` would spend seconds building it."""
+    match = _EXPONENT.match(text)
+    if match is None:
+        return False
+    digits = match[1].lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or "0") >= limit
+
+
+def _past_limit(text: str) -> ModelFormatError:
+    return ModelFormatError(f"entry {_shown(text)} exceeds the "
+                            f"{sys.get_int_max_str_digits()}-digit limit")
 
 
 def parse_rational(value) -> Fraction:
@@ -55,12 +80,14 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        if limit and _exponent_past_limit(value, limit):
+            raise _past_limit(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             if str(exc).startswith("Exceeds the limit"):  # more digits than Python converts
-                raise ModelFormatError(f"entry {_shown(value)} exceeds the "
-                                       f"{sys.get_int_max_str_digits()}-digit limit") from None
+                raise _past_limit(value) from None
             raise ModelFormatError(f"not a rational: {_shown(value)}") from exc
     raise ModelFormatError(f"not a rational: {_shown(value)}")
 
@@ -134,6 +161,8 @@ def read_model(path: str | Path) -> ModelInput:
             data = json.loads(text, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ModelFormatError("invalid JSON: nested too deeply") from None
         if not isinstance(data, dict):
             raise ModelFormatError("matrix model must be a JSON object")
         return load_matrix_model(data)

@@ -175,8 +175,15 @@ def _pack(rows, nvars: int) -> tuple[list[list[dict[int, int]]], list[tuple[int,
     for row in rows:
         degree = {}
         for mono in {mono for entry in row for mono in entry}:
-            for v in mono:
-                degree[v] = max(degree.get(v, 0), mono.count(v))
+            if len(mono) > 1 and len(set(mono)) < len(mono):  # a power
+                for v in mono:
+                    k = mono.count(v)
+                    if degree.get(v, 0) < k:
+                        degree[v] = k
+            else:
+                for v in mono:
+                    if v not in degree:
+                        degree[v] = 1
         if degree and (min(degree) < 0 or max(degree) >= nvars):
             raise ValueError(f"a monomial names a variable outside 0..{nvars - 1}")
         for v, k in degree.items():
@@ -383,10 +390,11 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     X[:, r] is a column operation that zeroes the bottom block on R, so
     Laplace expansion along the bottom rows keeps one term,
     sign(R) det(top'[:, R]) det(A_P): one packed s x s expansion, which is
-    1 when there are no top rows.  A rank-deficient bottom block gives the
-    zero polynomial.  There is no size guard: the expansion raises
-    ``DeterminantSizeError`` once the minors it holds exceed
-    ``_DET_TERM_BUDGET`` terms.
+    1 when there are no top rows.  A bottom with no rows needs no column
+    operation: the packed top goes to the expansion as it stands.  A
+    rank-deficient bottom block gives the zero polynomial.  There is no
+    size guard: the expansion raises ``DeterminantSizeError`` once the
+    minors it holds exceed ``_DET_TERM_BUDGET`` terms.
     """
     s = len(rows)
     n = len(rows[0]) if s else bottom.cols
@@ -394,6 +402,9 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     if s + d != n or (d and bottom.cols != n):
         raise ValueError("stacked matrix is not square")
     variables = tuple(variables)
+    packed, fields = _pack(rows, len(variables))
+    if not d:
+        return _expand(packed, variables, fields, 1, prod(scales))
     echelon, pivots = bottom.integer_echelon()
     if len(pivots) < d:
         return SparsePolynomial(variables)
@@ -408,7 +419,6 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
         coeffs = [e[r] * den // e[p] for e, p in zip(echelon, pivots)]
         scale *= den
         combos.append((r, den, [(c, p) for c, p in zip(coeffs, pivots) if c]))
-    packed, fields = _pack(rows, len(variables))
     reduced_rows = []
     for row in packed:
         reduced = []
@@ -419,12 +429,19 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
                     acc[k] = acc.get(k, 0) - c * v
             reduced.append({k: v for k, v in acc.items() if v})
         reduced_rows.append(reduced)
-    order = sorted(range(s), key=lambda i: sum(1 for p in reduced_rows[i] if p))
-    total = next(_packed_det([reduced_rows[i] for i in order], [(1 << s) - 1]))
     if (sum(rest) - s * (s - 1) // 2) % 2:
         det_p = -det_p
+    return _expand(reduced_rows, variables, fields, det_p, scale)
+
+
+def _expand(rows, variables, fields, num: int, den: int) -> _PackedDeterminant:
+    """The determinant of the packed s x s ``rows`` times num / den, from
+    one expansion with the sparsest rows first."""
+    s = len(rows)
+    order = sorted(range(s), key=lambda i: sum(1 for p in rows[i] if p))
+    total = next(_packed_det([rows[i] for i in order], [(1 << s) - 1]))
     return _PackedDeterminant(variables, total, fields,
-                              Fraction(_permutation_sign(order) * det_p, scale))
+                              Fraction(_permutation_sign(order) * num, den))
 
 
 # ---------------------------------------------------------------------------

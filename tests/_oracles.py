@@ -637,6 +637,34 @@ def oracle_det_stacked(top, bottom):
 # --- Multistationarity by the n x n stacked determinant -----------------------
 
 
+def oracle_pack(rows, nvars: int):
+    """``polyring._pack`` as it was: each row's degrees from ``mono.count``
+    on every index of every distinct monomial."""
+    bounds = [0] * nvars
+    for row in rows:
+        degree = {}
+        for mono in {mono for entry in row for mono in entry}:
+            for v in mono:
+                degree[v] = max(degree.get(v, 0), mono.count(v))
+        if degree and (min(degree) < 0 or max(degree) >= nvars):
+            raise ValueError(f"a monomial names a variable outside 0..{nvars - 1}")
+        for v, k in degree.items():
+            bounds[v] += k
+    fields, bits, shift = [], [], 0
+    for b in bounds:
+        fields.append((shift, (1 << b.bit_length()) - 1))
+        bits.append(1 << shift)
+        shift += b.bit_length()
+
+    def pack(entry):
+        acc = {}
+        for mono, c in entry.items():
+            key = sum(bits[v] for v in mono)
+            acc[key] = acc.get(key, 0) + c
+        return {k: c for k, c in acc.items() if c}
+    return [[pack(entry) for entry in row] for row in rows], fields
+
+
 def oracle_multistationarity_det(A, laws):
     """det[B diag(al); L] for B the integer kernel of A, from
     ``oracle_integer_kernel_basis`` of A^T, and L the conservation laws:

@@ -10,7 +10,7 @@ from toricity import analyze_network, parse_network
 from toricity.cli import main
 from toricity.core import GroupMode
 from toricity.exactalg import IntegerMatrix, RationalMatrix
-from toricity.fileio import read_model
+from toricity.fileio import ModelFormatError, parse_rational, read_model
 
 from _oracles import same_row_lattice
 
@@ -346,6 +346,20 @@ def test_analyze_string_entry_past_digit_limit_exits_2(tmp_path, capsys):
 
 
 @needs_digit_limit
+@pytest.mark.parametrize("entry", ["1e-10000000", "1e-100000000", "1E+4300", f"1e{DIGIT_LIMIT}"])
+def test_analyze_exponent_entry_past_digit_limit_exits_2(tmp_path, capsys, entry):
+    """A rational entry in exponent notation whose power of ten has more
+    digits than Python converts is refused before ``Fraction`` builds it,
+    which took seconds for 1e-10000000."""
+    path = tmp_path / "exponent.json"
+    path.write_text(f'{{"C": [["{entry}", "-1"]], "M": [[1, 2]]}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == (f"error: bad matrix 'C': entry {entry!r} exceeds the "
+                                    f"{DIGIT_LIMIT}-digit limit\n")
+
+
+@needs_digit_limit
 def test_analysis_names_a_mixed_volume_past_digit_limit():
     """The library writes a mixed volume past the limit into its evidence
     and notes as a text naming the limit, where ``str`` would raise; the
@@ -412,6 +426,44 @@ def test_batch_rows_for_numbers_past_digit_limit(tmp_path, capsys):
                              "too many to write as text"),
     }
     assert rows["huge.crn"]["error"].startswith("line 2, column 5: ")
+
+
+def _deeply_nested(tmp_path):
+    """A matrix model whose C is 1,000 nested lists: deeper than JSON reads."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"C": ' + "[" * 1000 + "]" * 1000 + ', "M": [[1]]}', encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    argv = [command, str(_deeply_nested(tmp_path))]
+    if command == "export":
+        argv += ["--kappa", "1", "--out", str(tmp_path / "out.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) == "error: invalid JSON: nested too deeply\n"
+
+
+def test_deeply_nested_json_is_a_batch_error_row(tmp_path, capsys):
+    d = tmp_path / "models"
+    d.mkdir()
+    _deeply_nested(d)
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "batch", str(d), "--report", str(report_path))
+    assert code == 0
+    [row] = json.loads(report_path.read_text())["models"]
+    assert (row["verdict"], row["error"]) == ("error", "invalid JSON: nested too deeply")
+
+
+def test_entry_nested_too_deeply_to_show():
+    """A nested entry that JSON read but that is too deep to write back is
+    named by its kind in the error, not shown."""
+    entry = []
+    for _ in range(100_000):
+        entry = [entry]
+    with pytest.raises(ModelFormatError, match="^not a rational: a list nested too deeply$"):
+        parse_rational(entry)
 
 
 GOLDEN_VERDICTS = {

@@ -1092,21 +1092,30 @@ def test_kernel_vectors_reach_no_fraction_scaling(monkeypatch, text, reaches_lp)
 
 def test_multisite_2_takes_one_hermite_form_per_lattice(monkeypatch):
     """Three Hermite normal forms in all: the integer kernels of the direct
-    and the reduced system's difference matrices, and the lifted lattice's,
-    which is compared with the direct one as it stands, since that is in
-    Hermite form.  The multistationarity test reads A itself, not ker A."""
-    shapes = []
+    and the reduced system's difference matrices, each the form of the
+    kernel block of one echelon pass, and the lifted lattice's, which is
+    compared with the direct one as it stands, since that is in Hermite
+    form.  The multistationarity test reads A itself, not ker A."""
+    shapes, kernels = [], []
     hermite_normal_form = exactalg.hermite_normal_form
+    integer_kernel_basis = exactalg.integer_kernel_basis
 
     def counting(m):
         shapes.append(m.shape)
         return hermite_normal_form(m)
+
+    def counting_kernels(m):
+        kernels.append(m.shape)
+        return integer_kernel_basis(m)
     for module in (exactalg, crn):
         monkeypatch.setattr(module, "hermite_normal_form", counting)
+    for module in (exactalg, core):
+        monkeypatch.setattr(module, "integer_kernel_basis", counting_kernels)
     analysis = analyze_network(crn.parse_network(multisite(2)), seed=0)
     analysis.report.injectivity
     assert analysis.verdict_source == "reduced"
-    assert shapes == [(9, 19), (5, 7), (3, 9)]
+    assert shapes == [(3, 9), (3, 5), (3, 9)]
+    assert kernels == [(9, 10), (5, 2)]
 
 
 def test_analyze_deterministic():

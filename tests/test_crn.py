@@ -60,6 +60,7 @@ from _oracles import (
     same_row_lattice,
     to_rational,
 )
+from test_bench_contract import _load_bench
 from test_families import cascade, multisite
 
 MODELS = Path(crn.__file__).parent / "data" / "models"
@@ -889,6 +890,48 @@ def test_pipeline_builds_no_fraction_rref(monkeypatch):
     for path in paths:
         assert cli.run_batch_model(str(path), 0, 0)["verdict"] not in ("error", "timeout")
     assert not calls
+
+
+def test_wrapped_matrices_hold_exact_ints(monkeypatch):
+    """Every integer matrix the library wraps from its own arithmetic, past
+    the constructor's conversion, holds rows that are tuples of the stated
+    width of exact ``int``s: on the pipeline of multisite 1-4, cascade 1-3,
+    the five bundled networks and the 120 ``screen`` networks, on the
+    batch rows of the three JSON models, and on a siphon span that takes
+    the positive-kernel LP.  A network built by hand still
+    has its stoichiometry converted, so a float in it is refused."""
+    wrap = exactalg._Matrix._of.__func__
+    checked = []
+
+    def of(cls, rows, cols):
+        m = wrap(cls, rows, cols)
+        if cls is IntegerMatrix:
+            for row in m._e:
+                assert type(row) is tuple and len(row) == cols, (row, cols)
+                assert all(type(x) is int for x in row), row
+            checked.append(m.shape)
+        return m
+    monkeypatch.setattr(exactalg._Matrix, "_of", classmethod(of))
+    texts = [multisite(k) for k in range(1, 5)] + [cascade(k) for k in range(1, 4)]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(MODELS.glob("*.crn"))]
+    texts += _load_bench("generators").screen(20241122, 120)
+    assert len(texts) == 132
+    for text in texts:
+        analysis = analyze_network(parse_network(text), seed=0)
+        analysis.report.to_dict()
+    paths = sorted(MODELS.glob("*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        assert cli.run_batch_model(str(path), 0, 0)["verdict"] not in ("error", "timeout")
+    assert len(checked) > 500
+    # none of them reaches the LP on a siphon span of two or more rows
+    wrapped = len(checked)
+    span = IntegerMatrix([[0, 1, -1, 0], [0, 0, 1, -1]])
+    assert not crn._siphon_supported_in_rowspace(span, frozenset({1, 2, 3}))
+    assert (2, 3) in checked[wrapped:]
+    net = ReactionNetwork(("A", "B"), ((1, 0), (0, 1.0)), ((0, 1, "k1"),))
+    with pytest.raises(TypeError):
+        mass_action_matrices(net)
 
 
 # -- network-level orchestration ----------------------------------------------

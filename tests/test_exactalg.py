@@ -259,12 +259,27 @@ def _lattice_matrices(draw):
     return rows, nc
 
 
+@st.composite
+def _pipeline_matrices(draw):
+    """Shapes like the pipeline's difference matrices: up to 16 x 24, of
+    rank below the row count, every column a base column or its negative,
+    so columns repeat and appear negated, entries up to 7 in size."""
+    nr, nc = draw(st.integers(1, 16)), draw(st.integers(0, 24))
+    column = st.lists(st.integers(-7, 7), min_size=nr, max_size=nr)
+    base = draw(st.lists(column, min_size=1, max_size=max(1, nr - 1)))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.sampled_from((1, -1))),
+                          min_size=nc, max_size=nc))
+    return [[sign * base[b][i] for b, sign in picks] for i in range(nr)], nc
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_lattice_matrices())
+@given(_lattice_matrices() | _pipeline_matrices())
 def test_hermite_normal_form_matches_the_euclid_loop(case):
     """One extended-gcd step per entry below a pivot gives the Hermite
-    form the repeated smallest-entry Euclid loop gives, and so the same
-    integer kernel basis, which is its own Hermite form."""
+    form the repeated smallest-entry Euclid loop gives, and the echelon
+    form of [m | I] with the Hermite form of its kernel block gives the
+    integer kernel basis the Hermite form of [m | I] gives, which is its
+    own Hermite form."""
     rows, nc = case
     m = IntegerMatrix(rows, nc)
     h = hermite_normal_form(m)

@@ -29,6 +29,7 @@ from _oracles import (
     evaluate,
     oracle_det,
     oracle_det_stacked,
+    oracle_pack,
     oracle_positive_roots,
     oracle_roots_between,
     oracle_sturm_count,
@@ -399,6 +400,37 @@ def test_det_stacked_degree_fills_its_bit_field():
     for index in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
             det_stacked([[{(0, index): 1}]], [1], vs, IntegerMatrix.with_width([], 1))
+
+
+@st.composite
+def _monomial_rows(draw):
+    """Rows of integer polynomials as ``_pack`` takes them: powers (an index
+    repeated), empty entries, constant monomials, coefficients that cancel
+    to zero, and now and then an index outside 0..nvars-1."""
+    nvars = draw(st.integers(0, 5))
+    low, high = (-1, nvars) if draw(st.integers(0, 9)) == 0 else (0, nvars - 1)
+    mono = st.lists(st.integers(low, high), max_size=4).map(tuple) if low <= high \
+        else st.just(())
+    entry = st.dictionaries(mono, st.integers(-3, 3), max_size=4)
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=4))
+    return rows, nvars
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_monomial_rows())
+def test_pack_matches_the_count_oracle(case):
+    """``_pack`` gives the packed rows and bit fields of the version that
+    counted every index of every monomial, and refuses the same rows."""
+    rows, nvars = case
+    try:
+        expected = oracle_pack(rows, nvars)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="outside"):
+            polyring._pack(rows, nvars)
+        assert "outside" in str(exc)
+        return
+    assert polyring._pack(rows, nvars) == expected
 
 
 def _packed_reads(p):
