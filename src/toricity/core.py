@@ -732,7 +732,11 @@ class AnalyzeOptions:
 
 
 MIXED_VOLUME_MAX_DIM = 8
-ALL_POSITIVE_ENRICHMENT_CAP = 40        # comb(n, s) limit when not needed for the verdict
+# comb(n, s) limit on the all-positive stage where no verdict needs it.  After
+# a toric injectivity it only chooses between two outputs, "yes" at or below
+# it and "skipped (size)" above, both free; the reduced path's report-only
+# sweep of the full system (crn._direct_all_positive) still runs below it.
+ALL_POSITIVE_ENRICHMENT_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -894,6 +898,15 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     a constant number of cosets bounded by the mixed volume, and ``export``
     writes its counting system for an external solver.  A given
     ``options.kappa`` is checked on entry, whichever stage settles.
+
+    A sign-definite injectivity determinant det[C diag(mu) M^T diag(al); A]
+    also certifies all-positive nondegeneracy: it is nonzero at every
+    mu > 0, al > 0, every strictly positive kernel vector w (a strictly
+    positive combination of the extreme rays, whose supports cover all m
+    columns) is such a mu, and a rank of C diag(w) M^T below s would make
+    the top rows dependent at mu = w, al = 1.  Positive row scalings of C
+    change none of this.  So after a toric injectivity the report reads
+    "yes-for-all-positive" with no extreme rays and no minor sweep.
     """
     opts = options or AnalyzeOptions()
     if opts.kappa is not None:
@@ -969,9 +982,19 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
             log("mixed_volume", bound)
         except VolumeBudgetError:
             log("mixed_volume", "skipped (budget)")
-    # after a toric injectivity the stage only enriches the report, so a cap applies
+    # A sign-definite det[C diag(mu) M^T diag(al); A] is nonzero at every
+    # mu > 0, al > 0.  Every strictly positive kernel vector w is such a mu
+    # (the extreme rays' supports cover all m columns, since the positive
+    # kernel is nonempty), and at mu = w, al = 1 a rank of C diag(w) M^T
+    # below s would make the top rows dependent and the determinant vanish.
+    # So a toric injectivity is itself the all-positive certificate, and the
+    # ray sweep runs only where injectivity did not certify; above the cap
+    # the report keeps its older "skipped (size)" reading.
     if inj.toric and comb(sys.n, sys.s) > ALL_POSITIVE_ENRICHMENT_CAP:
         log("all_positive_nondegeneracy", "skipped (size)")
+    elif inj.toric:
+        log("all_positive_nondegeneracy", "yes")
+        rep.nondegenerate = "yes-for-all-positive"
     else:
         all_pos = nondegeneracy_all_positive(sys)
         log("all_positive_nondegeneracy", all_pos.status)

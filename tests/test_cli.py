@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricity import analyze_network, parse_network
 from toricity.cli import main
@@ -13,6 +20,7 @@ from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.fileio import ModelFormatError, parse_rational, read_model
 
 from _oracles import same_row_lattice
+from test_families import cascade, multisite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODELS = SRC / "toricity" / "data" / "models"
@@ -729,3 +737,110 @@ def test_console_entry_point():
     proc = run_python("-m", "toricity.cli", "--help")
     assert proc.returncode == 0
     assert "analyze" in proc.stdout and "batch" in proc.stdout
+
+
+# -- fuzz gate ---------------------------------------------------------------
+
+
+FUZZ_NETWORK_TEXTS = [p.read_text() for p in sorted(MODELS.glob("*.crn"))] \
+    + [multisite(k) for k in (1, 2)] + [cascade(k) for k in (1, 2)]
+FUZZ_MATRIX_MODELS = [json.loads(p.read_text()) for p in sorted(MODELS.glob("*.json"))] \
+    + [IDH_MATRIX_JSON, TRIANGLE_MATRIX_JSON]
+
+
+@st.composite
+def _mutated_network(draw) -> bytes:
+    """A reaction network text with tokens dropped, doubled or swapped,
+    coefficients made huge or zero, and stray bytes put in."""
+    tokens = re.findall(r"\S+|\s+", draw(st.sampled_from(FUZZ_NETWORK_TEXTS)))
+    words = [k for k, t in enumerate(tokens) if not t.isspace()]
+    for _ in range(draw(st.integers(0, 2))):
+        k, other = draw(st.sampled_from(words)), draw(st.sampled_from(words))
+        kind = draw(st.sampled_from(["drop", "double", "swap", "huge", "zero"]))
+        if kind == "drop":
+            tokens[k] = ""
+        elif kind == "double":
+            tokens[k] += " " + tokens[k]
+        elif kind == "swap":
+            tokens[k], tokens[other] = tokens[other], tokens[k]
+        else:
+            digits = "0" if kind == "zero" else "1" + "0" * draw(st.sampled_from([6, 30, 5000]))
+            tokens[k] = digits + tokens[k].lstrip("0123456789")
+    data = "".join(tokens).encode("utf-8")
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+_WRONG_VALUES = [None, True, 5, -1, 1.5, "", "x", "1/2", "1/0", [], [[]], {}, [{"a": 1}]]
+
+
+@st.composite
+def _mutated_matrix_model(draw) -> bytes:
+    """A JSON matrix model with empty rows, zero columns, negative or
+    non-integer exponents, mismatched widths, unknown modes, values of the
+    wrong type or deep nesting."""
+    model = copy.deepcopy(draw(st.sampled_from(FUZZ_MATRIX_MODELS)))
+    nested = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["C", "M"]))
+        rows = model.get(key)
+        kind = draw(st.sampled_from(["empty_row", "zero_columns", "exponent", "width", "mode",
+                                     "type", "nest"]))
+        if kind == "mode":
+            model["mode"] = draw(st.sampled_from(["complex", "POSITIVE", "real-star", 0, None]))
+        elif kind == "type":
+            model[key] = draw(st.sampled_from(_WRONG_VALUES))
+        elif kind == "nest":  # written as text, past the depth JSON reads back
+            depth = draw(st.integers(1, 2000))
+            nested["@"] = "[" * depth + json.dumps(rows) + "]" * depth
+            model[key] = "@"
+        elif not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+            continue
+        elif kind == "zero_columns":
+            model[key] = [[] for _ in rows]
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            if kind == "empty_row":
+                rows[i] = []
+            elif kind == "width":
+                rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + rows[i][:1]
+            elif rows[i]:
+                j = draw(st.integers(0, len(rows[i]) - 1))
+                rows[i][j] = draw(st.sampled_from([-1, -7, 2.5, "3", 10 ** 30, 0] + _WRONG_VALUES))
+    text = json.dumps(model)
+    if "@" in nested:
+        text = text.replace('"@"', nested["@"])
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["analyze", "network", "batch", "export"]), st.data())
+def test_cli_fuzz_exits_cleanly(command, data):
+    """Malformed models never crash the command line: every run exits 0,
+    2 or 3 with no traceback, and a nonzero exit prints one error line."""
+    network = command == "network" or command != "analyze" and data.draw(st.booleans())
+    suffix, model = (".crn", _mutated_network()) if network else (".json", _mutated_matrix_model())
+    kappa = ",".join(["3/2"] * data.draw(st.integers(1, 8)))
+    as_json = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "models" / f"model{suffix}"
+        path.parent.mkdir()
+        path.write_bytes(data.draw(model))
+        argv = {"analyze": ["analyze", str(path)],
+                "network": ["network", str(path)],
+                "batch": ["batch", str(path.parent), "--timeout", "20",
+                          "--report", str(Path(tmp) / "report.json")],
+                "export": ["export", str(path), "--kappa", kappa,
+                           "--out", str(Path(tmp) / "system.txt")]}[command]
+        if as_json and command in ("analyze", "network"):
+            argv.append("--json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err.getvalue()

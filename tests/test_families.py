@@ -111,11 +111,14 @@ def test_det_term_budget_gives_named_inconclusive(monkeypatch):
 
 def test_analysis_decodes_no_determinant(monkeypatch):
     """The verdicts read each determinant's signs in packed form: analysing
-    multisite 1-4 and cascade 1-3 decodes no determinant, not even the
-    minors of the nondegeneracy sweeps, and the reports are those of an
-    analysis that decodes every determinant as it is taken."""
+    multisite 1-4, cascade 1-3 and the triangle cycle decodes no
+    determinant, not even the minors of the nondegeneracy sweeps, and the
+    reports are those of an analysis that decodes every determinant as it
+    is taken.  The triangle cycle is toric by a mixed volume of 1 with an
+    inconclusive injectivity, so its all-positive sweep runs."""
     nets = [parse_network(multisite(k)) for k in range(1, 5)]
     nets += [parse_network(cascade(k)) for k in range(1, 4)]
+    nets.append(parse_network((MODELS / "triangle_cycle.crn").read_text()))
     decoded = []
     unpack = polyring._unpack
     monkeypatch.setattr(polyring, "_unpack", lambda *args: decoded.append(args) or unpack(*args))
@@ -143,7 +146,9 @@ def test_analysis_decodes_no_determinant(monkeypatch):
     assert decoded and swept
     for a, b in zip(packed, eager):
         assert a.report.to_dict() == b.report.to_dict()
-        assert a.reduced_report.to_dict() == b.reduced_report.to_dict()
+        # the triangle cycle has no intermediates, hence no reduced report
+        assert (a.reduced_report and a.reduced_report.to_dict()) \
+            == (b.reduced_report and b.reduced_report.to_dict())
         assert a.multistationarity == b.multistationarity
 
 

@@ -9,11 +9,14 @@ the oracles in ``_oracles.py``: eleven random vectors first, then one
 ``det_symbolic`` per minor.
 """
 
+import contextlib
 import importlib.util
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -28,13 +31,20 @@ from toricity.core import (
     nondegeneracy,
     nondegeneracy_all_positive,
 )
+from toricity.crn import ZeroDynamicsError
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.fileio import read_model
 from toricity.polyring import DeterminantSizeError, SparsePolynomial, det_symbolic, minor_sweep
 
 import _oracles
+from test_crn import _random_network_text
 from test_polyhedra import _screen_pass
-from _oracles import oracle_all_positive, oracle_nondegeneracy, oracle_scaled_jacobian
+from _oracles import (
+    oracle_all_positive,
+    oracle_extreme_rays,
+    oracle_nondegeneracy,
+    oracle_scaled_jacobian,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "src" / "toricity" / "data" / "models"
@@ -333,3 +343,68 @@ def test_minor_sweep_refuses_past_the_size_limit_at_the_first_minor():
     sweep = minor_sweep(rows, [1] * 13, ("a",))
     with pytest.raises(DeterminantSizeError, match="limited to 12x12"):
         next(sweep)
+
+
+# -- a toric injectivity certifies all-positive nondegeneracy ---------------
+
+
+def _toric_injectivity_settles_all_positive(sys_, seed=0) -> str | None:
+    """Analyses ``sys_`` counting the all-positive sweep and the extreme
+    rays.  When its injectivity is toric, the report reads the all-positive
+    stage off that determinant with neither; the independent oracles agree:
+    C diag(w) M^T has rank s at strictly positive rational combinations w of
+    the Fraction extreme rays, and the minor sweep over Fractions never
+    refutes.  Returns that sweep's status, or None with no toric injectivity."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("nondegeneracy_all_positive", "extreme_rays"):
+            def counting(*args, _name=name, _stage=getattr(core, name)):
+                calls[_name] += 1
+                return _stage(*args)
+            mp.setattr(core, name, counting)
+        rep = analyze(sys_, GroupMode.POSITIVE, seed)
+    if rep.injectivity is None or not rep.injectivity.toric:
+        return None
+    assert not calls
+    stage = {e.test: e.outcome for e in rep.evidence}["all_positive_nondegeneracy"]
+    if comb(sys_.n, sys_.s) > core.ALL_POSITIVE_ENRICHMENT_CAP:
+        assert (stage, rep.nondegenerate) == ("skipped (size)", "yes")
+    else:
+        assert (stage, rep.nondegenerate) == ("yes", "yes-for-all-positive")
+    rays = oracle_extreme_rays(sys_.C)
+    lam = tuple(f"l{k+1}" for k in range(len(rays)))
+    jacobian = oracle_scaled_jacobian(sys_, rays, lam)
+    rng = random.Random(seed)
+    for _ in range(4):
+        point = {name: Fraction(rng.randint(1, 1 << 8), rng.randint(1, 1 << 8)) for name in lam}
+        w = [sum(point[name] * ray[j] for name, ray in zip(lam, rays)) for j in range(sys_.m)]
+        assert all(x > 0 for x in w)  # the rays' supports cover every column
+        values = [[_oracles.evaluate(entry, point) for entry in row] for row in jacobian]
+        assert len(_oracles.oracle_rref(values, sys_.n)[1]) == sys_.s
+    status = oracle_all_positive(sys_).status
+    assert status != "no"
+    return status
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(small_systems())
+@example(([[1, -1, 0], [0, 1, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 0))
+def test_toric_injectivity_certifies_all_positive(case):
+    """On the small systems of the oracle tests above."""
+    C, M, seed, _ = case
+    _toric_injectivity_settles_all_positive(_system(C, M), seed)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, (1 << 32) - 1))
+def test_toric_injectivity_certifies_all_positive_on_networks(seed):
+    """The fuzz networks of ``test_crn``, direct and reduced systems alike."""
+    net = parse_network(_random_network_text(random.Random(seed)))
+    systems = []
+    with contextlib.suppress(ZeroDynamicsError):
+        systems.append(crn.steady_state_system(net))
+    reduced = crn._reduced_system(net)
+    if reduced is not None:
+        systems.append(reduced[1])
+    for sys_ in systems:
+        _toric_injectivity_settles_all_positive(sys_, seed & 0xFF)
