@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 from sys import get_int_max_str_digits
 from types import MappingProxyType
@@ -710,10 +711,11 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
 
 
 def binomial_quickcheck(sys: VerticalSystem) -> bool:
-    """Echelon rows that are all two-term with opposite signs: an immediate
-    positive-toricity certificate (binomial system).  C's integer echelon
-    rows are positive or negative multiples of its RREF rows, and either
-    scaling keeps the sign pattern read here."""
+    """Echelon rows that are all two-term with opposite signs: a binomial
+    system.  In the positive mode, with the dimension test s + d = n, it
+    certifies toricity and all-positive nondegeneracy (see ``analyze``).
+    C's integer echelon rows are positive or negative multiples of its
+    RREF rows, and either scaling keeps the sign pattern read here."""
     for row in sys.C.integer_echelon()[0]:
         support = [x for x in row if x]
         if len(support) != 2 or (support[0] > 0) == (support[1] > 0):
@@ -732,11 +734,6 @@ class AnalyzeOptions:
 
 
 MIXED_VOLUME_MAX_DIM = 8
-# comb(n, s) limit on the all-positive stage where no verdict needs it.  After
-# a toric injectivity it only chooses between two outputs, "yes" at or below
-# it and "skipped (size)" above, both free; the reduced path's report-only
-# sweep of the full system (crn._direct_all_positive) still runs below it.
-ALL_POSITIVE_ENRICHMENT_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -888,16 +885,29 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
             options: AnalyzeOptions | None = None) -> ToricityReport:
     """Full decision pipeline over the chosen scalar group.
 
-    Invariance lattice, nondegeneracy, dimension test, injectivity, mixed
-    volume, all-positive nondegeneracy, constant-count conditions, and an
-    exact coset count, in that order; every stage outcome is appended to
-    the evidence trail, and the first stage that settles the verdict ends
-    the run.  Counting and the positivity-specific certificates run only
-    for the positive-reals mode.  The count is exact for one equation
-    (s = 1); a larger system that reaches it is reported locally toric with
-    a constant number of cosets bounded by the mixed volume, and ``export``
-    writes its counting system for an external solver.  A given
-    ``options.kappa`` is checked on entry, whichever stage settles.
+    Invariance lattice, nondegeneracy, dimension test, binomial
+    certificate, injectivity, mixed volume, all-positive nondegeneracy,
+    constant-count conditions, and an exact coset count, in that order;
+    every stage outcome is appended to the evidence trail, and the first
+    stage that settles the verdict ends the run.  Counting and the
+    positivity-specific certificates run only for the positive-reals mode.
+    The count is exact for one equation (s = 1); a larger system that
+    reaches it is reported locally toric with a constant number of cosets
+    bounded by the mixed volume, and ``export`` writes its counting system
+    for an external solver.  A given ``options.kappa`` is checked on entry,
+    whichever stage settles.
+
+    The binomial certificate (Perez Millan, Dickenstein, Shiu & Conradi
+    2012): when C's echelon rows are binomials c_p e_p + c_f e_f with
+    c_p c_f < 0 (``binomial_quickcheck``), each says x^(M_p - M_f) =
+    -c_f kappa_f / (c_p kappa_p) > 0, so the positive zero set solves
+    D^T log x = r for the n x s matrix D of the differences M_p - M_f.
+    The matroid blocks span the same differences, so d = n - rank D and
+    s + d = n says rank D = s: the zero set is one coset for every
+    kappa > 0.  Row i of C diag(w) M^T is c_p w_p (M_p - M_f) for w in
+    ker C, so its rank is s at every w > 0.  The verdict is ``toric`` with
+    "yes-for-all-positive", and the injectivity determinant is computed
+    only when the report's field is first read.
 
     A sign-definite injectivity determinant det[C diag(mu) M^T diag(al); A]
     also certifies all-positive nondegeneracy: it is nonzero at every
@@ -906,7 +916,8 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
     columns) is such a mu, and a rank of C diag(w) M^T below s would make
     the top rows dependent at mu = w, al = 1.  Positive row scalings of C
     change none of this.  So after a toric injectivity the report reads
-    "yes-for-all-positive" with no extreme rays and no minor sweep.
+    "yes-for-all-positive" with no extreme rays and no minor sweep,
+    whatever the size of the system.
     """
     opts = options or AnalyzeOptions()
     if opts.kappa is not None:
@@ -970,45 +981,43 @@ def analyze(sys: VerticalSystem, mode: GroupMode = GroupMode.POSITIVE, seed: int
                       f"counting and positivity certificates apply to the positive mode only; "
                       f"over {mode.value} the verdict stops at generic local toricity")
 
+    # binomial echelon rows with s + d = n: one coset for every kappa > 0,
+    # and full rank on the whole positive kernel (see the docstring)
+    if rep.binomial:
+        log("binomial_certificate", "toric")
+        rep.nondegenerate = "yes-for-all-positive"
+        rep.defer(injectivity=partial(injectivity_test, sys, inv))
+        return settle(Verdict.TORIC, "toric over the positive reals: the equations are "
+                                     "binomials with independent exponent differences")
+
     inj = rep.injectivity = injectivity_test(sys, inv)
     log("injectivity", "toric" if inj.toric else f"inconclusive ({inj.reason})")
+    if inj.toric:
+        # a sign-definite det[C diag(mu) M^T diag(al); A] is nonzero at
+        # mu = w, al = 1 for every strictly positive kernel vector w
+        log("all_positive_nondegeneracy", "yes")
+        rep.nondegenerate = "yes-for-all-positive"
+        return settle(Verdict.TORIC,
+                      "toric over the positive reals: injectivity determinant is sign-definite")
     mv = bound = None
-    if not inj.toric and sys.n > MIXED_VOLUME_MAX_DIM:
+    if sys.n > MIXED_VOLUME_MAX_DIM:
         log("mixed_volume", "skipped (dimension)")
-    elif not inj.toric:
+    else:
         try:
             mv = rep.mixed_volume_bound = mixed_volume(_coset_supports(sys, inv))
             bound = _number_text(mv)
             log("mixed_volume", bound)
         except VolumeBudgetError:
             log("mixed_volume", "skipped (budget)")
-    # A sign-definite det[C diag(mu) M^T diag(al); A] is nonzero at every
-    # mu > 0, al > 0.  Every strictly positive kernel vector w is such a mu
-    # (the extreme rays' supports cover all m columns, since the positive
-    # kernel is nonempty), and at mu = w, al = 1 a rank of C diag(w) M^T
-    # below s would make the top rows dependent and the determinant vanish.
-    # So a toric injectivity is itself the all-positive certificate, and the
-    # ray sweep runs only where injectivity did not certify; above the cap
-    # the report keeps its older "skipped (size)" reading.
-    if inj.toric and comb(sys.n, sys.s) > ALL_POSITIVE_ENRICHMENT_CAP:
-        log("all_positive_nondegeneracy", "skipped (size)")
-    elif inj.toric:
-        log("all_positive_nondegeneracy", "yes")
-        rep.nondegenerate = "yes-for-all-positive"
-    else:
-        all_pos = nondegeneracy_all_positive(sys)
-        log("all_positive_nondegeneracy", all_pos.status)
-        if all_pos.status == "yes":
-            rep.nondegenerate = "yes-for-all-positive"
-    if inj.toric:
-        return settle(Verdict.TORIC,
-                      "toric over the positive reals: injectivity determinant is sign-definite")
-    if rep.nondegenerate != "yes-for-all-positive":
+    all_pos = nondegeneracy_all_positive(sys)
+    log("all_positive_nondegeneracy", all_pos.status)
+    if all_pos.status != "yes":
         if mv == 1:
             return settle(Verdict.GENERICALLY_TORIC, "generically toric: root-count bound is one")
         return settle(Verdict.GENERICALLY_LOCALLY_TORIC,
                       "generically locally toric; no root-count bound computed" if mv is None
                       else f"generically locally toric with generically at most {bound} cosets")
+    rep.nondegenerate = "yes-for-all-positive"
     if mv == 1:
         return settle(Verdict.TORIC, "toric: single coset forced by the root-count bound, "
                                      "valid for every positive parameter value")

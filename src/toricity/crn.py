@@ -36,7 +36,6 @@ from .polyring import (
     sign_classify,
 )
 from .core import (
-    ALL_POSITIVE_ENRICHMENT_CAP,
     AnalyzeOptions,
     EmptyLocusError,
     GroupMode,
@@ -771,6 +770,9 @@ class NetworkAnalysis:
 # comb(n, s) limit on the direct system's injectivity determinant when the
 # reduced network has settled the verdict and the report alone reads it
 _INJECTIVITY_ENRICHMENT_CAP = 20000
+# comb(n, s) limit on the direct system's ray sweep for its all-positive
+# field, which runs only where its injectivity is not toric
+ALL_POSITIVE_ENRICHMENT_CAP = 40
 
 
 def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult):
@@ -784,9 +786,13 @@ def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult):
         return None
 
 
-def _direct_all_positive(sys_: VerticalSystem) -> str:
+def _direct_all_positive(sys_: VerticalSystem, report: ToricityReport) -> str:
     """The full system's all-positive nondegeneracy, a report-only field
-    like its injectivity."""
+    like its injectivity.  The report's direct injectivity is read first:
+    a toric one certifies the field, as in ``analyze``, with no ray sweep."""
+    inj = report.injectivity
+    if inj is not None and inj.toric:
+        return "yes-for-all-positive"
     if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP \
             and nondegeneracy_all_positive(sys_).status == "yes":
         return "yes-for-all-positive"
@@ -856,7 +862,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
                                 notes=["verdict obtained on the reduced network and lifted"])
         if direct_inv is not None and direct_inv.d == sys_.n - sys_.s:
             report.defer(injectivity=partial(_direct_injectivity, sys_, direct_inv),
-                         nondegenerate=partial(_direct_all_positive, sys_))
+                         nondegenerate=partial(_direct_all_positive, sys_, report))
     else:
         verdict_source = "direct"
         report = analyze(sys_, mode, seed, AnalyzeOptions(boundary=boundaries[0]))

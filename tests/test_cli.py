@@ -316,10 +316,13 @@ def _matrix_past_digit_limit(tmp_path):
 
 
 def _network_outgrowing_digit_limit(tmp_path):
-    """Coefficients just under the limit, whose mixed volume has more digits."""
+    """Coefficients just under the limit, whose mixed volume has more digits.
+    The second reaction B -> cA, with its own rate constant, makes the
+    steady-state equations not binomials, so ``analyze`` reaches the mixed
+    volume."""
     c = "1" * (DIGIT_LIMIT - 300)
     path = tmp_path / "big.crn"
-    path.write_text(f"{c}A <=> B\n{c}B <=> A + C\n", encoding="utf-8")
+    path.write_text(f"{c}A <=> B\n{c}B <=> A + C\nB -> {c}A\n", encoding="utf-8")
     return path
 
 
@@ -368,13 +371,12 @@ def test_analyze_exponent_entry_past_digit_limit_exits_2(tmp_path, capsys, entry
 
 
 @needs_digit_limit
-def test_analysis_names_a_mixed_volume_past_digit_limit():
+def test_analysis_names_a_mixed_volume_past_digit_limit(tmp_path):
     """The library writes a mixed volume past the limit into its evidence
     and notes as a text naming the limit, where ``str`` would raise; the
-    CLI, which prints the number itself, still exits 3 (above)."""
-    c = "1" * (DIGIT_LIMIT - 300)
-    analysis = analyze_network(parse_network(f"{c}A <=> B\n{c}B <=> A + C\n"),
-                               GroupMode.POSITIVE, 0)
+    CLI, which prints the number itself, still exits 3 (below)."""
+    text = _network_outgrowing_digit_limit(tmp_path).read_text(encoding="utf-8")
+    analysis = analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
     report = analysis.report
     assert report.mixed_volume_bound >= 10 ** DIGIT_LIMIT
     text = f"a number of more than {DIGIT_LIMIT} digits"
@@ -385,8 +387,8 @@ def test_analysis_names_a_mixed_volume_past_digit_limit():
 def _matrix_outgrowing_digit_limit(tmp_path):
     """The steady states of ``_network_outgrowing_digit_limit`` as a matrix model."""
     c = int("1" * (DIGIT_LIMIT - 300))
-    rows = {"N": [[-c, c, 1, -1], [1, -1, -c, c], [0, 0, 1, -1]],
-            "M": [[c, 0, 0, 1], [0, 1, c, 0], [0, 0, 0, 1]]}
+    rows = {"N": [[-c, c, 1, -1, c], [1, -1, -c, c, -1], [0, 0, 1, -1, 0]],
+            "M": [[c, 0, 0, 1, 0], [0, 1, c, 0, 1], [0, 0, 0, 1, 0]]}
     path = tmp_path / "big.json"
     path.write_text("{" + ", ".join(f'"{key}": [' + ", ".join(
         "[" + ", ".join(map(str, row)) + "]" for row in value) + "]"
@@ -404,7 +406,7 @@ def test_result_number_past_digit_limit_exits_3(tmp_path, capsys, command):
         else _network_outgrowing_digit_limit
     argv = command.split() + [str(make(tmp_path))]
     if command == "export":
-        argv += ["--kappa", "1,1,1,1", "--out", str(tmp_path / "out.txt")]
+        argv += ["--kappa", "1,1,1,1,1", "--out", str(tmp_path / "out.txt")]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert _one_error_line(err) == (f"error: a number in the analysis has more than "

@@ -44,6 +44,7 @@ from toricity.polyring import SignVerdict, render
 from _oracles import (
     RingPolynomial,
     mul_vector,
+    oracle_circuits,
     oracle_count_cosets,
     oracle_lattice,
     oracle_rref,
@@ -51,6 +52,7 @@ from _oracles import (
     oracle_simplex_maximize,
     polynomial_rows,
     same_row_lattice,
+    solve,
     stacked_det,
     to_rational,
     zeros,
@@ -600,6 +602,83 @@ def test_binomial_quickcheck_chain():
 def test_binomial_quickcheck_false_cases():
     assert binomial_quickcheck(idh_system()) is False
     assert binomial_quickcheck(fig_system()) is False
+
+
+@st.composite
+def _binomial_systems(draw):
+    """Binomial systems with n <= 8: row i of C is a_i e_p - b_i e_f with
+    a_i, b_i > 0 (times a random sign), p a column of its own and f one of
+    1-3 free columns, the columns permuted and the rows mixed by a unit
+    lower triangular integer matrix; M is random.  Returns C, M, a seed."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.integers(1, n))
+    free = draw(st.integers(1, 3))
+    m = s + free
+    order = draw(st.permutations(range(m)))
+    rows = []
+    for i in range(s):
+        row = [0] * m
+        sign = draw(st.sampled_from((1, -1)))
+        row[order[i]] = sign * draw(st.integers(1, 4))
+        row[order[s + draw(st.integers(0, free - 1))]] = -sign * draw(st.integers(1, 4))
+        rows.append(row)
+    C = []
+    for i, row in enumerate(rows):
+        mix = [draw(st.integers(-2, 2)) for _ in range(i)]
+        C.append([x + sum(c * rows[k][j] for k, c in enumerate(mix)) for j, x in enumerate(row)])
+    M = draw(st.lists(st.lists(st.integers(-2, 3), min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    return C, M, draw(st.integers(0, 1 << 16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_binomial_systems())
+def test_binomial_certificate_matches_exact_oracles(case):
+    """Exactly where the differences M_p - M_f of the binomial RREF rows
+    are independent (s + d = n), ``analyze`` settles toric by the binomial
+    certificate, and exact Fraction arithmetic agrees with what it claims:
+    D^T y = r is solvable at a random r, A spans ker D^T, C diag(w) M^T
+    has rank s at random strictly positive kernel vectors w, and with one
+    equation the counting system has one positive zero at a random kappa.
+    Injectivity is never consulted: a binomial system can have a
+    mixed-sign injectivity determinant."""
+    C, M, seed = case
+    sys_ = VerticalSystem(RationalMatrix(C), IntegerMatrix(M))
+    n, m, s = sys_.n, sys_.m, sys_.s
+    assert binomial_quickcheck(sys_)
+    red, pivots = oracle_rref(C, m)
+    pairs = [(p, next(j for j in range(m) if j != p and red[i][j])) for i, p in enumerate(pivots)]
+    D = [[M[k][p] - M[k][f] for p, f in pairs] for k in range(n)]  # n x s
+    rep = analyze(sys_, GroupMode.POSITIVE, seed % 97)
+    stages = {e.test: e.outcome for e in rep.evidence}
+    if len(oracle_rref(D, s)[1]) < s:  # dependent differences: no certificate
+        assert "binomial_certificate" not in stages and rep.verdict is not Verdict.TORIC
+        return
+    assert stages.get("binomial_certificate") == "toric" and "injectivity" not in stages
+    assert rep.verdict is Verdict.TORIC and rep.nondegenerate == "yes-for-all-positive"
+    assert rep.d == n - s
+
+    rng = random.Random(seed)
+    Dt = RationalMatrix([[D[k][i] for k in range(n)] for i in range(s)])
+    assert solve(Dt, [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(s)])
+    A = rep.invariance.A
+    assert A.rows == n - s and all(not any(mul_vector(Dt, A.row(i))) for i in range(A.rows))
+    assert len(oracle_rref(A.to_lists(), n)[1]) == n - s
+
+    circuits, _ = oracle_circuits(C, m)
+    assert all(min(v) >= 0 for v in circuits)
+    for _ in range(3):
+        coeffs = [Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in circuits]
+        w = [sum(c * v[j] for c, v in zip(coeffs, circuits)) for j in range(m)]
+        assert min(w) > 0
+        jacobian = [[sum(Fraction(C[i][j]) * w[j] * M[k][j] for j in range(m)) for k in range(n)]
+                    for i in range(s)]
+        assert len(oracle_rref(jacobian, n)[1]) == s
+
+    if s == 1:
+        kappa = [Fraction(rng.randint(1, 999), rng.randint(1, 99)) for _ in range(m)]
+        h = coset_counting_system(sys_, rep.invariance, kappa, seed)
+        assert count_positive_cosets(h) == oracle_count_cosets(h) == 1
 
 
 def test_vertical_system_row_basis_replacement():

@@ -17,7 +17,6 @@ from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.polyhedra import strictly_positive_kernel
 from toricity.polyring import SignVerdict, sign_classify, term_count
 from toricity.core import (
-    ALL_POSITIVE_ENRICHMENT_CAP,
     EmptyLocusError,
     GroupMode,
     ToricityReport,
@@ -27,6 +26,7 @@ from toricity.core import (
     nondegeneracy_all_positive,
 )
 from toricity.crn import (
+    ALL_POSITIVE_ENRICHMENT_CAP,
     NetworkParseError,
     ReactionNetwork,
     SearchBudgetExceededError,
@@ -1029,37 +1029,44 @@ def _count_direct_facts(monkeypatch):
 
 
 def _eager_direct_facts(system):
-    """The direct system's injectivity and all-positive fields as the
-    reduced path computed them before it deferred them."""
+    """The direct system's injectivity and all-positive fields, computed
+    eagerly: a toric injectivity certifies the all-positive field, and
+    otherwise the ray sweep decides it under the size cap.  Under the cap
+    the sweep agrees with a toric injectivity."""
     inj = injectivity_test(system, invariance_group(system))
-    nondegenerate = "unknown"
+    swept = "unknown"
     if comb(system.n, system.s) <= ALL_POSITIVE_ENRICHMENT_CAP:
         if nondegeneracy_all_positive(system).status == "yes":
-            nondegenerate = "yes-for-all-positive"
-    return inj, nondegenerate
+            swept = "yes-for-all-positive"
+        assert swept == "yes-for-all-positive" or not inj.toric
+    return inj, "yes-for-all-positive" if inj.toric else swept
 
 
 @pytest.mark.parametrize("text, all_positive_calls",
-                         [((MODELS / "idh.crn").read_text(), 1), (multisite(2), 0)],
-                         ids=["idh", "multisite_2"])
+                         [((MODELS / "idh.crn").read_text(), 0),
+                          ((MODELS / "shinar_feinberg.crn").read_text(), 1),
+                          (multisite(2), 0)],
+                         ids=["idh", "shinar_feinberg", "multisite_2"])
 def test_direct_facts_computed_when_read(monkeypatch, text, all_positive_calls):
-    """Each deferred field runs its own step on its first read, and only it."""
+    """Each deferred step runs on the first read of its field, and once.
+    The all-positive step reads the injectivity field first, and sweeps the
+    rays only where that is not toric: on shinar_feinberg, not on idh or
+    multisite_2 (whose C(n, s) is past the sweep's cap)."""
     calls = _count_direct_facts(monkeypatch)
     res = analyze_network(parse_network(text), seed=0)
     assert res.verdict_source == "reduced"
     assert calls == Counter()
-    nondegenerate = Counter(nondegeneracy_all_positive=all_positive_calls)
-    both = nondegenerate + Counter(injectivity_test=1)
-    for read, expected in ((lambda r: r.nondegenerate, nondegenerate),
-                           (lambda r: r.nondegenerate, nondegenerate),
-                           (lambda r: r.injectivity, both),
-                           (ToricityReport.to_dict, both),
-                           (lambda r: r.nondegenerate, both)):
+    both = Counter(injectivity_test=1, nondegeneracy_all_positive=all_positive_calls)
+    for read in (lambda r: r.nondegenerate, lambda r: r.nondegenerate, lambda r: r.injectivity,
+                 ToricityReport.to_dict, lambda r: r.nondegenerate):
         read(res.report)
-        assert +calls == +expected
+        assert +calls == +both
+    assert res.report.nondegenerate == "yes-for-all-positive"
     res = analyze_network(parse_network(text), seed=0)
     res.report.injectivity
     assert +calls == +(both + Counter(injectivity_test=1))
+    res.report.nondegenerate
+    assert +calls == +(both + both)
 
 
 @pytest.mark.parametrize("text", [multisite(k) for k in range(1, 5)]
@@ -1084,10 +1091,12 @@ def test_direct_facts_copy_resolved(roundtrip):
 
 
 def test_direct_facts_stay_pending_after_error(monkeypatch):
-    """A failing step reaches its reader and leaves only its own field
-    pending; the other field fills and reads as usual."""
-    for name, failing, other in (("injectivity_test", "injectivity", "nondegenerate"),
-                                 ("nondegeneracy_all_positive", "nondegenerate", "injectivity")):
+    """A failing step reaches the reader of its field, also through the
+    all-positive step, which reads the injectivity field first, and leaves
+    that field pending; the next read runs it again.  On shinar_feinberg
+    the direct injectivity is not toric, so the ray sweep runs."""
+    for name, text in (("injectivity_test", IDH_TEXT),
+                       ("nondegeneracy_all_positive", SHINAR_FEINBERG_TEXT)):
         with monkeypatch.context() as patch:
             calls = _count_direct_facts(patch)
             stage = getattr(crn, name)
@@ -1099,16 +1108,20 @@ def test_direct_facts_stay_pending_after_error(monkeypatch):
                     raise RuntimeError("interrupted")
                 return _stage(*args)
             patch.setattr(crn, name, failing_once)
-            res = analyze_network(parse_network(IDH_TEXT), seed=0)
+            res = analyze_network(parse_network(text), seed=0)
             with pytest.raises(RuntimeError, match="interrupted"):
-                getattr(res.report, failing)
-            assert set(res.report._pending) == {"injectivity", "nondegenerate"}
-            getattr(res.report, other)
-            assert set(res.report._pending) == {failing}
-            assert res.report.injectivity.toric
+                res.report.nondegenerate
+            # the injectivity step, read first, is filled unless it failed
+            failing = {"injectivity_test": "injectivity",
+                       "nondegeneracy_all_positive": "nondegenerate"}[name]
+            assert set(res.report._pending) == {failing, "nondegenerate"}
+            res.report.injectivity
+            assert set(res.report._pending) == {"nondegenerate"}
             assert res.report.nondegenerate == "yes-for-all-positive"
             assert "_pending" not in vars(res.report)
-            assert len(failures) == 1 and sum(calls.values()) == 2
+            # each step ran to completion once; the sweep only on shinar_feinberg
+            assert len(failures) == 1 and calls == Counter(
+                injectivity_test=1, nondegeneracy_all_positive=int(text == SHINAR_FEINBERG_TEXT))
 
 
 @pytest.mark.parametrize("name", ["idh.crn", "shinar_feinberg.crn"])

@@ -95,12 +95,16 @@ def test_det_stacked_replays_as_det_symbolic(monkeypatch, text):
 def test_det_term_budget_gives_named_inconclusive(monkeypatch):
     """A stacked determinant past its term budget costs only the results
     that need it: multistationarity is inconclusive with the budget named,
-    condition (ii) is unknown, and the network still gets a verdict."""
-    net = parse_network(multisite(3))
-    full = analyze_network(net, GroupMode.POSITIVE, 0)
+    condition (ii) is unknown, and the network still gets a verdict.  The
+    full one-site system is not binomial, so its toric verdict rests on the
+    injectivity determinant (a binomial reduced system would settle it by
+    the binomial certificate, with no expansion)."""
+    net = parse_network(multisite(1))
+    full = analyze_network(net, GroupMode.POSITIVE, 0, reduce=False)
+    assert full.report.binomial is False and full.verdict == Verdict.TORIC
     assert core._augmented_all_positive(full.system, full.report.invariance) == "yes"
     monkeypatch.setattr(polyring, "_DET_TERM_BUDGET", 10)
-    analysis = analyze_network(net, GroupMode.POSITIVE, 0)
+    analysis = analyze_network(net, GroupMode.POSITIVE, 0, reduce=False)
     assert analysis.multistationarity.status == "inconclusive"
     assert analysis.multistationarity.reason == (
         "symbolic determinant exceeds its budget of 10 terms")

@@ -16,14 +16,13 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricity import GroupMode, core, crn, parse_network, polyring
+from toricity import GroupMode, Verdict, core, crn, parse_network, polyring
 from toricity.core import (
     EmptyLocusError,
     VerticalSystem,
@@ -350,11 +349,13 @@ def test_minor_sweep_refuses_past_the_size_limit_at_the_first_minor():
 
 def _toric_injectivity_settles_all_positive(sys_, seed=0) -> str | None:
     """Analyses ``sys_`` counting the all-positive sweep and the extreme
-    rays.  When its injectivity is toric, the report reads the all-positive
-    stage off that determinant with neither; the independent oracles agree:
+    rays.  When the binomial certificate settles it, or its injectivity is
+    toric, the report reads the all-positive stage off that certificate
+    with neither, whatever C(n, s) is; the independent oracles agree:
     C diag(w) M^T has rank s at strictly positive rational combinations w of
     the Fraction extreme rays, and the minor sweep over Fractions never
-    refutes.  Returns that sweep's status, or None with no toric injectivity."""
+    refutes.  Returns that sweep's status, or None with neither
+    certificate."""
     calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
         for name in ("nondegeneracy_all_positive", "extreme_rays"):
@@ -363,14 +364,16 @@ def _toric_injectivity_settles_all_positive(sys_, seed=0) -> str | None:
                 return _stage(*args)
             mp.setattr(core, name, counting)
         rep = analyze(sys_, GroupMode.POSITIVE, seed)
-    if rep.injectivity is None or not rep.injectivity.toric:
+    stages = {e.test: e.outcome for e in rep.evidence}
+    if "binomial_certificate" in stages:
+        assert rep.binomial and "injectivity" not in stages
+        assert (stages["binomial_certificate"], rep.verdict) == ("toric", Verdict.TORIC)
+    elif rep.injectivity is None or not rep.injectivity.toric:
         return None
-    assert not calls
-    stage = {e.test: e.outcome for e in rep.evidence}["all_positive_nondegeneracy"]
-    if comb(sys_.n, sys_.s) > core.ALL_POSITIVE_ENRICHMENT_CAP:
-        assert (stage, rep.nondegenerate) == ("skipped (size)", "yes")
     else:
-        assert (stage, rep.nondegenerate) == ("yes", "yes-for-all-positive")
+        assert stages["all_positive_nondegeneracy"] == "yes"
+    assert not calls
+    assert rep.nondegenerate == "yes-for-all-positive"
     rays = oracle_extreme_rays(sys_.C)
     lam = tuple(f"l{k+1}" for k in range(len(rays)))
     jacobian = oracle_scaled_jacobian(sys_, rays, lam)

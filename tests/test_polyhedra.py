@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricity import GroupMode, analyze_network, core, parse_network, polyhedra
+from toricity import GroupMode, analyze_network, core, crn, parse_network, polyhedra
 from toricity.exactalg import (
     IntegerMatrix,
     InternalInconsistencyError,
@@ -413,9 +413,9 @@ def _screen_pass():
 
 
 def test_screen_pass_triangulates_what_segments_leave(monkeypatch):
-    """A screen pass computes 17 mixed volumes; 12 of them reduce to one
-    support in dimension 1 or hold a single point, so only 5 reach the
-    placing triangulation."""
+    """A screen pass computes 10 mixed volumes (binomial systems settle
+    before the stage); 5 of them reduce to one support in dimension 1 or
+    hold a single point, so only 5 reach the placing triangulation."""
     calls = {"mixed_volume": 0, "triangulation": 0}
     volume, triangulation = polyhedra.mixed_volume, polyhedra._placing_triangulation
 
@@ -430,7 +430,7 @@ def test_screen_pass_triangulates_what_segments_leave(monkeypatch):
     monkeypatch.setattr(core, "mixed_volume", counting_volume)
     monkeypatch.setattr(polyhedra, "_placing_triangulation", counting_triangulation)
     _screen_pass()
-    assert calls == {"mixed_volume": 17, "triangulation": 5}
+    assert calls == {"mixed_volume": 10, "triangulation": 5}
 
 
 @settings(max_examples=150, deadline=None)
@@ -473,10 +473,12 @@ def test_mixed_volume_unit_cubes(n):
 ])
 def test_mixed_volume_of_five_species_coset_systems(text, expected):
     # reduced to n = 5 species, these spent over 40 s each in the
-    # inclusion-exclusion over Minkowski sums
-    analysis = analyze_network(parse_network(text), GroupMode.POSITIVE, 0)
-    assert analysis.reduced_report.n == 5
-    assert analysis.reduced_report.mixed_volume_bound == expected
+    # inclusion-exclusion over Minkowski sums; they are binomial, so
+    # ``analyze`` settles them before the mixed volume, which is called here
+    _, system = crn._reduced_system(parse_network(text))
+    assert system.n == 5 and core.binomial_quickcheck(system)
+    supports = core._coset_supports(system, core.invariance_group(system))
+    assert mixed_volume(supports) == expected
 
 
 # -- integer kernels against their Fraction oracles ---------------------------
