@@ -401,51 +401,24 @@ def _surjectivity_flag(inter_complexes, out_edges, in_edges) -> str:
 
 
 def _group_is_chain(group, inter_complexes, out_edges, in_edges) -> bool:
-    # interior adjacency must be a path
-    adj = {g: ((out_edges[g] | in_edges[g]) & group) for g in group}
-    ends = [g for g in group if len(adj[g]) <= 1]
-    if len(group) == 1:
-        order = list(group)
-    else:
-        if len(ends) != 2 or any(len(adj[g]) > 2 for g in group):
-            return False
-        order = [min(ends)]
-        prev = None
-        while len(order) < len(group):
-            nxt = [g for g in adj[order[-1]] if g != prev]
-            if len(nxt) != 1:
-                return False
-            prev = order[-1]
-            order.append(nxt[0])
-    # orient so the head receives the outside input
-    heads = [g for g in order if any(c not in inter_complexes for c in in_edges[g])]
-    if len(heads) != 1:
+    """Whether a connected intermediate group is a chain: a walk from its
+    head, its one complex with an outside input c, must cover it one new
+    neighbour at a time along forward arrows; only the head (back to c) and
+    the tail may leave it, and the tail must reach some c' != c."""
+    heads = [g for g in group if in_edges[g] - inter_complexes]
+    if len(heads) != 1 or len(c_in := in_edges[heads[0]] - inter_complexes) != 1:
         return False
-    if heads[0] == order[-1]:
-        order.reverse()
-    if heads[0] != order[0]:
-        return False
-    head, tail = order[0], order[-1]
-    outside_in = [c for c in in_edges[head] if c not in inter_complexes]
-    if len(outside_in) != 1:
-        return False
-    c_in = outside_in[0]
-    # forward arrows along the chain must exist
-    for a, b in zip(order, order[1:]):
-        if b not in out_edges[a]:
+    order = heads
+    for _ in range(len(group) - 1):
+        g = order[-1]
+        step = ((out_edges[g] | in_edges[g]) & group) - set(order[-2:])
+        if len(step) != 1 or not step <= out_edges[g]:
             return False
-    # outside out-edges: only from the head back to the input, or from the tail
-    for g in order:
-        for tgt in out_edges[g]:
-            if tgt in inter_complexes:
-                continue
-            if g == tail:
-                continue
-            if g == head and tgt == c_in:
-                continue
-            return False
-    tail_outs = [t for t in out_edges[tail] if t not in inter_complexes and t != c_in]
-    return len(tail_outs) >= 1
+        order += step
+    exits = [out_edges[g] - inter_complexes for g in order]
+    if any(exits[1:-1]) or len(order) > 1 and exits[0] - c_in:
+        return False
+    return bool(exits[-1] - c_in)
 
 
 def lift_invariance(a_tilde: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
@@ -775,15 +748,12 @@ _INJECTIVITY_ENRICHMENT_CAP = 20000
 ALL_POSITIVE_ENRICHMENT_CAP = 40
 
 
-def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult):
+def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult) -> InjectivityResult:
     """The full system's injectivity, which the reduced path records in its
     report but needs for no verdict."""
     if sys_.s > 12 or comb(sys_.n, sys_.s) > _INJECTIVITY_ENRICHMENT_CAP:
         return InjectivityResult(False, reason="determinant too large")
-    try:
-        return injectivity_test(sys_, inv)
-    except ValueError:
-        return None
+    return injectivity_test(sys_, inv)
 
 
 def _direct_all_positive(sys_: VerticalSystem, report: ToricityReport) -> str:

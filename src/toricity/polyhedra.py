@@ -9,11 +9,15 @@ from the mixed cells of one triangulation of the Cayley configuration of
 the supports.  Before that triangulation the mixed volume takes out every
 support that spans a segment, as a factor of its lattice length and a
 unimodular projection of the others along it, so only what is left is
-triangulated.  Every input arrives in integers: a matrix's rows are read as
-the integers it keeps for them, the LP takes integer rows, right-hand side
-and costs, and circuits are integer vectors.  The positive-kernel LP is
-built on a matrix's kept integer echelon rows, whose pivot columns give it
-a feasible starting basis, so the simplex runs from there with no phase 1.
+triangulated.  The eliminations are ``exactalg``'s: the projection is
+read off the Bezout sweep of [u | I] (Cohen 1993, section 2.4), and a
+triangulation's start simplex comes from the pivot columns of an integer
+echelon form, the normals of its facets from circuit kernels.  Every input
+arrives in integers: a matrix's rows are read as the integers it keeps for
+them, the LP takes integer rows, right-hand side and costs, and circuits
+are integer vectors.  The positive-kernel LP is built on a matrix's kept
+integer echelon rows, whose pivot columns give it a feasible starting
+basis, so the simplex runs from there with no phase 1.
 Fractions appear only in the results handed out, and the LP's vertex is
 scaled back to integers once, to form the witness and check it.
 """
@@ -29,9 +33,12 @@ from .exactalg import (
     IntegerMatrix,
     InternalInconsistencyError,
     RationalMatrix,
+    _bezout_echelon,
+    _integer_rref,
     _integer_scaling,
     _primitive,
     int_det,
+    kernel_circuit_basis,
 )
 
 
@@ -257,23 +264,15 @@ class SupportSet:
 
 
 def _hyperplane(points_subset):
-    """Primitive integer (normal, offset) through a full list of k points in R^k, or None."""
-    k = len(points_subset[0])
+    """Primitive integer (normal, offset) through a full list of k points in
+    R^k, or None: the normal is the one circuit of the difference rows, and
+    there is none when they have more than one."""
     p0 = points_subset[0]
-    diffs = [[p[i] - p0[i] for i in range(k)] for p in points_subset[1:]]
-    # normal via cofactor expansion: normal_i = (-1)^i det(diffs without column i)
-    normal = []
-    for i in range(k):
-        sub = [[row[j] for j in range(k) if j != i] for row in diffs]
-        normal.append((-1) ** i * int_det(sub))
-    if all(x == 0 for x in normal):
+    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points_subset[1:]]
+    circuits = kernel_circuit_basis(IntegerMatrix._of(diffs, len(p0))).vectors
+    if len(circuits) != 1:
         return None
-    g = 0
-    for x in normal:
-        g = gcd(g, abs(x))
-    normal = [x // g for x in normal]
-    offset = sum(a * b for a, b in zip(normal, p0))
-    return tuple(normal), offset
+    return circuits[0], sum(map(mul, circuits[0], p0))
 
 
 _SIMPLEX_BUDGET = 20_000
@@ -283,31 +282,24 @@ def _placing_triangulation(points):
     """Placing (beneath-beyond) triangulation of a finite point set in Z^k.
 
     The points are taken in sorted order.  The first k + 1 affinely
-    independent ones span the start simplex.  Every later point is coned over
-    each boundary facet it lies strictly beyond, and skipped when no facet
-    sees it.  Boundary facets carry primitive integer outward normals, so
-    every test is exact: the start simplex's come from cofactors, and each
-    later facet's from the two facets that met at its horizon ridge.
+    independent ones span the start simplex: the first point and those
+    whose differences to it are pivot columns of the differences' integer
+    echelon form.  Every later point is coned over each boundary facet it
+    lies strictly beyond, and skipped when no facet sees it.  Boundary
+    facets carry primitive integer outward normals, so every test is exact:
+    the start simplex's are the circuits of its facets' difference rows, and
+    each later facet's comes from the two facets that met at its horizon
+    ridge.
     Returns the simplices as tuples of k + 1 points, or None when the points
     span fewer than k dimensions; raises VolumeBudgetError once more than
     _SIMPLEX_BUDGET simplices are placed.
     """
     pts = sorted(set(points))
     k = len(pts[0])
-    # start simplex: keep a point when its difference to pts[0] survives
-    # fraction-free reduction by the differences kept so far
-    start, echelon = [0], []
-    for idx in range(1, len(pts)):
-        if len(start) == k + 1:
-            break
-        v = [a - b for a, b in zip(pts[idx], pts[0])]
-        for col, row in echelon:
-            if v[col]:
-                v = [row[col] * x - v[col] * y for x, y in zip(v, row)]
-        col = next((c for c, x in enumerate(v) if x), None)
-        if col is not None:
-            echelon.append((col, v))
-            start.append(idx)
+    # start simplex: pts[0] and the first k points whose differences to it
+    # are independent, the pivot columns of the differences' echelon form
+    diffs = [[p[i] - pts[0][i] for p in pts[1:]] for i in range(k)]
+    start = [0, *(j + 1 for j in _integer_rref(diffs, len(pts) - 1)[1])]
     if len(start) < k + 1:
         return None
 
@@ -341,11 +333,11 @@ def _placing_triangulation(points):
                 # because h1 > 0 >= h2
                 a2, b2, across = boundary[other]
                 h2 = sum(a * b for a, b in zip(a2, p)) - b2
-                normal = [h1 * y - h2 * x for x, y in zip(a1, a2)]
-                g = gcd(*normal)
+                *normal, offset = _primitive([h1 * y - h2 * x
+                                              for x, y in zip((*a1, b1), (*a2, b2))])
                 new = tuple(sorted(verts[:j] + verts[j + 1:] + (idx,)))
                 across[across.index(verts)] = new
-                created[new] = [tuple(x // g for x in normal), (h1 * b2 - h2 * b1) // g,
+                created[new] = [tuple(normal), offset,
                                 [other if v == idx else None for v in new]]
             simplices.append(verts + (idx,))
         # new facets meet each other across the ridges through p
@@ -379,41 +371,26 @@ def polytope_volume(support) -> Fraction:
 
 
 def _quotient_rows(u):
-    """Rows 2..n of a unimodular integer matrix U with U u = e_1, for a
-    primitive u: they map Z^n onto Z^n / Z u, identified with Z^(n-1).
-    Each unimodular 2 x 2 step (x, y; -b/g, a/g), x a + y b = g = gcd(a, b),
-    clears one entry of u from the last one up."""
-    n = len(u)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = list(u)
-    for i in range(n - 1, 0, -1):
-        a, b = v[i - 1], v[i]
-        if b:
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            x = pow(a, -1, abs(b))  # Bezout: x a + y b = 1
-            y = (1 - x * a) // b
-            r, t = rows[i - 1], rows[i]
-            rows[i - 1] = [x * p + y * q for p, q in zip(r, t)]
-            rows[i] = [a * q - b * p for p, q in zip(r, t)]
-            v[i - 1], v[i] = g, 0
-    return rows[1:]
+    """Rows 2..n of a unimodular integer matrix U with U u = (1, 0, ..., 0),
+    up to sign, for a primitive u: they map Z^n onto Z^n / Z u, identified
+    with Z^(n-1).  ``_bezout_echelon`` of [u | I] clears u below its first
+    entry by unimodular steps, tracked in the identity block."""
+    rows = [[x] + [int(i == j) for j in range(len(u))] for i, x in enumerate(u)]
+    _bezout_echelon(rows, 1)
+    return [row[1:] for row in rows[1:]]
 
 
 def _segment(points):
     """(lattice length, primitive direction) when the sorted points, two or
-    more, lie on one line, else None.  Points on a line sort along it, so
-    the first and the last are the segment's ends."""
-    first, last = points[0], points[-1]
-    d = [b - a for a, b in zip(first, last)]
-    g = gcd(*d)
-    u = [x // g for x in d]
-    k = next(i for i, x in enumerate(u) if x)
-    for p in points[1:-1]:
-        t = (p[k] - first[k]) // u[k]
-        if any(x - a != t * y for x, a, y in zip(p, first, u)):
-            return None
-    return g, u
+    more, lie on one line, else None: when their differences to the first
+    have rank 1.  Points on a line sort along it, so the first and the last
+    are the segment's ends, and the one echelon row, a primitive multiple
+    of a difference to the first, is the direction from first to last."""
+    first = points[0]
+    rows = _integer_rref([[a - b for a, b in zip(p, first)] for p in points[1:]], len(first))[0]
+    if len(rows) != 1:
+        return None
+    return gcd(*(a - b for a, b in zip(points[-1], first))), rows[0]
 
 
 def mixed_volume(supports) -> int:

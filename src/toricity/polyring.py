@@ -13,9 +13,17 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import prod
 
-from .exactalg import IntegerMatrix, RationalMatrix, _frac, int_det
+from .exactalg import (
+    IntegerMatrix,
+    RationalMatrix,
+    _frac,
+    _integer_scaling,
+    _primitive,
+    int_det,
+    kernel_circuit_basis,
+)
 
 
 class VariableMismatchError(ValueError):
@@ -330,10 +338,10 @@ def det_symbolic(matrix) -> SparsePolynomial:
         for p in row:
             if p.variables != variables:
                 raise VariableMismatchError(f"variables {p.variables} vs {variables}")
-        scale = lcm(*(c.denominator for p in row for c in p.terms.values()))
-        rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)):
-                      c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-                     for p in row])
+        ints, scale = _integer_scaling([c for p in row for c in p.terms.values()])
+        ints = iter(ints)
+        rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)): next(ints)
+                      for e in p.terms} for p in row])
         scales.append(scale)
     return det_stacked(rows, scales, variables, IntegerMatrix.with_width([], n))
 
@@ -385,7 +393,8 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     entry (i, k), a tuple of indices into ``variables`` with an index
     repeated for a power, to an integer coefficient, and row i of the top
     is that row over ``scales[i]``.  The echelon form the bottom block A
-    keeps gives its pivot columns P and X = A_P^-1 A_R on the other columns R.
+    keeps gives its pivot columns P, and X = A_P^-1 A_R on the other columns
+    R is read off the circuits of A's kernel, one per column of R.
     Subtracting from each top column r in R the top's P columns weighted by
     X[:, r] is a column operation that zeroes the bottom block on R, so
     Laplace expansion along the bottom rows keeps one term,
@@ -405,20 +414,19 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     packed, fields = _pack(rows, len(variables))
     if not d:
         return _expand(packed, variables, fields, 1, prod(scales))
-    echelon, pivots = bottom.integer_echelon()
+    pivots = bottom.integer_echelon()[1]
     if len(pivots) < d:
         return SparsePolynomial(variables)
     rest = [k for k in range(n) if k not in pivots]
     lower = bottom.integer_rows()
     det_p = int_det([[row[p] for p in pivots] for row, _ in lower])
     scale = prod(den for _, den in lower) * prod(scales)
-    # column r of top' is (den * top[:, r] - sum_i c_i top[:, pivots[i]]) / den, c / den = X[:, r]
+    # the circuit v of column r is den at r and -den X[:, r] at the pivots, so
+    # column r of top' is (den * top[:, r] + sum_p v[p] top[:, p]) / den
     combos = []
-    for r in rest:
-        den = lcm(*(abs(e[p]) // gcd(e[r], e[p]) for e, p in zip(echelon, pivots)))
-        coeffs = [e[r] * den // e[p] for e, p in zip(echelon, pivots)]
-        scale *= den
-        combos.append((r, den, [(c, p) for c, p in zip(coeffs, pivots) if c]))
+    for r, v in zip(rest, kernel_circuit_basis(bottom).vectors):
+        scale *= v[r]
+        combos.append((r, v[r], [(v[p], p) for p in pivots if v[p]]))
     reduced_rows = []
     for row in packed:
         reduced = []
@@ -426,7 +434,7 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
             acc = {k: den * c for k, c in row[r].items()}
             for c, p in combo:
                 for k, v in row[p].items():
-                    acc[k] = acc.get(k, 0) - c * v
+                    acc[k] = acc.get(k, 0) + c * v
             reduced.append({k: v for k, v in acc.items() if v})
         reduced_rows.append(reduced)
     if (sum(rest) - s * (s - 1) // 2) % 2:
@@ -457,12 +465,6 @@ def _trim(c):
 
 def _derivative(c):
     return [i * x for i, x in enumerate(c)][1:]
-
-
-def _primitive(c: list[int]) -> list[int]:
-    """A nonzero integer list divided by the gcd of its entries."""
-    g = gcd(*c)
-    return [x // g for x in c] if g > 1 else c
 
 
 def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -545,8 +547,7 @@ def count_distinct_roots(coeffs, lower=None, upper=None) -> int:
     ends = [None if e is None else _frac(e) for e in (lower, upper)]
     if len(c) == 1 or (None not in ends and ends[0] >= ends[1]):
         return 0
-    den = lcm(*(x.denominator for x in c))
-    p = _primitive([x.numerator * (den // x.denominator) for x in c])
+    p = _primitive(_integer_scaling(c)[0])
     for e in ends:
         while e is not None and len(p) > 1 and _sign_at(p, e) == 0:
             p = _divide_root(p, e)

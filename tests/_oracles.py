@@ -10,12 +10,19 @@ package's Cayley triangulation replaced; it shares only the package's
 integer determinant.  ``oracle_mixed_volume`` is the package's mixed
 volume before it took out segments: the mixed cells of one placing
 triangulation, the package's own, of the whole Cayley configuration.
+``oracle_start_simplex`` is the incremental elimination that chose the
+start simplex of a placing triangulation before the package read the
+pivot columns of one echelon form, and ``_hyperplane`` the cofactor
+normal its facets had before they became circuits.
 Minimal siphons use the sweep over all species
 subsets that the package's closure branching replaced, and reachability in
 the reaction graph uses Warshall's transitive closure in place of the
-package's depth-first walks.  Siphon support is decided two ways, each with
-its own LP where the package applies Stiemke's lemma: by one LP over the
-whole row space in place of the package's rank test, and by the
+package's depth-first walks.  ``oracle_group_is_chain`` is the chain test
+of an intermediate group that checked a path first and oriented it
+afterwards, where the package walks once from the group's head.  Siphon
+support is decided two ways, each with its own LP where the package
+applies Stiemke's lemma: by one LP over the whole row space in place of
+the package's rank test, and by the
 ``Fraction`` RREF of the permuted matrix that the package's fraction-free
 echelon form replaced.  ``oracle_siphon_boundary_check`` is the boundary
 check before its two certificates: every minimal siphon searched and tested
@@ -836,6 +843,28 @@ def _hyperplane(points_subset):
     return tuple(normal), sum(a * b for a, b in zip(normal, p0))
 
 
+
+def oracle_start_simplex(points):
+    """The start simplex of ``_placing_triangulation`` as the package chose
+    it before it read pivot columns: the sorted points in turn, each kept
+    when its difference to the first survives fraction-free reduction by
+    the differences kept so far.  Returns the k + 1 points, or None."""
+    pts = sorted(set(points))
+    k = len(pts[0])
+    start, echelon = [pts[0]], []
+    for p in pts[1:]:
+        if len(start) == k + 1:
+            break
+        v = [a - b for a, b in zip(p, pts[0])]
+        for col, row in echelon:
+            if v[col]:
+                v = [row[col] * x - v[col] * y for x, y in zip(v, row)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            echelon.append((col, v))
+            start.append(p)
+    return tuple(start) if len(start) == k + 1 else None
+
 def _facets(verts):
     """All facets of a full-dimensional hull, by brute-force hyperplane search."""
     k = len(verts[0])
@@ -1235,6 +1264,57 @@ def oracle_walk(start, edges, inside):
     those."""
     reached = {start} | oracle_closure({a: edges[a] & inside for a in inside})[start]
     return reached, {b for a in reached for b in edges[a] if b not in inside}
+
+
+def oracle_group_is_chain(group, inter_complexes, out_edges, in_edges) -> bool:
+    """``crn._group_is_chain`` as the package had it before its one walk
+    from the head: the group's undirected adjacency is checked to be a path
+    first, walked from its least end, and oriented afterwards."""
+    # interior adjacency must be a path
+    adj = {g: ((out_edges[g] | in_edges[g]) & group) for g in group}
+    ends = [g for g in group if len(adj[g]) <= 1]
+    if len(group) == 1:
+        order = list(group)
+    else:
+        if len(ends) != 2 or any(len(adj[g]) > 2 for g in group):
+            return False
+        order = [min(ends)]
+        prev = None
+        while len(order) < len(group):
+            nxt = [g for g in adj[order[-1]] if g != prev]
+            if len(nxt) != 1:
+                return False
+            prev = order[-1]
+            order.append(nxt[0])
+    # orient so the head receives the outside input
+    heads = [g for g in order if any(c not in inter_complexes for c in in_edges[g])]
+    if len(heads) != 1:
+        return False
+    if heads[0] == order[-1]:
+        order.reverse()
+    if heads[0] != order[0]:
+        return False
+    head, tail = order[0], order[-1]
+    outside_in = [c for c in in_edges[head] if c not in inter_complexes]
+    if len(outside_in) != 1:
+        return False
+    c_in = outside_in[0]
+    # forward arrows along the chain must exist
+    for a, b in zip(order, order[1:]):
+        if b not in out_edges[a]:
+            return False
+    # outside out-edges: only from the head back to the input, or from the tail
+    for g in order:
+        for tgt in out_edges[g]:
+            if tgt in inter_complexes:
+                continue
+            if g == tail:
+                continue
+            if g == head and tgt == c_in:
+                continue
+            return False
+    tail_outs = [t for t in out_edges[tail] if t not in inter_complexes and t != c_in]
+    return len(tail_outs) >= 1
 
 
 def oracle_lattice(m_rows, n: int, blocks):

@@ -49,6 +49,7 @@ from toricity.crn import (
 from _oracles import (
     mul_vector,
     oracle_closure,
+    oracle_group_is_chain,
     oracle_is_siphon,
     oracle_minimal_siphons,
     oracle_multistationarity_det,
@@ -649,6 +650,61 @@ def _walks(draw):
 @given(_walks())
 def test_walk_matches_transitive_closure(case):
     assert crn._walk(*case) == oracle_walk(*case)
+
+
+def _edges(n, arrows):
+    """Successors and predecessors of nodes 0..n-1 joined by ``arrows``."""
+    out = {a: {b for s, b in arrows if s == a} for a in range(n)}
+    return out, {b: {a for a, t in arrows if t == b} for b in range(n)}
+
+
+@st.composite
+def _intermediate_graphs(draw):
+    """A random reaction graph on 2-8 complexes, with no reaction from a
+    complex to itself, and a random set of intermediate complexes.  Half of
+    them are a path 0 - 1 - ... - n-1 through the intermediates 1..n-2,
+    each link forward, both ways or backward, with up to two random arrows
+    added, so that a chain with one defect is common."""
+    n = draw(st.integers(2, 8))
+    nodes = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        inter = set(range(1, n - 1)) or {0}
+        arrows = []
+        for i in range(n - 1):
+            link = draw(st.sampled_from(["forward", "forward", "both", "backward"]))
+            arrows += [(i, i + 1)] * (link != "backward") + [(i + 1, i)] * (link != "forward")
+        arrows += draw(st.lists(st.tuples(nodes, nodes), max_size=2))
+    else:
+        inter = draw(st.sets(nodes, min_size=1))
+        arrows = [(a, b) for a in range(n) for b in draw(st.sets(nodes, max_size=3))]
+    return (inter, *_edges(n, [(a, b) for a, b in arrows if a != b]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_intermediate_graphs())
+# 0 -> 1 <-> 2 -> 3: a chain, and one whose tail exits only to its input
+@example(({1, 2}, *_edges(4, [(0, 1), (1, 2), (2, 1), (2, 3)])))
+@example(({1, 2}, *_edges(3, [(0, 1), (1, 0), (1, 2), (2, 0)])))
+# a head stepping back to its input, and one leaving to another complex
+@example(({1, 2, 3}, *_edges(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)])))
+@example(({1, 2}, *_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])))
+# an interior complex leaving the group, and a link with no forward arrow
+@example(({1, 2, 3}, *_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)])))
+@example(({1, 2}, *_edges(4, [(0, 1), (2, 1), (2, 3)])))
+# a second input into the head, and an input into a second complex
+@example(({1, 2}, *_edges(5, [(0, 1), (4, 1), (1, 2), (2, 3)])))
+@example(({1, 2}, *_edges(5, [(0, 1), (1, 2), (2, 3), (4, 2)])))
+def test_group_is_chain_matches_path_first_oracle(case):
+    """The one walk from the head decides every intermediate group as the
+    test that checked for a path first did."""
+    inter, out, into = case
+    undirected = {c: out[c] | into[c] for c in inter}
+    remaining = set(inter)
+    while remaining:
+        group = crn._walk(min(remaining), undirected, inter)[0]
+        remaining -= group
+        assert (crn._group_is_chain(group, inter, out, into)
+                == oracle_group_is_chain(group, inter, out, into))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -4,7 +4,8 @@ import zlib
 from fractions import Fraction
 from pathlib import Path
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,9 @@ from toricity.polyhedra import (
 
 from test_bench_contract import _load_bench
 from _oracles import (
+    _hyperplane as oracle_hyperplane,
     mul_vector,
+    oracle_det,
     oracle_extreme_rays,
     oracle_feasible_start,
     oracle_minkowski,
@@ -40,6 +43,7 @@ from _oracles import (
     oracle_polytope_volume,
     oracle_shoelace,
     oracle_simplex_maximize,
+    oracle_start_simplex,
 )
 
 IDH_C = RationalMatrix([
@@ -438,6 +442,43 @@ def test_screen_pass_triangulates_what_segments_leave(monkeypatch):
 def test_polytope_volume_matches_facet_triangulation(points):
     # includes repeated, collinear and coplanar point sets of volume 0
     assert polytope_volume(points) == oracle_polytope_volume(points)
+    # the pivot columns of the differences pick the start simplex that the
+    # incremental elimination picked
+    simplices = polyhedra._placing_triangulation(points)
+    assert (simplices[0] if simplices else None) == oracle_start_simplex(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=k, max_size=k)))
+@example([(1, 2), (1, 2)])
+@example([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+def test_hyperplane_is_the_cofactor_normal(points):
+    """The circuit of the difference rows is the primitive cofactor normal
+    up to sign, and there is none exactly when that normal is zero."""
+    expected = oracle_hyperplane(points)
+    got = polyhedra._hyperplane(points)
+    if expected is None:
+        assert got is None
+    else:
+        normal, offset = expected
+        assert got in (expected, (tuple(-x for x in normal), -offset))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=6).filter(any))
+@example([0, 0, 0, 0, 0, 1])
+@example([6, 10, 15])
+def test_quotient_rows_map_onto_the_quotient(u):
+    """The rows are orthogonal to u, and their maximal minors have gcd 1, so
+    they extend to a unimodular matrix: they map Z^n onto Z^n / Z u."""
+    g = gcd(*u)
+    u = [x // g for x in u]
+    rows = polyhedra._quotient_rows(u)
+    assert len(rows) == len(u) - 1
+    assert all(sum(map(mul, row, u)) == 0 for row in rows)
+    minors = [int(oracle_det([row[:j] + row[j + 1:] for row in rows])) for j in range(len(u))]
+    assert gcd(*minors) == 1
 
 
 @pytest.mark.parametrize("degrees", [(3,), (2, 3), (1, 2, 2), (2, 1, 3, 2)])
