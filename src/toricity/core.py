@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import comb, gcd
 from sys import get_int_max_str_digits
 from types import MappingProxyType
@@ -23,6 +23,7 @@ from .exactalg import (
     CircuitBasis,
     IntegerMatrix,
     InternalInconsistencyError,
+    RANDOM_NUMERATOR_BOUND,
     RationalMatrix,
     _frac,
     _reduced_matrix,
@@ -88,21 +89,19 @@ class VerticalSystem:
 
     A coefficient matrix without full row rank is replaced by the canonical
     basis of its row space, which leaves the zero sets unchanged.  The
-    objects the pipeline reads from (C, M) are built on first use and kept:
-    the circuit kernel basis of C, its strictly positive kernel, the
-    extreme rays of its nonnegative kernel, the matroid partition of its
-    columns, the scaling lattice of each column partition asked for, so
-    the invariance lattice is built once per system, and the integer kernel
-    of each lattice.  C is eliminated once, in integers, and keeps its
+    objects the pipeline reads from (C, M) are built on first use and kept.
+    The circuit kernel basis of C, its strictly positive kernel, the
+    extreme rays of its nonnegative kernel and the matroid partition of its
+    columns are ``cached_property``s.  The scaling lattice of each column
+    partition asked for, so the invariance lattice is built once per
+    system, and the integer kernel of each lattice are kept in dicts keyed
+    by their argument.  C is eliminated once, in integers, and keeps its
     echelon form: every reader of C's pivots, circuits or echelon rows
     reads that.  The row basis of a network's N arrives with its echelon
     form, from the elimination of [N | I].  Row supports, the polynomials
     and the fingerprint read C's integer rows too, so a C built from its
     echelon form never builds its ``Fraction`` entries.
     """
-
-    __slots__ = ("C", "M", "variables", "parameters", "_circuits",
-                 "_positive_kernel", "_rays", "_partition", "_lattices", "_lattice_kernels")
 
     def __init__(self, C: RationalMatrix, M: IntegerMatrix, variables=None, parameters=None):
         if C.cols != M.cols:
@@ -118,8 +117,6 @@ class VerticalSystem:
         self.parameters = tuple(parameters) if parameters else tuple(f"k{j+1}" for j in range(M.cols))
         if len(self.variables) != M.rows or len(self.parameters) != M.cols:
             raise ValueError("name list lengths do not match the matrices")
-        self._circuits = self._positive_kernel = None
-        self._rays = self._partition = None
         self._lattices: dict[MatroidPartition, IntegerMatrix] = {}
         self._lattice_kernels: dict[IntegerMatrix, IntegerMatrix] = {}
 
@@ -135,44 +132,35 @@ class VerticalSystem:
     def n(self) -> int:
         return self.M.rows
 
-    @property
+    @cached_property
     def circuits(self) -> CircuitBasis:
         """Fundamental-circuit basis of ker C."""
-        if self._circuits is None:
-            self._circuits = kernel_circuit_basis(self.C)
-        return self._circuits
+        return kernel_circuit_basis(self.C)
 
-    @property
+    @cached_property
     def positive_kernel(self) -> PositiveKernelResult:
         """Witness of ker C in the open positive orthant, or empty.
 
         The sum of the nonnegative fundamental circuits is an integer vector
         of ker C; when it is strictly positive it is the witness, and only
         otherwise is the question put to the exact LP."""
-        if self._positive_kernel is None:
-            w = [0] * self.m
-            for v in self.circuits.vectors:
-                if min(v) >= 0:
-                    w = [a + b for a, b in zip(w, v)]
-            if all(w):
-                self._positive_kernel = PositiveKernelResult(tuple(w))
-            else:
-                self._positive_kernel = strictly_positive_kernel(self.C)
-        return self._positive_kernel
+        w = [0] * self.m
+        for v in self.circuits.vectors:
+            if min(v) >= 0:
+                w = [a + b for a, b in zip(w, v)]
+        if all(w):
+            return PositiveKernelResult(tuple(w))
+        return strictly_positive_kernel(self.C)
 
-    @property
+    @cached_property
     def rays(self) -> ConeRays:
         """Extreme rays of ker C intersected with the nonnegative orthant."""
-        if self._rays is None:
-            self._rays = extreme_rays(self.C)
-        return self._rays
+        return extreme_rays(self.C)
 
-    @property
+    @cached_property
     def partition(self) -> MatroidPartition:
         """Blocks of the column matroid of C: union-find over circuit supports."""
-        if self._partition is None:
-            self._partition = _merge_supports(self.circuits.supports, self.m)
-        return self._partition
+        return _merge_supports(self.circuits.supports, self.m)
 
     def lattice(self, partition: MatroidPartition) -> IntegerMatrix:
         """Scaling lattice of a column partition, in Hermite normal form.
@@ -440,10 +428,10 @@ def _witness_from_minor(sys: VerticalSystem, columns, seed: int):
     nonzero as a polynomial, is nonzero: the first of 64 seeded integer
     combinations of the circuits, each tested by the determinant of those
     columns of its integer Jacobian."""
-    rng = random_rng(seed ^ 0x5EED)
+    rng, bound = random_rng(seed ^ 0x5EED), RANDOM_NUMERATOR_BOUND
     basis = sys.circuits
     for _ in range(64):
-        w, den = basis.combine([rng.randint(-(1 << 16), 1 << 16) for _ in basis.vectors])
+        w, den = basis.combine([rng.randint(-bound, bound) for _ in basis.vectors])
         if int_det([[row[k] for k in columns] for row in _integer_jacobian(sys, w)]):
             return tuple(Fraction(x, den) for x in w)
     return None
@@ -477,7 +465,7 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     rays = sys.rays
     if not rays.rays:
         raise EmptyLocusError("positive kernel is empty")
-    if sys.s > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
+    if sys.s > DET_SIZE_LIMIT or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return AllPositiveResult("unknown", reason="minor sweep too large")
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))
     try:
@@ -689,7 +677,7 @@ def _augmented_all_positive(sys: VerticalSystem, inv: InvarianceResult) -> str:
     rays = sys.rays
     if not rays.rays:
         return "unknown"
-    if sys.n > 12 or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
+    if sys.n > DET_SIZE_LIMIT or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return "unknown"
     t = len(rays.rays)
     variables = tuple(f"l{k+1}" for k in range(t)) + tuple(f"h{k+1}" for k in range(sys.n))

@@ -30,6 +30,7 @@ from .exactalg import (
 )
 from .polyhedra import strictly_positive_kernel
 from .polyring import (
+    DET_SIZE_LIMIT,
     DeterminantSizeError,
     SignVerdict,
     det_stacked,
@@ -751,7 +752,7 @@ ALL_POSITIVE_ENRICHMENT_CAP = 40
 def _direct_injectivity(sys_: VerticalSystem, inv: InvarianceResult) -> InjectivityResult:
     """The full system's injectivity, which the reduced path records in its
     report but needs for no verdict."""
-    if sys_.s > 12 or comb(sys_.n, sys_.s) > _INJECTIVITY_ENRICHMENT_CAP:
+    if sys_.s > DET_SIZE_LIMIT or comb(sys_.n, sys_.s) > _INJECTIVITY_ENRICHMENT_CAP:
         return InjectivityResult(False, reason="determinant too large")
     return injectivity_test(sys_, inv)
 
@@ -760,8 +761,7 @@ def _direct_all_positive(sys_: VerticalSystem, report: ToricityReport) -> str:
     """The full system's all-positive nondegeneracy, a report-only field
     like its injectivity.  The report's direct injectivity is read first:
     a toric one certifies the field, as in ``analyze``, with no ray sweep."""
-    inj = report.injectivity
-    if inj is not None and inj.toric:
+    if report.injectivity.toric:
         return "yes-for-all-positive"
     if comb(sys_.n, sys_.s) <= ALL_POSITIVE_ENRICHMENT_CAP \
             and nondegeneracy_all_positive(sys_).status == "yes":

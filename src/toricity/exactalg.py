@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
@@ -48,9 +49,9 @@ def _frac(x) -> Fraction:
 class _Matrix:
     """Immutable dense matrix, stored row-major; the body both matrix
     classes share.  A subclass names its entry conversion ``_convert`` and
-    how its rows become integer rows, ``_scaled_rows``."""
-
-    __slots__ = ("rows", "cols", "_e", "_ints", "_echelon", "_split")
+    how its rows become integer rows, ``_ints``.  What a matrix derives (its
+    integer rows, its echelon form, its row basis and left kernel) is a
+    ``cached_property``: built on first read and kept."""
 
     def __init__(self, entries, cols: int | None = None):
         """``cols`` gives the width of a matrix with no rows, and is checked
@@ -62,7 +63,6 @@ class _Matrix:
         self.rows = len(rows)
         self.cols = width
         self._e = rows
-        self._ints = self._echelon = self._split = None
 
     @classmethod
     def with_width(cls, entries, cols: int):
@@ -76,8 +76,15 @@ class _Matrix:
         from outside goes through the constructor or ``with_width``."""
         m = cls.__new__(cls)
         m._e, m.rows, m.cols = tuple(rows), len(rows), cols
-        m._ints = m._echelon = m._split = None
         return m
+
+    @cached_property
+    def _e(self) -> tuple[tuple, ...]:
+        """The entries of a matrix made from its echelon form
+        (``_reduced_matrix``), built on their first read: the RREF rows are
+        its integer echelon rows divided by their pivots.  A matrix made from
+        its entries sets ``_e`` itself, which shadows this."""
+        return _divide_by_pivots(*self._echelon)
 
     def entry(self, i: int, j: int):
         return self._e[i][j]
@@ -104,32 +111,17 @@ class _Matrix:
     def __hash__(self) -> int:
         return hash((self._e, self.cols))
 
-    def __getattr__(self, name):
-        """Build the entries of a matrix made from its echelon form
-        (``_reduced_matrix``) on their first read: the RREF rows are its
-        integer echelon rows divided by their pivots."""
-        if name != "_e":
-            raise AttributeError(name)
-        self._e = _divide_by_pivots(*self._echelon)
-        return self._e
-
-    def __getstate__(self):
-        """Pickle every slot, the entries included, so a matrix built from
-        its echelon form travels like one built from its entries."""
-        self._e
-        return None, {name: getattr(self, name) for name in _Matrix.__slots__}
-
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each row as integers a and the least d > 0 with row = a / d, kept."""
-        if self._ints is None:
-            self._ints = self._scaled_rows()
         return self._ints
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        rows, pivots = _integer_rref([a for a, _ in self.integer_rows()], self.cols)
+        return tuple(map(tuple, rows)), tuple(pivots)
 
     def integer_echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """``_integer_rref`` of the integer rows, kept: nonzero rows and pivots."""
-        if self._echelon is None:
-            rows, pivots = _integer_rref([a for a, _ in self.integer_rows()], self.cols)
-            self._echelon = tuple(map(tuple, rows)), tuple(pivots)
         return self._echelon
 
     def rank(self) -> int:
@@ -138,25 +130,23 @@ class _Matrix:
     def row_basis(self) -> "RationalMatrix":
         """Nonzero rows of the RREF: a canonical basis of the row space, from
         the elimination ``left_kernel_basis`` reads too."""
-        return self._row_and_left_kernel()[0]
+        return self._split[0]
 
-    def _row_and_left_kernel(self) -> tuple["RationalMatrix", "RationalMatrix"]:
+    @cached_property
+    def _split(self) -> tuple["RationalMatrix", "RationalMatrix"]:
         """The nonzero rows of RREF(self) and the RREF basis of its left
-        kernel, kept with their integer rows and echelon forms, from one
+        kernel, with their integer rows and echelon forms, from one
         fraction-free pass over [self | I] (row i scaled by its least
         denominator).  The rows pivoting in the left block are the nonzero
         rows of RREF(self); the rest have a zero left block, so their right
         blocks v satisfy v self = 0, are rows - rank many, and are in RREF."""
-        if self._split is None:
-            m, n = self.cols, self.rows
-            aug = [list(ints) + [d if k == i else 0 for k in range(n)]
-                   for i, (ints, d) in enumerate(self.integer_rows())]
-            rows, pivots = _integer_rref(aug, m + n)
-            r = sum(1 for p in pivots if p < m)
-            self._split = (_reduced_matrix([row[:m] for row in rows[:r]], pivots[:r], m),
-                           _reduced_matrix([row[m:] for row in rows[r:]],
-                                           [p - m for p in pivots[r:]], n))
-        return self._split
+        m, n = self.cols, self.rows
+        aug = [list(ints) + [d if k == i else 0 for k in range(n)]
+               for i, (ints, d) in enumerate(self.integer_rows())]
+        rows, pivots = _integer_rref(aug, m + n)
+        r = sum(1 for p in pivots if p < m)
+        return (_reduced_matrix([row[:m] for row in rows[:r]], pivots[:r], m),
+                _reduced_matrix([row[m:] for row in rows[r:]], [p - m for p in pivots[r:]], n))
 
 
 def _reduced_matrix(rows, pivots, cols: int) -> "RationalMatrix":
@@ -167,7 +157,7 @@ def _reduced_matrix(rows, pivots, cols: int) -> "RationalMatrix":
     ints = [_primitive(row) for row in rows]
     ints = tuple(tuple(x if row[p] > 0 else -x for x in row) for row, p in zip(ints, pivots))
     red = RationalMatrix.__new__(RationalMatrix)
-    red.rows, red.cols, red._split = len(ints), cols, None
+    red.rows, red.cols = len(ints), cols
     red._ints = tuple((row, row[p]) for row, p in zip(ints, pivots))
     red._echelon = ints, tuple(pivots)
     return red
@@ -176,10 +166,10 @@ def _reduced_matrix(rows, pivots, cols: int) -> "RationalMatrix":
 class RationalMatrix(_Matrix):
     """Immutable dense matrix over Q, stored as Fractions."""
 
-    __slots__ = ()
     _convert = staticmethod(_frac)
 
-    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((tuple(a), d) for a, d in map(_integer_scaling, self._e))
 
     def __repr__(self) -> str:
@@ -190,10 +180,10 @@ class IntegerMatrix(_Matrix):
     """Immutable dense matrix over Z.  Entries must be integers: a
     ``Fraction``, float or string is refused, not truncated."""
 
-    __slots__ = ()
     _convert = staticmethod(index)
 
-    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+    @cached_property
+    def _ints(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((row, 1) for row in self._e)
 
     def __repr__(self) -> str:
@@ -261,7 +251,7 @@ def left_kernel_basis(m: RationalMatrix | IntegerMatrix) -> RationalMatrix:
     """RREF-normalized basis (as rows) of {v : v m = 0}.  It comes from the
     one elimination of [m | I] that also gives ``m.row_basis()``, kept on m,
     so a stoichiometric matrix is eliminated once for both."""
-    return m._row_and_left_kernel()[1]
+    return m._split[1]
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -117,9 +117,9 @@ def load_matrix_model(data: dict) -> ModelInput:
     except ValueError:
         raise ModelFormatError(f"unknown mode {text!r}") from None
     N = None
-    if "C" in data:
+    if "C" in data:  # a C with no rows, no equations, has M's width
         C = _matrix(data, "C", lambda rows: RationalMatrix(
-            [[parse_rational(x) for x in row] for row in rows]))
+            [[parse_rational(x) for x in row] for row in rows], None if rows else M.cols))
     elif "N" in data:
         N = _matrix(data, "N", IntegerMatrix)
         if N.rows != M.rows:

@@ -116,6 +116,26 @@ def test_analyze_dimension_mismatch(tmp_path, capsys):
     assert "mismatch" in err
 
 
+def test_empty_C_is_read_at_M_width(tmp_path, capsys):
+    """A C with no rows is a system with no equations at M's width: it is
+    analysed like the same system written with one zero row.  A C of one
+    empty row, and an empty N, stay dimension errors."""
+    M = [[1, 2], [0, 1]]
+    payloads = []
+    for name, C in (("no_rows.json", []), ("zero_row.json", [["0", "0"]])):
+        path = write_json(tmp_path, name, {"C": C, "M": M})
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        payloads.append(json.loads(out))
+        assert payloads[-1].pop("model") == str(path)
+    assert payloads[0] == payloads[1]
+    for name, payload in (("empty_row.json", {"C": [[]], "M": M}),
+                          ("no_species.json", {"N": [], "M": M})):
+        code, out, err = run_cli(capsys, "analyze", str(write_json(tmp_path, name, payload)))
+        assert (code, out) == (3, "")
+        assert "mismatch" in err
+
+
 def test_stoichiometric_row_mismatch(tmp_path, capsys):
     """An N over fewer species than M is a dimension error: ``analyze``
     exits 3 and ``batch`` writes an error row, in place of testing

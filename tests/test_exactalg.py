@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 from fractions import Fraction
@@ -338,7 +339,9 @@ def test_row_basis_and_left_kernel_share_one_elimination(m):
 def test_rref_matrices_build_entries_on_first_read(m):
     """A row basis or left kernel keeps its integer echelon rows and builds
     no ``Fraction`` entry until one is read.  Then it equals, hashes, prints,
-    transposes and pickles like the matrix built from those entries."""
+    transposes and pickles like the matrix built from those entries.  A
+    pickle or copy of one builds no entry either, until one of its own is
+    read, and then builds them once."""
     rows = m.to_lists()
     with mock.patch.object(exactalg, "_divide_by_pivots",
                            wraps=exactalg._divide_by_pivots) as divide:
@@ -360,9 +363,14 @@ def test_rref_matrices_build_entries_on_first_read(m):
             if eager.rows and eager.cols:
                 assert fresh().entry(0, eager.cols - 1) == eager.entry(0, eager.cols - 1)
                 assert fresh().row(eager.rows - 1) == eager.row(eager.rows - 1)
-            restored = pickle.loads(pickle.dumps(fresh()))
-            assert restored == eager and repr(restored) == repr(eager)
-            assert restored.integer_echelon() == eager.integer_echelon()
+            for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+                before = divide.call_count
+                restored = round_trip(fresh())
+                assert restored.integer_echelon() == eager.integer_echelon()
+                assert restored.integer_rows() == eager.integer_rows()
+                assert divide.call_count == before
+                assert restored == eager and repr(restored) == repr(eager)
+                assert divide.call_count == before + 1
 
 
 def test_random_kernel_vector_line():
