@@ -463,8 +463,6 @@ def nondegeneracy_all_positive(sys: VerticalSystem) -> AllPositiveResult:
     if sys.s == 0:
         return AllPositiveResult("yes")  # the rank condition is vacuous
     rays = sys.rays
-    if not rays.rays:
-        raise EmptyLocusError("positive kernel is empty")
     if sys.s > DET_SIZE_LIMIT or comb(sys.n, sys.s) > _ALLPOS_MINOR_CAP:
         return AllPositiveResult("unknown", reason="minor sweep too large")
     lam = tuple(f"l{k+1}" for k in range(len(rays.rays)))

@@ -130,6 +130,8 @@ def load_matrix_model(data: dict) -> ModelInput:
             raise ModelFormatError("stoichiometric matrix is zero")
     else:
         raise ModelFormatError("matrix model needs 'C' or 'N'")
+    if not M.rows:  # an M with no rows, no species, has C's width
+        M = IntegerMatrix([], C.cols)
     if C.cols != M.cols:
         raise ModelDimensionError(
             f"column mismatch: C has {C.cols} columns, M has {M.cols}")

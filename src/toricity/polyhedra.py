@@ -452,6 +452,4 @@ def mixed_volume(supports) -> int:
             pairs.setdefault(q[n:], []).append(q[:n])
         if all(len(pair) == 2 for pair in pairs.values()):
             total += abs(int_det([[a - b for a, b in zip(*pair)] for pair in pairs.values()]))
-    if total.denominator != 1 or total < 0:
-        raise InternalInconsistencyError(f"mixed volume {total} is not a nonnegative integer")
-    return factor * int(total)
+    return factor * total

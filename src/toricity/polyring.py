@@ -155,11 +155,12 @@ def term_count(p: SparsePolynomial) -> int:
 # variable indices; ``det_symbolic`` converts its ``SparsePolynomial``s so
 # and stacks them on no constant rows.
 # ``_pack`` turns a monomial into one int, holding the exponent vector with
-# each variable in its own bit field.  The product of the scales, the
-# row-order sign and det(A_P) make up one rational factor.  The result
-# stays packed, as a ``_PackedDeterminant``: its sign pattern and
-# whether it is zero are read from the packed coefficients and the sign of
-# the factor, and its exponent tuples and ``Fraction`` coefficients are
+# each variable in its own bit field.  One driver, ``_expand``, sorts the
+# packed rows sparsest first, signs that order in one rational factor with
+# the product of the scales and det(A_P), and wraps each result, which
+# stays packed as a ``_PackedDeterminant``: its sign pattern and whether
+# it is zero are read from the packed coefficients and the sign of the
+# factor, and its exponent tuples and ``Fraction`` coefficients are
 # decoded only when something reads ``terms``: rendering and equality.
 # The memoized minors of one expansion or sweep hold at most
 # ``_DET_TERM_BUDGET`` terms, about 110 bytes each.  Measured at seed 0,
@@ -351,39 +352,20 @@ def minor_sweep(rows, scales, variables):
     as ``(columns, determinant)`` in ``itertools.combinations`` order.
 
     ``rows[i][k]`` holds the integer coefficient of each variable in entry
-    (i, k); row i of the matrix is that row over ``scales[i]``.  It is packed
-    once, as ``det_stacked``'s rows are, sparsest rows first, and one
-    ``_packed_det`` expansion shares its memo and term budget across all
-    minors.  Above the size guard the first minor raises."""
+    (i, k); row i of the matrix is that row over ``scales[i]``.  The rows
+    are packed once, in the order given, and ``_expand`` runs one expansion
+    over all minors, which share its memo and term budget.  Above the size
+    guard the first minor raises."""
     s = len(rows)
     if s > DET_SIZE_LIMIT:
         raise DeterminantSizeError(
             f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})")
-    order = sorted(range(s), key=lambda i: sum(1 for entry in rows[i] if any(entry)))
-    packed, fields = _pack([[{(t,): c for t, c in enumerate(entry) if c} for entry in rows[i]]
-                            for i in order], len(variables))
-    factor = Fraction(_permutation_sign(order), prod(scales))
+    packed, fields = _pack([[{(t,): c for t, c in enumerate(entry) if c} for entry in row]
+                            for row in rows], len(variables))
     columns = range(len(rows[0]))
     masks = (sum(1 << k for k in cols) for cols in combinations(columns, s))
-    for cols, det in zip(combinations(columns, s), _packed_det(packed, masks)):
-        yield cols, _PackedDeterminant(variables, det, fields, factor)
-
-
-def _permutation_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    yield from zip(combinations(columns, s),
+                   _expand(packed, variables, fields, 1, prod(scales), masks))
 
 
 def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix) -> SparsePolynomial:
@@ -398,12 +380,13 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     Subtracting from each top column r in R the top's P columns weighted by
     X[:, r] is a column operation that zeroes the bottom block on R, so
     Laplace expansion along the bottom rows keeps one term,
-    sign(R) det(top'[:, R]) det(A_P): one packed s x s expansion, which is
-    1 when there are no top rows.  A bottom with no rows needs no column
-    operation: the packed top goes to the expansion as it stands.  A
-    rank-deficient bottom block gives the zero polynomial.  There is no
-    size guard: the expansion raises ``DeterminantSizeError`` once the
-    minors it holds exceed ``_DET_TERM_BUDGET`` terms.
+    sign(R) det(top'[:, R]) det(A_P): one s x s expansion by ``_expand``,
+    the driver of every determinant, which is 1 when there are no top rows.
+    A bottom with no rows needs no column operation: the packed top goes
+    to the expansion as it stands.  A rank-deficient bottom block gives the
+    zero polynomial.  There is no size guard: the expansion raises
+    ``DeterminantSizeError`` once the minors it holds exceed
+    ``_DET_TERM_BUDGET`` terms.
     """
     s = len(rows)
     n = len(rows[0]) if s else bottom.cols
@@ -413,7 +396,7 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
     variables = tuple(variables)
     packed, fields = _pack(rows, len(variables))
     if not d:
-        return _expand(packed, variables, fields, 1, prod(scales))
+        return next(_expand(packed, variables, fields, 1, prod(scales)))
     pivots = bottom.integer_echelon()[1]
     if len(pivots) < d:
         return SparsePolynomial(variables)
@@ -439,17 +422,21 @@ def det_stacked(rows, scales, variables, bottom: RationalMatrix | IntegerMatrix)
         reduced_rows.append(reduced)
     if (sum(rest) - s * (s - 1) // 2) % 2:
         det_p = -det_p
-    return _expand(reduced_rows, variables, fields, det_p, scale)
+    return next(_expand(reduced_rows, variables, fields, det_p, scale))
 
 
-def _expand(rows, variables, fields, num: int, den: int) -> _PackedDeterminant:
-    """The determinant of the packed s x s ``rows`` times num / den, from
-    one expansion with the sparsest rows first."""
+def _expand(rows, variables, fields, num: int, den: int, masks=None):
+    """Determinants of the packed ``rows`` times num / den, one per column set
+    in ``masks`` (None: all s columns), lazily.  The one driver of
+    ``_packed_det``: it expands the sparsest rows first, signs that order
+    in the factor and wraps each result as a ``_PackedDeterminant``."""
     s = len(rows)
     order = sorted(range(s), key=lambda i: sum(1 for p in rows[i] if p))
-    total = next(_packed_det([rows[i] for i in order], [(1 << s) - 1]))
-    return _PackedDeterminant(variables, total, fields,
-                              Fraction(_permutation_sign(order) * num, den))
+    if sum(a > b for a, b in combinations(order, 2)) % 2:
+        num = -num
+    factor = Fraction(num, den)
+    for det in _packed_det([rows[i] for i in order], [(1 << s) - 1] if masks is None else masks):
+        yield _PackedDeterminant(variables, det, fields, factor)
 
 
 # ---------------------------------------------------------------------------

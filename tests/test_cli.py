@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from toricity import analyze_network, parse_network
 from toricity.cli import main
-from toricity.core import GroupMode
+from toricity.core import GroupMode, VerticalSystem, analyze
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.fileio import ModelFormatError, parse_rational, read_model
 
@@ -134,6 +134,34 @@ def test_empty_C_is_read_at_M_width(tmp_path, capsys):
         code, out, err = run_cli(capsys, "analyze", str(write_json(tmp_path, name, payload)))
         assert (code, out) == (3, "")
         assert "mismatch" in err
+
+
+def test_empty_M_is_read_at_C_width(tmp_path, capsys):
+    """An M with no rows is a system with no species at C's width: it is
+    analysed as the library analyses that system, and ``batch`` and
+    ``export`` take it too.  Its rank errors and an N over a different
+    number of species stay what they were."""
+    (tmp_path / "models").mkdir()
+    path = write_json(tmp_path / "models", "no_species.json", {"C": [["0", "0"]], "M": []})
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    system = VerticalSystem(RationalMatrix([[0, 0]]), IntegerMatrix.with_width([], 2))
+    assert json.loads(out)["verdict"] == analyze(system).verdict.value == "toric"
+    out_file = tmp_path / "export.txt"
+    assert run_cli(capsys, "export", str(path), "--kappa", "1,1", "--out", str(out_file))[0] == 0
+    report_path = tmp_path / "report.json"
+    assert run_cli(capsys, "batch", str(path.parent), "--report", str(report_path))[0] == 0
+    [row] = json.loads(report_path.read_text())["models"]
+    assert (row["verdict"], row["error"]) == ("toric", None)
+    for name, payload, expected in (
+            ("rank.json", {"C": [["1", "-1"]], "M": []},
+             "error: more independent equations than variables\n"),
+            ("species.json", {"N": [[1, -1]], "M": []},
+             "error: row mismatch: N has 1 species, M has 0\n")):
+        code, out, err = run_cli(capsys, "analyze", str(write_json(tmp_path, name, payload)))
+        assert (code, out, err) == (3, "", expected)
+    path = write_json(tmp_path, "zero.json", {"N": [], "M": []})
+    assert run_cli(capsys, "analyze", str(path))[0] == 2
 
 
 def test_stoichiometric_row_mismatch(tmp_path, capsys):

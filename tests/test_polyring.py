@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, gcd
 
 import pytest
@@ -18,6 +19,7 @@ from toricity.polyring import (
     count_distinct_roots,
     det_stacked,
     det_symbolic,
+    minor_sweep,
     render,
     sign_classify,
     term_count,
@@ -475,6 +477,48 @@ def test_packed_sign_follows_a_negative_factor():
     cancelled = det_symbolic([[x, y], [x, y]])
     assert cancelled.is_zero() and sign_classify(cancelled) == SignVerdict.ZERO_POLYNOMIAL
     assert term_count(cancelled) == 0 and cancelled == zero
+
+
+def test_driver_signs_every_row_order():
+    """Rows with 1, 2, 3 and 4 nonzero entries, handed over in each of the
+    24 orders, so the sparsest-first sort meets every permutation, odd and
+    even: the stacked determinant over no bottom rows and over one, and
+    each minor of the sweep, match cofactor expansion of the rows as given."""
+    rng = random.Random(34)
+    vs = ("a", "b", "c", "d")
+    scales = (2, 1, 3, 1)
+
+    def random_rows(supports, width):
+        # (variable index, coefficient) per entry, None off the support
+        return [[(rng.randrange(4), rng.choice([-3, -2, -1, 1, 2, 3])) if k in cols else None
+                 for k in range(width)] for cols in supports]
+
+    def polynomials(rows, scales):
+        return [[P(vs, {} if e is None else {tuple(int(v == e[0]) for v in range(4)):
+                                             Fraction(e[1], scale)}) for e in row]
+                for row, scale in zip(rows, scales)]
+
+    square = random_rows([{0}, {1, 2}, {1, 2, 3}, {0, 1, 2, 3}], 4)
+    wide = random_rows([{0}, {1, 2}, {2, 3, 4}, {0, 1, 3, 4}], 5)
+    bottom = [[rng.choice([-2, -1, 1, 2]) for _ in range(5)]]
+    constant = [[RingPolynomial.constant(vs, x) for x in row] for row in bottom]
+    nonzero_minors = set()
+    for order in permutations(range(4)):
+        scaled = [scales[i] for i in order]
+        top = polynomials([square[i] for i in order], scaled)
+        expected = _oracle_poly_det(top)
+        assert not expected.is_zero()
+        assert stacked_det(top, IntegerMatrix.with_width([], 4)) == expected
+        top = polynomials([wide[i] for i in order], scaled)
+        assert stacked_det(top, IntegerMatrix(bottom)) == _oracle_poly_det(top + constant)
+        pencil = [[[e[1] * (v == e[0]) if e else 0 for v in range(4)] for e in wide[i]]
+                  for i in order]
+        for cols, minor in minor_sweep(pencil, scaled, vs):
+            expected = _oracle_poly_det([[row[k] for k in cols] for row in top])
+            assert minor == expected
+            if not expected.is_zero():
+                nonzero_minors.add(cols)
+    assert len(nonzero_minors) == 4
 
 
 def test_packed_determinant_pickles_and_copies_as_its_polynomial():
