@@ -2,8 +2,13 @@
 
 Subcommands: ``analyze`` a matrix model, ``network`` for reaction network
 files, ``batch`` for a directory of models, ``export`` a coset counting
-system for an external solver.  Exit codes: 0 success, 2 parse error or
-unreadable input or unwritable output, 3 dimension or precondition error.
+system for an external solver.  The commands raise, and one mapping in
+``main`` turns an error into an exit code for all of them: 0 success,
+2 a parse error or unreadable input or unwritable output
+(``ModelFormatError``, ``NetworkParseError``, ``OSError``), 3 any other
+``ValueError``, such as a dimension mismatch or a failed precondition.
+Other exceptions propagate.  ``batch`` records each model's error in its
+row and goes on.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from pathlib import Path
 
 from .core import (
     AnalyzeOptions,
-    EmptyLocusError,
     GroupMode,
     Verdict,
     analyze,
@@ -28,7 +32,6 @@ from .core import (
 )
 from .crn import (
     NetworkParseError,
-    ZeroDynamicsError,
     acr_detect,
     analyze_network,
     conservation_laws,
@@ -36,7 +39,7 @@ from .crn import (
     steady_state_system,
 )
 from .exactalg import IntegerMatrix
-from .fileio import ModelDimensionError, ModelFormatError, read_model, parse_rational
+from .fileio import ModelFormatError, read_model, parse_rational
 from .polyring import render, term_count
 
 EXIT_OK = 0
@@ -129,39 +132,19 @@ def render_report(report, label: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def _past_digit_limit(exc: Exception) -> bool:
-    """Python converts no integer of more digits than its limit to or from
-    text, and says so in a plain ValueError.  The readers refuse longer
-    literals, so such an error comes from a number the analysis made."""
-    return isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit")
-
-
 def _error_text(exc: Exception) -> str:
-    if _past_digit_limit(exc):
+    """The message of ``exc``.  Python converts no integer of more digits
+    than its limit to or from text, and says so in a plain ValueError.  The
+    readers refuse longer literals, so such an error comes from a number
+    the analysis made, and is named as that."""
+    if isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit"):
         return (f"a number in the analysis has more than {sys.get_int_max_str_digits()} "
                 "digits, too many to write as text")
     return str(exc)
 
 
-def _read(path):
-    """The model in ``path``, or the exit code of the error reading it,
-    which is reported: a dimension mismatch or a parse error."""
-    try:
-        return read_model(path)
-    except (ModelFormatError, ModelDimensionError, NetworkParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION if isinstance(exc, ModelDimensionError) else EXIT_PARSE
-
-
-def _write(path, text: str) -> bool:
-    """Write ``text`` to ``path``; an unwritable path is reported and gives
-    False."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _rationals(text: str) -> tuple:
+    return tuple(parse_rational(v) for v in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +152,14 @@ def _write(path, text: str) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    model = _read(args.file)
-    if isinstance(model, int):
-        return model
+    model = read_model(args.file)
     if model.kind != "matrix":
-        print("error: 'analyze' expects a matrix model; use 'network' for reaction files",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise ModelFormatError(
+            "'analyze' expects a matrix model; use 'network' for reaction files")
     mode = GroupMode(args.mode) if args.mode else model.mode
-    options = AnalyzeOptions(boundary="yes" if args.assume_no_boundary_zeros else "unknown")
-    if args.kappa:
-        try:
-            options.kappa = tuple(parse_rational(v) for v in args.kappa.split(","))
-        except ModelFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        report = analyze(model.system, mode, args.seed, options)
-    except ValueError as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return EXIT_DIMENSION
+    options = AnalyzeOptions(kappa=_rationals(args.kappa) if args.kappa else None,
+                             boundary="yes" if args.assume_no_boundary_zeros else "unknown")
+    report = analyze(model.system, mode, args.seed, options)
     if args.json:
         payload = report.to_dict()
         payload["model"] = str(args.file)
@@ -227,19 +198,12 @@ def _multi_line(result) -> str:
 
 
 def cmd_network(args) -> int:
-    model = _read(args.file)
-    if isinstance(model, int):
-        return model
+    model = read_model(args.file)
     if model.kind != "network":
-        print("error: 'network' expects a reaction network file", file=sys.stderr)
-        return EXIT_PARSE
+        raise ModelFormatError("'network' expects a reaction network file")
     net = model.network
     mode = GroupMode(args.mode) if args.mode else GroupMode.POSITIVE
-    try:
-        result = analyze_network(net, mode, args.seed, reduce=args.reduce)
-    except ZeroDynamicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    result = analyze_network(net, mode, args.seed, reduce=args.reduce)
 
     if args.json:
         payload = {
@@ -418,8 +382,7 @@ def _model_seed(base_seed: int, name: str) -> int:
 def cmd_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_PARSE
+        raise NotADirectoryError(f"{directory} is not a directory")
     base_seed = args.seed
     files = sorted(p for p in directory.iterdir()
                    if p.is_file() and p.suffix in BATCH_EXTENSIONS)
@@ -452,8 +415,9 @@ def cmd_batch(args) -> int:
         print(f"{row['model']:32s} {verdict:28s}{extra}{wall}")
     print(f"total: {summary['models']} models")
     report = {"schema": 1, "seed": base_seed, "models": ordered, "summary": summary}
-    if args.report and not _write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n"):
-        return EXIT_PARSE
+    if args.report:
+        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
     return EXIT_OK
 
 
@@ -462,27 +426,13 @@ def cmd_batch(args) -> int:
 
 
 def cmd_export(args) -> int:
-    model = _read(args.file)
-    if isinstance(model, int):
-        return model
-    if model.kind == "network":
-        system = steady_state_system(model.network)
-    else:
-        system = model.system
-    try:
-        kappa = tuple(parse_rational(v) for v in args.kappa.split(","))
-        point = tuple(parse_rational(v) for v in args.point.split(",")) if args.point else None
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        inv = invariance_group(system)
-        ccs = coset_counting_system(system, inv, kappa, args.seed, point)
-    except (EmptyLocusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    if not _write(args.out, render_exchange(ccs)):
-        return EXIT_PARSE
+    model = read_model(args.file)
+    system = steady_state_system(model.network) if model.kind == "network" else model.system
+    kappa = _rationals(args.kappa)
+    point = _rationals(args.point) if args.point else None
+    inv = invariance_group(system)
+    ccs = coset_counting_system(system, inv, kappa, args.seed, point)
+    Path(args.out).write_text(render_exchange(ccs), encoding="utf-8")
     print(f"wrote {args.out}: {system.s} polynomial(s), {inv.d} linear equation(s)")
     return EXIT_OK
 
@@ -543,9 +493,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ModelFormatError, NetworkParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
-        if not _past_digit_limit(exc):
-            raise
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DIMENSION
 

@@ -106,9 +106,9 @@ class ReactionNetwork:
         sources = [self.complexes[src] for src, _, _ in self.reactions]
         targets = [self.complexes[tgt] for _, tgt, _ in self.reactions]
         width = self.num_reactions
-        return (IntegerMatrix.with_width([[t[i] - s[i] for s, t in zip(sources, targets)]
-                                          for i in range(self.n)], width),
-                IntegerMatrix.with_width([[s[i] for s in sources] for i in range(self.n)], width))
+        return (IntegerMatrix([[t[i] - s[i] for s, t in zip(sources, targets)]
+                               for i in range(self.n)], width),
+                IntegerMatrix([[s[i] for s in sources] for i in range(self.n)], width))
 
     @cached_property
     def _steady_state(self) -> VerticalSystem:
@@ -342,7 +342,7 @@ def reduce_network(net: ReactionNetwork, choice: IntermediateChoice) -> Reductio
     """Remove the intermediates, adding one reaction per outside complex pair
     connected through them."""
     if not choice.intermediates:
-        B = IntegerMatrix.with_width([[] for _ in range(net.n)], 0)
+        B = IntegerMatrix([[] for _ in range(net.n)], 0)
         return ReductionResult(net, B, "yes", tuple(range(net.n)), ())
     inter_species = set(choice.intermediates)
     for i in choice.intermediates:
@@ -381,8 +381,8 @@ def reduce_network(net: ReactionNetwork, choice: IntermediateChoice) -> Reductio
     for i in choice.intermediates:
         vec = net.complexes[choice.input_complex[i]]
         b_cols.append([vec[j] for j in x_idx])
-    B = IntegerMatrix.with_width([[col[r] for col in b_cols] for r in range(len(x_idx))],
-                                 len(choice.intermediates))
+    B = IntegerMatrix([[col[r] for col in b_cols] for r in range(len(x_idx))],
+                      len(choice.intermediates))
     surj = _surjectivity_flag(inter_complexes, out_edges, in_edges)
     return ReductionResult(reduced, B, surj, x_idx, tuple(choice.intermediates))
 
@@ -458,7 +458,7 @@ def multistationarity_determinant(A: IntegerMatrix, laws: RationalMatrix):
     top = [[{(j,): a * l for j, (a, l) in enumerate(zip(arow, lrow)) if a and l} for lrow in lrows]
            for arow in A.to_lists()]
     return det_stacked(top, [1] * len(top), tuple(f"be{j+1}" for j in range(A.cols)),
-                       IntegerMatrix.with_width([], len(top)))
+                       IntegerMatrix([], len(top)))
 
 
 def multistationarity_test(sys: VerticalSystem, inv: InvarianceResult,
@@ -806,7 +806,7 @@ def analyze_network(net: ReactionNetwork, mode: GroupMode = GroupMode.POSITIVE,
         direct_inv = invariance_group(sys_, mode)
     except EmptyLocusError:
         direct_inv = None
-    direct_A = direct_inv.A if direct_inv else IntegerMatrix.with_width([], sys_.n)
+    direct_A = direct_inv.A if direct_inv else IntegerMatrix([], sys_.n)
     boundaries = [siphon_boundary_check(net, direct_A, laws)]
 
     reduction = reduced_report = lifted = None

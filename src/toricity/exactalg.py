@@ -65,15 +65,11 @@ class _Matrix:
         self._e = rows
 
     @classmethod
-    def with_width(cls, entries, cols: int):
-        return cls(entries, cols)
-
-    @classmethod
     def _of(cls, rows, cols: int):
         """Wrap rows the library built itself: a sequence of tuples, each of
         ``cols`` entries already of this class's kind, such as the ints of
         its own integer arithmetic.  Nothing is converted or checked; input
-        from outside goes through the constructor or ``with_width``."""
+        from outside goes through the constructor."""
         m = cls.__new__(cls)
         m._e, m.rows, m.cols = tuple(rows), len(rows), cols
         return m

@@ -344,7 +344,7 @@ def det_symbolic(matrix) -> SparsePolynomial:
         rows.append([{tuple(v for v, k in enumerate(e) for _ in range(k)): next(ints)
                       for e in p.terms} for p in row])
         scales.append(scale)
-    return det_stacked(rows, scales, variables, IntegerMatrix.with_width([], n))
+    return det_stacked(rows, scales, variables, IntegerMatrix([], n))
 
 
 def minor_sweep(rows, scales, variables):
@@ -354,15 +354,16 @@ def minor_sweep(rows, scales, variables):
     ``rows[i][k]`` holds the integer coefficient of each variable in entry
     (i, k); row i of the matrix is that row over ``scales[i]``.  The rows
     are packed once, in the order given, and ``_expand`` runs one expansion
-    over all minors, which share its memo and term budget.  Above the size
-    guard the first minor raises."""
+    over all minors, which share its memo and term budget.  A matrix with
+    no rows has one minor, the empty one, equal to 1.  Above the size guard
+    the first minor raises."""
     s = len(rows)
     if s > DET_SIZE_LIMIT:
         raise DeterminantSizeError(
             f"symbolic determinant limited to {DET_SIZE_LIMIT}x{DET_SIZE_LIMIT} (got {s})")
     packed, fields = _pack([[{(t,): c for t, c in enumerate(entry) if c} for entry in row]
                             for row in rows], len(variables))
-    columns = range(len(rows[0]))
+    columns = range(len(rows[0]) if rows else 0)
     masks = (sum(1 << k for k in cols) for cols in combinations(columns, s))
     yield from zip(combinations(columns, s),
                    _expand(packed, variables, fields, 1, prod(scales), masks))

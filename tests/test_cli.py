@@ -13,11 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricity import analyze_network, parse_network
+from toricity import analyze_network, cli, parse_network
 from toricity.cli import main
-from toricity.core import GroupMode, VerticalSystem, analyze
+from toricity.core import EmptyLocusError, GroupMode, VerticalSystem, analyze
+from toricity.crn import NetworkParseError, ZeroDynamicsError
 from toricity.exactalg import IntegerMatrix, RationalMatrix
-from toricity.fileio import ModelFormatError, parse_rational, read_model
+from toricity.fileio import ModelDimensionError, ModelFormatError, parse_rational, read_model
 
 from _oracles import same_row_lattice
 from test_families import cascade, multisite
@@ -145,7 +146,7 @@ def test_empty_M_is_read_at_C_width(tmp_path, capsys):
     path = write_json(tmp_path / "models", "no_species.json", {"C": [["0", "0"]], "M": []})
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
-    system = VerticalSystem(RationalMatrix([[0, 0]]), IntegerMatrix.with_width([], 2))
+    system = VerticalSystem(RationalMatrix([[0, 0]]), IntegerMatrix([], 2))
     assert json.loads(out)["verdict"] == analyze(system).verdict.value == "toric"
     out_file = tmp_path / "export.txt"
     assert run_cli(capsys, "export", str(path), "--kappa", "1,1", "--out", str(out_file))[0] == 0
@@ -624,15 +625,16 @@ def test_batch_error_row(tmp_path, capsys):
 
 
 def test_batch_unwritable_report_exits_2(tmp_path, capsys):
-    """A report path in a missing directory is reported after the table,
-    exit 2, with no traceback."""
+    """A report path in a missing directory, or one that is a directory,
+    is reported after the table, exit 2, with one error line."""
     d = tmp_path / "models"
     d.mkdir()
     (d / "ok.crn").write_text("A <=> B", encoding="utf-8")
-    code, out, err = run_cli(capsys, "batch", str(d), "--report", str(tmp_path / "no" / "r.json"))
-    assert code == 2
-    assert out.startswith("ok.crn") and out.endswith("total: 1 models\n")
-    assert err.startswith("error: ") and "Traceback" not in err
+    for report in (tmp_path / "no" / "r.json", tmp_path):
+        code, out, err = run_cli(capsys, "batch", str(d), "--report", str(report))
+        assert code == 2
+        assert out.startswith("ok.crn") and out.endswith("total: 1 models\n")
+        assert str(report) in _one_error_line(err)
     assert not (tmp_path / "no").exists()
 
 
@@ -770,6 +772,60 @@ def test_export_malformed_rational_exits_2(tmp_path, capsys, flag):
     assert (code, out) == (2, "")
     assert "not a rational: 'abc'" in err
     assert not (tmp_path / "x.txt").exists()
+
+
+# -- one exit-code map --------------------------------------------------------
+
+
+RAISED = [
+    pytest.param(ModelFormatError("bad model"), 2, "bad model", id="ModelFormatError"),
+    pytest.param(NetworkParseError("bad token", 1, 2), 2, "line 1, column 2: bad token",
+                 id="NetworkParseError"),
+    pytest.param(OSError("disk gone"), 2, "disk gone", id="OSError"),
+    pytest.param(ModelDimensionError("C has 2 columns"), 3, "C has 2 columns",
+                 id="ModelDimensionError"),
+    pytest.param(ZeroDynamicsError("no dynamics"), 3, "no dynamics", id="ZeroDynamicsError"),
+    pytest.param(EmptyLocusError("empty locus"), 3, "empty locus", id="EmptyLocusError"),
+    pytest.param(ValueError("precondition"), 3, "precondition", id="ValueError"),
+    pytest.param(ValueError("Exceeds the limit (4300 digits) for integer string conversion"),
+                 3, f"a number in the analysis has more than {DIGIT_LIMIT} digits, "
+                 "too many to write as text", id="digit-limit"),
+]
+
+
+def _command_raising(tmp_path, monkeypatch, command, exc):
+    """argv for ``command`` on a model it accepts, with its analysis call
+    patched to raise ``exc``."""
+    target, argv = {
+        "analyze": ("analyze", ["analyze", str(MODELS / "sparse_pair.json")]),
+        "network": ("analyze_network", ["network", str(MODELS / "idh.crn")]),
+        "export": ("coset_counting_system",
+                   ["export", str(write_json(tmp_path, "t.json", TRIANGLE_MATRIX_JSON)),
+                    "--kappa", "1,1,1,1", "--out", str(tmp_path / "x.txt")]),
+    }[command]
+
+    def raising(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, target, raising)
+    return argv
+
+
+@pytest.mark.parametrize("command", ["analyze", "network", "export"])
+@pytest.mark.parametrize("exc, code, message", RAISED)
+def test_main_maps_each_error_to_one_exit_code(tmp_path, capsys, monkeypatch,
+                                               command, exc, code, message):
+    """Every command reports the same error class with the same exit code
+    and one error line."""
+    argv = _command_raising(tmp_path, monkeypatch, command, exc)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "network", "export"])
+def test_main_lets_other_errors_propagate(tmp_path, monkeypatch, command):
+    argv = _command_raising(tmp_path, monkeypatch, command, RuntimeError("bug"))
+    with pytest.raises(RuntimeError, match="bug"):
+        main(argv)
 
 
 def test_matrix_json_roundtrip(tmp_path):

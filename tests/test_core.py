@@ -266,7 +266,7 @@ def test_quasihomogeneity_sublattice_property():
         inv = invariance_group(sys_, GroupMode.COMPLEX_STAR)
         weights = quasihomogeneity_weights(sys_)
         # every weight row lies in the invariance lattice
-        stacked = IntegerMatrix.with_width(inv.A.to_lists() + weights.to_lists(), sys_.n)
+        stacked = IntegerMatrix(inv.A.to_lists() + weights.to_lists(), sys_.n)
         assert same_row_lattice(stacked, inv.A)
         checked += 1
 

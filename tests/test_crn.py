@@ -407,7 +407,7 @@ def test_reduction_preserves_invariance_lattice():
         lifted = lift_invariance(red_inv.A, red.B)
         perm = list(red.x_indices) + list(red.y_indices)
         inverse = [perm.index(i) for i in range(net.n)]
-        back = IntegerMatrix.with_width(
+        back = IntegerMatrix(
             [[lifted.entry(r, inverse[i]) for i in range(net.n)]
              for r in range(lifted.rows)], net.n)
         assert same_row_lattice(back, direct.A)
@@ -421,7 +421,7 @@ def test_shinar_feinberg_lifted_matches_reference():
     lifted = lift_invariance(red_inv.A, red.B)
     perm = list(red.x_indices) + list(red.y_indices)
     inverse = [perm.index(i) for i in range(net.n)]
-    back = IntegerMatrix.with_width(
+    back = IntegerMatrix(
         [[lifted.entry(r, inverse[i]) for i in range(net.n)] for r in range(lifted.rows)],
         net.n)
     assert same_row_lattice(back, IntegerMatrix([
@@ -468,7 +468,7 @@ def test_multistationarity_refuses_laws_over_other_species():
     inv = invariance_group(sys_)
     N, _ = mass_action_matrices(net)
     laws = conservation_laws(N)
-    wider = RationalMatrix.with_width([list(row) + [0] for row in laws.to_lists()], laws.cols + 1)
+    wider = RationalMatrix([list(row) + [0] for row in laws.to_lists()], laws.cols + 1)
     with pytest.raises(ValueError, match="columns of conservation laws"):
         multistationarity_test(sys_, inv, wider, toric=True)
 
@@ -814,7 +814,7 @@ def _direct_A(net):
     try:
         return invariance_group(steady_state_system(net)).A
     except (EmptyLocusError, ZeroDynamicsError):
-        return IntegerMatrix.with_width([], net.n)
+        return IntegerMatrix([], net.n)
 
 
 def test_siphon_budget_reported(monkeypatch):

@@ -182,7 +182,7 @@ def test_rref_idempotent_and_rank_preserving():
              for _ in range(nr)]
         )
         echelon = m.integer_echelon()
-        red = IntegerMatrix.with_width(echelon[0], nc)
+        red = IntegerMatrix(echelon[0], nc)
         assert red.integer_echelon() == echelon
         assert red.rank() == m.rank()
 
@@ -461,7 +461,7 @@ def test_rref_and_rank_match_fraction_elimination(m):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 5).flatmap(
     lambda nc: st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc), max_size=5)
-    .map(lambda rows: IntegerMatrix.with_width(rows + [[0] * nc], nc))))
+    .map(lambda rows: IntegerMatrix(rows + [[0] * nc], nc))))
 def test_integer_rank_matches_fraction_elimination(m):
     assert m.rank() == len(oracle_rref(m.to_lists(), m.cols)[1])
 
@@ -518,7 +518,7 @@ def _circuit_inputs(draw):
         return draw(_integer_matrices()).row_basis()
     m = draw(_matrices())
     if kind == "rref":
-        return RationalMatrix.with_width(m.row_basis().to_lists(), m.cols)
+        return RationalMatrix(m.row_basis().to_lists(), m.cols)
     return m
 
 

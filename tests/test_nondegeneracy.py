@@ -33,7 +33,8 @@ from toricity.core import (
 from toricity.crn import ZeroDynamicsError
 from toricity.exactalg import IntegerMatrix, RationalMatrix
 from toricity.fileio import read_model
-from toricity.polyring import DeterminantSizeError, SparsePolynomial, det_symbolic, minor_sweep
+from toricity.polyring import (DeterminantSizeError, SparsePolynomial, det_stacked,
+                                det_symbolic, minor_sweep)
 
 import _oracles
 from test_crn import _random_network_text
@@ -59,7 +60,7 @@ UNCERTIFIED = ([[0, 0, 2, 2, -1], [-1, 1, 0, 0, 2], [0, 0, 0, 2, -1]],
 
 
 def _system(C, M) -> VerticalSystem:
-    return VerticalSystem(RationalMatrix(C), IntegerMatrix.with_width(M, len(C[0])))
+    return VerticalSystem(RationalMatrix(C), IntegerMatrix(M, len(C[0])))
 
 
 def _assert_matches_oracles(sys_, seed=0):
@@ -324,6 +325,13 @@ def test_minor_sweep_matches_det_symbolic(case):
     assert [cols for cols, _ in swept] == list(combinations(range(n), s))
     for cols, det in swept:
         assert det == det_symbolic([[row[j] for j in cols] for row in polys])
+
+
+def test_minor_sweep_of_no_rows_is_the_empty_minor():
+    """Like ``det_stacked`` of no top rows, a sweep of no rows yields the
+    one 0 x 0 minor, 1."""
+    assert det_stacked([], [], (), IntegerMatrix([], 0)).terms == {(): 1}
+    assert [(cols, det.terms) for cols, det in minor_sweep([], [], ())] == [((), {(): 1})]
 
 
 def test_minor_sweep_budget_bounds_the_terms_it_holds(monkeypatch):

@@ -401,7 +401,7 @@ def test_det_stacked_degree_fills_its_bit_field():
     assert det == (x * y).scale(Fraction(5, 2))
     for index in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
-            det_stacked([[{(0, index): 1}]], [1], vs, IntegerMatrix.with_width([], 1))
+            det_stacked([[{(0, index): 1}]], [1], vs, IntegerMatrix([], 1))
 
 
 @st.composite
@@ -508,7 +508,7 @@ def test_driver_signs_every_row_order():
         top = polynomials([square[i] for i in order], scaled)
         expected = _oracle_poly_det(top)
         assert not expected.is_zero()
-        assert stacked_det(top, IntegerMatrix.with_width([], 4)) == expected
+        assert stacked_det(top, IntegerMatrix([], 4)) == expected
         top = polynomials([wide[i] for i in order], scaled)
         assert stacked_det(top, IntegerMatrix(bottom)) == _oracle_poly_det(top + constant)
         pencil = [[[e[1] * (v == e[0]) if e else 0 for v in range(4)] for e in wide[i]]
